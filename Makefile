@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-json wirelock test race bench bench-all bench-parallel experiments fuzz harvestd-demo trace-demo fleet-demo rollout-demo clean
+.PHONY: all build vet lint lint-json wirelock test loopbench-check race bench bench-all bench-parallel experiments fuzz harvestd-demo trace-demo fleet-demo rollout-demo clean
 
 all: build vet lint test
 
@@ -33,16 +33,22 @@ wirelock:
 test:
 	$(GO) test ./...
 
+# The loop benchmark (bench/) is its own module, so `go build ./...` and
+# `go test ./...` at the root cannot see an exported-API break in it.
+loopbench-check:
+	cd bench && $(GO) vet . && $(GO) test .
+
 race:
 	$(GO) test -race ./...
 
 # Focused federation + ingest + rollout hot-path benchmarks (per-line fold,
-# accumulator merge, registry fan-out, snapshot encode/decode, router
-# assignment, binary codec, end-to-end source→fold ingest per format, gate
-# evaluation and state transition), emitted as BENCH_harvestd.json for CI
-# trend tracking. IngestBin records/s vs IngestJSONL is the binary format's
-# ≥5x claim; the binrec decode benchmark pins 0 allocs/op. bench-all is the
-# full sweep.
+# accumulator merge, registry fan-out per record and per batch, snapshot
+# encode/decode, router assignment, binary codec, end-to-end source→fold
+# ingest per format, gate evaluation and state transition), emitted as
+# BENCH_harvestd.json for CI trend tracking. RegistryFold also selects
+# RegistryFoldBatch/{1,64,720,wide32}, where one op is one record. IngestBin
+# records/s vs IngestJSONL is the binary format's ≥5x claim; the binrec
+# decode benchmark pins 0 allocs/op. bench-all is the full sweep.
 bench:
 	$(GO) test -run NONE -bench 'AccumFold|AccumMerge|RegistryFold|SnapshotEncode|SnapshotDecode|RouterAssign|BinRecEncode|BinRecDecode|IngestNginx|IngestJSONL|IngestBin|GateEval|StateTransition' \
 		-benchmem ./internal/harvestd ./internal/fleet ./internal/harvester/binrec ./internal/rollout | $(GO) run ./cmd/benchjson -o BENCH_harvestd.json

@@ -67,7 +67,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	horizon := fs.Float64("horizon", 2000, "cache harvest look-ahead horizon")
 	policies := fs.String("policies", "uniform,leastloaded,constant:0",
 		"candidate policies: uniform | leastloaded | constant:K")
-	workers := fs.Int("workers", 0, "ingestion workers (0 = GOMAXPROCS, max 8)")
+	workers := fs.Int("workers", 0, "ingestion workers (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 4096, "ingestion queue capacity")
 	clip := fs.Float64("clip", 10, "importance-weight cap for clipped IPS (<=0 disables)")
 	delta := fs.Float64("delta", 0.05, "default interval failure probability")
@@ -88,9 +88,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	nWorkers := *workers
 	if nWorkers <= 0 {
 		nWorkers = runtime.GOMAXPROCS(0)
-		if nWorkers > 8 {
-			nWorkers = 8
-		}
 	}
 	reg, err := harvestd.NewRegistry(nWorkers, *clip)
 	if err != nil {

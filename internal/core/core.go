@@ -244,13 +244,41 @@ func ActionProb(policy Policy, ctx *Context, a Action) float64 {
 		return ap.ActionProb(ctx, a)
 	}
 	if sp, ok := policy.(StochasticPolicy); ok {
-		dist := sp.Distribution(ctx)
-		if int(a) < len(dist) {
-			return dist[a]
-		}
-		return 0
+		return distProber{sp}.ActionProb(ctx, a)
 	}
-	if policy.Act(ctx) == a {
+	return actProber{policy}.ActionProb(ctx, a)
+}
+
+// ProberFor resolves ActionProb's dispatch once: the returned prober gives
+// exactly ActionProb(policy, ·, ·) without re-asserting the policy's
+// interfaces per call. Loops that score many datapoints under one policy
+// (harvestd's batch fold) hoist the dispatch out with it.
+func ProberFor(policy Policy) ActionProber {
+	if ap, ok := policy.(ActionProber); ok {
+		return ap
+	}
+	if sp, ok := policy.(StochasticPolicy); ok {
+		return distProber{sp}
+	}
+	return actProber{policy}
+}
+
+// distProber reads one entry of a stochastic policy's full distribution.
+type distProber struct{ sp StochasticPolicy }
+
+func (p distProber) ActionProb(ctx *Context, a Action) float64 {
+	dist := p.sp.Distribution(ctx)
+	if int(a) < len(dist) {
+		return dist[a]
+	}
+	return 0
+}
+
+// actProber scores a deterministic policy: 1 on a match, else 0.
+type actProber struct{ policy Policy }
+
+func (p actProber) ActionProb(ctx *Context, a Action) float64 {
+	if p.policy.Act(ctx) == a {
 		return 1
 	}
 	return 0

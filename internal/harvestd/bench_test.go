@@ -8,6 +8,7 @@ package harvestd
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 
@@ -59,9 +60,9 @@ func BenchmarkAccumMerge(b *testing.B) {
 	}
 }
 
-// BenchmarkRegistryFold measures the full per-datapoint ingest cost: one
-// datapoint scored and folded under three registered candidates.
-func BenchmarkRegistryFold(b *testing.B) {
+// benchRegistry is the three-candidate registry of the fold benchmarks.
+func benchRegistry(b *testing.B) *Registry {
+	b.Helper()
 	reg, err := NewRegistry(1, 10)
 	if err != nil {
 		b.Fatal(err)
@@ -75,12 +76,44 @@ func BenchmarkRegistryFold(b *testing.B) {
 	if err := reg.Register("leastloaded", lbsim.LeastLoaded{}); err != nil {
 		b.Fatal(err)
 	}
+	return reg
+}
+
+// BenchmarkRegistryFold measures the full per-datapoint ingest cost: one
+// datapoint scored and folded under three registered candidates — the
+// batch-of-one price the text sources and the live tail pay.
+func BenchmarkRegistryFold(b *testing.B) {
+	reg := benchRegistry(b)
 	ds := benchDatapoints(1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		reg.Fold(0, &ds[i%len(ds)])
 	}
+}
+
+// BenchmarkRegistryFoldBatch measures the batch fold per record (one op =
+// one record): three candidates at batch sizes 1, 64 and 720, and wide32 —
+// the loop benchmark's wide-fold-read shape, 32 candidates over 8-upstream
+// contexts in 720-record batches.
+func BenchmarkRegistryFoldBatch(b *testing.B) {
+	run := func(name string, reg *Registry, ds []core.Datapoint, batch int) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; {
+				at := done % (len(ds) - batch + 1)
+				n := min(batch, b.N-done)
+				reg.FoldBatch(0, ds[at:at+n])
+				done += n
+			}
+		})
+	}
+	ds := benchDatapoints(1024)
+	for _, batch := range []int{1, 64, 720} {
+		run(fmt.Sprint(batch), benchRegistry(b), ds, batch)
+	}
+	run("wide32", newWideRegistry(b, 1), wideDatapoints(1024, 1), 720)
 }
 
 // constantAction is a minimal deterministic policy for benchmarks.

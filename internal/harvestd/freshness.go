@@ -23,13 +23,15 @@ const FreshnessVersion = 1
 type SourceFreshness struct {
 	Source string `json:"source"`
 	// Ingested / Folded count datapoints that entered the queue and
-	// datapoints folded into estimators; Behind is their difference — the
-	// records sitting in the queue right now.
+	// datapoints folded into estimators; Behind is the records sitting in
+	// the queue right now — Ingested minus Folded minus the records a worker
+	// rejected (sources that enqueue unvalidated records, i.e. binrec).
 	Ingested int64 `json:"ingested"`
 	Folded   int64 `json:"folded"`
 	Behind   int64 `json:"behind"`
 	// MaxSeqIngested / MaxSeqFolded are the high-water record sequence
-	// numbers on each side of the queue (-1 before any sequenced record).
+	// numbers on each side of the queue (-1 before any sequenced record); a
+	// record the worker rejects advances MaxSeqFolded like a folded one.
 	MaxSeqIngested int64 `json:"max_seq_ingested"`
 	MaxSeqFolded   int64 `json:"max_seq_folded"`
 	// LastIngestUnixMilli / LastFoldUnixMilli are the injected clock's time
@@ -46,7 +48,7 @@ type SourceFreshness struct {
 
 // FreshnessReport is the /freshness payload: the shard's pipeline
 // watermarks. WatermarkSeq is the min across sources of MaxSeqFolded (the
-// estimate provably reflects every sequenced record up to it);
+// estimate provably reflects every valid sequenced record up to it);
 // WatermarkAgeSeconds is how long ago the estimators last absorbed
 // anything (-1 = never); Behind totals queued-but-unfolded records.
 // The aggregation tier (internal/fleet) and rolloutd's watermark gate both
@@ -74,6 +76,7 @@ type sourceStats struct {
 	name           string
 	ingested       atomic.Int64
 	folded         atomic.Int64
+	rejected       atomic.Int64 // failed Validate in the worker: left the queue unfolded
 	maxSeqIngested atomic.Int64 // -1 until a sequenced record arrives
 	maxSeqFolded   atomic.Int64
 	lastIngestNano atomic.Int64 // injected-clock UnixNano; 0 = never
@@ -108,12 +111,14 @@ func (s *sourceStats) noteIngested(n int, maxSeq int64, at time.Time) {
 	atomicMax(&s.lastIngestNano, at.UnixNano())
 }
 
-// noteFolded records a batch's folded points leaving the queue.
-func (s *sourceStats) noteFolded(n int, maxSeq int64, at time.Time, lagSeconds float64) {
-	if n > 0 {
-		s.folded.Add(int64(n))
-		atomicMax(&s.maxSeqFolded, maxSeq)
-	}
+// noteFolded records a batch leaving the queue: folded points, points the
+// worker rejected (they drain the queue too), and the batch's high-water
+// Seq, which the fold watermark passes whether the record carrying it was
+// folded or rejected.
+func (s *sourceStats) noteFolded(folded, rejected int, maxSeq int64, at time.Time, lagSeconds float64) {
+	s.folded.Add(int64(folded))
+	s.rejected.Add(int64(rejected))
+	atomicMax(&s.maxSeqFolded, maxSeq)
 	atomicMax(&s.lastFoldNano, at.UnixNano())
 	s.lag.Observe(lagSeconds)
 }
@@ -187,7 +192,7 @@ func (d *Daemon) FreshnessNow() FreshnessReport {
 			LagCount:       snap.Count,
 			LagSumSeconds:  snap.Sum,
 		}
-		sf.Behind = sf.Ingested - sf.Folded
+		sf.Behind = sf.Ingested - sf.Folded - st.rejected.Load()
 		if ns := st.lastIngestNano.Load(); ns != 0 {
 			sf.LastIngestUnixMilli = ns / int64(time.Millisecond)
 		}

@@ -138,3 +138,47 @@ func TestFreshnessEndpoint(t *testing.T) {
 		t.Errorf("freshness not byte-stable:\n%s\nvs\n%s", body, again)
 	}
 }
+
+// TestFreshnessDrainsWorkerRejectedRecords is the regression test for the
+// /freshness leak: a record that enters the queue unvalidated (binrec) and
+// fails Validate in the worker has left the queue, so it must leave Behind,
+// and the fold watermark must pass its Seq — otherwise one bad record pins a
+// fully drained daemon at behind=1, watermark_seq < max_seq_ingested forever.
+func TestFreshnessDrainsWorkerRejectedRecords(t *testing.T) {
+	reg := newTestRegistry(t, 1)
+	d, err := New(Config{Workers: 1, Clock: &obs.FixedClock{T: time.Unix(7000, 0)}}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = d.Shutdown(context.Background()) })
+
+	pts := testDataset(2, 51)
+	pts[0].Seq, pts[1].Seq = 1, 2
+	pts[1].Propensity = 0 // the bad record carries the batch's highest Seq
+	if err := d.sinkFor("bin:test").EmitBatch(context.Background(), pts, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "the batch to be accounted", func() bool {
+		return d.ctr.folded.Load() == 1 && d.ctr.rejected.Load() == 1
+	})
+
+	rep := d.FreshnessNow()
+	if len(rep.Sources) != 1 {
+		t.Fatalf("sources = %+v, want one", rep.Sources)
+	}
+	sf := rep.Sources[0]
+	if sf.Ingested != 2 || sf.Folded != 1 {
+		t.Errorf("ingested/folded = %d/%d, want 2/1", sf.Ingested, sf.Folded)
+	}
+	if sf.Behind != 0 || rep.Behind != 0 || rep.QueueDepth != 0 {
+		t.Errorf("behind = %d (source) / %d (report), queue depth %d; want 0 after drain",
+			sf.Behind, rep.Behind, rep.QueueDepth)
+	}
+	if sf.MaxSeqIngested != 2 || sf.MaxSeqFolded != 2 || rep.WatermarkSeq != 2 {
+		t.Errorf("max seq ingested/folded = %d/%d, watermark %d; want 2/2/2",
+			sf.MaxSeqIngested, sf.MaxSeqFolded, rep.WatermarkSeq)
+	}
+}

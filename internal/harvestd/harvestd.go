@@ -15,6 +15,18 @@
 //	                                                          │merge
 //	HTTP /estimates /metrics ◀── read path ◀──────────────────┘
 //	checkpoint (timer + shutdown) ◀── exportState
+//
+// The queue carries batches (a decoded binrec segment, or one record from a
+// text source) and the fold keeps them whole: a worker validates a batch and
+// hands each run of valid records to Registry.FoldBatch, the only fold loop.
+// Per batch it pays one registry RLock and one round of counter and
+// watermark bumps; per (policy, batch) one recover frame and one shard-lock
+// acquisition, folding the records in order into a copy of its own shard's
+// accumulator and storing the copy back — so the summation order is the
+// record-by-record one. That unlocked read-modify-write relies on worker i
+// being the only writer of shard i; readers take the shard lock and never
+// wait on policy code. A reader can therefore see policies up to one batch
+// apart (per worker), and counters up to one batch behind the registry.
 package harvestd
 
 import (
@@ -35,7 +47,7 @@ import (
 // Config tunes the daemon. The zero value is usable: defaults fill in.
 type Config struct {
 	// Workers is the number of concurrent ingestion workers (and estimator
-	// shards). Default: GOMAXPROCS capped at 8.
+	// shards). Default: GOMAXPROCS.
 	Workers int
 	// QueueSize bounds the ingestion queue, measured in batches (a text
 	// source emits one-datapoint batches; the binary source emits whole
@@ -73,9 +85,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-		if c.Workers > 8 {
-			c.Workers = 8
-		}
 	}
 	if c.QueueSize <= 0 {
 		c.QueueSize = 4096
@@ -111,13 +120,16 @@ type counters struct {
 // one send per record — at millions of records/sec the per-send
 // synchronization would otherwise dominate. free (when non-nil) runs after
 // the batch is folded, returning pooled decode buffers to the producing
-// source; until then the source must not touch the slice. src and at feed
-// the /freshness watermarks: which source enqueued the batch, and when.
+// source; until then the source must not touch the slice. src, at and
+// maxSeq feed the /freshness watermarks: which source enqueued the batch,
+// when, and the batch's high-water Seq (valid or not — the fold watermark
+// passes a record the worker rejects just as it passes one it folds).
 type ingestBatch struct {
-	pts  []core.Datapoint
-	free func()
-	src  *sourceStats
-	at   time.Time
+	pts    []core.Datapoint
+	free   func()
+	src    *sourceStats
+	at     time.Time
+	maxSeq int64
 }
 
 // Daemon is one running harvestd instance.
@@ -282,9 +294,12 @@ func (d *Daemon) Addr() string {
 // URL returns the API's base URL (after Start).
 func (d *Daemon) URL() string { return "http://" + d.Addr() }
 
-// worker drains the queue, folding each datapoint into its own shard of
-// every registered policy. One span covers the worker's whole life (fold
-// stage of the pipeline); per-datapoint spans would dwarf the work traced.
+// worker drains the queue, folding each batch into its own shard of every
+// registered policy: it validates the batch, hands each maximal run of
+// valid records to Registry.FoldBatch, and bumps the counters and the
+// source's watermark once per batch (so they may trail the registry by one
+// batch). One span covers the worker's whole life (fold stage of the
+// pipeline); per-datapoint spans would dwarf the work traced.
 func (d *Daemon) worker(id int) {
 	defer d.workerWG.Done()
 	sp := d.cfg.Tracer.Start("fold/worker", d.root, map[string]any{"id": id})
@@ -294,27 +309,30 @@ func (d *Daemon) worker(id int) {
 		sp.End()
 	}()
 	for bt := range d.queue {
-		nFolded, maxSeq := 0, int64(-1)
+		nFolded, start := 0, 0 // start: first record of the current valid run
 		for i := range bt.pts {
-			dp := &bt.pts[i]
-			if dp.Validate() != nil {
-				d.ctr.rejected.Add(1)
-				continue
-			}
-			d.reg.Fold(id, dp)
-			d.ctr.folded.Add(1)
-			folded++
-			nFolded++
-			if dp.Seq > maxSeq {
-				maxSeq = dp.Seq
+			if bt.pts[i].Validate() != nil {
+				d.reg.FoldBatch(id, bt.pts[start:i])
+				nFolded += i - start
+				start = i + 1
 			}
 		}
+		d.reg.FoldBatch(id, bt.pts[start:])
+		nFolded += len(bt.pts) - start
+		nRejected := len(bt.pts) - nFolded
 		if bt.free != nil {
 			bt.free()
 		}
+		folded += int64(nFolded)
 		if bt.src != nil {
 			now := d.cfg.Clock.Now()
-			bt.src.noteFolded(nFolded, maxSeq, now, now.Sub(bt.at).Seconds())
+			bt.src.noteFolded(nFolded, nRejected, bt.maxSeq, now, now.Sub(bt.at).Seconds())
+		}
+		// The daemon counters move last: whoever sees them cover a batch
+		// also sees its registry state and its source watermarks.
+		d.ctr.folded.Add(int64(nFolded))
+		if nRejected > 0 {
+			d.ctr.rejected.Add(int64(nRejected))
 		}
 	}
 }
@@ -327,7 +345,7 @@ func (d *Daemon) enqueue(ctx context.Context, pts []core.Datapoint, free func(),
 	at := d.cfg.Clock.Now()
 	maxSeq := maxBatchSeq(pts)
 	select {
-	case d.queue <- ingestBatch{pts: pts, free: free, src: src, at: at}:
+	case d.queue <- ingestBatch{pts: pts, free: free, src: src, at: at, maxSeq: maxSeq}:
 		d.ctr.ingested.Add(int64(len(pts)))
 		if src != nil {
 			src.noteIngested(len(pts), maxSeq, at)

@@ -178,6 +178,63 @@ func TestDaemonRejectsInvalidDatapoints(t *testing.T) {
 	}
 }
 
+// TestWorkerFoldsExactlyTheValidRecords feeds the worker batches with
+// invalid records at the head, in the middle (alone and adjacent) and at the
+// tail: the registry must hold exactly the fold of the valid records in
+// order, and folded/rejected must split the batch.
+func TestWorkerFoldsExactlyTheValidRecords(t *testing.T) {
+	reg := newTestRegistry(t, 1)
+	d, err := New(Config{Workers: 1}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown(context.Background())
+
+	ds := testDataset(60, 41) // three upstreams; newTestRegistry's policies act on the first two
+	invalid := map[int]bool{0: true, 1: true, 20: true, 33: true, 34: true, 59: true}
+	for i := range ds {
+		if !invalid[i] {
+			continue
+		}
+		if i%2 == 0 {
+			ds[i].Propensity = 0
+		} else {
+			ds[i].Action = core.Action(ds[i].Context.NumActions)
+		}
+	}
+	allBad := []core.Datapoint{ds[0], ds[1]}
+	sink := d.sinkFor("test")
+	for _, pts := range [][]core.Datapoint{ds, allBad} {
+		if err := sink.EmitBatch(context.Background(), pts, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantRejected := int64(len(invalid) + len(allBad))
+	wantFolded := int64(len(ds) - len(invalid))
+	waitFor(t, 5*time.Second, "counters", func() bool {
+		return d.ctr.folded.Load() == wantFolded && d.ctr.rejected.Load() == wantRejected
+	})
+
+	var valid core.Dataset
+	for i := range ds {
+		if !invalid[i] {
+			valid = append(valid, ds[i])
+		}
+	}
+	want := foldAll(t, valid, lbsim.LeastLoaded{}, 10)
+	if got := reg.exportState()["leastloaded"]; got != *want {
+		t.Errorf("leastloaded state\n got %+v\nwant %+v", got, *want)
+	}
+	for _, pe := range reg.Estimates(0.05) {
+		if pe.N != wantFolded {
+			t.Errorf("%s: N = %d, want %d", pe.Policy, pe.N, wantFolded)
+		}
+	}
+}
+
 // TestDaemonConcurrentIngestAndScrape is the package's -race workout: ≥4
 // ingestion workers fold while writers hammer Ingest, a goroutine registers
 // policies mid-stream, and readers scrape the live HTTP API.

@@ -5,13 +5,15 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/core"
 )
 
 // Registry is the daemon's set of named candidate policies, each with
 // sharded estimator state. The write path is designed for the ingestion hot
-// loop: worker i folds only into shard i of every policy, so concurrent
+// loop: worker i is the only writer of shard i of every policy (one
+// goroutine per worker index — FoldBatch relies on it), so concurrent
 // workers never contend on a lock; the read path (API scrapes, checkpoints)
 // briefly locks each shard and merges. Shard numShards is reserved for
 // state restored from a checkpoint.
@@ -20,9 +22,12 @@ type Registry struct {
 	clip      float64
 	floor     float64 // propensity floor for diagnostics (<= 0 disables)
 
-	mu      sync.RWMutex // guards entries/names (registration vs. iteration)
+	mu      sync.RWMutex // guards entries/sorted (registration vs. iteration)
 	entries map[string]*regEntry
-	names   []string
+	// sorted holds the entries in name order. Register replaces it with a
+	// new slice and never mutates the old one, so a reader may keep using
+	// the slice it grabbed under mu after releasing mu.
+	sorted []*regEntry
 
 	evalPanics atomic.Int64 // policy evaluations recovered from a panic
 }
@@ -35,7 +40,7 @@ const DefaultPropensityFloor = 1e-3
 
 type regEntry struct {
 	name   string
-	policy core.Policy
+	prober core.ActionProber // the policy's π(a|x), dispatch resolved at Register
 	shards []*shard
 }
 
@@ -73,7 +78,7 @@ func (g *Registry) SetPropensityFloor(f float64) { g.floor = f }
 func (g *Registry) PropensityFloor() float64 { return g.floor }
 
 // Register adds a named candidate policy. Registering while ingestion is
-// running is safe; the new policy starts estimating from the next datapoint.
+// running is safe; the new policy starts estimating from the next batch.
 func (g *Registry) Register(name string, pol core.Policy) error {
 	if name == "" {
 		return fmt.Errorf("harvestd: empty policy name")
@@ -91,58 +96,90 @@ func (g *Registry) Register(name string, pol core.Policy) error {
 	for i := range shards {
 		shards[i] = &shard{}
 	}
-	g.entries[name] = &regEntry{name: name, policy: pol, shards: shards}
-	g.names = append(g.names, name)
-	sort.Strings(g.names)
+	e := &regEntry{name: name, prober: core.ProberFor(pol), shards: shards}
+	g.entries[name] = e
+	sorted := append(append(make([]*regEntry, 0, len(g.sorted)+1), g.sorted...), e)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].name < sorted[j].name })
+	g.sorted = sorted
 	return nil
+}
+
+// sortedEntries returns the current name-sorted entries; the slice is
+// immutable (see Registry.sorted).
+func (g *Registry) sortedEntries() []*regEntry {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.sorted
 }
 
 // Names returns the registered policy names, sorted.
 func (g *Registry) Names() []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return append([]string(nil), g.names...)
+	entries := g.sortedEntries()
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.name
+	}
+	return names
 }
 
-// Fold scores one datapoint under every registered policy and accumulates
-// into the worker's own shard. The caller must have validated the datapoint
-// (in particular Propensity > 0). A policy that panics on the datapoint —
+// FoldBatch scores a batch of datapoints under every registered policy and
+// accumulates into the worker's own shard — the daemon's only fold loop.
+// The caller must have validated every datapoint (in particular
+// Propensity > 0) and must be the only goroutine folding as this worker.
+//
+// Per batch it takes the registry lock once (to grab the immutable sorted
+// entries); per (policy, batch) it folds the records in order into a copy
+// of the shard's accumulator and stores the copy back under the shard lock,
+// so a reader never waits on policy code and the floating-point summation
+// order is the record-by-record one. A policy that panics on a datapoint —
 // typically a context shape it cannot read, e.g. an LB policy fed
 // cache-eviction data — is skipped for that datapoint and counted in
 // EvalPanics; one bad pairing must not kill a continuously running daemon.
-func (g *Registry) Fold(worker int, d *core.Datapoint) {
+func (g *Registry) FoldBatch(worker int, pts []core.Datapoint) {
+	if len(pts) == 0 {
+		return
+	}
 	if worker < 0 || worker >= g.numShards {
 		worker = 0
 	}
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	for _, e := range g.entries {
-		pi, err := safeActionProb(e.policy, &d.Context, d.Action)
-		if err != nil {
-			g.evalPanics.Add(1)
-			continue
-		}
+	for _, e := range g.sortedEntries() {
 		sh := e.shards[worker]
+		acc := sh.acc // unlocked read: this worker is the shard's only writer
+		for k := 0; k < len(pts); {
+			k = g.foldRun(e.prober, &acc, pts, k)
+		}
 		sh.mu.Lock()
-		sh.acc.Fold(pi, d.Propensity, d.Reward, g.clip, g.floor)
+		sh.acc = acc
 		sh.mu.Unlock()
 	}
+}
+
+// foldRun folds pts[from:] into acc under one recover frame and returns
+// len(pts) — or, when the policy panics on record k, counts the panic and
+// returns k+1 so the caller resumes past exactly that record.
+func (g *Registry) foldRun(pol core.ActionProber, acc *Accum, pts []core.Datapoint, from int) (next int) {
+	defer func() {
+		if r := recover(); r != nil {
+			g.evalPanics.Add(1)
+			next++
+		}
+	}()
+	for next = from; next < len(pts); next++ {
+		d := &pts[next]
+		acc.Fold(pol.ActionProb(&d.Context, d.Action), d.Propensity, d.Reward, g.clip, g.floor)
+	}
+	return next
+}
+
+// Fold is FoldBatch over the single datapoint d, viewed in place as a
+// one-element batch (a copy would escape to the heap on every call).
+func (g *Registry) Fold(worker int, d *core.Datapoint) {
+	g.FoldBatch(worker, unsafe.Slice(d, 1))
 }
 
 // EvalPanics reports how many policy evaluations were skipped because the
 // policy panicked on a datapoint.
 func (g *Registry) EvalPanics() int64 { return g.evalPanics.Load() }
-
-// safeActionProb evaluates π(a|x), converting a panic inside the policy
-// into an error.
-func safeActionProb(pol core.Policy, x *core.Context, a core.Action) (pi float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("harvestd: policy panicked: %v", r)
-		}
-	}()
-	return core.ActionProb(pol, x, a), nil
-}
 
 // merged returns the cross-shard aggregate for one entry.
 func (e *regEntry) merged() Accum {
@@ -170,12 +207,7 @@ func (g *Registry) Estimate(name string, delta float64) (PolicyEstimate, bool) {
 
 // Estimates reports every policy's current estimate, sorted by name.
 func (g *Registry) Estimates(delta float64) []PolicyEstimate {
-	g.mu.RLock()
-	entries := make([]*regEntry, 0, len(g.names))
-	for _, name := range g.names {
-		entries = append(entries, g.entries[name])
-	}
-	g.mu.RUnlock()
+	entries := g.sortedEntries()
 	out := make([]PolicyEstimate, len(entries))
 	for i, e := range entries {
 		acc := e.merged()
@@ -187,12 +219,7 @@ func (g *Registry) Estimates(delta float64) []PolicyEstimate {
 // Diagnostics reports every policy's estimator-health view, sorted by
 // name — the /diagnostics read path.
 func (g *Registry) Diagnostics() []PolicyDiagnostics {
-	g.mu.RLock()
-	entries := make([]*regEntry, 0, len(g.names))
-	for _, name := range g.names {
-		entries = append(entries, g.entries[name])
-	}
-	g.mu.RUnlock()
+	entries := g.sortedEntries()
 	out := make([]PolicyDiagnostics, len(entries))
 	for i, e := range entries {
 		acc := e.merged()
@@ -204,23 +231,21 @@ func (g *Registry) Diagnostics() []PolicyDiagnostics {
 // TotalN returns the datapoint count folded into the first policy (every
 // policy sees the same stream, so any entry serves); 0 with no policies.
 func (g *Registry) TotalN() int64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if len(g.names) == 0 {
+	entries := g.sortedEntries()
+	if len(entries) == 0 {
 		return 0
 	}
-	acc := g.entries[g.names[0]].merged()
+	acc := entries[0].merged()
 	return acc.N
 }
 
 // exportState snapshots the merged accumulator of every policy, for
 // checkpointing.
 func (g *Registry) exportState() map[string]Accum {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make(map[string]Accum, len(g.entries))
-	for name, e := range g.entries {
-		out[name] = e.merged()
+	entries := g.sortedEntries()
+	out := make(map[string]Accum, len(entries))
+	for _, e := range entries {
+		out[e.name] = e.merged()
 	}
 	return out
 }

@@ -325,12 +325,7 @@ func (w *WeightedRandom) Act(ctx *core.Context) core.Action {
 // Distribution implements core.StochasticPolicy.
 func (w *WeightedRandom) Distribution(ctx *core.Context) []float64 {
 	d := make([]float64, ctx.NumActions)
-	total := 0.0
-	for i := 0; i < ctx.NumActions && i < len(w.Weights); i++ {
-		if w.Weights[i] > 0 {
-			total += w.Weights[i]
-		}
-	}
+	total := w.positiveTotal(ctx.NumActions)
 	if total == 0 {
 		for i := range d {
 			d[i] = 1 / float64(ctx.NumActions)
@@ -343,6 +338,36 @@ func (w *WeightedRandom) Distribution(ctx *core.Context) []float64 {
 		}
 	}
 	return d
+}
+
+// positiveTotal sums the positive weights of the first n servers, in index
+// order — the normalizer Distribution and ActionProb share, so the two agree
+// to the bit.
+func (w *WeightedRandom) positiveTotal(n int) float64 {
+	total := 0.0
+	for i := 0; i < n && i < len(w.Weights); i++ {
+		if w.Weights[i] > 0 {
+			total += w.Weights[i]
+		}
+	}
+	return total
+}
+
+// ActionProb implements core.ActionProber: Distribution(ctx)[a] — the same
+// normalizer, the same uniform fallback — without materializing the
+// distribution.
+func (w *WeightedRandom) ActionProb(ctx *core.Context, a core.Action) float64 {
+	if a < 0 || int(a) >= ctx.NumActions {
+		return 0
+	}
+	total := w.positiveTotal(ctx.NumActions)
+	if total == 0 {
+		return 1 / float64(ctx.NumActions)
+	}
+	if int(a) < len(w.Weights) && w.Weights[a] > 0 {
+		return w.Weights[a] / total
+	}
+	return 0
 }
 
 // String names the policy.

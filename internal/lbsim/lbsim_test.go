@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ope"
 	"repro/internal/policy"
 	"repro/internal/stats"
@@ -200,6 +201,58 @@ func TestWeightedRandom(t *testing.T) {
 	if d[0] != 0.5 || d[1] != 0.5 {
 		t.Errorf("zero-weight fallback = %v", d)
 	}
+}
+
+// TestWeightedRandomActionProbMatchesDistribution is the differential test
+// for the allocation-free fast path: bit-equal to Distribution(ctx)[a] over
+// seeded weights with zero and negative entries and len(Weights) on either
+// side of NumActions, 0 outside the action set, and no allocation.
+func TestWeightedRandomActionProbMatchesDistribution(t *testing.T) {
+	var _ core.ActionProber = (*WeightedRandom)(nil)
+	r := stats.NewRand(41)
+	for trial := 0; trial < 500; trial++ {
+		weights := make([]float64, r.Intn(11))
+		for i := range weights {
+			switch r.Intn(4) {
+			case 0: // stays zero
+			case 1:
+				weights[i] = -r.Float64()
+			default:
+				weights[i] = 10 * r.Float64()
+			}
+		}
+		if trial%50 == 0 { // total == 0: the uniform fallback
+			for i := range weights {
+				weights[i] = -float64(i % 2)
+			}
+		}
+		w := &WeightedRandom{Weights: weights}
+		ctx := BuildContext(make([]int, 1+r.Intn(10)), 0, 1)
+		dist := w.Distribution(&ctx)
+		for a := 0; a < ctx.NumActions; a++ {
+			if got := w.ActionProb(&ctx, core.Action(a)); math.Float64bits(got) != math.Float64bits(dist[a]) {
+				t.Fatalf("weights %v, %d actions: ActionProb(%d) = %v, Distribution = %v",
+					weights, ctx.NumActions, a, got, dist[a])
+			}
+		}
+		for _, a := range []core.Action{-1, core.Action(ctx.NumActions), core.Action(ctx.NumActions + 3)} {
+			if got := w.ActionProb(&ctx, a); got != 0 {
+				t.Fatalf("ActionProb(%d) outside %d actions = %v, want 0", a, ctx.NumActions, got)
+			}
+		}
+	}
+
+	w := &WeightedRandom{Weights: []float64{3, 0, -1, 2.5, 1, 1, 1, 1}}
+	ctx := BuildContext(make([]int, 8), 0, 1)
+	var sink float64
+	if allocs := testing.AllocsPerRun(100, func() {
+		for a := 0; a < 8; a++ {
+			sink += core.ActionProb(w, &ctx, core.Action(a))
+		}
+	}); allocs != 0 {
+		t.Errorf("ActionProb allocates %v per run, want 0", allocs)
+	}
+	_ = sink
 }
 
 func TestBuildContext(t *testing.T) {

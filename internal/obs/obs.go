@@ -109,57 +109,55 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // type or help text panics: metric identity is a program invariant, not a
 // runtime condition.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	s := r.lookup(name, help, "counter", nil, labels)
-	if s.counter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	return r.lookup(name, help, "counter", nil, labels, func(s *series) {
+		if s.counter == nil {
+			s.counter = &Counter{}
+		}
+	}).counter
 }
 
 // Gauge registers (or looks up) a gauge series.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	s := r.lookup(name, help, "gauge", nil, labels)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return r.lookup(name, help, "gauge", nil, labels, func(s *series) {
+		if s.gauge == nil {
+			s.gauge = &Gauge{}
+		}
+	}).gauge
 }
 
 // CounterFunc registers a counter series whose value is computed at scrape
 // time (for monotone values owned by another subsystem, e.g. cache hit
 // totals). fn must be safe to call from the scrape goroutine.
 func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...string) {
-	s := r.lookup(name, help, "counter", nil, labels)
-	s.counterFn = fn
+	r.lookup(name, help, "counter", nil, labels, func(s *series) { s.counterFn = fn })
 }
 
 // GaugeFunc registers a gauge series computed at scrape time (queue
 // depths, goroutine counts, uptime). fn must be safe to call from the
 // scrape goroutine.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	s := r.lookup(name, help, "gauge", nil, labels)
-	s.gaugeFn = fn
+	r.lookup(name, help, "gauge", nil, labels, func(s *series) { s.gaugeFn = fn })
 }
 
 // Histogram registers (or looks up) a histogram series. Every series of
 // one family shares the first registration's bucket layout; passing a
 // different layout for an existing family panics.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) *Histogram {
-	s := r.lookup(name, help, "histogram", buckets, labels)
-	if s.hist == nil {
-		h, err := NewHistogram(buckets)
-		if err != nil {
-			panic(fmt.Sprintf("obs: histogram %s: %v", name, err))
+	return r.lookup(name, help, "histogram", buckets, labels, func(s *series) {
+		if s.hist == nil {
+			h, err := NewHistogram(buckets)
+			if err != nil {
+				panic(fmt.Sprintf("obs: histogram %s: %v", name, err))
+			}
+			s.hist = h
 		}
-		s.hist = h
-	}
-	return s.hist
+	}).hist
 }
 
 // lookup finds or creates the series for (name, labels), enforcing that a
 // family's type, help, and bucket layout never change after the first
 // registration.
-func (r *Registry) lookup(name, help, typ string, buckets []float64, labels []string) *series {
+func (r *Registry) lookup(name, help, typ string, buckets []float64, labels []string, bind func(*series)) *series {
 	pairs := sortedLabelPairs(labels)
 	key := renderLabels(pairs, "")
 	r.mu.Lock()
@@ -186,6 +184,7 @@ func (r *Registry) lookup(name, help, typ string, buckets []float64, labels []st
 		s = &series{labelPairs: pairs}
 		f.series[key] = s
 	}
+	bind(s)
 	return s
 }
 

@@ -184,3 +184,32 @@ func TestGaugeAddConcurrent(t *testing.T) {
 		t.Errorf("gauge = %v, want 4000", v)
 	}
 }
+
+// TestRegistryConcurrentFirstLookup: goroutines racing to look up a series
+// nobody has registered yet (two /metrics scrapes publishing a new
+// per-policy gauge) must all get the same instrument. Run under -race: the
+// instrument used to be created outside the registry lock.
+func TestRegistryConcurrentFirstLookup(t *testing.T) {
+	r := NewRegistry()
+	for round := 0; round < 50; round++ {
+		name := "p" + strings.Repeat("x", round)
+		got := make(chan *Gauge, 4) // one send per goroutine
+		for i := 0; i < cap(got); i++ {
+			go func() {
+				g := r.Gauge("test_gauge", "a gauge", "policy", name)
+				g.Set(1)
+				r.Counter("test_total", "a counter", "policy", name).Inc()
+				got <- g
+			}()
+		}
+		first := <-got
+		for i := 1; i < cap(got); i++ {
+			if g := <-got; g != first {
+				t.Fatalf("round %d: lookups returned different gauges", round)
+			}
+		}
+		if c := r.Counter("test_total", "a counter", "policy", name).Value(); c != 4 {
+			t.Fatalf("round %d: counter = %d, want 4 (an increment landed on a lost instrument)", round, c)
+		}
+	}
+}
