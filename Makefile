@@ -48,10 +48,12 @@ race:
 # BENCH_harvestd.json for CI trend tracking. RegistryFold also selects
 # RegistryFoldBatch/{1,64,720,wide32}, where one op is one record. IngestBin
 # records/s vs IngestJSONL is the binary format's ≥5x claim; the binrec
-# decode benchmark pins 0 allocs/op. bench-all is the full sweep.
+# decode benchmark pins 0 allocs/op. ParseNginxLine/{compat,batch}/{k2,k8} is
+# one access-log line → one datapoint, on the one-off API and on the batch
+# path IngestNginx runs (0 allocs/op there). bench-all is the full sweep.
 bench:
-	$(GO) test -run NONE -bench 'AccumFold|AccumMerge|RegistryFold|SnapshotEncode|SnapshotDecode|RouterAssign|BinRecEncode|BinRecDecode|IngestNginx|IngestJSONL|IngestBin|GateEval|StateTransition' \
-		-benchmem ./internal/harvestd ./internal/fleet ./internal/harvester/binrec ./internal/rollout | $(GO) run ./cmd/benchjson -o BENCH_harvestd.json
+	$(GO) test -run NONE -bench 'AccumFold|AccumMerge|RegistryFold|SnapshotEncode|SnapshotDecode|RouterAssign|BinRecEncode|BinRecDecode|ParseNginxLine|IngestNginx|IngestJSONL|IngestBin|GateEval|StateTransition' \
+		-benchmem ./internal/harvestd ./internal/fleet ./internal/harvester ./internal/harvester/binrec ./internal/rollout | $(GO) run ./cmd/benchjson -o BENCH_harvestd.json
 	@cat BENCH_harvestd.json
 
 bench-all:

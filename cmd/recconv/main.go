@@ -23,12 +23,10 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/harvester"
@@ -130,33 +128,25 @@ func convert(in io.Reader, from string, types int, emit func(*core.Datapoint) er
 	var n int64
 	switch from {
 	case "nginx":
-		sc := bufio.NewScanner(in)
-		sc.Buffer(make([]byte, 0, core.ScanBufferSize), core.MaxRecordBytes)
-		lineNo := 0
-		for sc.Scan() {
-			lineNo++
-			line := strings.TrimSpace(sc.Text())
-			if line == "" {
-				continue
+		var b harvester.NginxBatch
+		lr := harvester.NewLineReader(in)
+		for lr.Fill() {
+			for lr.Next() {
+				b.Reset()
+				ok, err := b.Append(lr.Line(), types, n)
+				if err != nil {
+					return n, fmt.Errorf("line %d: %w", lr.LineNo(), err)
+				}
+				if !ok {
+					return n, fmt.Errorf("line %d: entry carries no harvestable datapoint", lr.LineNo())
+				}
+				if err := emit(&b.Points[0]); err != nil {
+					return n, err
+				}
+				n++
 			}
-			e, err := harvester.ParseNginxLine(line)
-			if err != nil {
-				return n, fmt.Errorf("line %d: %w", lineNo, err)
-			}
-			d, ok, err := harvester.EntryToTypedDatapoint(e, types)
-			if err != nil {
-				return n, fmt.Errorf("line %d: %w", lineNo, err)
-			}
-			if !ok {
-				return n, fmt.Errorf("line %d: entry carries no harvestable datapoint", lineNo)
-			}
-			d.Seq = n
-			if err := emit(&d); err != nil {
-				return n, err
-			}
-			n++
 		}
-		return n, sc.Err()
+		return n, lr.Err()
 	case "jsonl":
 		err := core.ReadJSONLFunc(in, func(d core.Datapoint) error {
 			n++

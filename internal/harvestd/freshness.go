@@ -39,7 +39,11 @@ type SourceFreshness struct {
 	LastIngestUnixMilli int64 `json:"last_ingest_unix_milli"`
 	LastFoldUnixMilli   int64 `json:"last_fold_unix_milli"`
 	// Lag* summarize the ingest→fold latency histogram: one sample per
-	// folded batch (every record in a batch shares its enqueue timestamp).
+	// folded batch (every record in a batch shares its enqueue timestamp),
+	// a batch being one binrec segment, the lines of one access-log read,
+	// or one JSONL, cache-log or Ingest record. LagCount therefore counts
+	// batches, not records, and a quantile weighs a 400-line catch-up read
+	// like a one-line follow-mode read.
 	LagP50Seconds float64 `json:"lag_p50_seconds"`
 	LagP99Seconds float64 `json:"lag_p99_seconds"`
 	LagCount      uint64  `json:"lag_count"`
@@ -66,7 +70,7 @@ type FreshnessReport struct {
 	Sources             []SourceFreshness `json:"sources"`
 }
 
-const helpIngestFoldLag = "ingest-to-fold latency per folded batch"
+const helpIngestFoldLag = "ingest-to-fold latency, one sample per folded batch (a binrec segment, the lines of one access-log read, or one pushed record)"
 
 // sourceStats is the per-source watermark accumulator behind /freshness.
 // Writers are the enqueue paths (before the batch is handed to the queue,

@@ -70,10 +70,11 @@ func TestFreshnessMatchesOfflineRecompute(t *testing.T) {
 		t.Errorf("max seq ingested/folded = %d/%d, want %d",
 			sf.MaxSeqIngested, sf.MaxSeqFolded, wantMaxSeq)
 	}
-	// The nginx source emits one-point batches, so lag samples == folds;
-	// the fixed clock pins every lag to zero.
-	if sf.LagCount != uint64(wantFolded) {
-		t.Errorf("lag count = %d, want %d", sf.LagCount, wantFolded)
+	// Lag is sampled once per batch, and the nginx source emits one batch
+	// per read: the whole log arrives in one. The fixed clock pins the lag
+	// to zero.
+	if sf.LagCount != 1 {
+		t.Errorf("lag count = %d, want 1", sf.LagCount)
 	}
 	if sf.LagSumSeconds != 0 {
 		t.Errorf("lag sum = %v, want 0", sf.LagSumSeconds)

@@ -16,21 +16,23 @@
 //	HTTP /estimates /metrics ◀── read path ◀──────────────────┘
 //	checkpoint (timer + shutdown) ◀── exportState
 //
-// The queue carries batches (a decoded binrec segment, or one record from a
-// text source) and the fold keeps them whole: a worker validates a batch and
-// hands each run of valid records to Registry.FoldBatch, the only fold loop.
-// Per batch it pays one registry RLock and one round of counter and
-// watermark bumps; per (policy, batch) one recover frame and one shard-lock
-// acquisition, folding the records in order into a copy of its own shard's
-// accumulator and storing the copy back — so the summation order is the
-// record-by-record one. That unlocked read-modify-write relies on worker i
-// being the only writer of shard i; readers take the shard lock and never
-// wait on policy code. A reader can therefore see policies up to one batch
-// apart (per worker), and counters up to one batch behind the registry.
+// The queue carries batches (a decoded binrec segment, the access-log lines
+// of one read, or one JSONL or cache-log record) and the fold keeps them
+// whole: a worker validates a batch and hands each run of valid records to
+// Registry.FoldBatch, the only fold loop. Per batch it pays one registry
+// RLock and one round of counter and watermark bumps; per (policy, batch)
+// one recover frame and one shard-lock acquisition, folding the records in
+// order into a copy of its own shard's accumulator and storing the copy
+// back — so the summation order is the record-by-record one. That unlocked
+// read-modify-write relies on worker i being the only writer of shard i;
+// readers take the shard lock and never wait on policy code. A reader can
+// therefore see policies up to one batch apart (per worker), and counters
+// up to one batch behind the registry.
 package harvestd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -49,9 +51,9 @@ type Config struct {
 	// Workers is the number of concurrent ingestion workers (and estimator
 	// shards). Default: GOMAXPROCS.
 	Workers int
-	// QueueSize bounds the ingestion queue, measured in batches (a text
-	// source emits one-datapoint batches; the binary source emits whole
-	// decoded segments). Backpressure, default 4096.
+	// QueueSize bounds the ingestion queue, measured in batches (the binary
+	// source emits whole decoded segments, the access-log source the lines
+	// of one read, the others one datapoint). Backpressure, default 4096.
 	QueueSize int
 	// Clip caps importance weights for the clipped-IPS estimator. Default
 	// 10; <= 0 disables clipping.
@@ -364,21 +366,32 @@ func (d *Daemon) enqueue(ctx context.Context, pts []core.Datapoint, free func(),
 // lag histogram.
 const pushSourceName = "push"
 
-// Ingest offers one datapoint directly to the pipeline (the /ingest
-// endpoint and in-process wiring use this). It blocks for backpressure and
-// fails once shutdown has begun.
+// Ingest offers one datapoint directly to the pipeline (in-process wiring
+// and the /ingest endpoint's JSONL lines use this). It blocks for
+// backpressure and fails once shutdown has begun.
 func (d *Daemon) Ingest(dp core.Datapoint) error {
+	return d.pushBatch([]core.Datapoint{dp}, nil)
+}
+
+// pushBatch is Ingest for a whole batch, with Sink.EmitBatch's ownership
+// rule: pts belongs to the daemon until free runs.
+func (d *Daemon) pushBatch(pts []core.Datapoint, free func()) error {
 	d.stateMu.RLock()
 	defer d.stateMu.RUnlock()
 	if !d.running || d.draining {
-		return fmt.Errorf("harvestd: not accepting data")
+		if free != nil {
+			free()
+		}
+		return errRefused
 	}
-	sink := d.sinkFor(pushSourceName)
-	if err := d.enqueue(d.srcCtx, []core.Datapoint{dp}, nil, sink.src); err != nil {
-		return fmt.Errorf("harvestd: shutting down")
+	if err := d.sinkFor(pushSourceName).EmitBatch(d.srcCtx, pts, free); err != nil {
+		return fmt.Errorf("%w: shutting down", errRefused)
 	}
 	return nil
 }
+
+// errRefused marks a push the daemon turned away; POST /ingest answers 503.
+var errRefused = errors.New("harvestd: not accepting data")
 
 // checkpointLoop writes checkpoints on a timer until shutdown.
 func (d *Daemon) checkpointLoop() {

@@ -87,8 +87,10 @@ func TestDaemonIngestsConcurrentSources(t *testing.T) {
 
 	// The nginx log harvests all 500 lines (all 2xx with propensities);
 	// the JSONL set contributes 400 more.
+	// (The folded counter, not TotalN: it moves after every policy has the
+	// batch, TotalN reads the first policy only.)
 	waitFor(t, 10*time.Second, "ingest to complete", func() bool {
-		return reg.TotalN() == 900
+		return d.ctr.folded.Load() == 900
 	})
 	if errs := d.SourceErrors(); len(errs) != 0 {
 		t.Fatalf("source errors: %v", errs)

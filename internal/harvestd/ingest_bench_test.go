@@ -2,10 +2,10 @@ package harvestd
 
 // End-to-end ingest benchmarks: one op pushes ingestBenchRecords records
 // from an in-memory source through parse/decode, the worker queue, and the
-// estimator fold, waiting until the last record lands. These are the
-// numbers behind the binary format's reason to exist — `make bench` emits
-// them into BENCH_harvestd.json, where IngestBin's records/s is expected to
-// hold at least 5x IngestJSONL's.
+// estimator fold, waiting until the last record lands. `make bench` emits
+// them into BENCH_harvestd.json: IngestBin and IngestNginx are the two batch
+// paths (pooled arenas, one queue send per segment or read), IngestJSONL the
+// per-record one, which IngestBin is expected to hold at least 5x over.
 
 import (
 	"bytes"

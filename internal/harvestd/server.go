@@ -1,14 +1,13 @@
 package harvestd
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -31,8 +30,9 @@ import (
 //	                 federation wire (see StateSnapshot), for harvestagg
 //	GET  /freshness  pipeline watermarks: per-source ingest/fold sequence
 //	                 high-water marks, queue backlog, ingest→fold lag
-//	                 quantiles (see FreshnessReport), for harvestagg and
-//	                 fleetwatch
+//	                 quantiles over batches — one sample per binrec segment
+//	                 or access-log read, not per record (see
+//	                 FreshnessReport) — for harvestagg and fleetwatch
 //	POST /ingest     push raw log data (?format=nginx|jsonl|bin), for smoke
 //	                 tests and push-based producers; bin takes the binrec
 //	                 binary stream and ingests whole decoded segments
@@ -140,7 +140,7 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	sp := d.cfg.Tracer.Start("ingest/http", d.root, map[string]any{"format": format})
 	defer sp.End()
-	var lines, ingested, rejected, parseErrors int64
+	var lines, ingested, rejected int64
 	defer func() {
 		sp.SetAttr("lines", lines)
 		sp.SetAttr("ingested", ingested)
@@ -149,44 +149,41 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 		d.handleIngestBin(w, r, &lines, &ingested, &rejected)
 		return
 	}
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, core.ScanBufferSize), core.MaxRecordBytes)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+	if format == "nginx" {
+		// NginxSource's read loop, tolerant and untyped, feeding the guarded
+		// push entry instead of a source's sink. 503 says the daemon refused
+		// a batch; whatever else ends the pass early is the body's fault.
+		var parseErrors int64
+		sink := d.sinkFor(pushSourceName)
+		err := ingestNginx(r.Context(), r.Body, 1, false, func(pts []core.Datapoint, free func(), read nginxTally) error {
+			sink.tally(read)
+			lines, rejected, parseErrors = lines+read.lines, rejected+read.rejected, parseErrors+read.parseErrors
+			n := int64(len(pts)) // pts is the daemon's once pushed
+			if err := d.pushBatch(pts, free); err != nil {
+				return err
+			}
+			ingested += n
+			return nil
+		})
+		switch {
+		case err == nil:
+			writeJSON(w, map[string]int64{
+				"lines": lines, "ingested": ingested,
+				"rejected": rejected, "parse_errors": parseErrors,
+			})
+		case errors.Is(err, errRefused):
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		default:
+			http.Error(w, err.Error(), http.StatusBadRequest)
 		}
-		lines++
-		d.ctr.lines.Add(1)
-		switch format {
-		case "nginx":
-			e, err := harvester.ParseNginxLine(line)
-			if err != nil {
-				parseErrors++
-				d.ctr.parseErrors.Add(1)
-				continue
-			}
-			dp, ok, err := harvester.EntryToTypedDatapoint(e, 1)
-			if err != nil {
-				parseErrors++
-				d.ctr.parseErrors.Add(1)
-				continue
-			}
-			if !ok {
-				rejected++
-				d.ctr.rejected.Add(1)
-				continue
-			}
-			// Per-request line number; the freshness watermark is a max, so
-			// interleaved pushes stay monotone.
-			dp.Seq = lines
-			if err := d.Ingest(dp); err != nil {
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-			ingested++
-		case "jsonl":
-			if err := d.ingestJSONLLine(line); err != nil {
+		return
+	}
+	lr := harvester.NewLineReader(r.Body)
+	for lr.Fill() {
+		for lr.Next() {
+			lines++
+			d.ctr.lines.Add(1)
+			if err := d.ingestJSONLLine(lr.Line()); err != nil {
 				rejected++
 				d.ctr.rejected.Add(1)
 				continue
@@ -194,13 +191,13 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 			ingested++
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := lr.Err(); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	writeJSON(w, map[string]int64{
 		"lines": lines, "ingested": ingested,
-		"rejected": rejected, "parse_errors": parseErrors,
+		"rejected": rejected, "parse_errors": 0,
 	})
 }
 
@@ -256,10 +253,10 @@ func (d *Daemon) handleIngestBin(w http.ResponseWriter, r *http.Request, lines, 
 }
 
 // ingestJSONLLine parses one JSONL datapoint and offers it to the queue.
-func (d *Daemon) ingestJSONLLine(line string) error {
+func (d *Daemon) ingestJSONLLine(line []byte) error {
 	var dp core.Datapoint
 	found := false
-	if err := core.ReadJSONLFunc(strings.NewReader(line), func(x core.Datapoint) error {
+	if err := core.ReadJSONLFunc(bytes.NewReader(line), func(x core.Datapoint) error {
 		dp, found = x, true
 		return nil
 	}); err != nil {

@@ -76,7 +76,7 @@ func TestServerIngestAndEstimates(t *testing.T) {
 		t.Fatalf("ingest summary = %v", summary)
 	}
 
-	waitFor(t, 10*time.Second, "folds", func() bool { return d.reg.TotalN() == 100 })
+	waitFor(t, 10*time.Second, "folds", func() bool { return d.ctr.folded.Load() == 100 })
 
 	// Full listing.
 	code, body := get(t, srv.URL+"/estimates")
@@ -119,6 +119,69 @@ func TestServerIngestAndEstimates(t *testing.T) {
 	}
 	if code, _ := get(t, srv.URL+"/estimates?delta=2"); code != 400 {
 		t.Errorf("bad delta = %d, want 400", code)
+	}
+}
+
+// failingBody yields data once, then cancels the request and fails the read.
+type failingBody struct {
+	data   string
+	cancel context.CancelFunc
+}
+
+func (b *failingBody) Read(p []byte) (int, error) {
+	if b.data == "" {
+		b.cancel()
+		return 0, io.ErrUnexpectedEOF
+	}
+	n := copy(p, b.data)
+	b.data = b.data[n:]
+	return n, nil
+}
+
+// TestServerIngestNginxEdges pins the push path where it differs from a
+// file source least visibly: Seq is the physical line number of the body
+// (blank lines count), a body that fails to read is the client's 400 even
+// when its context is gone, and only a daemon that refuses the batch is 503.
+func TestServerIngestNginxEdges(t *testing.T) {
+	d, srv := startTestDaemon(t, Config{})
+	lines := strings.Split(strings.TrimSpace(genNginxLog(3, 53)), "\n")
+	body := lines[0] + "\n\n \t\n" + lines[1] + "\n\n" + lines[2] // lines 1, 4 and 6
+	resp, err := http.Post(srv.URL+"/ingest?format=nginx", "text/plain", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var summary map[string]int64
+	if err := json.NewDecoder(resp.Body).Decode(&summary); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if summary["lines"] != 3 || summary["ingested"] != 3 {
+		t.Fatalf("ingest summary = %v, want 3 lines ingested", summary)
+	}
+	waitFor(t, 10*time.Second, "folds", func() bool { return d.ctr.folded.Load() == 3 })
+	rep := d.FreshnessNow()
+	if len(rep.Sources) != 1 || rep.Sources[0].MaxSeqIngested != 6 || rep.Sources[0].MaxSeqFolded != 6 {
+		t.Errorf("freshness sources = %+v, want max seq 6: the last record is on body line 6", rep.Sources)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest(http.MethodPost, "/ingest?format=nginx", &failingBody{data: lines[0] + "\n", cancel: cancel}).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	d.handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("failed body read under a cancelled context = %d, want 400", rec.Code)
+	}
+
+	if err := d.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(srv.URL+"/ingest?format=nginx", "text/plain", strings.NewReader(lines[0]+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("ingest into a stopped daemon = %d, want 503", resp.StatusCode)
 	}
 }
 
@@ -171,7 +234,7 @@ func TestServerMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	waitFor(t, 10*time.Second, "folds", func() bool { return d.reg.TotalN() == 20 })
+	waitFor(t, 10*time.Second, "folds", func() bool { return d.ctr.folded.Load() == 20 })
 
 	code, body := get(t, srv.URL+"/metrics")
 	if code != 200 {
@@ -227,7 +290,7 @@ func TestServerMetricsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	waitFor(t, 10*time.Second, "folds", func() bool { return d.reg.TotalN() == 30 })
+	waitFor(t, 10*time.Second, "folds", func() bool { return d.ctr.folded.Load() == 30 })
 
 	code, first := get(t, srv.URL+"/metrics")
 	if code != 200 {
@@ -260,7 +323,7 @@ func TestServerDiagnostics(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	waitFor(t, 10*time.Second, "folds", func() bool { return d.reg.TotalN() == 80 })
+	waitFor(t, 10*time.Second, "folds", func() bool { return d.ctr.folded.Load() == 80 })
 
 	code, body := get(t, srv.URL+"/diagnostics")
 	if code != 200 {

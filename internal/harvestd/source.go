@@ -1,13 +1,11 @@
 package harvestd
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -63,10 +61,11 @@ func (s *Sink) Emit(ctx context.Context, d core.Datapoint) error {
 }
 
 // EmitBatch offers a whole slice of datapoints to the worker queue in one
-// channel operation — the binary ingest hot path. Ownership of pts
-// transfers to the daemon until free runs (after the batch is folded);
-// sources recycling decode buffers pass a free that returns the batch to
-// their pool, and must not touch pts before it fires. free may be nil.
+// channel operation — the hot path of the binary and access-log sources.
+// Ownership of pts transfers to the daemon until free runs (after the batch
+// is folded); sources recycling decode buffers pass a free that returns the
+// batch to their pool, and must not touch pts before it fires. free may be
+// nil.
 func (s *Sink) EmitBatch(ctx context.Context, pts []core.Datapoint, free func()) error {
 	if len(pts) == 0 {
 		if free != nil {
@@ -129,7 +128,8 @@ func openSource(path string, r io.Reader) (io.Reader, func() error, error) {
 // ⟨x, a, r, p⟩ datapoint per successful request, exactly as
 // harvester.NginxToTypedDataset does in batch: context from the logged
 // per-upstream connection counts, action = the upstream, reward = request
-// time, propensity from the log.
+// time, propensity from the log. The log is what a live system already
+// writes, so this is the deployed input and a fast path: see ingestNginx.
 type NginxSource struct {
 	// Path is the log file; R overrides it with an in-process reader.
 	Path string
@@ -168,67 +168,91 @@ func (s *NginxSource) Run(ctx context.Context, sink *Sink) error {
 		}
 		r = &tailReader{ctx: ctx, r: r, poll: poll}
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, core.ScanBufferSize), core.MaxRecordBytes)
-	lineNo := 0
-	for sc.Scan() {
-		if ctx.Err() != nil {
-			return nil // shutdown mid-file, not a source failure
+	err = ingestNginx(ctx, r, s.NumTypes, s.Strict, func(pts []core.Datapoint, free func(), read nginxTally) error {
+		sink.tally(read)
+		return sink.EmitBatch(ctx, pts, free)
+	})
+	if err == nil || err == ctx.Err() {
+		return nil // a cancelled emit is shutdown, not a source failure
+	}
+	return fmt.Errorf("harvestd: %s: %w", s.Name(), err)
+}
+
+// nginxTally is what ingestNginx saw in one read.
+type nginxTally struct{ lines, rejected, parseErrors int64 }
+
+// tally adds one access-log read to the stream's vital signs.
+func (s *Sink) tally(t nginxTally) {
+	s.d.ctr.lines.Add(t.lines)
+	s.d.ctr.rejected.Add(t.rejected)
+	s.d.ctr.parseErrors.Add(t.parseErrors)
+}
+
+// ingestNginx is the access-log read loop, shared by NginxSource.Run and
+// POST /ingest. One read is one batch: every complete line of a read is
+// parsed into a pooled harvester.NginxBatch, which goes to emit whole, with
+// the read's tally, and comes back through the free list once folded — so a
+// catch-up read of 64 KiB is some 400 lines per queue send, a follow-mode
+// read is the few lines the poll found, and no line waits for a later read.
+// Datapoints are numbered by physical line (blank lines count): access-log
+// lines carry no sequence number of their own, and this one feeds the
+// /freshness watermarks.
+//
+// A line that fails to parse is counted and skipped, unless strict, where
+// it ends the pass with its line number once the lines before it in the
+// same read have been emitted — except when ctx is already done: a shutdown
+// racing a live append can tear the final line, and that is clean
+// termination, not corrupt input. An error from emit is returned as is.
+func ingestNginx(ctx context.Context, r io.Reader, numTypes int, strict bool,
+	emit func(pts []core.Datapoint, free func(), read nginxTally) error) error {
+	free := make(chan *harvester.NginxBatch, freeListDepth)
+	for i := 0; i < freeListDepth; i++ {
+		//lint:ignore ctxloop priming a buffered free list; capacity equals the trip count, sends never block
+		free <- new(harvester.NginxBatch)
+	}
+	lr := harvester.NewLineReader(r)
+	for lr.Fill() {
+		var b *harvester.NginxBatch
+		select {
+		case b = <-free:
+		case <-ctx.Done():
+			return ctx.Err()
 		}
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		sink.Line()
-		e, err := harvester.ParseNginxLine(line)
-		if err != nil {
-			if s.Strict {
-				// A shutdown racing a live append can hand the scanner a torn
-				// final line; that is clean termination, not corrupt input.
-				if ctx.Err() != nil {
-					sink.ParseError()
-					return nil
-				}
-				return fmt.Errorf("harvestd: %s line %d: %w", s.Name(), lineNo, err)
+		b.Reset()
+		var read nginxTally
+		var bad error
+		for bad == nil && lr.Next() {
+			read.lines++
+			ok, err := b.Append(lr.Line(), numTypes, int64(lr.LineNo()))
+			switch {
+			case ok:
+			case err == nil:
+				read.rejected++
+			case strict && ctx.Err() == nil:
+				bad = fmt.Errorf("line %d: %w", lr.LineNo(), err)
+			default:
+				read.parseErrors++
 			}
-			sink.ParseError()
-			continue
 		}
-		d, ok, err := harvester.EntryToTypedDatapoint(e, s.NumTypes)
-		if err != nil {
-			if s.Strict {
-				if ctx.Err() != nil {
-					sink.ParseError()
-					return nil
-				}
-				return fmt.Errorf("harvestd: %s line %d: %w", s.Name(), lineNo, err)
-			}
-			sink.ParseError()
-			continue
+		if err := emit(b.Points, func() { free <- b }, read); err != nil {
+			return err
 		}
-		if !ok {
-			sink.Rejected()
-			continue
-		}
-		// Access-log lines carry no explicit sequence number; the line
-		// number is the natural per-file one, and it feeds the /freshness
-		// ingest/fold watermarks.
-		d.Seq = int64(lineNo)
-		if err := sink.Emit(ctx, d); err != nil {
-			return nil // shutdown, not a source failure
+		if bad != nil {
+			return bad
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("harvestd: %s: %w", s.Name(), err)
-	}
-	return nil
+	return lr.Err()
 }
 
 // JSONLSource streams a core JSONL exploration dataset. Datasets are
 // machine-written, so malformed lines abort (they signal corruption, not
 // noise) — except for a partial trailing line racing shutdown in follow
 // mode, which is counted as a parse error instead.
+//
+// This is deliberately the slow path: one encoding/json decode, a handful
+// of allocations and one queue send per record. The access log has its
+// batch path (NginxSource); a JSONL dataset that needs one is packed with
+// recconv and read as binrec (BinSource).
 type JSONLSource struct {
 	Path string
 	R    io.Reader
@@ -388,10 +412,10 @@ func (s *BinSource) Name() string {
 	return "bin:<reader>"
 }
 
-// binFreeListDepth bounds in-flight decode batches per binary source: deep
-// enough to keep decode ahead of fold, small enough that a stalled worker
-// pins only a few arenas.
-const binFreeListDepth = 4
+// freeListDepth bounds the in-flight batches of one binary or access-log
+// source: deep enough to keep decode or parse ahead of fold, small enough
+// that a stalled worker pins only a few arenas.
+const freeListDepth = 4
 
 // Run implements Source.
 func (s *BinSource) Run(ctx context.Context, sink *Sink) error {
@@ -407,8 +431,8 @@ func (s *BinSource) Run(ctx context.Context, sink *Sink) error {
 		}
 		r = &tailReader{ctx: ctx, r: r, poll: poll}
 	}
-	free := make(chan *binrec.Batch, binFreeListDepth)
-	for i := 0; i < binFreeListDepth; i++ {
+	free := make(chan *binrec.Batch, freeListDepth)
+	for i := 0; i < freeListDepth; i++ {
 		//lint:ignore ctxloop priming a buffered free list; capacity equals the trip count, sends never block
 		free <- new(binrec.Batch)
 	}

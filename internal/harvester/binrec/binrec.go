@@ -183,8 +183,8 @@ func (e *Encoder) Flush() error {
 }
 
 // A Batch is the caller-owned buffer set one decoded segment lands in.
-// Points (and every Vector hanging off them) alias the batch's internal
-// arenas: they are valid until the next Next or Reset call with this batch,
+// Points (and every Vector hanging off them) alias the batch's arena:
+// they are valid until the next Next or Reset call with this batch,
 // so fold them (or copy them out) before reusing it. The zero value is
 // ready to use; reusing one batch across calls is what makes the decode
 // path allocation-free.
@@ -192,61 +192,13 @@ type Batch struct {
 	// Points holds the decoded records of one segment.
 	Points []core.Datapoint
 
-	arena    []float64     // backing store for feature vectors
-	arenaOff int           // bump-allocation cursor into arena
-	rows     []core.Vector // backing store for ActionFeatures row headers
-	rowsOff  int
+	arena core.Arena // backing store for the vectors and row headers
 }
 
-// grabFloats bump-allocates n float64s from the batch arena. When the arena
-// is exhausted it is replaced with a larger one: slices carved earlier keep
-// referencing the old array, so previously decoded points stay valid.
-func (b *Batch) grabFloats(n int) []float64 {
-	if n == 0 {
-		return nil
-	}
-	if b.arenaOff+n > cap(b.arena) {
-		size := 2 * cap(b.arena)
-		if size < n {
-			size = n
-		}
-		if size < 1024 {
-			size = 1024
-		}
-		b.arena = make([]float64, size)
-		b.arenaOff = 0
-	}
-	s := b.arena[b.arenaOff : b.arenaOff+n : b.arenaOff+n]
-	b.arenaOff += n
-	return s
-}
-
-// grabRows bump-allocates n ActionFeatures row headers.
-func (b *Batch) grabRows(n int) []core.Vector {
-	if n == 0 {
-		return nil
-	}
-	if b.rowsOff+n > cap(b.rows) {
-		size := 2 * cap(b.rows)
-		if size < n {
-			size = n
-		}
-		if size < 64 {
-			size = 64
-		}
-		b.rows = make([]core.Vector, size)
-		b.rowsOff = 0
-	}
-	s := b.rows[b.rowsOff : b.rowsOff+n : b.rowsOff+n]
-	b.rowsOff += n
-	return s
-}
-
-// Reset empties the batch, keeping its arenas for reuse.
+// Reset empties the batch, keeping its arena for reuse.
 func (b *Batch) Reset() {
 	b.Points = b.Points[:0]
-	b.arenaOff = 0
-	b.rowsOff = 0
+	b.arena.Reset()
 }
 
 // A Decoder reads a binary harvest-record stream segment by segment.
@@ -430,7 +382,7 @@ func (d *Decoder) decodeRecord(rest []byte, b *Batch) ([]byte, error) {
 	}
 	var af []core.Vector
 	if afRows > 0 {
-		af = b.grabRows(int(afRows))
+		af = b.arena.Rows(int(afRows))
 		for j := range af {
 			af[j], rec, err = d.takeVector(rec, b, "action-feature row")
 			if err != nil {
@@ -471,7 +423,7 @@ func (d *Decoder) takeVector(rec []byte, b *Batch, what string) (core.Vector, []
 	if n == 0 {
 		return nil, rec, nil
 	}
-	v := b.grabFloats(int(n))
+	v := b.arena.Floats(int(n))
 	for i := range v {
 		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec[i*8:]))
 	}

@@ -8,23 +8,84 @@ import (
 	"repro/internal/cachesim"
 )
 
-// FuzzParseNginxLine checks the access-log parser never panics and that
-// entries it accepts carry sane fields.
+// FuzzParseNginxLine is differential: the hand-written scanner (compat API
+// and batch path) must agree with the regexp parser it replaced on every
+// input — accept/reject, every field, every error text. The seeds sit on
+// the places the two could part: the regexp's \S is five ASCII bytes while
+// strings.Fields, which splits the extras, is Unicode-aware.
 func FuzzParseNginxLine(f *testing.F) {
-	f.Add(sampleLine)
-	f.Add(`x - - [06/Jul/2026:10:30:00 +0000] "GET / HTTP/1.1" 200 0 "-" "-"`)
-	f.Add(`x - - [06/Jul/2026:10:30:00 +0000] "GET / HTTP/1.1" 200 0 "-" "-" rt=1 upstream=0 conns=1 prop=1`)
-	f.Add("")
-	f.Add(`" - - [bad`)
-	f.Fuzz(func(t *testing.T, line string) {
-		e, err := ParseNginxLine(line)
-		if err != nil {
-			return
-		}
-		if e.Status < 0 || e.Bytes < 0 {
-			t.Fatalf("accepted entry with negative fields: %+v", e)
-		}
-	})
+	const head = `x - - [06/Jul/2026:10:30:00 +0000] "GET / HTTP/1.1" 200 0 "-" "-"`
+	for _, line := range []string{
+		sampleLine,
+		sampleLine + " type=2",
+		head,
+		head + ` rt=1 upstream=0 conns=1 prop=1`,
+		"",
+		`" - - [bad`,
+		// Separators in the extras: \v, NBSP and U+0085 split fields, a bare
+		// 0x85 or 0xA0 byte does not; no separator at all after the quote.
+		head + " rt=1\vupstream=1\u00a0conns=1|2\u0085prop=0.5\u2003type=1",
+		head + " rt=1\x85upstream=1 conns=1|2\xa0prop=0.5",
+		head + `rt=1 upstream=0 conns=4 prop=1`,
+		head + "\trt=1\fupstream=0\rconns=4  prop=1 ",
+		head + " rt=1\nupstream=0",
+		// ... and in the head, where only a single space will do.
+		"x\v - - [06/Jul/2026:10:30:00 +0000] \"GET\u00a0/ HTTP/1.1\" 200 0 \"-\" \"-\"",
+		"x - - [06/Jul/2026:10:30:00 +0000] \"GET /\tHTTP/1.1\" 200 0 \"-\" \"-\"",
+		"x - - [06/Jul/2026:10:30:00 +0000] \"GET  / HTTP/1.1\" 200 0 \"-\" \"-\"",
+		"x y - - [06/Jul/2026:10:30:00 +0000] \"GET / HTTP/1.1\" 200 0 \"-\" \"-\"",
+		// Quotes inside the request tokens; the closing quote is the last.
+		`x - - [06/Jul/2026:10:30:00 +0000] "G"ET /"a"b HTTP/"1.1"" 200 0 "-" "-" prop=1`,
+		`x - - [06/Jul/2026:10:30:00 +0000] "GET / "" 200 0 "-" "-"`,
+		`x - - [06/Jul/2026:10:30:00 +0000] "GET / "" 200 0 "-" "-"`,
+		`x - - [06/Jul/2026:10:30:00 +0000] "GET / HTTP/1.1 200 0 "-" "-"`,
+		`x - - [06/Jul/2026:10:30:00 +0000] "GET / HTTP/1.1" x" 200 0 "-" "-"`,
+		// Status must be exactly three digits, bytes one or more.
+		`x - - [06/Jul/2026:10:30:00 +0000] "GET / HTTP/1.1" 20 0 "-" "-"`,
+		`x - - [06/Jul/2026:10:30:00 +0000] "GET / HTTP/1.1" 2000 0 "-" "-"`,
+		`x - - [06/Jul/2026:10:30:00 +0000] "GET / HTTP/1.1" 2x0 0 "-" "-"`,
+		`x - - [06/Jul/2026:10:30:00 +0000] "GET / HTTP/1.1" 200  "-" "-"`,
+		`x - - [06/Jul/2026:10:30:00 +0000] "GET / HTTP/1.1" 200 -1 "-" "-"`,
+		`x - - [06/Jul/2026:10:30:00 +0000] "GET / HTTP/1.1" 200 99999999999999999999 "-" "-"`,
+		`x - - [06/Jul/2026:10:30:00 +0000] "GET / HTTP/1.1" 200 0 "-" "-" rt=bad`, // bytes fine, rt not
+		`x - - [06/Jul/2026:10:30:00 +0000] "GET / HTTP/1.1" 200 0 "-""-"`,
+		`x - - [06/Jul/2026:10:30:00 +0000] "GET / HTTP/1.1" 200 0 "-" "-`,
+		"x - - [06/Jul/2026:10:30:00 +0000] \"GET / HTTP/1.1\" 200 0 \"a\nb\" \"c\nd\" prop=1",
+		// Timestamps: empty, bracketed oddly, wrong but well-shaped, with a
+		// fraction time.Parse accepts, in a zone that is not the local one.
+		`x - - [] "GET / HTTP/1.1" 200 0 "-" "-"`,
+		`x - - [06/Jul/2026:10:30:00 +0000]] "GET / HTTP/1.1" 200 0 "-" "-"`,
+		`x - - [31/Feb/2026:10:30:00 +0000] "GET / HTTP/1.1" 200 0 "-" "-"`,
+		`x - - [31/Feb/2026:10:30:00 +0000] "GET / HTTP/1.1" 200 0 "-" "-" rt=bad`,
+		`x - - [31/Feb/2026:10:30:00 +0000] "GET / HTTP/1.1" 2000 0 "-" "-"`,
+		`x - - [06/Jul/2026:10:30:00.250 -0730] "GET / HTTP/1.1" 200 0 "-" "-" prop=1`,
+		`x - - [06/Jul/2026:10:30:00 +0000 and then some more than the memo holds] "GET / HTTP/1.1" 200 0 "-" "-"`,
+		// Extras: duplicates (last wins, an earlier bad one still fails),
+		// value-less and key-less fields, unknown keys, empty and ragged
+		// conns, signs, exponents, non-finite floats, out-of-range ints.
+		head + ` rt=1 rt=2 upstream=0 upstream=1 conns=1|2 conns=3|4|5 prop=0.25 prop=0.5 type=0 type=1`,
+		head + ` conns=1|2|3 conns=9 upstream=0 prop=1`,
+		head + ` conns=1|x conns=9`,
+		head + ` rt upstream conns prop type =5 = rt==1`,
+		head + ` rt= upstream=0 conns=1 prop=1`,
+		head + ` conns=`,
+		head + ` conns=| upstream=0 prop=1`,
+		head + ` conns=1| upstream=0 prop=1`,
+		head + ` conns=|1 upstream=0 prop=1`,
+		head + ` upstream=+1 conns=-0|+7 prop=1e-1 rt=0x1p-4 type=-0`,
+		head + ` upstream=1_0 conns=1|2 prop=1`,
+		head + ` rt=NaN prop=+Inf upstream=0 conns=1`,
+		head + ` upstream=99999999999999999999 conns=1 prop=1`,
+		head + ` upstream=5 conns=1|2 prop=1`,
+		head + ` upstream=0 conns=1|2 prop=1 type=7`,
+		head + ` upstream=0 conns=` + strings.Repeat("1|", 40) + `1 prop=0.024390243902439025 rt=0.00000000000000000000000000000000000001`,
+		" " + head,
+		head + "\r",
+		"\xff\xfe - - [06/Jul/2026:10:30:00 +0000] \"G\xc3 / H\" 200 0 \"\x80\" \"\xf0\x28\" prop=1\xc2",
+	} {
+		f.Add(line)
+	}
+	f.Fuzz(checkAgainstOracle)
 }
 
 // FuzzCacheLogRoundTrip checks arbitrary keys and numeric fields survive

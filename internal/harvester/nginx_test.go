@@ -3,6 +3,8 @@ package harvester
 import (
 	"io"
 	"net/http"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -204,5 +206,72 @@ func TestScavengeNginxOverLimitLine(t *testing.T) {
 		t.Fatal("want error for over-limit access-log line, got nil")
 	} else if !strings.Contains(err.Error(), "token too long") {
 		t.Errorf("error %q should name the scanner limit", err)
+	}
+}
+
+// TestNginxBatchMatchesCompatPath: a batch built line by line holds exactly
+// the datapoints ParseNginxLine + EntryToTypedDatapoint give, typed and
+// untyped, across lines that harvest, are skipped, and fail — and holds them
+// intact while later lines reuse the scratch entry and grow the arena.
+func TestNginxBatchMatchesCompatPath(t *testing.T) {
+	var lines []string
+	for i, raw := range benchNginxLines(600, 5) {
+		line := string(raw) + " type=" + strconv.Itoa(i%4)
+		switch i % 50 {
+		case 7:
+			line = strings.Replace(line, " 200 ", " 503 ", 1)
+		case 19:
+			line = strings.Replace(line, "upstream=", "upstream=1", 1) // ≥ 10: beyond conns
+		case 33:
+			line = "garbage " + line
+		}
+		lines = append(lines, line)
+	}
+	for _, numTypes := range []int{1, 3} {
+		var want core.Dataset
+		var b NginxBatch
+		for i, line := range lines {
+			seq := int64(i + 1)
+			var wantOK bool
+			e, wantErr := ParseNginxLine(line)
+			if wantErr == nil {
+				var d core.Datapoint
+				if d, wantOK, wantErr = EntryToTypedDatapoint(e, numTypes); wantOK {
+					d.Seq = seq
+					want = append(want, d)
+				}
+			}
+			ok, err := b.Append([]byte(line), numTypes, seq)
+			if ok != wantOK || (err == nil) != (wantErr == nil) {
+				t.Fatalf("types %d line %d: batch ok=%v err=%v, compat ok=%v err=%v", numTypes, i, ok, err, wantOK, wantErr)
+			}
+		}
+		if len(want) < 400 {
+			t.Fatalf("types %d: only %d of %d lines harvest; the input is not doing its job", numTypes, len(want), len(lines))
+		}
+		if !reflect.DeepEqual(core.Dataset(b.Points), want) {
+			t.Errorf("types %d: the batch's %d points differ from the compat path's %d", numTypes, len(b.Points), len(want))
+		}
+	}
+}
+
+// TestNginxBatchSteadyStateAllocs: once a batch has been through one round,
+// parsing the same shape of input into it again allocates nothing.
+func TestNginxBatchSteadyStateAllocs(t *testing.T) {
+	for _, k := range []int{2, 8} {
+		lines := benchNginxLines(400, k)
+		var b NginxBatch
+		round := func() {
+			b.Reset()
+			for i, line := range lines {
+				if ok, err := b.Append(line, 1, int64(i)); !ok || err != nil {
+					t.Fatal(ok, err)
+				}
+			}
+		}
+		round()
+		if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+			t.Errorf("k=%d: %v allocations per %d-line round, want 0", k, allocs, len(lines))
+		}
 	}
 }

@@ -1,12 +1,10 @@
 package harvester
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
 	"reflect"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/lbsim"
@@ -24,25 +22,23 @@ func StreamNginx(r io.Reader, handle func(AccessEntry) error) error {
 	if handle == nil {
 		return fmt.Errorf("harvester: nil stream handler")
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		e, err := ParseNginxLine(line)
-		if err != nil {
-			return fmt.Errorf("line %d: %w", lineNo, err)
-		}
-		if err := handle(*e); err != nil {
-			return fmt.Errorf("line %d: handler: %w", lineNo, err)
+	var memo timeMemo
+	lr := NewLineReader(r)
+	for lr.Fill() {
+		for lr.Next() {
+			// handle may keep the entry: it gets its own copy of the line
+			// (the text fields are substrings of it) and its own Conns.
+			var e AccessEntry
+			if err := parseNginx(string(lr.Line()), &e, &memo); err != nil {
+				return fmt.Errorf("line %d: %w", lr.LineNo(), err)
+			}
+			if err := handle(e); err != nil {
+				return fmt.Errorf("line %d: handler: %w", lr.LineNo(), err)
+			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("harvester: streaming access log: %w", err)
+	if err := lr.Err(); err != nil {
+		return fmt.Errorf("harvester: reading access log: %w", err)
 	}
 	return nil
 }

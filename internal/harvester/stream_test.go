@@ -1,6 +1,7 @@
 package harvester
 
 import (
+	"bufio"
 	"errors"
 	"math"
 	"strings"
@@ -134,7 +135,7 @@ func TestIncrementalEstimatorFromStream(t *testing.T) {
 
 func TestStreamNginxLongLine(t *testing.T) {
 	// A line longer than the scanner's initial 64 KiB buffer must still
-	// parse (the buffer grows up to the 8 MiB cap). Bulk up the user-agent
+	// parse (the buffer grows up to core.MaxRecordBytes). Bulk up the user-agent
 	// field — paths and UAs in real logs can be pathological.
 	longUA := strings.Repeat("x", 200*1024)
 	line := strings.Replace(sampleLine, `"Go-http-client/1.1"`, `"`+longUA+`"`, 1)
@@ -158,11 +159,19 @@ func TestStreamNginxLongLine(t *testing.T) {
 }
 
 func TestStreamNginxLineOverCap(t *testing.T) {
-	// Beyond the 8 MiB cap the scanner must fail loudly, not truncate.
-	huge := strings.Replace(sampleLine, `"Go-http-client/1.1"`, `"`+strings.Repeat("y", 9*1024*1024)+`"`, 1)
+	// Beyond core.MaxRecordBytes — the one record bound every reader in the
+	// repository shares — the reader must fail loudly, not truncate.
+	huge := strings.Replace(sampleLine, `"Go-http-client/1.1"`, `"`+strings.Repeat("y", core.MaxRecordBytes+1)+`"`, 1)
 	err := StreamNginx(strings.NewReader(huge+"\n"), func(AccessEntry) error { return nil })
-	if err == nil {
-		t.Fatal("9 MiB line should exceed the buffer cap")
+	if !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("line over MaxRecordBytes: err = %v, want bufio.ErrTooLong", err)
+	}
+	// A 9 MiB line — over the 8 MiB this reader alone used to stop at — is
+	// within the shared bound and parses.
+	big := strings.Replace(sampleLine, `"Go-http-client/1.1"`, `"`+strings.Repeat("y", 9*1024*1024)+`"`, 1)
+	n := 0
+	if err := StreamNginx(strings.NewReader(big+"\n"), func(AccessEntry) error { n++; return nil }); err != nil || n != 1 {
+		t.Fatalf("9 MiB line: %d entries, err = %v", n, err)
 	}
 }
 

@@ -163,27 +163,56 @@ func FeatureDim(k, numTypes int) int {
 // model.
 func BuildContext(conns []int, reqType, numTypes int) core.Context {
 	k := len(conns)
+	return fillContext(make([]float64, contextFloats(k, numTypes)), make([]core.Vector, k), conns, reqType, numTypes)
+}
+
+// BuildContextIn is BuildContext with the context's vectors carved from a:
+// no heap allocation once the arena has grown to the batch's size, and the
+// context is valid only until a.Reset.
+func BuildContextIn(a *core.Arena, conns []int, reqType, numTypes int) core.Context {
+	k := len(conns)
+	floats := a.Floats(contextFloats(k, numTypes))
+	clear(floats)
+	return fillContext(floats, a.Rows(k), conns, reqType, numTypes)
+}
+
+// contextFloats is the number of float64s one context holds: the shared
+// vector plus k per-action vectors.
+func contextFloats(k, numTypes int) int {
+	n := k + k*FeatureDim(k, numTypes)
+	if numTypes > 1 {
+		n += numTypes
+	}
+	return n
+}
+
+// fillContext lays a context out over one zeroed float block (shared
+// vector first, then the per-action vectors, each capped at its own length
+// so an append cannot run into its neighbour) and one row-header block.
+func fillContext(floats []float64, rows []core.Vector, conns []int, reqType, numTypes int) core.Context {
+	k := len(conns)
 	typed := numTypes > 1
 	sharedLen := k
 	if typed {
 		sharedLen += numTypes
 	}
-	shared := make(core.Vector, sharedLen)
-	af := make([]core.Vector, k)
-	for s := 0; s < k; s++ {
-		shared[s] = float64(conns[s])
-		v := make(core.Vector, FeatureDim(k, numTypes))
-		v[0] = float64(conns[s])
+	shared := floats[:sharedLen:sharedLen]
+	floats = floats[sharedLen:]
+	dim := FeatureDim(k, numTypes)
+	for s, c := range conns {
+		shared[s] = float64(c)
+		v := floats[s*dim : (s+1)*dim : (s+1)*dim]
+		v[0] = float64(c)
 		v[1+s] = 1
 		if typed {
 			v[1+k+s*numTypes+reqType] = 1
 		}
-		af[s] = v
+		rows[s] = v
 	}
 	if typed {
 		shared[k+reqType] = 1
 	}
-	return core.Context{Features: shared, ActionFeatures: af, NumActions: k}
+	return core.Context{Features: shared, ActionFeatures: rows, NumActions: k}
 }
 
 // Result summarizes one simulated deployment.

@@ -2,6 +2,7 @@ package lbsim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -271,6 +272,86 @@ func TestBuildContext(t *testing.T) {
 	}
 	if err := ctx.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// buildContextPerRow is BuildContext as it was before it laid the vectors
+// out over one block — a make per vector — kept as the oracle.
+func buildContextPerRow(conns []int, reqType, numTypes int) core.Context {
+	k := len(conns)
+	typed := numTypes > 1
+	sharedLen := k
+	if typed {
+		sharedLen += numTypes
+	}
+	shared := make(core.Vector, sharedLen)
+	af := make([]core.Vector, k)
+	for s := 0; s < k; s++ {
+		shared[s] = float64(conns[s])
+		v := make(core.Vector, FeatureDim(k, numTypes))
+		v[0] = float64(conns[s])
+		v[1+s] = 1
+		if typed {
+			v[1+k+s*numTypes+reqType] = 1
+		}
+		af[s] = v
+	}
+	if typed {
+		shared[k+reqType] = 1
+	}
+	return core.Context{Features: shared, ActionFeatures: af, NumActions: k}
+}
+
+// TestBuildContextOneBlock: the block layout changes where the vectors
+// live, not what they hold; every vector is capped at its own length, so
+// appending to one cannot write into the next; a context costs two
+// allocations whatever the upstream count; and BuildContextIn builds the
+// same context into an arena whose previous contents must not show.
+func TestBuildContextOneBlock(t *testing.T) {
+	var arena core.Arena
+	for _, k := range []int{0, 1, 2, 8} {
+		for _, numTypes := range []int{0, 1, 3} {
+			conns := make([]int, k)
+			for s := range conns {
+				conns[s] = 3*s + 1
+			}
+			reqType := max(numTypes-1, 0)
+			want := buildContextPerRow(conns, reqType, numTypes)
+			got := BuildContext(conns, reqType, numTypes)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("k=%d types=%d:\n got  %+v\n want %+v", k, numTypes, got, want)
+			}
+			for s, row := range got.ActionFeatures {
+				if cap(row) != len(row) || cap(got.Features) != len(got.Features) {
+					t.Fatalf("k=%d types=%d: row %d has spare capacity into its neighbour", k, numTypes, s)
+				}
+			}
+			if k == 0 {
+				continue
+			}
+			if allocs := testing.AllocsPerRun(50, func() { BuildContext(conns, reqType, numTypes) }); allocs != 2 {
+				t.Errorf("k=%d types=%d: %v allocations per context, want 2", k, numTypes, allocs)
+			}
+			// Dirty the arena, then build over the dirt.
+			arena.Reset()
+			dirt := arena.Floats(4096)
+			for i := range dirt {
+				dirt[i] = -1
+			}
+			arena.Reset()
+			first := BuildContextIn(&arena, conns, reqType, numTypes)
+			second := BuildContextIn(&arena, conns, 0, numTypes)
+			if !reflect.DeepEqual(first, want) || !reflect.DeepEqual(second, buildContextPerRow(conns, 0, numTypes)) {
+				t.Fatalf("k=%d types=%d: arena-built contexts differ:\n %+v\n %+v\n want %+v", k, numTypes, first, second, want)
+			}
+		}
+	}
+	conns := []int{1, 2, 3, 4, 5, 6, 7, 8}
+	if allocs := testing.AllocsPerRun(50, func() {
+		arena.Reset()
+		BuildContextIn(&arena, conns, 1, 3)
+	}); allocs != 0 {
+		t.Errorf("%v allocations per arena-built context, want 0", allocs)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -326,32 +326,66 @@ func (p *Proxy) logAccess(r *http.Request, status int, bytes int64, rt time.Dura
 	if p.logW == nil {
 		return
 	}
-	connsStr := make([]string, len(conns))
-	for i, c := range conns {
-		connsStr[i] = fmt.Sprint(c)
+	if p.numTypes <= 1 {
+		reqType = -1
 	}
-	remote := r.RemoteAddr
-	if remote == "" {
-		remote = "-"
-	}
-	typeField := ""
-	if p.numTypes > 1 && reqType >= 0 {
-		typeField = fmt.Sprintf(" type=%d", reqType)
-	}
-	line := fmt.Sprintf("%s - - [%s] \"%s %s %s\" %d %d \"-\" \"%s\" rt=%.6f upstream=%d conns=%s prop=%.6f%s\n",
-		remote,
-		time.Now().Format("02/Jan/2006:15:04:05 -0700"),
-		r.Method, r.URL.RequestURI(), r.Proto,
-		status, bytes,
-		r.UserAgent(),
-		rt.Seconds(), int(a), strings.Join(connsStr, "|"), prop, typeField)
+	buf := logBufs.Get().(*[]byte)
+	*buf = appendAccessLine((*buf)[:0], time.Now(), r, status, bytes, rt, a, prop, conns, reqType)
 	p.logMu.Lock()
-	_, _ = io.WriteString(p.logW, line)
+	_, _ = p.logW.Write(*buf)
 	p.logMu.Unlock()
+	logBufs.Put(buf)
 	p.lastLogNano.Store(time.Now().UnixNano())
 	if m := p.metrics; m != nil {
 		m.logRecords.Inc()
 	}
+}
+
+// logBufs recycles access-log line buffers: the line is on the
+// client-visible path (the reply is flushed after the handler returns), so
+// it is built without an allocation per field.
+var logBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendAccessLine appends one access-log line, newline included, to b;
+// reqType < 0 omits the type= field.
+func appendAccessLine(b []byte, now time.Time, r *http.Request, status int, bytes int64, rt time.Duration, a core.Action, prop float64, conns []int, reqType int) []byte {
+	remote := r.RemoteAddr
+	if remote == "" {
+		remote = "-"
+	}
+	b = append(b, remote...)
+	b = append(b, " - - ["...)
+	b = now.AppendFormat(b, "02/Jan/2006:15:04:05 -0700")
+	b = append(b, `] "`...)
+	b = append(b, r.Method...)
+	b = append(b, ' ')
+	b = append(b, r.URL.RequestURI()...)
+	b = append(b, ' ')
+	b = append(b, r.Proto...)
+	b = append(b, `" `...)
+	b = strconv.AppendInt(b, int64(status), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, bytes, 10)
+	b = append(b, ` "-" "`...)
+	b = append(b, r.UserAgent()...)
+	b = append(b, `" rt=`...)
+	b = strconv.AppendFloat(b, rt.Seconds(), 'f', 6, 64)
+	b = append(b, " upstream="...)
+	b = strconv.AppendInt(b, int64(a), 10)
+	b = append(b, " conns="...)
+	for i, c := range conns {
+		if i > 0 {
+			b = append(b, '|')
+		}
+		b = strconv.AppendInt(b, int64(c), 10)
+	}
+	b = append(b, " prop="...)
+	b = strconv.AppendFloat(b, prop, 'f', 6, 64)
+	if reqType >= 0 {
+		b = append(b, " type="...)
+		b = strconv.AppendInt(b, int64(reqType), 10)
+	}
+	return append(b, '\n')
 }
 
 // Conns returns a snapshot of the per-upstream active request counts.
