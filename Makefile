@@ -50,9 +50,13 @@ race:
 # records/s vs IngestJSONL is the binary format's ≥5x claim; the binrec
 # decode benchmark pins 0 allocs/op. ParseNginxLine/{compat,batch}/{k2,k8} is
 # one access-log line → one datapoint, on the one-off API and on the batch
-# path IngestNginx runs (0 allocs/op there). bench-all is the full sweep.
+# path IngestNginx runs (0 allocs/op there). The read path is
+# RegistryEstimates/{k3,wide32} (every policy rendered), AggregatorEvidence/
+# {k3,wide32} (two policies read off the shard set) and StepHTTP/{k2of3,
+# k2of32} (one rolloutd step against a live harvestd over loopback).
+# bench-all is the full sweep.
 bench:
-	$(GO) test -run NONE -bench 'AccumFold|AccumMerge|RegistryFold|SnapshotEncode|SnapshotDecode|RouterAssign|BinRecEncode|BinRecDecode|ParseNginxLine|IngestNginx|IngestJSONL|IngestBin|GateEval|StateTransition' \
+	$(GO) test -run NONE -bench 'AccumFold|AccumMerge|RegistryFold|RegistryEstimates|AggregatorEvidence|StepHTTP|SnapshotEncode|SnapshotDecode|RouterAssign|BinRecEncode|BinRecDecode|ParseNginxLine|IngestNginx|IngestJSONL|IngestBin|GateEval|StateTransition' \
 		-benchmem ./internal/harvestd ./internal/fleet ./internal/harvester ./internal/harvester/binrec ./internal/rollout | $(GO) run ./cmd/benchjson -o BENCH_harvestd.json
 	@cat BENCH_harvestd.json
 

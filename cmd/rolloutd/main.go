@@ -1,5 +1,6 @@
 // Command rolloutd closes the harvesting loop: it watches a harvestd (or
-// harvestagg) /estimates + /diagnostics surface and drives one candidate
+// harvestagg) /evidence surface — one request per poll for the two arms'
+// estimates, diagnostics and fold watermark — and drives one candidate
 // policy through a guarded staged rollout — shadow (counterfactual
 // evaluation only) → canary epsilon ramp → full — promoting only when the
 // empirical-Bernstein intervals separate AND the anytime-valid sequential

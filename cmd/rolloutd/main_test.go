@@ -47,7 +47,7 @@ func TestRunBadFlags(t *testing.T) {
 	}
 }
 
-// growingHarvest is a self-advancing fake harvestd: every /estimates poll
+// growingHarvest is a self-advancing fake harvestd: every /evidence poll
 // appends a fresh batch per arm before serving, so a controller polling it
 // sees a live, steadily accumulating stream.
 type growingHarvest struct {
@@ -83,26 +83,21 @@ func estOf(n int64, sum, sumSq float64) harvestd.EstimatorValue {
 func (g *growingHarvest) serve(t *testing.T) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
-	mux.HandleFunc("/estimates", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/evidence", func(w http.ResponseWriter, r *http.Request) {
 		g.mu.Lock()
 		defer g.mu.Unlock()
 		g.grow()
 		cand := estOf(g.candN, g.candSum, g.candSumSq)
 		base := estOf(g.baseN, g.baseSum, g.baseSumSq)
-		_ = json.NewEncoder(w).Encode([]harvestd.PolicyEstimate{
-			{Policy: "better", N: g.candN, MatchRate: 1, IPS: cand, ClippedIPS: cand, SNIPS: cand},
-			{Policy: "incumbent", N: g.baseN, MatchRate: 1, IPS: base, ClippedIPS: base, SNIPS: base},
-		})
-	})
-	mux.HandleFunc("/diagnostics", func(w http.ResponseWriter, r *http.Request) {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		_ = json.NewEncoder(w).Encode(harvestd.DiagnosticsReport{
-			Workers: 4,
-			Policies: []harvestd.PolicyDiagnostics{
-				{Policy: "better", N: g.candN, ESSFraction: 1},
-				{Policy: "incumbent", N: g.baseN, ESSFraction: 1},
-			},
+		_ = json.NewEncoder(w).Encode(harvestd.Evidence{
+			Version: harvestd.EvidenceVersion,
+			Policies: []harvestd.PolicyEvidence{{
+				Estimate:    harvestd.PolicyEstimate{Policy: "better", N: g.candN, MatchRate: 1, IPS: cand, ClippedIPS: cand, SNIPS: cand},
+				Diagnostics: harvestd.PolicyDiagnostics{Policy: "better", N: g.candN, ESSFraction: 1},
+			}, {
+				Estimate:    harvestd.PolicyEstimate{Policy: "incumbent", N: g.baseN, MatchRate: 1, IPS: base, ClippedIPS: base, SNIPS: base},
+				Diagnostics: harvestd.PolicyDiagnostics{Policy: "incumbent", N: g.baseN, ESSFraction: 1},
+			}},
 		})
 	})
 	srv := httptest.NewServer(mux)

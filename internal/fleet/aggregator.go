@@ -258,12 +258,22 @@ func (a *Aggregator) pullLoop(st *shardState) {
 	}
 }
 
-// pullShard fetches and installs one snapshot from the shard's /snapshot
-// endpoint, recording success or failure for liveness and backoff.
+// pullShard fetches one watermark report and one snapshot from the shard
+// and installs them together, recording success or failure for liveness
+// and backoff.
 func (a *Aggregator) pullShard(ctx context.Context, st *shardState) error {
 	st.pulls.Add(1)
 	pctx, cancel := context.WithTimeout(ctx, a.cfg.PullTimeout)
 	defer cancel()
+	// The watermark report is fetched before the snapshot: a record folded
+	// between the two requests then shows in the estimates and not yet in
+	// the watermark, never the reverse. It is a best-effort ride-along — a
+	// failed (or absent) /freshness never fails the pull, the shard just
+	// keeps its previous, older report.
+	fresh, freshErr := fetchFreshness(pctx, a.cfg.Client, st.shard.URL)
+	if freshErr != nil {
+		a.cfg.Logf("harvestagg: freshness %s: %v", st.shard.Name, freshErr)
+	}
 	snap, err := fetchSnapshot(pctx, a.cfg.Client, st.shard.URL)
 	if err != nil {
 		st.pullErrors.Add(1)
@@ -272,13 +282,6 @@ func (a *Aggregator) pullShard(ctx context.Context, st *shardState) error {
 		st.lastErr = err.Error()
 		st.mu.Unlock()
 		return err
-	}
-	// Best-effort freshness ride-along: watermark merging is additive over
-	// the snapshot pull, so a failed (or absent) /freshness never fails the
-	// pull — the shard just keeps its previous report.
-	fresh, freshErr := fetchFreshness(pctx, a.cfg.Client, st.shard.URL)
-	if freshErr != nil {
-		a.cfg.Logf("harvestagg: freshness %s: %v", st.shard.Name, freshErr)
 	}
 	st.mu.Lock()
 	if st.snap != nil && snap.Seq < st.snap.Seq {
@@ -391,8 +394,7 @@ func (a *Aggregator) View() View {
 		if !lastSuccess.IsZero() {
 			status.AgeSeconds = now.Sub(lastSuccess).Seconds()
 		}
-		fresh := snap != nil &&
-			(a.cfg.StaleAfter <= 0 || now.Sub(lastSuccess) <= a.cfg.StaleAfter)
+		fresh := a.live(now, snap, lastSuccess)
 		status.Live = fresh
 		status.Stale = snap != nil && !fresh
 		v.Shards = append(v.Shards, status)
@@ -412,6 +414,13 @@ func (a *Aggregator) View() View {
 		}
 	}
 	return v
+}
+
+// live reports whether a shard's state belongs in the merged view: it has
+// delivered a snapshot, and the last successful pull is inside the
+// staleness window.
+func (a *Aggregator) live(now time.Time, snap *harvestd.StateSnapshot, lastSuccess time.Time) bool {
+	return snap != nil && (a.cfg.StaleAfter <= 0 || now.Sub(lastSuccess) <= a.cfg.StaleAfter)
 }
 
 // policyNames returns the merged view's policy names, sorted.

@@ -81,7 +81,14 @@ func fetchFreshness(ctx context.Context, client *http.Client, base string) (*har
 // Freshness merges the current per-shard watermark reports into the fleet
 // view. Shards render in the canonical sorted-name order, so the payload
 // is a pure function of the report set.
-func (a *Aggregator) Freshness() FleetFreshness {
+func (a *Aggregator) Freshness() FleetFreshness { return a.freshness(nil) }
+
+// freshness is Freshness with a hook: visit (when non-nil) sees each live
+// shard's snapshot, read under the same lock as the shard's report — the
+// pair one pull installed, report fetched first — in the canonical merge
+// order. /evidence merges its policies there, so its rows and its
+// watermark are one cut of the shard set.
+func (a *Aggregator) freshness(visit func(*harvestd.StateSnapshot)) FleetFreshness {
 	now := a.cfg.Clock.Now()
 	out := FleetFreshness{
 		Version:             harvestd.FreshnessVersion,
@@ -104,8 +111,7 @@ func (a *Aggregator) Freshness() FleetFreshness {
 			WatermarkAgeSeconds: -1,
 			ReportAgeSeconds:    -1,
 		}
-		row.Live = snap != nil &&
-			(a.cfg.StaleAfter <= 0 || now.Sub(lastSuccess) <= a.cfg.StaleAfter)
+		row.Live = a.live(now, snap, lastSuccess)
 		if rep != nil {
 			row.WatermarkSeq = rep.WatermarkSeq
 			row.Behind = rep.Behind
@@ -127,8 +133,43 @@ func (a *Aggregator) Freshness() FleetFreshness {
 				}
 				out.Behind += row.Behind
 			}
+			if visit != nil {
+				visit(snap)
+			}
 		}
 		out.Shards = append(out.Shards, row)
 	}
 	return out
+}
+
+// Evidence assembles the /evidence payload — the named policies' estimate
+// and diagnostics rows merged over the live shards, the fleet watermark and
+// a stamp — from one walk of the shard set. unknown names the first policy
+// no live shard carries.
+func (a *Aggregator) Evidence(names []string, delta float64) (ev harvestd.Evidence, unknown string) {
+	accs := make([]harvestd.Accum, len(names))
+	found := make([]bool, len(names))
+	var folded int64
+	ff := a.freshness(func(snap *harvestd.StateSnapshot) {
+		folded += snap.Counters.Folded
+		for i, name := range names {
+			if acc, ok := snap.Policies[name]; ok {
+				accs[i].Merge(&acc)
+				found[i] = true
+			}
+		}
+	})
+	rows := make([]harvestd.PolicyEvidence, len(names))
+	for i, name := range names {
+		if !found[i] {
+			return harvestd.Evidence{}, name
+		}
+		rows[i] = accs[i].Evidence(name, delta)
+	}
+	return harvestd.Evidence{
+		Version:   harvestd.EvidenceVersion,
+		Watermark: &harvestd.Watermark{Seq: ff.WatermarkSeq, AgeSeconds: ff.WatermarkAgeSeconds, Behind: ff.Behind},
+		Stamp:     harvestd.EvidenceStamp{Folded: folded, LiveShards: ff.LiveShards, TotalShards: ff.TotalShards},
+		Policies:  rows,
+	}, ""
 }

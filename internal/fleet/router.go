@@ -9,7 +9,7 @@
 //	sources ──router──▶ shard harvestd₁..N (own logs, checkpoints, /snapshot)
 //	                         │pull (HTTP, timeout+backoff, stale window)
 //	          aggregator ◀───┘
-//	          /estimates /diagnostics /metrics /shards /route ◀── merged state
+//	          /estimates /evidence /diagnostics /metrics /shards /route ◀── merged state
 package fleet
 
 import (

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/harvestd"
@@ -18,6 +17,13 @@ import (
 //	                  same merged state, the same bytes) as one harvestd's
 //	                  /estimates (?policy=name filters, ?delta=0.01
 //	                  overrides confidence)
+//	GET  /evidence    ?policy=a,b[&delta=]: what one rolloutd gate step
+//	                  reads, from one walk of the shard set — the named
+//	                  policies' merged estimate and diagnostics rows, the
+//	                  fleet watermark and a stamp (folded count, live/total
+//	                  shards), each shard's watermark report older than or
+//	                  equal to its snapshot (see harvestd.Evidence); same
+//	                  shape and status codes as harvestd's /evidence
 //	GET  /diagnostics fleet estimator health: per-shard liveness/staleness
 //	                  plus merged per-policy ESS, weight tails, clip and
 //	                  floor fractions
@@ -36,6 +42,7 @@ func (a *Aggregator) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", a.handleHealthz)
 	mux.HandleFunc("/estimates", a.handleEstimates)
+	mux.HandleFunc("/evidence", a.handleEvidence)
 	mux.HandleFunc("/diagnostics", a.handleDiagnostics)
 	mux.HandleFunc("/freshness", a.handleFreshness)
 	mux.HandleFunc("/shards", a.handleShards)
@@ -55,14 +62,10 @@ func (a *Aggregator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *Aggregator) handleEstimates(w http.ResponseWriter, r *http.Request) {
-	delta := a.cfg.Delta
-	if s := r.URL.Query().Get("delta"); s != "" {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || v <= 0 || v >= 1 {
-			http.Error(w, fmt.Sprintf("bad delta %q", s), http.StatusBadRequest)
-			return
-		}
-		delta = v
+	delta, err := harvestd.ParseDelta(r, a.cfg.Delta)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 	view := a.View()
 	if name := r.URL.Query().Get("policy"); name != "" {
@@ -75,6 +78,10 @@ func (a *Aggregator) handleEstimates(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, view.Estimates(delta))
+}
+
+func (a *Aggregator) handleEvidence(w http.ResponseWriter, r *http.Request) {
+	harvestd.ServeEvidence(w, r, a.cfg.Delta, a.Evidence)
 }
 
 // fleetDiagnostics is the /diagnostics payload: shard health, the merged

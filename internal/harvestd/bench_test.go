@@ -116,6 +116,27 @@ func BenchmarkRegistryFoldBatch(b *testing.B) {
 	run("wide32", newWideRegistry(b, 1), wideDatapoints(1024, 1), 720)
 }
 
+// BenchmarkRegistryEstimates measures the /estimates read path (one op =
+// every policy merged across shards and rendered with its intervals) over
+// three candidates and over wide32.
+func BenchmarkRegistryEstimates(b *testing.B) {
+	run := func(name string, reg *Registry, ds []core.Datapoint) {
+		reg.FoldBatch(0, ds)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var out []PolicyEstimate
+			for i := 0; i < b.N; i++ {
+				out = reg.Estimates(0.05)
+			}
+			if out[0].N != int64(len(ds)) {
+				b.Fatalf("n = %d, want %d", out[0].N, len(ds))
+			}
+		})
+	}
+	run("k3", benchRegistry(b), benchDatapoints(1024))
+	run("wide32", newWideRegistry(b, 1), wideDatapoints(1024, 1))
+}
+
 // constantAction is a minimal deterministic policy for benchmarks.
 type constantAction core.Action
 

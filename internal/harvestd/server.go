@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -21,6 +20,12 @@ import (
 //	GET  /policies   registered policies with sample counts
 //	GET  /estimates  per-policy IPS/clipped/SNIPS estimates with intervals
 //	                 (?policy=name filters, ?delta=0.01 overrides confidence)
+//	GET  /evidence   ?policy=a,b[&delta=]: what one gate step reads, from
+//	                 one read of the registry — the named policies' estimate
+//	                 and diagnostics rows (both from the same merged Accum),
+//	                 the fold watermark and a folded-count stamp, watermark
+//	                 read before the accumulators (see Evidence); 400 without
+//	                 policy=, 404 naming an unknown policy
 //	GET  /metrics    Prometheus text (obs registry, deterministic order):
 //	                 ingest counters, queue depth, per-policy estimates and
 //	                 estimator-health gauges, Go runtime stats
@@ -42,6 +47,7 @@ func (d *Daemon) handler() http.Handler {
 	mux.HandleFunc("/healthz", d.handleHealthz)
 	mux.HandleFunc("/policies", d.handlePolicies)
 	mux.HandleFunc("/estimates", d.handleEstimates)
+	mux.HandleFunc("/evidence", d.handleEvidence)
 	mux.HandleFunc("/metrics", d.handleMetrics)
 	mux.HandleFunc("/diagnostics", d.handleDiagnostics)
 	mux.HandleFunc("/snapshot", d.handleSnapshot)
@@ -101,14 +107,10 @@ func (d *Daemon) handlePolicies(w http.ResponseWriter, r *http.Request) {
 func (d *Daemon) handleEstimates(w http.ResponseWriter, r *http.Request) {
 	sp := d.cfg.Tracer.Start("estimate", d.root, nil)
 	defer sp.End()
-	delta := d.cfg.Delta
-	if s := r.URL.Query().Get("delta"); s != "" {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || v <= 0 || v >= 1 {
-			http.Error(w, fmt.Sprintf("bad delta %q", s), http.StatusBadRequest)
-			return
-		}
-		delta = v
+	delta, err := ParseDelta(r, d.cfg.Delta)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 	if name := r.URL.Query().Get("policy"); name != "" {
 		pe, ok := d.reg.Estimate(name, delta)
@@ -120,6 +122,12 @@ func (d *Daemon) handleEstimates(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, d.reg.Estimates(delta))
+}
+
+func (d *Daemon) handleEvidence(w http.ResponseWriter, r *http.Request) {
+	sp := d.cfg.Tracer.Start("evidence", d.root, nil)
+	defer sp.End()
+	ServeEvidence(w, r, d.cfg.Delta, d.Evidence)
 }
 
 // handleIngest accepts newline-delimited log data and pushes it through the

@@ -41,3 +41,37 @@ type FreshnessReport struct {
 	Version int               `json:"version"`
 	Sources []SourceFreshness `json:"sources"`
 }
+
+// EvidenceVersion guards the /evidence payload schema (not perturbed).
+const EvidenceVersion = 1
+
+// The /evidence payload in miniature: Evidence nests a Watermark, a stamp
+// and per-policy rows, each row an estimate (of estimator values) and a
+// diagnostics row.
+type (
+	Watermark struct {
+		Seq int64 `json:"watermark_seq"`
+	}
+	EvidenceStamp struct {
+		Folded int64 `json:"folded"`
+	}
+	EstimatorValue struct {
+		Value float64 `json:"value"`
+	}
+	PolicyEstimate struct {
+		IPS EstimatorValue `json:"ips"`
+	}
+	PolicyDiagnostics struct {
+		ESS float64 `json:"ess"`
+	}
+	PolicyEvidence struct {
+		Estimate    PolicyEstimate    `json:"estimate"`
+		Diagnostics PolicyDiagnostics `json:"diagnostics"`
+	}
+	Evidence struct {
+		Version   int              `json:"version"`
+		Watermark *Watermark       `json:"watermark,omitempty"`
+		Stamp     EvidenceStamp    `json:"stamp"`
+		Policies  []PolicyEvidence `json:"policies"`
+	}
+)

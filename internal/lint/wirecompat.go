@@ -57,8 +57,16 @@ var wireWatch = []wireWatchItem{
 	{"repro/internal/fleet", "FleetFreshness", "struct"},
 	{"repro/internal/fleet", "ShardFreshness", "struct"},
 	{"repro/internal/obswatch", "Incident", "struct"},
+	{"repro/internal/harvestd", "Evidence", "struct"},
+	{"repro/internal/harvestd", "EvidenceStamp", "struct"},
+	{"repro/internal/harvestd", "PolicyEvidence", "struct"},
+	{"repro/internal/harvestd", "PolicyEstimate", "struct"},
+	{"repro/internal/harvestd", "EstimatorValue", "struct"},
+	{"repro/internal/harvestd", "PolicyDiagnostics", "struct"},
+	{"repro/internal/harvestd", "Watermark", "struct"},
 	{"repro/internal/harvestd", "SnapshotVersion", "const"},
 	{"repro/internal/harvestd", "FreshnessVersion", "const"},
+	{"repro/internal/harvestd", "EvidenceVersion", "const"},
 	{"repro/internal/harvester/binrec", "Version", "const"},
 	{"repro/internal/rollout", "CheckpointVersion", "const"},
 	{"repro/internal/obswatch", "IncidentVersion", "const"},
@@ -68,22 +76,29 @@ var wireWatch = []wireWatchItem{
 // field set changes. Structs without an entry (EstimatorState rides inside
 // the versioned snapshot) regenerate freely; the lock diff still gates CI.
 var wireVersionOf = map[string]string{
-	"repro/internal/core.Context":              "repro/internal/harvester/binrec.Version",
-	"repro/internal/core.Datapoint":            "repro/internal/harvester/binrec.Version",
-	"repro/internal/harvestd.Accum":            "repro/internal/harvestd.SnapshotVersion",
-	"repro/internal/harvestd.SnapshotCounters": "repro/internal/harvestd.SnapshotVersion",
-	"repro/internal/harvestd.StateSnapshot":    "repro/internal/harvestd.SnapshotVersion",
-	"repro/internal/abtest.SequentialState":    "repro/internal/rollout.CheckpointVersion",
-	"repro/internal/rollout.Checkpoint":        "repro/internal/rollout.CheckpointVersion",
-	"repro/internal/rollout.GateDecision":      "repro/internal/rollout.CheckpointVersion",
-	"repro/internal/rollout.GateArm":           "repro/internal/rollout.CheckpointVersion",
-	"repro/internal/rollout.GateCheck":         "repro/internal/rollout.CheckpointVersion",
-	"repro/internal/rollout.StageTransition":   "repro/internal/rollout.CheckpointVersion",
-	"repro/internal/harvestd.FreshnessReport":  "repro/internal/harvestd.FreshnessVersion",
-	"repro/internal/harvestd.SourceFreshness":  "repro/internal/harvestd.FreshnessVersion",
-	"repro/internal/fleet.FleetFreshness":      "repro/internal/harvestd.FreshnessVersion",
-	"repro/internal/fleet.ShardFreshness":      "repro/internal/harvestd.FreshnessVersion",
-	"repro/internal/obswatch.Incident":         "repro/internal/obswatch.IncidentVersion",
+	"repro/internal/core.Context":               "repro/internal/harvester/binrec.Version",
+	"repro/internal/core.Datapoint":             "repro/internal/harvester/binrec.Version",
+	"repro/internal/harvestd.Accum":             "repro/internal/harvestd.SnapshotVersion",
+	"repro/internal/harvestd.SnapshotCounters":  "repro/internal/harvestd.SnapshotVersion",
+	"repro/internal/harvestd.StateSnapshot":     "repro/internal/harvestd.SnapshotVersion",
+	"repro/internal/abtest.SequentialState":     "repro/internal/rollout.CheckpointVersion",
+	"repro/internal/rollout.Checkpoint":         "repro/internal/rollout.CheckpointVersion",
+	"repro/internal/rollout.GateDecision":       "repro/internal/rollout.CheckpointVersion",
+	"repro/internal/rollout.GateArm":            "repro/internal/rollout.CheckpointVersion",
+	"repro/internal/rollout.GateCheck":          "repro/internal/rollout.CheckpointVersion",
+	"repro/internal/rollout.StageTransition":    "repro/internal/rollout.CheckpointVersion",
+	"repro/internal/harvestd.FreshnessReport":   "repro/internal/harvestd.FreshnessVersion",
+	"repro/internal/harvestd.SourceFreshness":   "repro/internal/harvestd.FreshnessVersion",
+	"repro/internal/fleet.FleetFreshness":       "repro/internal/harvestd.FreshnessVersion",
+	"repro/internal/fleet.ShardFreshness":       "repro/internal/harvestd.FreshnessVersion",
+	"repro/internal/obswatch.Incident":          "repro/internal/obswatch.IncidentVersion",
+	"repro/internal/harvestd.Evidence":          "repro/internal/harvestd.EvidenceVersion",
+	"repro/internal/harvestd.EvidenceStamp":     "repro/internal/harvestd.EvidenceVersion",
+	"repro/internal/harvestd.PolicyEvidence":    "repro/internal/harvestd.EvidenceVersion",
+	"repro/internal/harvestd.PolicyEstimate":    "repro/internal/harvestd.EvidenceVersion",
+	"repro/internal/harvestd.EstimatorValue":    "repro/internal/harvestd.EvidenceVersion",
+	"repro/internal/harvestd.PolicyDiagnostics": "repro/internal/harvestd.EvidenceVersion",
+	"repro/internal/harvestd.Watermark":         "repro/internal/harvestd.EvidenceVersion",
 }
 
 // WireLock is the parsed lockfile: fully-qualified symbol → recorded

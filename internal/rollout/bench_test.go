@@ -1,17 +1,25 @@
 package rollout
 
 // Benchmarks for the controller's hot paths: one full gate evaluation (the
-// pure decision function every poll runs) and one state-machine transition
-// (promote bookkeeping: monitor reset, transition record, share change).
-// `make bench` runs these into BENCH_harvestd.json for CI trend tracking —
-// a controller polling many candidates must keep both costs trivial next
-// to the HTTP round-trip they ride on.
+// pure decision function every poll runs), one state-machine transition
+// (promote bookkeeping: monitor reset, transition record, share change),
+// and one whole Step against a live harvestd over loopback. `make bench`
+// runs these into BENCH_harvestd.json for CI trend tracking — a controller
+// polling many candidates must keep the first two trivial next to the HTTP
+// round-trip they ride on, and the round-trip independent of how many
+// policies the daemon carries.
 
 import (
+	"context"
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/abtest"
+	"repro/internal/core"
+	"repro/internal/harvestd"
+	"repro/internal/lbsim"
+	"repro/internal/policy"
 )
 
 // benchInputs builds a realistic mid-canary evaluation: both arms populated,
@@ -76,5 +84,60 @@ func BenchmarkStateTransition(b *testing.B) {
 			b.Fatalf("transitioned to %s, want canary", d.NextStage)
 		}
 		c.mu.Unlock()
+	}
+}
+
+// BenchmarkStepHTTP measures one control cycle end to end (one op = fetch
+// over loopback HTTP, gate evaluation, record) against a harvestd carrying
+// 3 and 32 policies, of which the controller reads two.
+func BenchmarkStepHTTP(b *testing.B) {
+	for _, k := range []int{3, 32} {
+		reg, err := harvestd.NewRegistry(1, 10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for p := 0; p < k; p++ {
+			if err := reg.Register(fmt.Sprintf("p%02d", p), policy.Constant{A: core.Action(p % 2)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		d, err := harvestd.New(harvestd.Config{Workers: 1, Addr: "127.0.0.1:0"}, reg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := d.Start(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		const n = 512
+		for i := 0; i < n; i++ {
+			dp := core.Datapoint{
+				Context: lbsim.BuildContext([]int{i % 7, i % 5}, 0, 1), Action: core.Action(i % 2),
+				Reward: float64(i%16) / 16, Propensity: 0.5, Seq: int64(i + 1),
+			}
+			if err := d.Ingest(dp); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for reg.TotalN() < n {
+			time.Sleep(time.Millisecond)
+		}
+		c, err := New(Config{
+			Candidate: "p01", Baseline: "p00", MinStageSamples: 1 << 40,
+			Harvest: &HTTPHarvest{BaseURL: d.URL()},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("k2of%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Step(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if err := d.Shutdown(context.Background()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -61,7 +61,7 @@ func TestCheckpointResumeMidCanary(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "rollout.ckpt")
 
 	// Interrupted run: two frames, kill, restart, two more frames.
-	fI := newFakeHarvest(t, 4)
+	fI := newFakeHarvest(t)
 	clockI := &obs.FixedClock{T: time.Unix(1700000000, 0).UTC()}
 	cI := simController(t, fI, clockI, nil, func(cfg *Config) { cfg.CheckpointPath = ckpt })
 	playFrames(t, fI, cI, clockI, script[:2])
@@ -90,7 +90,7 @@ func TestCheckpointResumeMidCanary(t *testing.T) {
 	gatesResumed := getBody(t, cR.URL()+"/gates")
 
 	// Uninterrupted control run over the identical script.
-	fU := newFakeHarvest(t, 4)
+	fU := newFakeHarvest(t)
 	clockU := &obs.FixedClock{T: time.Unix(1700000000, 0).UTC()}
 	cU := simController(t, fU, clockU, nil, nil)
 	playFrames(t, fU, cU, clockU, script)
@@ -113,7 +113,7 @@ func TestCheckpointCorruptRejected(t *testing.T) {
 	if err := os.WriteFile(ckpt, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f := newFakeHarvest(t, 4)
+	f := newFakeHarvest(t)
 	c, err := New(Config{
 		Candidate: "cand", Baseline: "base",
 		Harvest:        &HTTPHarvest{BaseURL: f.srv.URL},
@@ -139,7 +139,7 @@ func TestCheckpointCorruptRejected(t *testing.T) {
 // paths: a future schema version and a checkpoint for different policies.
 func TestCheckpointVersionAndIdentityRejected(t *testing.T) {
 	dir := t.TempDir()
-	f := newFakeHarvest(t, 4)
+	f := newFakeHarvest(t)
 	newC := func(ckpt string) *Controller {
 		c, err := New(Config{
 			Candidate: "cand", Baseline: "base",
@@ -191,7 +191,7 @@ func TestCheckpointVersionAndIdentityRejected(t *testing.T) {
 // exposes a torn write.
 func TestCheckpointAtomicOverwrite(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "rollout.ckpt")
-	f := newFakeHarvest(t, 4)
+	f := newFakeHarvest(t)
 	clock := &obs.FixedClock{T: time.Unix(1700000000, 0).UTC()}
 	c := simController(t, f, clock, nil, func(cfg *Config) { cfg.CheckpointPath = ckpt })
 	for i := 0; i < 5; i++ {

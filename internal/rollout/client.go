@@ -6,59 +6,38 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/harvestd"
 )
 
-// HarvestClient supplies the controller's two inputs. Both harvestd and
-// harvestagg serve these shapes, so a controller can watch a single shard
-// or a whole fleet; tests supply scripted implementations.
+// HarvestClient supplies the controller's input. Both harvestd and
+// harvestagg serve it, so a controller can watch a single shard or a whole
+// fleet; tests supply scripted implementations.
 type HarvestClient interface {
-	// Estimates returns the current per-policy estimates.
-	Estimates(ctx context.Context) ([]harvestd.PolicyEstimate, error)
-	// Diagnostics returns the current estimator-health report.
-	Diagnostics(ctx context.Context) (harvestd.DiagnosticsReport, error)
+	// Evidence returns, from one consistent read of the harvest surface,
+	// the named policies' estimate and diagnostics rows (in argument order)
+	// and the fold watermark behind them.
+	Evidence(ctx context.Context, policies ...string) (harvestd.Evidence, error)
 }
 
-// WatermarkInfo is the slice of a /freshness payload the watermark guard
-// reads. Both harvestd's FreshnessReport and harvestagg's FleetFreshness
-// render these fields at top level, so one decode shape gates on either
-// tier.
-type WatermarkInfo struct {
-	// Seq is the folded-record sequence watermark (-1 unknown).
-	Seq int64 `json:"watermark_seq"`
-	// AgeSeconds is how old the last fold behind the estimates is
-	// (-1: nothing folded yet).
-	AgeSeconds float64 `json:"watermark_age_seconds"`
-	// Behind counts records ingested but not yet folded.
-	Behind int64 `json:"behind"`
-}
-
-// FreshnessClient is the optional extension a HarvestClient implements
-// when its estimate surface also serves pipeline watermarks. The
-// controller type-asserts for it: clients without it (older daemons,
-// scripted tests) simply skip the watermark guard.
-type FreshnessClient interface {
-	// Freshness returns the current watermark view, or (nil, nil) when the
-	// surface does not serve one.
-	Freshness(ctx context.Context) (*WatermarkInfo, error)
-}
-
-// HTTPHarvest reads /estimates and /diagnostics from a harvestd or
-// harvestagg base URL.
+// HTTPHarvest reads /evidence from a harvestd or harvestagg base URL.
 type HTTPHarvest struct {
 	// BaseURL is e.g. "http://127.0.0.1:9001" (no trailing slash needed).
 	BaseURL string
-	// Client defaults to a client with a 10s timeout.
+	// Client defaults to a shared client with a 10s timeout.
 	Client *http.Client
 }
+
+var defaultClient = &http.Client{Timeout: 10 * time.Second}
 
 func (h *HTTPHarvest) get(ctx context.Context, path string, v any) error {
 	client := h.Client
 	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
+		client = defaultClient
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, h.BaseURL+path, nil)
 	if err != nil {
@@ -79,94 +58,47 @@ func (h *HTTPHarvest) get(ctx context.Context, path string, v any) error {
 	return nil
 }
 
-// Estimates implements HarvestClient.
+// Evidence implements HarvestClient with one GET /evidence?policy=a,b. An
+// unknown policy is the surface's 404 and comes back as an error: gating on
+// a policy the daemon is not tracking would silently hold forever.
+func (h *HTTPHarvest) Evidence(ctx context.Context, policies ...string) (harvestd.Evidence, error) {
+	var out harvestd.Evidence
+	path := "/evidence?policy=" + url.QueryEscape(strings.Join(policies, ","))
+	if err := h.get(ctx, path, &out); err != nil {
+		return harvestd.Evidence{}, err
+	}
+	if out.Version != harvestd.EvidenceVersion {
+		return harvestd.Evidence{}, fmt.Errorf("rollout: /evidence version %d, want %d", out.Version, harvestd.EvidenceVersion)
+	}
+	return out, nil
+}
+
+// Estimates fetches /estimates (every policy).
+//
+// Deprecated: the controller reads Evidence; this remains for the loop
+// benchmark's fetch probe.
 func (h *HTTPHarvest) Estimates(ctx context.Context) ([]harvestd.PolicyEstimate, error) {
 	var out []harvestd.PolicyEstimate
-	if err := h.get(ctx, "/estimates", &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	err := h.get(ctx, "/estimates", &out)
+	return out, err
 }
 
-// Diagnostics implements HarvestClient.
+// Diagnostics fetches /diagnostics (every policy).
+//
+// Deprecated: see Estimates.
 func (h *HTTPHarvest) Diagnostics(ctx context.Context) (harvestd.DiagnosticsReport, error) {
 	var out harvestd.DiagnosticsReport
-	if err := h.get(ctx, "/diagnostics", &out); err != nil {
-		return harvestd.DiagnosticsReport{}, err
-	}
-	return out, nil
+	err := h.get(ctx, "/diagnostics", &out)
+	return out, err
 }
 
-// Freshness implements FreshnessClient. A 404 reports (nil, nil): the
-// daemon predates the /freshness endpoint and the watermark guard is
-// simply unavailable, which must not fail the control cycle.
-func (h *HTTPHarvest) Freshness(ctx context.Context) (*WatermarkInfo, error) {
-	client := h.Client
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, h.BaseURL+"/freshness", nil)
-	if err != nil {
-		return nil, fmt.Errorf("rollout: building /freshness request: %w", err)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("rollout: fetching /freshness: %w", err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return nil, fmt.Errorf("rollout: /freshness: status %d: %s", resp.StatusCode, body)
-	}
-	var out WatermarkInfo
-	if err := json.NewDecoder(io.LimitReader(resp.Body, core.MaxRecordBytes)).Decode(&out); err != nil {
-		return nil, fmt.Errorf("rollout: decoding /freshness: %w", err)
+// Freshness fetches the top-level watermark triple of /freshness.
+//
+// Deprecated: see Estimates.
+func (h *HTTPHarvest) Freshness(ctx context.Context) (*harvestd.Watermark, error) {
+	var out harvestd.Watermark
+	if err := h.get(ctx, "/freshness", &out); err != nil {
+		return nil, err
 	}
 	return &out, nil
-}
-
-// fetchArms pulls one coherent estimate+diagnostics pair and extracts the
-// two policies the controller watches. A missing candidate or baseline is
-// an error: gating on a policy the daemon is not tracking would silently
-// hold forever.
-func fetchArms(ctx context.Context, h HarvestClient, candidate, baseline string) (
-	cand, base harvestd.PolicyEstimate, diag harvestd.DiagnosticsReport, err error) {
-	ests, err := h.Estimates(ctx)
-	if err != nil {
-		return cand, base, diag, err
-	}
-	diag, err = h.Diagnostics(ctx)
-	if err != nil {
-		return cand, base, diag, err
-	}
-	candOK, baseOK := false, false
-	for _, pe := range ests {
-		switch pe.Policy {
-		case candidate:
-			cand, candOK = pe, true
-		case baseline:
-			base, baseOK = pe, true
-		}
-	}
-	if !candOK {
-		return cand, base, diag, fmt.Errorf("rollout: candidate %q not in served estimates", candidate)
-	}
-	if !baseOK {
-		return cand, base, diag, fmt.Errorf("rollout: baseline %q not in served estimates", baseline)
-	}
-	return cand, base, diag, nil
-}
-
-// diagOf finds one policy's diagnostics row (zero value if absent —
-// health checks then see 0 fractions, and the ESS guard skips N==0 arms).
-func diagOf(rep harvestd.DiagnosticsReport, policy string) harvestd.PolicyDiagnostics {
-	for _, dg := range rep.Policies {
-		if dg.Policy == policy {
-			return dg
-		}
-	}
-	return harvestd.PolicyDiagnostics{}
 }

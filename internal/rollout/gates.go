@@ -135,7 +135,7 @@ type gateInputs struct {
 	// Watermark is the harvest surface's pipeline watermark, when it serves
 	// one (nil otherwise — the guard is then skipped entirely, keeping
 	// decision records of watermark-less clients unchanged).
-	Watermark *WatermarkInfo
+	Watermark *harvestd.Watermark
 	Seq       *abtest.Sequential
 }
 

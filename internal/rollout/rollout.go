@@ -4,8 +4,9 @@
 // the policy the off-policy estimates picked, behind guardrails).
 //
 // A Controller watches one candidate policy against an incumbent baseline
-// on a harvestd (or harvestagg) /estimates + /diagnostics surface and
-// drives the candidate through a staged state machine:
+// on a harvestd (or harvestagg) /evidence surface — one request per step,
+// with estimates, diagnostics and watermark from one read — and drives the
+// candidate through a staged state machine:
 //
 //	shadow ──▶ canary[0] ──▶ … ──▶ canary[k-1] ──▶ full
 //	   │           │                    │            │
@@ -118,7 +119,7 @@ type Config struct {
 	CheckpointPath string
 	// CheckpointInterval is the timer between checkpoints. Default 30s.
 	CheckpointInterval time.Duration
-	// Harvest supplies estimates and diagnostics (required).
+	// Harvest supplies the per-step evidence (required).
 	Harvest HarvestClient
 	// Actuator receives the chosen share after every transition; nil
 	// means observe-only (gate decisions are still recorded).
@@ -408,31 +409,26 @@ func (c *Controller) checkpointLoop() {
 	}
 }
 
-// Step performs one full control cycle: fetch estimates and diagnostics,
-// fold the increments into the sequential monitor, evaluate every gate,
-// apply the resulting transition, actuate the new share, and record the
-// decision. It is the unit the deterministic scenario tests drive.
+// Step performs one full control cycle: fetch the two arms' evidence (one
+// request), fold the increments into the sequential monitor, evaluate every
+// gate, apply the resulting transition, actuate the new share, and record
+// the decision. It is the unit the deterministic scenario tests drive.
 func (c *Controller) Step(ctx context.Context) (GateDecision, error) {
 	sp := c.cfg.Tracer.Start("rollout/step", c.root, nil)
 	defer sp.End()
 
-	cand, base, diag, err := fetchArms(ctx, c.cfg.Harvest, c.cfg.Candidate, c.cfg.Baseline)
+	ev, err := c.cfg.Harvest.Evidence(ctx, c.cfg.Candidate, c.cfg.Baseline)
+	if err == nil && (len(ev.Policies) != 2 ||
+		ev.Policies[0].Estimate.Policy != c.cfg.Candidate || ev.Policies[1].Estimate.Policy != c.cfg.Baseline) {
+		err = fmt.Errorf("rollout: evidence does not carry exactly candidate %q and baseline %q",
+			c.cfg.Candidate, c.cfg.Baseline)
+	}
 	if err != nil {
 		c.met.pollErrors.Inc()
 		return GateDecision{}, err
 	}
-	// Pipeline watermarks are advisory evidence: fetched when the client
-	// offers them, and a fetch failure degrades to "no watermark" rather
-	// than aborting the cycle (the staleness guard still protects us).
-	var wm *WatermarkInfo
-	if fc, ok := c.cfg.Harvest.(FreshnessClient); ok {
-		var werr error
-		wm, werr = fc.Freshness(ctx)
-		if werr != nil {
-			c.cfg.Logf("rollout: freshness poll failed: %v", werr)
-			wm = nil
-		}
-	}
+	candEv, baseEv := ev.Policies[0], ev.Policies[1]
+	cand, base := candEv.Estimate, baseEv.Estimate
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -474,11 +470,11 @@ func (c *Controller) Step(ctx context.Context) (GateDecision, error) {
 		Stage:        c.stage,
 		Share:        c.share(),
 		ShareIdx:     c.shareIdx,
-		Cand:         gateArm(&c.cfg, c.cfg.Candidate, selectEstimator(cand, c.cfg.Estimator), cand.N, diagOf(diag, c.cfg.Candidate)),
-		Base:         gateArm(&c.cfg, c.cfg.Baseline, selectEstimator(base, c.cfg.Estimator), base.N, diagOf(diag, c.cfg.Baseline)),
+		Cand:         gateArm(&c.cfg, c.cfg.Candidate, selectEstimator(cand, c.cfg.Estimator), cand.N, candEv.Diagnostics),
+		Base:         gateArm(&c.cfg, c.cfg.Baseline, selectEstimator(base, c.cfg.Estimator), base.N, baseEv.Diagnostics),
 		StageSamples: candTot.N - c.stageEnteredN,
 		StaleFor:     now.Sub(c.lastProgress),
-		Watermark:    wm,
+		Watermark:    ev.Watermark,
 		Seq:          c.seq,
 	}
 	d := evaluate(&c.cfg, in)

@@ -58,60 +58,59 @@ func (a *simArm) estimate() (value, stderr float64) {
 	return value, stderr
 }
 
-// fakeHarvest is the scripted harvestd: an httptest server whose
-// /estimates and /diagnostics replay whatever the current frame holds.
-// The controller talks to it through the real HTTPHarvest client, so the
-// whole fetch+decode path is under test.
+// fakeHarvest is the scripted harvestd: an httptest server whose /evidence
+// replays whatever the current frame holds. The controller talks to it
+// through the real HTTPHarvest client, so the whole fetch+decode path is
+// under test.
 type fakeHarvest struct {
-	mu      sync.Mutex
-	cand    simArm
-	base    simArm
-	workers int
-	// fresh scripts the /freshness payload; nil keeps the endpoint a 404
-	// (a daemon predating watermarks), which must leave decisions unchanged.
-	fresh *harvestd.FreshnessReport
-	srv   *httptest.Server
+	mu   sync.Mutex
+	cand simArm
+	base simArm
+	// wm scripts the payload's watermark; nil leaves it out (a surface that
+	// cannot vouch for its pipeline), which must leave decisions unchanged.
+	wm *harvestd.Watermark
+	// stamp scripts the payload's stamp, which no gate may read.
+	stamp harvestd.EvidenceStamp
+	// requests counts every HTTP request the server has answered.
+	requests int
+	srv      *httptest.Server
 }
 
-func newFakeHarvest(t *testing.T, workers int) *fakeHarvest {
+func newFakeHarvest(t *testing.T) *fakeHarvest {
 	t.Helper()
-	f := &fakeHarvest{workers: workers}
+	f := &fakeHarvest{}
 	f.cand.essFrac, f.base.essFrac = 1, 1
-	mux := http.NewServeMux()
-	mux.HandleFunc("/estimates", func(w http.ResponseWriter, r *http.Request) {
+	arms := map[string]*simArm{"cand": &f.cand, "base": &f.base}
+	f.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		writeJSON(w, []harvestd.PolicyEstimate{f.policyEstimate("base", &f.base), f.policyEstimate("cand", &f.cand)})
-	})
-	mux.HandleFunc("/diagnostics", func(w http.ResponseWriter, r *http.Request) {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		writeJSON(w, harvestd.DiagnosticsReport{
-			Workers: f.workers,
-			Policies: []harvestd.PolicyDiagnostics{
-				f.policyDiag("base", &f.base),
-				f.policyDiag("cand", &f.cand),
-			},
-		})
-	})
-	mux.HandleFunc("/freshness", func(w http.ResponseWriter, r *http.Request) {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		if f.fresh == nil {
+		f.requests++
+		if r.URL.Path != "/evidence" {
 			http.NotFound(w, r)
 			return
 		}
-		writeJSON(w, f.fresh)
-	})
-	f.srv = httptest.NewServer(mux)
+		harvestd.ServeEvidence(w, r, 0.05, func(names []string, _ float64) (harvestd.Evidence, string) {
+			ev := harvestd.Evidence{Version: harvestd.EvidenceVersion, Watermark: f.wm, Stamp: f.stamp}
+			for _, name := range names {
+				a := arms[name]
+				if a == nil {
+					return harvestd.Evidence{}, name
+				}
+				ev.Policies = append(ev.Policies, harvestd.PolicyEvidence{
+					Estimate: f.policyEstimate(name, a), Diagnostics: f.policyDiag(name, a),
+				})
+			}
+			return ev, ""
+		})
+	}))
 	t.Cleanup(f.srv.Close)
 	return f
 }
 
-func (f *fakeHarvest) setFreshness(rep *harvestd.FreshnessReport) {
+func (f *fakeHarvest) setWatermark(wm *harvestd.Watermark) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.fresh = rep
+	f.wm = wm
 }
 
 func (f *fakeHarvest) policyEstimate(name string, a *simArm) harvestd.PolicyEstimate {
@@ -215,7 +214,7 @@ func step(t *testing.T, c *Controller, clock *obs.FixedClock) GateDecision {
 // evidence in one poll, so four polls land it at full exposure, and the
 // actuator sees exactly the configured ramp.
 func TestSimGoodCandidatePromoted(t *testing.T) {
-	f := newFakeHarvest(t, 4)
+	f := newFakeHarvest(t)
 	clock := &obs.FixedClock{T: time.Unix(1700000000, 0).UTC()}
 	rec := &shareRecorder{}
 	c := simController(t, f, clock, rec, nil)
@@ -247,13 +246,32 @@ func TestSimGoodCandidatePromoted(t *testing.T) {
 	}
 }
 
+// TestSimStepIsOneRequest counts what a control cycle costs the harvest
+// surface: one GET /evidence per Step, whatever the outcome.
+func TestSimStepIsOneRequest(t *testing.T) {
+	f := newFakeHarvest(t)
+	clock := &obs.FixedClock{T: time.Unix(1700000000, 0).UTC()}
+	c := simController(t, f, clock, nil, nil)
+	f.setWatermark(&harvestd.Watermark{Seq: 1, AgeSeconds: 0.1})
+	for i := 1; i <= 3; i++ {
+		f.feed(300, 0.8, 0.05, 300, 0.5, 0.05)
+		step(t, c, clock)
+		f.mu.Lock()
+		got := f.requests
+		f.mu.Unlock()
+		if got != i {
+			t.Fatalf("after %d steps the harvest surface answered %d requests, want %d", i, got, i)
+		}
+	}
+}
+
 // TestSimColdStartDecisionEncodes pins the n=0 path: before any data
 // arrives, the gate interval's concentration radius is infinite, and an
 // unclamped ±Inf bound in the decision record would make every later
 // /gates render and checkpoint write fail (encoding/json rejects ±Inf).
 // The recorded arms must instead carry the a-priori term range.
 func TestSimColdStartDecisionEncodes(t *testing.T) {
-	f := newFakeHarvest(t, 4)
+	f := newFakeHarvest(t)
 	clock := &obs.FixedClock{T: time.Unix(1700000000, 0).UTC()}
 	ckpt := filepath.Join(t.TempDir(), "rollout.ckpt")
 	c := simController(t, f, clock, nil, func(cfg *Config) { cfg.CheckpointPath = ckpt })
@@ -302,7 +320,7 @@ func TestSimColdStartDecisionEncodes(t *testing.T) {
 // increments) decides for the baseline and the controller rolls back,
 // zeroing the actuated share.
 func TestSimBadCandidateRolledBackAtCanary(t *testing.T) {
-	f := newFakeHarvest(t, 4)
+	f := newFakeHarvest(t)
 	clock := &obs.FixedClock{T: time.Unix(1700000000, 0).UTC()}
 	rec := &shareRecorder{}
 	c := simController(t, f, clock, rec, nil)
@@ -348,7 +366,7 @@ func TestSimBadCandidateRolledBackAtCanary(t *testing.T) {
 // intervals never separate, so the controller holds in shadow forever
 // (and never actuates a nonzero share).
 func TestSimFlatCandidateHeld(t *testing.T) {
-	f := newFakeHarvest(t, 4)
+	f := newFakeHarvest(t)
 	clock := &obs.FixedClock{T: time.Unix(1700000000, 0).UTC()}
 	rec := &shareRecorder{}
 	c := simController(t, f, clock, rec, nil)
@@ -375,7 +393,7 @@ func TestSimFlatCandidateHeld(t *testing.T) {
 // candidate's effective sample size below the floor: the health guard
 // fires before any evidence guard and rolls back.
 func TestSimESSCollapseRollsBack(t *testing.T) {
-	f := newFakeHarvest(t, 4)
+	f := newFakeHarvest(t)
 	clock := &obs.FixedClock{T: time.Unix(1700000000, 0).UTC()}
 	rec := &shareRecorder{}
 	c := simController(t, f, clock, rec, nil)
@@ -411,7 +429,7 @@ func TestSimESSCollapseRollsBack(t *testing.T) {
 // once no new samples arrive for longer than StaleAfter, the controller
 // refuses to keep a canary running on a dead estimate and rolls back.
 func TestSimStaleEstimatesRollBack(t *testing.T) {
-	f := newFakeHarvest(t, 4)
+	f := newFakeHarvest(t)
 	clock := &obs.FixedClock{T: time.Unix(1700000000, 0).UTC()}
 	rec := &shareRecorder{}
 	c := simController(t, f, clock, rec, nil)
@@ -434,12 +452,12 @@ func TestSimStaleEstimatesRollBack(t *testing.T) {
 }
 
 // TestSimWatermarkGate drives the pipeline-watermark guard through its
-// three regimes: absent /freshness (no check at all — older daemons keep
-// their exact decision records), a fresh watermark (check passes), and a
+// three regimes: evidence without a watermark (no check at all — the
+// decision records stay exactly as they were), a fresh watermark (check passes), and a
 // watermark older than StaleAfter (rollback even while sample counts are
 // still growing — the case the count-based staleness guard cannot see).
 func TestSimWatermarkGate(t *testing.T) {
-	f := newFakeHarvest(t, 4)
+	f := newFakeHarvest(t)
 	clock := &obs.FixedClock{T: time.Unix(1700000000, 0).UTC()}
 	rec := &shareRecorder{}
 	c := simController(t, f, clock, rec, nil)
@@ -453,21 +471,18 @@ func TestSimWatermarkGate(t *testing.T) {
 		return nil
 	}
 
-	// Regime 1: no /freshness endpoint — the guard must not appear.
+	// Regime 1: no watermark in the evidence — the guard must not appear.
 	f.feed(300, 0.8, 0.05, 300, 0.5, 0.05)
 	d := step(t, c, clock)
 	if d.Outcome != OutcomePromote {
 		t.Fatalf("poll 1 outcome %s (%s), want promote", d.Outcome, d.Reason)
 	}
 	if checkOf(d, "watermark") != nil {
-		t.Fatalf("watermark check present without a /freshness endpoint: %+v", d.Checks)
+		t.Fatalf("watermark check present without a served watermark: %+v", d.Checks)
 	}
 
 	// Regime 2: a fresh watermark passes and is recorded as evidence.
-	f.setFreshness(&harvestd.FreshnessReport{
-		Version: harvestd.FreshnessVersion, WatermarkSeq: 900,
-		WatermarkAgeSeconds: 1.5, Behind: 2,
-	})
+	f.setWatermark(&harvestd.Watermark{Seq: 900, AgeSeconds: 1.5, Behind: 2})
 	f.feed(300, 0.8, 0.05, 300, 0.5, 0.05)
 	d = step(t, c, clock)
 	if d.Outcome != OutcomePromote {
@@ -483,10 +498,7 @@ func TestSimWatermarkGate(t *testing.T) {
 
 	// Regime 3: the shard keeps answering and counts keep growing, but its
 	// fold watermark is older than StaleAfter (1m) — rollback.
-	f.setFreshness(&harvestd.FreshnessReport{
-		Version: harvestd.FreshnessVersion, WatermarkSeq: 900,
-		WatermarkAgeSeconds: 120, Behind: 5000,
-	})
+	f.setWatermark(&harvestd.Watermark{Seq: 900, AgeSeconds: 120, Behind: 5000})
 	f.feed(300, 0.8, 0.05, 300, 0.5, 0.05)
 	d = step(t, c, clock)
 	if d.Outcome != OutcomeRollback || !strings.Contains(d.Reason, "fold watermark age 120s") {
@@ -505,7 +517,7 @@ func TestSimWatermarkGate(t *testing.T) {
 // record constructed independently from the same scripted inputs — the
 // machine-readable audit contract.
 func TestSimExactGateDecisionJSON(t *testing.T) {
-	f := newFakeHarvest(t, 4)
+	f := newFakeHarvest(t)
 	clock := &obs.FixedClock{T: time.Unix(1700000000, 0).UTC()}
 	c := simController(t, f, clock, nil, nil)
 
@@ -561,12 +573,14 @@ func TestSimExactGateDecisionJSON(t *testing.T) {
 }
 
 // TestSimGatesByteIdenticalAcrossWorkers replays the same scripted
-// estimate sequence against controllers watching daemons that differ only
-// in worker count (and therefore in nothing the gates may read): the full
+// estimate sequence against controllers watching surfaces that differ only
+// in shape — one daemon, or sixteen shards behind an aggregator — and
+// therefore in nothing the gates may read (the evidence stamp): the full
 // /gates histories must be byte-identical.
 func TestSimGatesByteIdenticalAcrossWorkers(t *testing.T) {
-	run := func(workers int) []byte {
-		f := newFakeHarvest(t, workers)
+	run := func(shards int) []byte {
+		f := newFakeHarvest(t)
+		f.stamp = harvestd.EvidenceStamp{Folded: int64(shards), LiveShards: shards, TotalShards: shards}
 		clock := &obs.FixedClock{T: time.Unix(1700000000, 0).UTC()}
 		c := simController(t, f, clock, nil, nil)
 		// Good, then flat, then regressing — touch every outcome.

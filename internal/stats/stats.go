@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 )
 
 // ErrEmpty is returned by routines that need at least one observation.
@@ -236,12 +237,31 @@ func NormalApproxRadius(se, delta float64) float64 {
 	return zQuantile(1-delta/2) * se
 }
 
-// zQuantile returns the p-quantile of the standard normal distribution via
-// bisection on the CDF. p must lie in (0, 1).
+// zQuantile returns the p-quantile of the standard normal distribution.
+// p must lie in (0, 1). A daemon asks for the same confidence level for
+// every interval it serves, so the last (p, z) pair is kept: the bisection
+// runs once per distinct p in a row, not once per interval.
 func zQuantile(p float64) float64 {
 	if p <= 0 || p >= 1 {
 		return math.NaN()
 	}
+	if m := zMemo.Load(); m != nil && m.p == p {
+		return m.z
+	}
+	z := zBisect(p)
+	zMemo.Store(&zPair{p: p, z: z})
+	return z
+}
+
+// zPair is one memoised zQuantile result; zMemo holds the latest. The pair
+// is immutable and swapped whole, so readers need no lock, and what a hit
+// returns is the float64 zBisect returned for that p.
+type zPair struct{ p, z float64 }
+
+var zMemo atomic.Pointer[zPair]
+
+// zBisect inverts the standard normal CDF by bisection.
+func zBisect(p float64) float64 {
 	lo, hi := -10.0, 10.0
 	for i := 0; i < 100; i++ {
 		mid := (lo + hi) / 2

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -212,6 +213,50 @@ func TestZQuantile(t *testing.T) {
 	if !math.IsNaN(ZQuantile(0)) || !math.IsNaN(ZQuantile(1)) {
 		t.Error("ZQuantile should be NaN at 0 and 1")
 	}
+}
+
+// TestZQuantileMemoBitEqual pins the memo to the bisection: a miss, a hit
+// and a hit after another p was cached all return the float64 zBisect
+// returns, so no served interval moves by an ulp.
+func TestZQuantileMemoBitEqual(t *testing.T) {
+	deltas := []float64{0.001, 0.01, 0.05, 0.1, 0.5}
+	for round := 0; round < 2; round++ {
+		for _, delta := range deltas {
+			p := 1 - delta/2
+			want := math.Float64bits(zBisect(p))
+			for call := 0; call < 3; call++ {
+				if got := math.Float64bits(zQuantile(p)); got != want {
+					t.Fatalf("round %d call %d: zQuantile(%v) = %#x, bisection gives %#x", round, call, p, got, want)
+				}
+			}
+			if got, want := NormalApproxRadius(0.25, delta), zBisect(p)*0.25; got != want {
+				t.Errorf("NormalApproxRadius(0.25, %v) = %v, want %v", delta, got, want)
+			}
+		}
+	}
+}
+
+// TestZQuantileMemoConcurrent alternates two confidence levels from several
+// goroutines, so the one-entry memo is evicted and refilled under readers;
+// run with -race.
+func TestZQuantileMemoConcurrent(t *testing.T) {
+	ps := [2]float64{1 - 0.05/2, 1 - 0.01/2}
+	want := [2]float64{zBisect(ps[0]), zBisect(ps[1])}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				k := (g + i) % 2
+				if got := zQuantile(ps[k]); got != want[k] {
+					t.Errorf("zQuantile(%v) = %v, want %v", ps[k], got, want[k])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestNormCDFSymmetry(t *testing.T) {

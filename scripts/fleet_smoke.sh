@@ -1,13 +1,17 @@
 #!/bin/sh
 # CI smoke for the federated tier: two harvestd shards ingest a split
-# fixture log and harvestagg must serve /estimates byte-identical to one
-# monolithic daemon over the unsplit log (DESIGN.md §9 merge equivalence).
+# fixture log and harvestagg must serve /estimates, and the policy rows of
+# /evidence, byte-identical to one monolithic daemon over the unsplit log
+# (DESIGN.md §9 merge equivalence).
 set -eu
 
 TMP="${TMPDIR:-/tmp}/fleet-smoke.$$"
 mkdir -p "$TMP"
+PIDS=
 cleanup() {
-	kill $(jobs -p) 2>/dev/null || true
+	# Not $(jobs -p): under dash the substitution's subshell has no jobs, and
+	# a failed check then waits on the live daemons forever.
+	kill $PIDS 2>/dev/null || true
 	wait 2>/dev/null || true
 	rm -rf "$TMP"
 }
@@ -34,10 +38,14 @@ awk 'NR % 2 == 0' "$TMP/full.log" >"$TMP/shard-b.log"
 
 POLICIES=uniform,leastloaded,constant:0
 "$TMP/harvestd" -addr 127.0.0.1:8441 -policies "$POLICIES" -workers 1 -nginx "$TMP/full.log" &
+PIDS="$PIDS $!"
 "$TMP/harvestd" -addr 127.0.0.1:8442 -shard-id shard-a -policies "$POLICIES" -workers 1 -nginx "$TMP/shard-a.log" &
+PIDS="$PIDS $!"
 "$TMP/harvestd" -addr 127.0.0.1:8443 -shard-id shard-b -policies "$POLICIES" -workers 1 -nginx "$TMP/shard-b.log" &
+PIDS="$PIDS $!"
 "$TMP/harvestagg" -addr 127.0.0.1:8440 -pull-interval 100ms \
 	-shards shard-a=http://127.0.0.1:8442,shard-b=http://127.0.0.1:8443 &
+PIDS="$PIDS $!"
 
 # wait_metric PORT PATTERN: poll /metrics until a line matches.
 wait_metric() {
@@ -62,4 +70,15 @@ curl -sf http://127.0.0.1:8440/estimates >"$TMP/fleet.json"
 curl -sf http://127.0.0.1:8441/estimates >"$TMP/mono.json"
 cmp "$TMP/fleet.json" "$TMP/mono.json"
 
-echo "fleet smoke OK: merged /estimates byte-identical to monolithic (n=3000, 3 policies)"
+# /evidence: the estimate + diagnostics rows (the payload's last field) are
+# the same bytes on both tiers; the watermark and the stamp above them
+# describe the tier and differ.
+EVIDENCE='evidence?policy=leastloaded,uniform'
+for tier in 8440 8441; do
+	curl -sf "http://127.0.0.1:$tier/$EVIDENCE" >"$TMP/evidence.json"
+	sed -n '/^ "policies": \[/,$p' "$TMP/evidence.json" >"$TMP/evidence-rows-$tier.json"
+done
+grep -q '"policy": "leastloaded"' "$TMP/evidence-rows-8440.json"
+cmp "$TMP/evidence-rows-8440.json" "$TMP/evidence-rows-8441.json"
+
+echo "fleet smoke OK: merged /estimates and /evidence rows byte-identical to monolithic (n=3000, 3 policies)"
