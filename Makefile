@@ -46,9 +46,11 @@ race:
 # encode/decode, router assignment, binary codec, end-to-end source→fold
 # ingest per format, gate evaluation and state transition), emitted as
 # BENCH_harvestd.json for CI trend tracking. RegistryFold also selects
-# RegistryFoldBatch/{1,64,720,wide32}, where one op is one record. IngestBin
-# records/s vs IngestJSONL is the binary format's ≥5x claim; the binrec
-# decode benchmark pins 0 allocs/op. ParseNginxLine/{compat,batch}/{k2,k8} is
+# RegistryFoldBatch/{1,64,720,wide32,policies={1,4,16,64}}, where one op is
+# one record and the policies rows (8 upstreams, 97-record batches) are the
+# fold's cost-per-candidate slope. IngestBin/{k3,wide32} records/s vs
+# IngestJSONL is the binary format's ≥5x claim; BinRecDecode/{k2,k8} pins 0
+# allocs/op at both context widths. ParseNginxLine/{compat,batch}/{k2,k8} is
 # one access-log line → one datapoint, on the one-off API and on the batch
 # path IngestNginx runs (0 allocs/op there). The read path is
 # RegistryEstimates/{k3,wide32} (every policy rendered), AggregatorEvidence/

@@ -18,7 +18,9 @@
 // "constant:K" (always route to K). The daemon runs until SIGINT/SIGTERM,
 // then drains in-flight lines, writes a final checkpoint (when -checkpoint
 // is set), and prints the final estimates. A restart with the same
-// -checkpoint resumes exactly where it left off.
+// -checkpoint restores the estimator state and counters; file sources are
+// then read again from byte 0 (see the harvestd package doc), so only a
+// push-fed daemon resumes exactly where it left off.
 package main
 
 import (

@@ -43,6 +43,22 @@ func (a *Arena) Rows(n int) []Vector {
 	return s
 }
 
+// Grow makes room for at least floats more float64s and rows more row
+// headers: a source that learns a batch's size up front pays one allocation
+// instead of the doubling steps. Sizes round up to the minimum blocks, so
+// batches that differ by a record or two settle on one array. Slices carved
+// earlier stay valid, as in Floats.
+func (a *Arena) Grow(floats, rows int) {
+	if a.floatOff+floats > cap(a.floats) {
+		a.floats = make([]float64, (floats+1023)&^1023)
+		a.floatOff = 0
+	}
+	if a.rowOff+rows > cap(a.rows) {
+		a.rows = make([]Vector, (rows+63)&^63)
+		a.rowOff = 0
+	}
+}
+
 // Reset makes the whole arena available again, keeping its backing arrays.
 // Everything carved before the call is up for reuse.
 func (a *Arena) Reset() {

@@ -249,11 +249,25 @@ func ActionProb(policy Policy, ctx *Context, a Action) float64 {
 	return actProber{policy}.ActionProb(ctx, a)
 }
 
+// PreparedProber is an optional hook for policies whose ActionProb re-derives
+// per call something constant for the policy (a normaliser, say). Prober
+// returns, with that work done once, an ActionProber that is bit for bit the
+// policy's ActionProb as of the call — a snapshot: mutating the policy's
+// parameters afterwards does not change what a loop holding the prober
+// (harvestd's Registry, from Register on) scores.
+type PreparedProber interface {
+	Prober() ActionProber
+}
+
 // ProberFor resolves ActionProb's dispatch once: the returned prober gives
 // exactly ActionProb(policy, ·, ·) without re-asserting the policy's
-// interfaces per call. Loops that score many datapoints under one policy
+// interfaces per call, prepared by the policy itself when it implements
+// PreparedProber. Loops that score many datapoints under one policy
 // (harvestd's batch fold) hoist the dispatch out with it.
 func ProberFor(policy Policy) ActionProber {
+	if pp, ok := policy.(PreparedProber); ok {
+		return pp.Prober()
+	}
 	if ap, ok := policy.(ActionProber); ok {
 		return ap
 	}

@@ -1,11 +1,13 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -299,6 +301,19 @@ func TestAggregatorCheckpointResume(t *testing.T) {
 	want := a.View()
 	if err := a.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+
+	// SavedAt follows the injected clock: the same state checkpointed again
+	// is the same bytes.
+	first, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := os.ReadFile(path); err != nil || !bytes.Equal(first, again) {
+		t.Fatalf("two checkpoints of one state under a fixed clock differ (err %v):\n%s\n%s", err, first, again)
 	}
 
 	// A new aggregator resumes the snapshot and its pull time.

@@ -41,7 +41,7 @@ func (a *Aggregator) Checkpoint() error {
 	}
 	ck := checkpointFile{
 		Version: checkpointVersion,
-		SavedAt: time.Now().UTC(),
+		SavedAt: a.cfg.Clock.Now().UTC(),
 		Shards:  make(map[string]shardCheckpoint, len(a.shards)),
 	}
 	for _, st := range a.shards {

@@ -93,9 +93,12 @@ func BenchmarkRegistryFold(b *testing.B) {
 }
 
 // BenchmarkRegistryFoldBatch measures the batch fold per record (one op =
-// one record): three candidates at batch sizes 1, 64 and 720, and wide32 —
-// the loop benchmark's wide-fold-read shape, 32 candidates over 8-upstream
-// contexts in 720-record batches.
+// one record): three candidates at batch sizes 1, 64 and 720; wide32 — the
+// loop benchmark's wide-fold-read shape, 32 candidates over 8-upstream
+// contexts in 720-record batches; and policies={1,4,16,64} — the first n
+// wideCandidates over the same contexts in 97-record batches, the size of
+// that workload's binrec segments. The policies rows are the records/s-vs-
+// candidates slope of this layer: what one more policy costs a record.
 func BenchmarkRegistryFoldBatch(b *testing.B) {
 	run := func(name string, reg *Registry, ds []core.Datapoint, batch int) {
 		b.Run(name, func(b *testing.B) {
@@ -113,7 +116,21 @@ func BenchmarkRegistryFoldBatch(b *testing.B) {
 	for _, batch := range []int{1, 64, 720} {
 		run(fmt.Sprint(batch), benchRegistry(b), ds, batch)
 	}
-	run("wide32", newWideRegistry(b, 1), wideDatapoints(1024, 1), 720)
+	wide := wideDatapoints(1024, 1)
+	run("wide32", newWideRegistry(b, 1), wide, 720)
+	for _, n := range []int{1, 4, 16, 64} {
+		reg, err := NewRegistry(1, 10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		names, pols := wideCandidates(n)
+		for i, name := range names {
+			if err := reg.Register(name, pols[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		run(fmt.Sprintf("policies=%d", n), reg, wide, 97)
+	}
 }
 
 // BenchmarkRegistryEstimates measures the /estimates read path (one op =

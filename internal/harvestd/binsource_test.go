@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -20,31 +21,71 @@ import (
 	"repro/internal/harvester/binrec"
 )
 
-// writeBinFile encodes ds into a fresh binrec file; segBytes > 0 lowers the
-// segment-seal threshold so even short fixtures span multiple segments.
-func writeBinFile(t *testing.T, path string, ds []core.Datapoint, segBytes int) {
-	t.Helper()
-	f, err := os.Create(path)
+// encodeBin is ds as one binrec stream; segBytes > 0 lowers the segment-seal
+// threshold so even short fixtures span multiple segments.
+func encodeBin(tb testing.TB, ds []core.Datapoint, segBytes int) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	enc, err := binrec.NewEncoder(&buf)
 	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := binrec.NewEncoder(f)
-	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if segBytes > 0 {
 		enc.SegmentBytes = segBytes
 	}
 	for i := range ds {
 		if err := enc.Write(&ds[i]); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := enc.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// writeBinFile writes encodeBin(ds, segBytes) to a fresh file.
+func writeBinFile(t *testing.T, path string, ds []core.Datapoint, segBytes int) {
+	t.Helper()
+	if err := os.WriteFile(path, encodeBin(t, ds, segBytes), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
+}
+
+// TestBinSourceAllocations pins the source side of the binary path: one Run
+// allocates a fixed handful of objects — the free list with its batches and
+// release closures, the decoder, and per pooled batch one points array, one
+// float array and one row-header array, each sized from the first segment
+// header it meets — and nothing per segment after that, so a stream three
+// times as long costs the same. It was 97 per 4096-record Run, most of it
+// batches growing by doubling and a closure per segment.
+func TestBinSourceAllocations(t *testing.T) {
+	d, _ := startSourceDaemon(t, &BinSource{R: strings.NewReader("")})
+	defer d.Shutdown(context.Background())
+	sink := d.sinkFor("alloc-test")
+	ds := benchDatapoints(3 * 1024)
+	perRun := func(ds []core.Datapoint) float64 {
+		wire := encodeBin(t, ds, 8*1024) // ≈ 90 records a segment
+		r := bytes.NewReader(wire)
+		src := &BinSource{R: r}
+		return testing.AllocsPerRun(10, func() {
+			r.Reset(wire)
+			target := d.ctr.folded.Load() + int64(len(ds))
+			if err := src.Run(context.Background(), sink); err != nil {
+				t.Fatal(err)
+			}
+			for d.ctr.folded.Load() < target {
+				runtime.Gosched()
+			}
+		})
+	}
+	short, long := perRun(ds[:1024]), perRun(ds)
+	if long > short {
+		t.Errorf("%v allocations for %d records, %v for %d: the extra segments allocate", short, 1024, long, len(ds))
+	}
+	t.Logf("allocations per Run: %v short, %v long", short, long)
+	if short > 28 {
+		t.Errorf("%v allocations per Run, want at most 28", short)
 	}
 }
 

@@ -35,7 +35,7 @@ func (d *Daemon) Checkpoint() error {
 	}
 	ck := checkpointFile{
 		Version:     checkpointVersion,
-		SavedAt:     time.Now().UTC(),
+		SavedAt:     d.cfg.Clock.Now().UTC(),
 		Lines:       d.ctr.lines.Load(),
 		ParseErrors: d.ctr.parseErrors.Load(),
 		Rejected:    d.ctr.rejected.Load(),

@@ -1,6 +1,7 @@
 package harvestd
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -8,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // runDaemonOverDataset starts a daemon with the given checkpoint path, feeds
@@ -70,6 +73,35 @@ func TestCheckpointResumeRestoresIdenticalState(t *testing.T) {
 	}
 	if len(matches) != 0 {
 		t.Errorf("leftover temp files: %v", matches)
+	}
+}
+
+// TestCheckpointFollowsInjectedClock: SavedAt comes from Config.Clock, so
+// two checkpoints of the same state under a fixed clock are the same bytes.
+func TestCheckpointFollowsInjectedClock(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.json")
+	reg := newTestRegistry(t, 1)
+	ds := testDataset(50, 64)
+	reg.FoldBatch(0, ds)
+	clk := &obs.FixedClock{T: time.Unix(1700000000, 0)}
+	d, err := New(Config{Workers: 1, Clip: 10, CheckpointPath: path, Clock: clk}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blobs [2][]byte
+	for i := range blobs {
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if blobs[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(blobs[0], blobs[1]) {
+		t.Errorf("two checkpoints of one state under a fixed clock differ:\n%s\n%s", blobs[0], blobs[1])
+	}
+	if !bytes.Contains(blobs[0], []byte(`"saved_at": "2023-11-14T22:13:20Z"`)) {
+		t.Errorf("saved_at is not the injected clock's time:\n%.200s", blobs[0])
 	}
 }
 

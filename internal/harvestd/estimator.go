@@ -62,6 +62,13 @@ type Accum struct {
 // floor <= 0 disables propensity-floor accounting. A datapoint with
 // non-positive propensity is dropped: the sources validate upstream, and
 // folding one would poison every running sum with ±Inf.
+//
+// The running ranges use the builtin min/max, which compile inline where
+// math.Min/Max are calls, with the same NaN propagation and −0 < +0 order.
+// They differ on one input, the pair (NaN, ±Inf): math.Max/Min return the
+// infinity, the builtins NaN. That is not preserved — the NaN has poisoned
+// every sum of the Accum already, and Datapoint.Validate keeps non-finite
+// rewards out. Merge follows the same rule.
 func (a *Accum) Fold(pi, p, r, clip, floor float64) {
 	w, ok := core.ImportanceWeight(pi, p)
 	if !ok {
@@ -82,12 +89,12 @@ func (a *Accum) Fold(pi, p, r, clip, floor float64) {
 		a.MinCTerm, a.MaxCTerm = cterm, cterm
 		a.MinR, a.MaxR = r, r
 	} else {
-		a.MinTerm = math.Min(a.MinTerm, term)
-		a.MaxTerm = math.Max(a.MaxTerm, term)
-		a.MinCTerm = math.Min(a.MinCTerm, cterm)
-		a.MaxCTerm = math.Max(a.MaxCTerm, cterm)
-		a.MinR = math.Min(a.MinR, r)
-		a.MaxR = math.Max(a.MaxR, r)
+		a.MinTerm = min(a.MinTerm, term)
+		a.MaxTerm = max(a.MaxTerm, term)
+		a.MinCTerm = min(a.MinCTerm, cterm)
+		a.MaxCTerm = max(a.MaxCTerm, cterm)
+		a.MinR = min(a.MinR, r)
+		a.MaxR = max(a.MaxR, r)
 	}
 	a.N++
 	if pi > 0 {
@@ -95,7 +102,7 @@ func (a *Accum) Fold(pi, p, r, clip, floor float64) {
 	}
 	a.SumW += w
 	a.SumWSq += w * w
-	a.MaxW = math.Max(a.MaxW, w)
+	a.MaxW = max(a.MaxW, w)
 	a.SumWR += term
 	a.SumWRSq += term * term
 	a.SumW2R += w * w * r
@@ -115,17 +122,17 @@ func (a *Accum) Merge(o *Accum) {
 		*a = *o
 		return
 	}
-	a.MinTerm = math.Min(a.MinTerm, o.MinTerm)
-	a.MaxTerm = math.Max(a.MaxTerm, o.MaxTerm)
-	a.MinCTerm = math.Min(a.MinCTerm, o.MinCTerm)
-	a.MaxCTerm = math.Max(a.MaxCTerm, o.MaxCTerm)
-	a.MinR = math.Min(a.MinR, o.MinR)
-	a.MaxR = math.Max(a.MaxR, o.MaxR)
+	a.MinTerm = min(a.MinTerm, o.MinTerm)
+	a.MaxTerm = max(a.MaxTerm, o.MaxTerm)
+	a.MinCTerm = min(a.MinCTerm, o.MinCTerm)
+	a.MaxCTerm = max(a.MaxCTerm, o.MaxCTerm)
+	a.MinR = min(a.MinR, o.MinR)
+	a.MaxR = max(a.MaxR, o.MaxR)
 	a.N += o.N
 	a.Matches += o.Matches
 	a.SumW += o.SumW
 	a.SumWSq += o.SumWSq
-	a.MaxW = math.Max(a.MaxW, o.MaxW)
+	a.MaxW = max(a.MaxW, o.MaxW)
 	a.SumWR += o.SumWR
 	a.SumWRSq += o.SumWRSq
 	a.SumW2R += o.SumW2R

@@ -7,7 +7,11 @@
 // sharded per-policy incremental estimators (IPS, clipped IPS, SNIPS, with
 // normal and empirical-Bernstein intervals), serves live estimates over a
 // small stdlib-only HTTP API, and checkpoints estimator state atomically so
-// a restart resumes exactly where it left off.
+// a restarted daemon reports the accumulators and counters it had. A
+// push-fed daemon (POST /ingest, Ingest) thereby resumes exactly where it
+// left off; a file source does not yet — the checkpoint holds no source
+// position, openSource reopens at byte 0, and the log is folded again on
+// top of the restored state (ROADMAP item 2).
 //
 // Data flow:
 //

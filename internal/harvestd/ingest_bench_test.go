@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/harvester/binrec"
 	"repro/internal/lbsim"
 	"repro/internal/policy"
 )
@@ -39,6 +38,12 @@ func benchDaemon(b *testing.B) *Daemon {
 	if err := reg.Register("leastloaded", lbsim.LeastLoaded{}); err != nil {
 		b.Fatal(err)
 	}
+	return benchDaemonOn(b, reg)
+}
+
+// benchDaemonOn is benchDaemon over a caller-built 2-shard registry.
+func benchDaemonOn(b *testing.B, reg *Registry) *Daemon {
+	b.Helper()
 	d, err := New(Config{Workers: 2, Clip: 10}, reg)
 	if err != nil {
 		b.Fatal(err)
@@ -99,25 +104,22 @@ func BenchmarkIngestJSONL(b *testing.B) {
 	})
 }
 
-// BenchmarkIngestBin is the tentpole's end-to-end number: binary decode into
-// pooled batches, whole segments per queue send, zero per-record heap
-// allocations on the decode side.
+// BenchmarkIngestBin is the binary path end to end — decode into pooled
+// batches sized from the segment header, whole segments per queue send, a
+// handful of allocations per Run and none per segment or record — on the
+// narrow shape (k3: three candidates, 2-upstream contexts) and on the loop
+// benchmark's wide one (wide32: 32 candidates, 8 upstreams).
 func BenchmarkIngestBin(b *testing.B) {
-	ds := benchDatapoints(ingestBenchRecords)
-	var buf bytes.Buffer
-	enc, err := binrec.NewEncoder(&buf)
-	if err != nil {
-		b.Fatal(err)
+	// A fresh daemon per b.Run invocation: benchIngest counts folds from zero.
+	run := func(name string, daemon func(*testing.B) *Daemon, ds []core.Datapoint) {
+		wire := encodeBin(b, ds, 0)
+		b.Run(name, func(b *testing.B) {
+			benchIngest(b, daemon(b), wire, func(r io.Reader) Source {
+				return &BinSource{R: r}
+			})
+		})
 	}
-	for i := range ds {
-		if err := enc.Write(&ds[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := enc.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	benchIngest(b, benchDaemon(b), buf.Bytes(), func(r io.Reader) Source {
-		return &BinSource{R: r}
-	})
+	run("k3", benchDaemon, benchDatapoints(ingestBenchRecords))
+	run("wide32", func(b *testing.B) *Daemon { return benchDaemonOn(b, newWideRegistry(b, 2)) },
+		wideDatapoints(ingestBenchRecords, 1))
 }

@@ -17,26 +17,37 @@ import (
 // workload, 32 candidates over 8-upstream contexts.
 const wideUpstreams = 8
 
-// widePolicies is 32 candidates covering every evaluation path: Act-only
-// (leastloaded), ActionProber values (uniform, const-*), and
-// weighted-random policies with seeded non-dyadic weights.
-func widePolicies() map[string]core.Policy {
+// wideCandidates is the first n candidates of the wide shape, in a fixed
+// order covering every evaluation path: Act-only (leastloaded), ActionProber
+// values (uniform, const-0…7), then as many weighted-random policies with
+// seeded non-dyadic weights as it takes.
+func wideCandidates(n int) (names []string, pols []core.Policy) {
 	r := stats.NewRand(5)
-	pols := map[string]core.Policy{
-		"leastloaded": lbsim.LeastLoaded{},
-		"uniform":     policy.UniformRandom{},
-	}
+	names = []string{"leastloaded", "uniform"}
+	pols = []core.Policy{lbsim.LeastLoaded{}, policy.UniformRandom{}}
 	for a := 0; a < wideUpstreams; a++ {
-		pols[fmt.Sprintf("const-%d", a)] = policy.Constant{A: core.Action(a)}
+		names = append(names, fmt.Sprintf("const-%d", a))
+		pols = append(pols, policy.Constant{A: core.Action(a)})
 	}
-	for i := 0; len(pols) < 32; i++ {
+	for i := 0; len(pols) < n; i++ {
 		weights := make([]float64, wideUpstreams)
 		for s := range weights {
 			weights[s] = 0.1 + r.Float64()
 		}
-		pols[fmt.Sprintf("weighted-%02d", i)] = &lbsim.WeightedRandom{Weights: weights}
+		names = append(names, fmt.Sprintf("weighted-%02d", i))
+		pols = append(pols, &lbsim.WeightedRandom{Weights: weights})
 	}
-	return pols
+	return names[:n], pols[:n]
+}
+
+// widePolicies is the 32 candidates of the wide shape, by name.
+func widePolicies() map[string]core.Policy {
+	names, pols := wideCandidates(32)
+	byName := make(map[string]core.Policy, len(names))
+	for i, name := range names {
+		byName[name] = pols[i]
+	}
+	return byName
 }
 
 // wideDatapoints draws n valid datapoints over wideUpstreams upstreams with
@@ -131,6 +142,32 @@ func TestFoldBatchEqualsPerRecordFold(t *testing.T) {
 		at += n
 	}
 	requireState(t, "ragged batches", got, want)
+}
+
+// TestRegisterSnapshotsPreparedProber: Register asks a core.PreparedProber
+// policy for its prober once, so what is folded is the policy as registered
+// — changing a WeightedRandom's Weights afterwards changes nothing.
+func TestRegisterSnapshotsPreparedProber(t *testing.T) {
+	weights := []float64{3, 1, 0.5, 2, 1, 1, 4, 0.25}
+	pol := &lbsim.WeightedRandom{Weights: append([]float64(nil), weights...)}
+	reg, err := NewRegistry(1, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Register("weighted", pol); err != nil {
+		t.Fatal(err)
+	}
+	pol.Weights[0] = 100
+
+	ds := wideDatapoints(300, 7)
+	reg.FoldBatch(0, ds)
+	asRegistered := &lbsim.WeightedRandom{Weights: weights}
+	var want Accum
+	for i := range ds {
+		want.Fold(asRegistered.ActionProb(&ds[i].Context, ds[i].Action),
+			ds[i].Propensity, ds[i].Reward, reg.Clip(), reg.PropensityFloor())
+	}
+	requireState(t, "weights changed after Register", reg, map[string]Accum{"weighted": want})
 }
 
 // panicOn is a policy that panics on the records whose Seq it lists and

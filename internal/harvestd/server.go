@@ -218,18 +218,17 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 func (d *Daemon) handleIngestBin(w http.ResponseWriter, r *http.Request, lines, ingested, rejected *int64) {
 	ctx := r.Context()
 	sink := d.sinkFor(pushSourceName)
-	free := make(chan *binrec.Batch, 2)
-	free <- new(binrec.Batch)
-	free <- new(binrec.Batch)
+	free := newFreeList[binrec.Batch](2)
 	dec := binrec.NewDecoder(r.Body)
 	for {
-		var b *binrec.Batch
+		var p *pooled[binrec.Batch]
 		select {
-		case b = <-free:
+		case p = <-free:
 		case <-ctx.Done():
 			http.Error(w, ctx.Err().Error(), http.StatusServiceUnavailable)
 			return
 		}
+		b := &p.batch
 		err := dec.Next(b)
 		if err == io.EOF {
 			break
@@ -247,8 +246,7 @@ func (d *Daemon) handleIngestBin(w http.ResponseWriter, r *http.Request, lines, 
 				*rejected++
 			}
 		}
-		bb := b
-		if err := sink.EmitBatch(ctx, bb.Points, func() { free <- bb }); err != nil {
+		if err := sink.EmitBatch(ctx, b.Points, p.release); err != nil {
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}

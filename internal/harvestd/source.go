@@ -205,19 +205,16 @@ func (s *Sink) tally(t nginxTally) {
 // termination, not corrupt input. An error from emit is returned as is.
 func ingestNginx(ctx context.Context, r io.Reader, numTypes int, strict bool,
 	emit func(pts []core.Datapoint, free func(), read nginxTally) error) error {
-	free := make(chan *harvester.NginxBatch, freeListDepth)
-	for i := 0; i < freeListDepth; i++ {
-		//lint:ignore ctxloop priming a buffered free list; capacity equals the trip count, sends never block
-		free <- new(harvester.NginxBatch)
-	}
+	free := newFreeList[harvester.NginxBatch](freeListDepth)
 	lr := harvester.NewLineReader(r)
 	for lr.Fill() {
-		var b *harvester.NginxBatch
+		var p *pooled[harvester.NginxBatch]
 		select {
-		case b = <-free:
+		case p = <-free:
 		case <-ctx.Done():
 			return ctx.Err()
 		}
+		b := &p.batch
 		b.Reset()
 		var read nginxTally
 		var bad error
@@ -234,7 +231,7 @@ func ingestNginx(ctx context.Context, r io.Reader, numTypes int, strict bool,
 				read.parseErrors++
 			}
 		}
-		if err := emit(b.Points, func() { free <- b }, read); err != nil {
+		if err := emit(b.Points, p.release, read); err != nil {
 			return err
 		}
 		if bad != nil {
@@ -417,6 +414,28 @@ func (s *BinSource) Name() string {
 // that a stalled worker pins only a few arenas.
 const freeListDepth = 4
 
+// pooled is one recycled decode or parse batch of a source, with the
+// release callback that EmitBatch hands to the worker: made once per batch,
+// not once per emit.
+type pooled[B any] struct {
+	batch   B
+	release func()
+}
+
+// newFreeList returns a free list holding depth zero-value batches; each
+// batch's release puts it back.
+func newFreeList[B any](depth int) chan *pooled[B] {
+	free := make(chan *pooled[B], depth)
+	batches := make([]pooled[B], depth)
+	for i := range batches {
+		p := &batches[i]
+		p.release = func() { free <- p }
+		//lint:ignore ctxloop priming a buffered free list; capacity equals the trip count, sends never block
+		free <- p
+	}
+	return free
+}
+
 // Run implements Source.
 func (s *BinSource) Run(ctx context.Context, sink *Sink) error {
 	r, closer, err := openSource(s.Path, s.R)
@@ -431,19 +450,16 @@ func (s *BinSource) Run(ctx context.Context, sink *Sink) error {
 		}
 		r = &tailReader{ctx: ctx, r: r, poll: poll}
 	}
-	free := make(chan *binrec.Batch, freeListDepth)
-	for i := 0; i < freeListDepth; i++ {
-		//lint:ignore ctxloop priming a buffered free list; capacity equals the trip count, sends never block
-		free <- new(binrec.Batch)
-	}
+	free := newFreeList[binrec.Batch](freeListDepth)
 	dec := binrec.NewDecoder(r)
 	for {
-		var b *binrec.Batch
+		var p *pooled[binrec.Batch]
 		select {
-		case b = <-free:
+		case p = <-free:
 		case <-ctx.Done():
 			return nil
 		}
+		b := &p.batch
 		err := dec.Next(b)
 		if err == io.EOF {
 			return nil
@@ -457,8 +473,7 @@ func (s *BinSource) Run(ctx context.Context, sink *Sink) error {
 			return fmt.Errorf("harvestd: %s: %w", s.Name(), err)
 		}
 		sink.Lines(len(b.Points))
-		bb := b
-		if err := sink.EmitBatch(ctx, bb.Points, func() { free <- bb }); err != nil {
+		if err := sink.EmitBatch(ctx, b.Points, p.release); err != nil {
 			return nil // shutdown, not a source failure
 		}
 	}

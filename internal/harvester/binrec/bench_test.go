@@ -7,6 +7,7 @@ package binrec
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 
@@ -18,18 +19,21 @@ import (
 const benchRecords = 4096
 
 // benchDataset mirrors the netlb ingest shape (the harvestd fold
-// benchmarks use the same construction): 2-upstream contexts with
+// benchmarks use the same construction): k-upstream contexts with
 // per-action features.
-func benchDataset(n int) core.Dataset {
+func benchDataset(n, k int) core.Dataset {
 	r := stats.NewRand(1)
 	ds := make(core.Dataset, n)
 	for i := range ds {
-		conns := []int{r.Intn(8), r.Intn(8)}
+		conns := make([]int, k)
+		for s := range conns {
+			conns[s] = r.Intn(8)
+		}
 		ds[i] = core.Datapoint{
 			Context:    lbsim.BuildContext(conns, 0, 1),
-			Action:     core.Action(r.Intn(2)),
+			Action:     core.Action(r.Intn(k)),
 			Reward:     0.002 + 0.003*r.Float64(),
-			Propensity: 0.5,
+			Propensity: 1 / float64(k),
 			Seq:        int64(i),
 			Tag:        "bench",
 		}
@@ -38,7 +42,7 @@ func benchDataset(n int) core.Dataset {
 }
 
 func BenchmarkBinRecEncode(b *testing.B) {
-	ds := benchDataset(benchRecords)
+	ds := benchDataset(benchRecords, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -58,34 +62,38 @@ func BenchmarkBinRecEncode(b *testing.B) {
 	b.ReportMetric(float64(benchRecords)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
-// BenchmarkBinRecDecode is the tentpole number: the zero-alloc batch decode
-// path over a reused Decoder and Batch. allocs/op must stay 0.
+// BenchmarkBinRecDecode is the zero-alloc batch decode path over a reused
+// Decoder and Batch, at the narrow (k2) and the wide-fold-read (k8) context
+// width. allocs/op must stay 0.
 func BenchmarkBinRecDecode(b *testing.B) {
-	ds := benchDataset(benchRecords)
-	wire := encodeAll(b, ds, 0)
-	dec := NewDecoder(bytes.NewReader(wire))
-	r := bytes.NewReader(wire)
-	var batch Batch
-	total := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Reset(wire)
-		dec.Reset(r)
-		for {
-			err := dec.Next(&batch)
-			if err == io.EOF {
-				break
+	for _, k := range []int{2, 8} {
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+			wire := encodeAll(b, benchDataset(benchRecords, k), 0)
+			dec := NewDecoder(bytes.NewReader(wire))
+			r := bytes.NewReader(wire)
+			var batch Batch
+			total := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.Reset(wire)
+				dec.Reset(r)
+				for {
+					err := dec.Next(&batch)
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+					total += len(batch.Points)
+				}
 			}
-			if err != nil {
-				b.Fatal(err)
+			b.StopTimer()
+			if total != b.N*benchRecords {
+				b.Fatalf("decoded %d records, want %d", total, b.N*benchRecords)
 			}
-			total += len(batch.Points)
-		}
+			b.ReportMetric(float64(benchRecords)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+		})
 	}
-	b.StopTimer()
-	if total != b.N*benchRecords {
-		b.Fatalf("decoded %d records, want %d", total, b.N*benchRecords)
-	}
-	b.ReportMetric(float64(benchRecords)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }

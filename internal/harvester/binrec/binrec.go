@@ -66,6 +66,11 @@ const MaxSegmentBytes = core.MaxRecordBytes
 // amortizing the framing overhead over ~1000 records.
 const DefaultSegmentBytes = 64 * 1024
 
+// minRecordBytes is the smallest record on the wire: the length prefix, K,
+// A, Seq, the tag length and the two vector counts at one byte each, plus
+// the two fixed64s.
+const minRecordBytes = 7 + 2*8
+
 // MaxSegmentRecords bounds the record count claimed by one segment header;
 // with a record costing at least 2 bytes on the wire, a count beyond the
 // payload bound is structurally impossible and rejected early.
@@ -204,7 +209,8 @@ func (b *Batch) Reset() {
 // A Decoder reads a binary harvest-record stream segment by segment.
 // Decoders are not safe for concurrent use.
 type Decoder struct {
-	br   *bufio.Reader
+	src  io.Reader         // what br reads from; payloads bypass br's buffer
+	br   *bufio.Reader     // framing reads: marker, varints, crc
 	seg  []byte            // reused segment payload buffer
 	tags map[string]string // tag interning: one allocation per unique tag
 	hdr  bool              // stream header consumed
@@ -219,12 +225,13 @@ type Decoder struct {
 // lazily on the first Next, so a follow-mode tail of a file that does not
 // exist yet blocks in the reader rather than failing here.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{br: bufio.NewReaderSize(r, 64*1024)}
+	return &Decoder{src: r, br: bufio.NewReader(r)}
 }
 
 // Reset redirects the decoder to a new stream, keeping its buffers (and tag
 // intern table) for reuse.
 func (d *Decoder) Reset(r io.Reader) {
+	d.src = r
 	d.br.Reset(r)
 	d.hdr = false
 	d.pos = 0
@@ -277,7 +284,13 @@ func (d *Decoder) Next(b *Batch) error {
 		d.seg = make([]byte, payloadLen)
 	}
 	d.seg = d.seg[:payloadLen]
-	if _, err := io.ReadFull(d.br, d.seg); err != nil {
+	// What br already holds, then the rest from the source itself: br is
+	// empty by then, and through its buffer the payload would move twice.
+	held := 0
+	if d.br.Buffered() > 0 {
+		held, _ = d.br.Read(d.seg[:min(len(d.seg), d.br.Buffered())]) // serves from the buffer, cannot fail
+	}
+	if _, err := io.ReadFull(d.src, d.seg[held:]); err != nil {
 		return fmt.Errorf("binrec: segment %d (offset %d): reading %d-byte payload: %w", d.segN, d.pos, payloadLen, noEOF(err))
 	}
 	d.pos += int64(payloadLen)
@@ -285,10 +298,17 @@ func (d *Decoder) Next(b *Batch) error {
 		return fmt.Errorf("binrec: segment %d (offset %d): crc mismatch (got %08x want %08x)", d.segN, d.pos, got, wantCRC)
 	}
 
+	// Size the batch from the header instead of by doubling: the payload has
+	// passed its CRC, and it cannot hold more records than payloadLen /
+	// minRecordBytes or more floats than payloadLen / 8, whatever count says.
+	if want := int(min(count, payloadLen/minRecordBytes)); want > cap(b.Points) {
+		b.Points = make([]core.Datapoint, 0, (want+63)&^63)
+	}
+	b.arena.Grow(int(payloadLen/8), 0)
 	rest := d.seg
 	for i := uint64(0); i < count; i++ {
 		var err error
-		rest, err = d.decodeRecord(rest, b)
+		rest, err = d.decodeRecord(rest, b, count-i)
 		if err != nil {
 			return fmt.Errorf("binrec: segment %d record %d (offset %d): %w", d.segN, i, d.pos, err)
 		}
@@ -323,8 +343,9 @@ func (d *Decoder) readHeader() error {
 }
 
 // decodeRecord parses one length-prefixed record off the front of rest into
-// a new entry of b.Points, returning the remainder.
-func (d *Decoder) decodeRecord(rest []byte, b *Batch) ([]byte, error) {
+// a new entry of b.Points, returning the remainder. left counts the records
+// the segment still claims, this one included.
+func (d *Decoder) decodeRecord(rest []byte, b *Batch, left uint64) ([]byte, error) {
 	recLen, n := binary.Uvarint(rest)
 	if n <= 0 {
 		return nil, fmt.Errorf("truncated record length prefix")
@@ -382,6 +403,10 @@ func (d *Decoder) decodeRecord(rest []byte, b *Batch) ([]byte, error) {
 	}
 	var af []core.Vector
 	if afRows > 0 {
+		// Records of one stream share a shape: when the row headers run out,
+		// make room for this many per record left (a row costs a byte, so
+		// never more than the bytes left), not by doubling.
+		b.arena.Grow(0, int(min(afRows*left, uint64(len(rec)+len(rest)))))
 		af = b.arena.Rows(int(afRows))
 		for j := range af {
 			af[j], rec, err = d.takeVector(rec, b, "action-feature row")
@@ -424,8 +449,20 @@ func (d *Decoder) takeVector(rec []byte, b *Batch, what string) (core.Vector, []
 		return nil, rec, nil
 	}
 	v := b.arena.Floats(int(n))
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec[i*8:]))
+	// The source is bounded once and both loops carry their bounds in the
+	// condition, so the copy compiles without a per-element slice-and-check;
+	// four floats a trip because on short vectors the trips are the cost.
+	dst, src := v, rec[:n*8]
+	for len(dst) >= 4 && len(src) >= 32 {
+		dst[0] = math.Float64frombits(binary.LittleEndian.Uint64(src[0:8]))
+		dst[1] = math.Float64frombits(binary.LittleEndian.Uint64(src[8:16]))
+		dst[2] = math.Float64frombits(binary.LittleEndian.Uint64(src[16:24]))
+		dst[3] = math.Float64frombits(binary.LittleEndian.Uint64(src[24:32]))
+		dst, src = dst[4:], src[32:]
+	}
+	for i := 0; i < len(dst) && len(src) >= 8; i++ {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
+		src = src[8:]
 	}
 	return v, rec[n*8:], nil
 }

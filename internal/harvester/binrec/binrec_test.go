@@ -2,6 +2,7 @@ package binrec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/lbsim"
 	"repro/internal/stats"
 )
 
@@ -322,6 +324,66 @@ func TestOversizeRejected(t *testing.T) {
 	var b Batch
 	if err := dec.Next(&b); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("forged payload length: got %v, want exceeds error", err)
+	}
+
+	// A checksummed one-record payload under a header claiming the largest
+	// count: the batch is sized from what the payload can hold, not from the
+	// claim, and the missing records are an error. The smallest record there
+	// is — no tag, no vectors, one-byte varints — is what bounds that.
+	smallest := encodeAll(t, core.Dataset{{Propensity: 1}}, 0)[headerLen:]
+	if payload := smallest[1+1+1+4:]; len(payload) != minRecordBytes {
+		t.Fatalf("smallest record is %d bytes on the wire, minRecordBytes says %d", len(payload), minRecordBytes)
+	}
+	forged = append([]byte(magic), Version, segMarker)
+	forged = binary.AppendUvarint(forged, MaxSegmentRecords)
+	forged = append(forged, smallest[2:]...) // payloadLen, crc, payload
+	dec.Reset(bytes.NewReader(forged))
+	if err := dec.Next(&b); err == nil || !strings.Contains(err.Error(), "record 1") {
+		t.Fatalf("forged record count: got %v, want an error at record 1", err)
+	}
+	if cap(b.Points) > 64 {
+		t.Errorf("forged record count sized the batch for %d points", cap(b.Points))
+	}
+}
+
+// TestRoundTripVectorShapes: the vector copy is exact at every length around
+// its four-float stride, for the 8-upstream netlb context, for empty shared
+// and per-action vectors, and for a vector that runs to the last byte of the
+// record, the segment and the stream.
+func TestRoundTripVectorShapes(t *testing.T) {
+	ramp := func(n int, from float64) core.Vector {
+		if n == 0 {
+			return nil // what an empty vector decodes to
+		}
+		v := make(core.Vector, n)
+		for i := range v {
+			v[i] = from + float64(i)/8
+		}
+		return v
+	}
+	var ds core.Dataset
+	for n := 0; n <= 13; n++ {
+		ds = append(ds, core.Datapoint{
+			Context: core.Context{
+				Features:       ramp(n, 1),
+				ActionFeatures: []core.Vector{ramp(13-n, -2), nil, ramp(n, 0.5)},
+				NumActions:     3,
+			},
+			Action: 1, Reward: float64(n), Propensity: 0.5, Seq: int64(n),
+		})
+	}
+	conns := []int{3, 0, 7, 1, 4, 4, 2, 9}
+	ds = append(ds,
+		core.Datapoint{Context: lbsim.BuildContext(conns, 0, 1), Action: 7, Reward: 0.25, Propensity: 0.125, Seq: 14},
+		core.Datapoint{Context: core.Context{NumActions: 2}, Propensity: 1, Seq: 15}, // no vectors at all
+		// Last: the final row ends the record, the payload and the stream.
+		core.Datapoint{Context: core.Context{ActionFeatures: []core.Vector{nil, ramp(9, 3)}, NumActions: 2}, Propensity: 1, Seq: 16},
+	)
+	for _, segBytes := range []int{0, 64} { // one segment, and one per record
+		wire := encodeAll(t, ds, segBytes)
+		if got := decodeAll(t, wire); !reflect.DeepEqual(ds, got) {
+			t.Fatalf("segment bytes %d: decoded dataset diverged\n got %+v\nwant %+v", segBytes, got, ds)
+		}
 	}
 }
 

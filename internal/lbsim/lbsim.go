@@ -399,6 +399,44 @@ func (w *WeightedRandom) ActionProb(ctx *core.Context, a core.Action) float64 {
 	return 0
 }
 
+// Prober implements core.PreparedProber: ActionProb over a snapshot of the
+// weights with the normaliser of every NumActions summed once.
+func (w *WeightedRandom) Prober() core.ActionProber {
+	p := &weightedProber{
+		weights: append([]float64(nil), w.Weights...),
+		totals:  make([]float64, len(w.Weights)+1),
+	}
+	// positiveTotal's additions in positiveTotal's order: equal to the bit.
+	for i, wt := range p.weights {
+		p.totals[i+1] = p.totals[i]
+		if wt > 0 {
+			p.totals[i+1] += wt
+		}
+	}
+	return p
+}
+
+// weightedProber is WeightedRandom.ActionProb with totals[n] standing in
+// for positiveTotal(n).
+type weightedProber struct {
+	weights []float64
+	totals  []float64
+}
+
+func (p *weightedProber) ActionProb(ctx *core.Context, a core.Action) float64 {
+	if a < 0 || int(a) >= ctx.NumActions {
+		return 0
+	}
+	total := p.totals[min(ctx.NumActions, len(p.weights))]
+	if total == 0 {
+		return 1 / float64(ctx.NumActions)
+	}
+	if int(a) < len(p.weights) && p.weights[a] > 0 {
+		return p.weights[a] / total
+	}
+	return 0
+}
+
 // String names the policy.
 func (w *WeightedRandom) String() string { return fmt.Sprintf("weighted-random%v", w.Weights) }
 

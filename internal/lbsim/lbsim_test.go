@@ -256,6 +256,54 @@ func TestWeightedRandomActionProbMatchesDistribution(t *testing.T) {
 	_ = sink
 }
 
+// TestWeightedRandomProberMatchesActionProb: the prober core.ProberFor gets
+// from a WeightedRandom is ActionProb — and so Distribution(ctx)[a] — bit
+// for bit, for every NumActions from 0 to past the weights and every action
+// from −1 to NumActions, whatever the weights' signs; and it is a snapshot:
+// changing Weights afterwards moves ActionProb, not the prober.
+func TestWeightedRandomProberMatchesActionProb(t *testing.T) {
+	var _ core.PreparedProber = (*WeightedRandom)(nil)
+	for name, weights := range map[string][]float64{
+		"positive": {3, 1, 0.7, 2.5, 1e-3, 10, 0.1},
+		"zeros":    {0, 2, 0, 0.3, 5, 0},
+		"negative": {-1, 4, 0.25, -3, 0, 6},
+		"all-zero": {0, 0, 0, 0},
+		"non-pos":  {-1, 0, -2},
+		"nan":      {1, math.NaN(), 2},
+		"empty":    {},
+	} {
+		w := &WeightedRandom{Weights: weights}
+		prober := core.ProberFor(w)
+		if _, direct := prober.(*WeightedRandom); direct {
+			t.Fatalf("%s: ProberFor returned the policy itself, not its prepared prober", name)
+		}
+		for n := 0; n <= len(weights)+2; n++ {
+			ctx := core.Context{NumActions: n}
+			dist := w.Distribution(&ctx)
+			for a := core.Action(-1); int(a) <= n; a++ {
+				want := w.ActionProb(&ctx, a)
+				if got := prober.ActionProb(&ctx, a); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %v, %d actions: prober(%d) = %v, ActionProb = %v", name, weights, n, a, got, want)
+				}
+				if a >= 0 && int(a) < n && math.Float64bits(dist[a]) != math.Float64bits(want) {
+					t.Fatalf("%s %v, %d actions: Distribution[%d] = %v, ActionProb = %v", name, weights, n, a, dist[a], want)
+				}
+			}
+		}
+	}
+
+	w := &WeightedRandom{Weights: []float64{3, 1}}
+	prober := core.ProberFor(w)
+	ctx := core.Context{NumActions: 2}
+	w.Weights[0] = 1
+	if got := prober.ActionProb(&ctx, 0); got != 0.75 {
+		t.Errorf("prober after Weights changed = %v, want the snapshot's 0.75", got)
+	}
+	if got := w.ActionProb(&ctx, 0); got != 0.5 {
+		t.Errorf("ActionProb after Weights changed = %v, want 0.5", got)
+	}
+}
+
 func TestBuildContext(t *testing.T) {
 	ctx := BuildContext([]int{3, 7}, 0, 1)
 	if ctx.NumActions != 2 {
