@@ -49,7 +49,10 @@ race:
 # RegistryFoldBatch/{1,64,720,wide32,policies={1,4,16,64}}, where one op is
 # one record and the policies rows (8 upstreams, 97-record batches) are the
 # fold's cost-per-candidate slope. IngestBin/{k3,wide32} records/s vs
-# IngestJSONL is the binary format's ≥5x claim; BinRecDecode/{k2,k8} pins 0
+# IngestJSONL is the binary format's ≥5x claim; IngestScaling/{nginx,bin}/
+# workers={1,2} is the two batch paths at 64 Ki records an op — 16 times
+# IngestNginx's and IngestBin's, whose ops are a sixth per-Run warm-up — and
+# what the second worker buys them; BinRecDecode/{k2,k8} pins 0
 # allocs/op at both context widths. ParseNginxLine/{compat,batch}/{k2,k8} is
 # one access-log line → one datapoint, on the one-off API and on the batch
 # path IngestNginx runs (0 allocs/op there). The read path is
@@ -58,7 +61,7 @@ race:
 # k2of32} (one rolloutd step against a live harvestd over loopback).
 # bench-all is the full sweep.
 bench:
-	$(GO) test -run NONE -bench 'AccumFold|AccumMerge|RegistryFold|RegistryEstimates|AggregatorEvidence|StepHTTP|SnapshotEncode|SnapshotDecode|RouterAssign|BinRecEncode|BinRecDecode|ParseNginxLine|IngestNginx|IngestJSONL|IngestBin|GateEval|StateTransition' \
+	$(GO) test -run NONE -bench 'AccumFold|AccumMerge|RegistryFold|RegistryEstimates|AggregatorEvidence|StepHTTP|SnapshotEncode|SnapshotDecode|RouterAssign|BinRecEncode|BinRecDecode|ParseNginxLine|IngestNginx|IngestJSONL|IngestBin|IngestScaling|GateEval|StateTransition' \
 		-benchmem ./internal/harvestd ./internal/fleet ./internal/harvester ./internal/harvester/binrec ./internal/rollout | $(GO) run ./cmd/benchjson -o BENCH_harvestd.json
 	@cat BENCH_harvestd.json
 

@@ -7,10 +7,11 @@ package harvestd
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -52,40 +53,72 @@ func writeBinFile(t *testing.T, path string, ds []core.Datapoint, segBytes int) 
 	}
 }
 
+// allocsPerRun is the average allocation count of one src.Run over wire,
+// the fold of its n records by d's workers included.
+func allocsPerRun(t *testing.T, d *Daemon, wire []byte, n int, src func(*bytes.Reader) Source) float64 {
+	t.Helper()
+	sink := d.sinkFor("alloc-test")
+	r := bytes.NewReader(wire)
+	s := src(r)
+	return testing.AllocsPerRun(10, func() {
+		r.Reset(wire)
+		target := d.ctr.folded.Load() + int64(n)
+		if err := s.Run(context.Background(), sink); err != nil {
+			t.Fatal(err)
+		}
+		if got := d.ctr.folded.Load(); got != target {
+			t.Fatalf("Run returned with %d of its %d records folded", n-int(target-got), n)
+		}
+	})
+}
+
 // TestBinSourceAllocations pins the source side of the binary path: one Run
-// allocates a fixed handful of objects — the free list with its batches and
-// release closures, the decoder, and per pooled batch one points array, one
-// float array and one row-header array, each sized from the first segment
-// header it meets — and nothing per segment after that, so a stream three
-// times as long costs the same. It was 97 per 4096-record Run, most of it
-// batches growing by doubling and a closure per segment.
+// allocates a fixed handful of objects — the free list with its segments and
+// release closures, the decoder with its read buffer, and one payload buffer
+// per pooled segment, sized by the first segment it meets — and nothing per
+// segment after that, so a stream three times as long costs the same. The
+// decoded batches are the workers', alive as long as they are, and no Run's
+// cost. It was 97 per 4096-record Run when batches grew by doubling and
+// every segment had its closure, and 23 when the source decoded into four
+// pooled batches of its own.
 func TestBinSourceAllocations(t *testing.T) {
 	d, _ := startSourceDaemon(t, &BinSource{R: strings.NewReader("")})
 	defer d.Shutdown(context.Background())
-	sink := d.sinkFor("alloc-test")
 	ds := benchDatapoints(3 * 1024)
 	perRun := func(ds []core.Datapoint) float64 {
-		wire := encodeBin(t, ds, 8*1024) // ≈ 90 records a segment
-		r := bytes.NewReader(wire)
-		src := &BinSource{R: r}
-		return testing.AllocsPerRun(10, func() {
-			r.Reset(wire)
-			target := d.ctr.folded.Load() + int64(len(ds))
-			if err := src.Run(context.Background(), sink); err != nil {
-				t.Fatal(err)
-			}
-			for d.ctr.folded.Load() < target {
-				runtime.Gosched()
-			}
-		})
+		// ≈ 90 records a segment
+		return allocsPerRun(t, d, encodeBin(t, ds, 8*1024), len(ds), func(r *bytes.Reader) Source { return &BinSource{R: r} })
 	}
 	short, long := perRun(ds[:1024]), perRun(ds)
 	if long > short {
 		t.Errorf("%v allocations for %d records, %v for %d: the extra segments allocate", short, 1024, long, len(ds))
 	}
 	t.Logf("allocations per Run: %v short, %v long", short, long)
-	if short > 28 {
-		t.Errorf("%v allocations per Run, want at most 28", short)
+	if short > 16 {
+		t.Errorf("%v allocations per Run, want at most 16", short)
+	}
+}
+
+// TestNginxSourceAllocations is the same pin on the text path: the free
+// list, the line reader with its buffer, and one chunk buffer per pooled
+// chunk; nothing per read or per line, in the reader or in the workers'
+// parse.
+func TestNginxSourceAllocations(t *testing.T) {
+	d, _ := startSourceDaemon(t, &NginxSource{R: strings.NewReader("")})
+	defer d.Shutdown(context.Background())
+	const lines = 3 * 4096 // some 25 reads of 64 KiB
+	logText := genNginxLog(lines, 87)
+	perRun := func(n int) float64 {
+		wire := []byte(strings.Join(strings.SplitAfter(logText, "\n")[:n], ""))
+		return allocsPerRun(t, d, wire, n, func(r *bytes.Reader) Source { return &NginxSource{R: r} })
+	}
+	short, long := perRun(lines/3), perRun(lines)
+	if long > short {
+		t.Errorf("%v allocations for %d lines, %v for %d: the extra reads allocate", short, lines/3, long, lines)
+	}
+	t.Logf("allocations per Run: %v short, %v long", short, long)
+	if short > 16 {
+		t.Errorf("%v allocations per Run, want at most 16", short)
 	}
 }
 
@@ -292,6 +325,38 @@ func TestBinSourceCorruption(t *testing.T) {
 	})
 	if err := d.SourceErrors()[0]; !strings.Contains(err.Error(), "binrec") {
 		t.Errorf("error %q should come from the binrec decoder", err)
+	}
+}
+
+// TestBinSourceUndecodableSegment: a segment that passes its CRC and does not
+// decode — an encoder's fault, which no reader-side check can see now that
+// the workers decode — still fails the source with the decoder's error, and
+// folds nothing of its own.
+func TestBinSourceUndecodableSegment(t *testing.T) {
+	ds := benchDatapoints(600)
+	good := encodeBin(t, ds, 2048) // some 25 segments
+	// One record claiming 127 bytes in a 2-byte payload, under a true CRC.
+	payload := []byte{0x7f, 0x00}
+	bad := binary.AppendUvarint(binary.AppendUvarint([]byte{'S'}, 1), uint64(len(payload)))
+	bad = append(binary.LittleEndian.AppendUint32(bad, crc32.ChecksumIEEE(payload)), payload...)
+	const hdr = 5 // "HRVB" and the version, which a second stream's segments go without
+	wire := append(append(append([]byte(nil), good...), bad...), good[hdr:]...)
+
+	d, reg := startSourceDaemon(t, &BinSource{R: bytes.NewReader(wire)})
+	waitFor(t, 10*time.Second, "decode failure", func() bool { return len(d.SourceErrors()) == 1 })
+	if err := d.SourceErrors()[0].Error(); !strings.Contains(err, "binrec: segment") || !strings.Contains(err, "record length 127") {
+		t.Errorf("error %q should be the binrec decoder's, naming the segment and the record length", err)
+	}
+	if err := d.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// Everything before the bad segment, and at most the freeListDepth-1
+	// segments (under 30 records each) that were in flight behind it.
+	if n := reg.TotalN(); n < 600 || n > 600+(freeListDepth-1)*30 {
+		t.Errorf("folded %d records, want the 600 before the bad segment and at most %d after", n, (freeListDepth-1)*30)
+	}
+	if l, f := d.ctr.lines.Load(), d.ctr.folded.Load(); l != f || d.ctr.parseErrors.Load() != 0 {
+		t.Errorf("lines %d, folded %d, parse errors %d: the bad segment must count for nothing", l, f, d.ctr.parseErrors.Load())
 	}
 }
 

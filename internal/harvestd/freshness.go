@@ -17,33 +17,42 @@ const FreshnessVersion = 1
 
 // SourceFreshness is one source's pipeline-watermark view: how much the
 // source has ingested, how much of that the fold workers have absorbed,
-// the max record sequence number seen on each side of the queue, and the
+// the max record sequence number seen on each side of the fold, and the
 // ingest→fold lag distribution. Sequence watermarks are -1 until the
 // source emits a record carrying a Seq.
 type SourceFreshness struct {
 	Source string `json:"source"`
-	// Ingested / Folded count datapoints that entered the queue and
-	// datapoints folded into estimators; Behind is the records sitting in
-	// the queue right now — Ingested minus Folded minus the records a worker
-	// rejected (sources that enqueue unvalidated records, i.e. binrec).
+	// Ingested / Folded count datapoints on their way to the fold and
+	// datapoints folded into estimators. A JSONL, cache-log or Ingest record
+	// is ingested when it is enqueued; a binrec segment or access-log read is
+	// enqueued raw, and its datapoints are ingested when a worker decodes
+	// them, a moment before it folds them. Behind is what is queued and not
+	// yet folded: Ingested minus Folded minus the records a worker rejected
+	// (binrec records are enqueued unvalidated), plus, for each raw batch not
+	// decoded yet, its segment header's record count or its physical lines —
+	// so a full queue shows here while Ingested stands still.
 	Ingested int64 `json:"ingested"`
 	Folded   int64 `json:"folded"`
 	Behind   int64 `json:"behind"`
 	// MaxSeqIngested / MaxSeqFolded are the high-water record sequence
-	// numbers on each side of the queue (-1 before any sequenced record); a
-	// record the worker rejects advances MaxSeqFolded like a folded one.
+	// numbers ingested and folded (-1 before any sequenced record); a record
+	// the worker rejects advances MaxSeqFolded like a folded one. For the
+	// raw formats MaxSeqIngested moves when a worker decodes the batch, not
+	// when the reader enqueues it.
 	MaxSeqIngested int64 `json:"max_seq_ingested"`
 	MaxSeqFolded   int64 `json:"max_seq_folded"`
 	// LastIngestUnixMilli / LastFoldUnixMilli are the injected clock's time
-	// of the most recent enqueue and fold (0 = never).
+	// of the most recent enqueue (booked with Ingested) and fold (0 = never).
 	LastIngestUnixMilli int64 `json:"last_ingest_unix_milli"`
 	LastFoldUnixMilli   int64 `json:"last_fold_unix_milli"`
 	// Lag* summarize the ingest→fold latency histogram: one sample per
-	// folded batch (every record in a batch shares its enqueue timestamp),
-	// a batch being one binrec segment, the lines of one access-log read,
-	// or one JSONL, cache-log or Ingest record. LagCount therefore counts
-	// batches, not records, and a quantile weighs a 400-line catch-up read
-	// like a one-line follow-mode read.
+	// folded batch, enqueue → folded (every record in a batch shares its
+	// enqueue timestamp), a batch being one binrec segment, the lines of one
+	// access-log read, or one JSONL, cache-log or Ingest record. For a
+	// segment or a read the sample contains the decode, which the folding
+	// worker does. LagCount therefore counts segments and reads, not records,
+	// and a quantile weighs a 400-line catch-up read like a one-line
+	// follow-mode read.
 	LagP50Seconds float64 `json:"lag_p50_seconds"`
 	LagP99Seconds float64 `json:"lag_p99_seconds"`
 	LagCount      uint64  `json:"lag_count"`
@@ -70,7 +79,7 @@ type FreshnessReport struct {
 	Sources             []SourceFreshness `json:"sources"`
 }
 
-const helpIngestFoldLag = "ingest-to-fold latency, one sample per folded batch (a binrec segment, the lines of one access-log read, or one pushed record)"
+const helpIngestFoldLag = "enqueue-to-folded latency, one sample per folded batch, not per record (a binrec segment or the lines of one access-log read, whose decode by the folding worker it includes, or one pushed record)"
 
 // sourceStats is the per-source watermark accumulator behind /freshness.
 // Writers are the enqueue paths (before the batch is handed to the queue,
@@ -78,6 +87,7 @@ const helpIngestFoldLag = "ingest-to-fold latency, one sample per folded batch (
 // fields are atomics, so neither path takes a lock.
 type sourceStats struct {
 	name           string
+	queued         atomic.Int64 // enqueued raw, not decoded yet: header records or physical lines
 	ingested       atomic.Int64
 	folded         atomic.Int64
 	rejected       atomic.Int64 // failed Validate in the worker: left the queue unfolded
@@ -196,7 +206,7 @@ func (d *Daemon) FreshnessNow() FreshnessReport {
 			LagCount:       snap.Count,
 			LagSumSeconds:  snap.Sum,
 		}
-		sf.Behind = sf.Ingested - sf.Folded - st.rejected.Load()
+		sf.Behind = st.queued.Load() + sf.Ingested - sf.Folded - st.rejected.Load()
 		if ns := st.lastIngestNano.Load(); ns != 0 {
 			sf.LastIngestUnixMilli = ns / int64(time.Millisecond)
 		}

@@ -15,23 +15,29 @@
 //
 // Data flow:
 //
-//	sources ──emit──▶ bounded queue ──▶ workers ──fold──▶ policy shards
-//	                                                          │merge
-//	HTTP /estimates /metrics ◀── read path ◀──────────────────┘
+//	sources ──emit──▶ bounded queue ──▶ workers ──decode, fold──▶ policy shards
+//	                                                                  │merge
+//	HTTP /estimates /metrics ◀── read path ◀──────────────────────────┘
 //	checkpoint (timer + shutdown) ◀── exportState
 //
-// The queue carries batches (a decoded binrec segment, the access-log lines
-// of one read, or one JSONL or cache-log record) and the fold keeps them
-// whole: a worker validates a batch and hands each run of valid records to
-// Registry.FoldBatch, the only fold loop. Per batch it pays one registry
-// RLock and one round of counter and watermark bumps; per (policy, batch)
-// one recover frame and one shard-lock acquisition, folding the records in
-// order into a copy of its own shard's accumulator and storing the copy
-// back — so the summation order is the record-by-record one. That unlocked
-// read-modify-write relies on worker i being the only writer of shard i;
-// readers take the shard lock and never wait on policy code. A reader can
-// therefore see policies up to one batch apart (per worker), and counters
-// up to one batch behind the registry.
+// The queue carries batches and the fold keeps them whole. The two bulk
+// formats travel raw — decode where you fold: a binrec source reads, frames
+// and CRC-checks one segment, an access-log source (or POST /ingest) takes
+// the complete lines of one read, and either queues those bytes as they
+// are; the worker that dequeues them parses them into its own scratch batch
+// (one harvester.NginxBatch and one binrec.Batch per worker, alive as long
+// as it is), so parsing runs on as many cores as folding and a source
+// goroutine only reads. JSONL, cache-log and Ingest records arrive decoded,
+// one per batch. Either way the worker then validates the batch and hands
+// each run of valid records to Registry.FoldBatch, the only fold loop. Per
+// batch it pays one registry RLock and one round of counter and watermark
+// bumps; per (policy, batch) one recover frame and one shard-lock
+// acquisition, folding the records in order into a copy of its own shard's
+// accumulator and storing the copy back — so the summation order is the
+// record-by-record one. That unlocked read-modify-write relies on worker i
+// being the only writer of shard i; readers take the shard lock and never
+// wait on policy code. A reader can therefore see policies up to one batch
+// apart (per worker), and counters up to one batch behind the registry.
 package harvestd
 
 import (
@@ -47,6 +53,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/harvester"
+	"repro/internal/harvester/binrec"
 	"repro/internal/obs"
 )
 
@@ -56,8 +64,8 @@ type Config struct {
 	// shards). Default: GOMAXPROCS.
 	Workers int
 	// QueueSize bounds the ingestion queue, measured in batches (the binary
-	// source emits whole decoded segments, the access-log source the lines
-	// of one read, the others one datapoint). Backpressure, default 4096.
+	// source emits whole segments, the access-log source the lines of one
+	// read, the others one datapoint). Backpressure, default 4096.
 	QueueSize int
 	// Clip caps importance weights for the clipped-IPS estimator. Default
 	// 10; <= 0 disables clipping.
@@ -115,27 +123,58 @@ type counters struct {
 	parseErrors atomic.Int64 // unparseable lines
 	rejected    atomic.Int64 // parsed but unusable (non-2xx, no propensity, ...)
 	harvested   atomic.Int64 // datapoints reconstructed from derived records (cache-eviction joins)
-	ingested    atomic.Int64 // datapoints enqueued
+	ingested    atomic.Int64 // datapoints on their way to the fold: enqueued decoded, or decoded by a worker
 	folded      atomic.Int64 // datapoints folded into estimators
 	checkpoints atomic.Int64 // successful checkpoint writes
 }
 
-// ingestBatch is the worker queue's unit: a slice of datapoints plus an
-// optional release hook. Batching is what lets the binary ingest path hand
-// a whole decoded segment to a worker in one channel operation instead of
-// one send per record — at millions of records/sec the per-send
-// synchronization would otherwise dominate. free (when non-nil) runs after
-// the batch is folded, returning pooled decode buffers to the producing
-// source; until then the source must not touch the slice. src, at and
+// ingestBatch is the worker queue's unit: a batch of datapoints, decoded
+// (pts) or still in wire form (raw), plus an optional release hook. Batching
+// is what lets the bulk ingest paths hand a whole segment or read to a
+// worker in one channel operation instead of one send per record — at
+// millions of records/sec the per-send synchronization would otherwise
+// dominate. free (when non-nil) is the worker's last act on the batch, after
+// the fold and every counter: it returns pooled buffers to the producing
+// source, which must not touch pts or the raw bytes until then. src, at and
 // maxSeq feed the /freshness watermarks: which source enqueued the batch,
 // when, and the batch's high-water Seq (valid or not — the fold watermark
-// passes a record the worker rejects just as it passes one it folds).
+// passes a record the worker rejects just as it passes one it folds). A raw
+// batch also carries home, where the worker leaves what the bytes held for
+// the reader to collect after free, and queued, what it counts for in
+// behind until a worker has counted it: the segment header's record count,
+// or the physical lines of the read.
 type ingestBatch struct {
 	pts    []core.Datapoint
+	raw    rawBatch
+	home   *tally
+	queued int64
 	free   func()
 	src    *sourceStats
 	at     time.Time
 	maxSeq int64
+}
+
+// rawBatch is a batch in wire form — the complete lines of one access-log
+// read or one CRC-checked binrec segment. decode parses it into the calling
+// worker's scratch and returns the points, valid until that worker's next
+// decode; what else it saw goes into t.
+type rawBatch interface {
+	decode(s *scratch, t *tally) []core.Datapoint
+}
+
+// scratch is one worker's decode space: a batch per raw format, reused for
+// every batch the worker dequeues.
+type scratch struct {
+	text harvester.NginxBatch
+	bin  binrec.Batch
+}
+
+// tally is what one raw batch turned out to hold, or a pass's sum of them.
+// err is a verdict that ends the pass: the first malformed line of a Strict
+// access log, or a segment that passed its CRC and failed to decode.
+type tally struct {
+	lines, ingested, rejected, parseErrors int64
+	err                                    error
 }
 
 // Daemon is one running harvestd instance.
@@ -301,8 +340,10 @@ func (d *Daemon) Addr() string {
 func (d *Daemon) URL() string { return "http://" + d.Addr() }
 
 // worker drains the queue, folding each batch into its own shard of every
-// registered policy: it validates the batch, hands each maximal run of
-// valid records to Registry.FoldBatch, and bumps the counters and the
+// registered policy: it decodes a raw batch into its own scratch and books
+// what a decoding source would have booked before the enqueue, with the
+// enqueue's timestamp; then it validates the batch, hands each maximal run
+// of valid records to Registry.FoldBatch, and bumps the counters and the
 // source's watermark once per batch (so they may trail the registry by one
 // batch). One span covers the worker's whole life (fold stage of the
 // pipeline); per-datapoint spans would dwarf the work traced.
@@ -314,52 +355,86 @@ func (d *Daemon) worker(id int) {
 		sp.SetAttr("folded", folded)
 		sp.End()
 	}()
+	var sc scratch
 	for bt := range d.queue {
+		pts, maxSeq := bt.pts, bt.maxSeq
+		if bt.raw != nil {
+			t := bt.home
+			pts = bt.raw.decode(&sc, t)
+			t.ingested, maxSeq = int64(len(pts)), maxBatchSeq(pts)
+			d.ctr.lines.Add(t.lines)
+			d.ctr.rejected.Add(t.rejected)
+			d.ctr.parseErrors.Add(t.parseErrors)
+			d.ctr.ingested.Add(t.ingested)
+			if bt.src != nil {
+				if len(pts) > 0 {
+					bt.src.noteIngested(len(pts), maxSeq, bt.at)
+				}
+				bt.src.queued.Add(-bt.queued)
+			}
+		}
 		nFolded, start := 0, 0 // start: first record of the current valid run
-		for i := range bt.pts {
-			if bt.pts[i].Validate() != nil {
-				d.reg.FoldBatch(id, bt.pts[start:i])
+		for i := range pts {
+			if pts[i].Validate() != nil {
+				d.reg.FoldBatch(id, pts[start:i])
 				nFolded += i - start
 				start = i + 1
 			}
 		}
-		d.reg.FoldBatch(id, bt.pts[start:])
-		nFolded += len(bt.pts) - start
-		nRejected := len(bt.pts) - nFolded
-		if bt.free != nil {
-			bt.free()
-		}
+		d.reg.FoldBatch(id, pts[start:])
+		nFolded += len(pts) - start
+		nRejected := len(pts) - nFolded
 		folded += int64(nFolded)
-		if bt.src != nil {
+		// A read that held no record (blank or rejected lines only) leaves no
+		// mark on the watermarks above or below, as when it was never enqueued.
+		if bt.src != nil && len(pts) > 0 {
 			now := d.cfg.Clock.Now()
-			bt.src.noteFolded(nFolded, nRejected, bt.maxSeq, now, now.Sub(bt.at).Seconds())
+			bt.src.noteFolded(nFolded, nRejected, maxSeq, now, now.Sub(bt.at).Seconds())
 		}
 		// The daemon counters move last: whoever sees them cover a batch
 		// also sees its registry state and its source watermarks.
 		d.ctr.folded.Add(int64(nFolded))
 		if nRejected > 0 {
 			d.ctr.rejected.Add(int64(nRejected))
+			if bt.home != nil {
+				bt.home.rejected += int64(nRejected)
+			}
+		}
+		// And the batch goes home after them: a reader that has collected a
+		// batch's tally also sees it folded and counted.
+		if bt.free != nil {
+			bt.free()
 		}
 	}
 }
 
-// enqueue is the single entry to the worker queue: it stamps the batch
-// with the source's stats and the injected clock, scans the high-water Seq
-// while the producer still owns the points, and blocks for backpressure.
-// On ctx cancellation the batch is released unsent.
-func (d *Daemon) enqueue(ctx context.Context, pts []core.Datapoint, free func(), src *sourceStats) error {
-	at := d.cfg.Clock.Now()
-	maxSeq := maxBatchSeq(pts)
+// enqueue is the single entry to the worker queue: it stamps the batch with
+// the injected clock, books it with its source — a decoded batch as
+// ingested, with the high-water Seq scanned while the producer still owns
+// the points; a raw one as queued, until a worker has counted it — and
+// blocks for backpressure. On ctx cancellation the batch is released unsent.
+func (d *Daemon) enqueue(ctx context.Context, bt ingestBatch) error {
+	bt.at = d.cfg.Clock.Now()
+	if bt.raw == nil {
+		bt.maxSeq = maxBatchSeq(bt.pts)
+	} else if bt.src != nil {
+		bt.src.queued.Add(bt.queued) // before the send: the worker takes it off
+	}
 	select {
-	case d.queue <- ingestBatch{pts: pts, free: free, src: src, at: at, maxSeq: maxSeq}:
-		d.ctr.ingested.Add(int64(len(pts)))
-		if src != nil {
-			src.noteIngested(len(pts), maxSeq, at)
+	case d.queue <- bt:
+		if bt.raw == nil {
+			d.ctr.ingested.Add(int64(len(bt.pts)))
+			if bt.src != nil {
+				bt.src.noteIngested(len(bt.pts), bt.maxSeq, bt.at)
+			}
 		}
 		return nil
 	case <-ctx.Done():
-		if free != nil {
-			free()
+		if bt.raw != nil && bt.src != nil {
+			bt.src.queued.Add(-bt.queued)
+		}
+		if bt.free != nil {
+			bt.free()
 		}
 		return ctx.Err()
 	}
@@ -374,21 +449,21 @@ const pushSourceName = "push"
 // and the /ingest endpoint's JSONL lines use this). It blocks for
 // backpressure and fails once shutdown has begun.
 func (d *Daemon) Ingest(dp core.Datapoint) error {
-	return d.pushBatch([]core.Datapoint{dp}, nil)
+	return d.push(ingestBatch{pts: []core.Datapoint{dp}})
 }
 
-// pushBatch is Ingest for a whole batch, with Sink.EmitBatch's ownership
-// rule: pts belongs to the daemon until free runs.
-func (d *Daemon) pushBatch(pts []core.Datapoint, free func()) error {
+// push is Ingest for a whole batch, decoded or raw, with Sink.EmitBatch's
+// ownership rule: the batch belongs to the daemon until its free runs.
+func (d *Daemon) push(bt ingestBatch) error {
 	d.stateMu.RLock()
 	defer d.stateMu.RUnlock()
 	if !d.running || d.draining {
-		if free != nil {
-			free()
+		if bt.free != nil {
+			bt.free()
 		}
 		return errRefused
 	}
-	if err := d.sinkFor(pushSourceName).EmitBatch(d.srcCtx, pts, free); err != nil {
+	if err := d.sinkFor(pushSourceName).send(d.srcCtx, bt); err != nil {
 		return fmt.Errorf("%w: shutting down", errRefused)
 	}
 	return nil

@@ -1,11 +1,13 @@
 package harvestd
 
 // End-to-end ingest benchmarks: one op pushes ingestBenchRecords records
-// from an in-memory source through parse/decode, the worker queue, and the
+// from an in-memory source through the worker queue, parse/decode and the
 // estimator fold, waiting until the last record lands. `make bench` emits
 // them into BENCH_harvestd.json: IngestBin and IngestNginx are the two batch
-// paths (pooled arenas, one queue send per segment or read), IngestJSONL the
-// per-record one, which IngestBin is expected to hold at least 5x over.
+// paths (pooled raw buffers, one queue send per segment or read, decoded by
+// the workers), IngestJSONL the per-record one, which IngestBin is expected
+// to hold at least 5x over. IngestScaling is the batch paths again at 16
+// times the records per op, with one worker and with two.
 
 import (
 	"bytes"
@@ -22,11 +24,11 @@ import (
 
 const ingestBenchRecords = 4096
 
-// benchDaemon builds a running 2-worker daemon with the standard candidate
-// set and no attached sources; the benchmark drives Source.Run directly.
-func benchDaemon(b *testing.B) *Daemon {
+// benchDaemon builds a running daemon with the standard candidate set and no
+// attached sources; the benchmark drives Source.Run directly.
+func benchDaemon(b *testing.B, workers int) *Daemon {
 	b.Helper()
-	reg, err := NewRegistry(2, 10)
+	reg, err := NewRegistry(workers, 10)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -41,10 +43,10 @@ func benchDaemon(b *testing.B) *Daemon {
 	return benchDaemonOn(b, reg)
 }
 
-// benchDaemonOn is benchDaemon over a caller-built 2-shard registry.
+// benchDaemonOn is benchDaemon over a caller-built registry, a worker a shard.
 func benchDaemonOn(b *testing.B, reg *Registry) *Daemon {
 	b.Helper()
-	d, err := New(Config{Workers: 2, Clip: 10}, reg)
+	d, err := New(Config{Workers: reg.NumShards(), Clip: 10}, reg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -55,9 +57,9 @@ func benchDaemonOn(b *testing.B, reg *Registry) *Daemon {
 	return d
 }
 
-// benchIngest runs the wire bytes through makeSrc once per op and blocks
-// until every record of the op has been folded.
-func benchIngest(b *testing.B, d *Daemon, wire []byte, makeSrc func(io.Reader) Source) {
+// benchIngest runs the wire bytes, records records, through makeSrc once per
+// op and blocks until every record of the op has been folded.
+func benchIngest(b *testing.B, d *Daemon, wire []byte, records int64, makeSrc func(io.Reader) Source) {
 	b.Helper()
 	ctx := context.Background()
 	sink := &Sink{d: d}
@@ -68,21 +70,21 @@ func benchIngest(b *testing.B, d *Daemon, wire []byte, makeSrc func(io.Reader) S
 		if err := src.Run(ctx, sink); err != nil {
 			b.Fatal(err)
 		}
-		target := int64(i+1) * ingestBenchRecords
+		target := int64(i+1) * records
 		for d.ctr.folded.Load() < target {
 			runtime.Gosched()
 		}
 	}
 	b.StopTimer()
-	if got := d.ctr.folded.Load(); got != int64(b.N)*ingestBenchRecords {
-		b.Fatalf("folded %d records, want %d", got, int64(b.N)*ingestBenchRecords)
+	if got := d.ctr.folded.Load(); got != int64(b.N)*records {
+		b.Fatalf("folded %d records, want %d", got, int64(b.N)*records)
 	}
-	b.ReportMetric(float64(ingestBenchRecords)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
 func BenchmarkIngestNginx(b *testing.B) {
 	wire := []byte(genNginxLog(ingestBenchRecords, 1))
-	benchIngest(b, benchDaemon(b), wire, func(r io.Reader) Source {
+	benchIngest(b, benchDaemon(b, 2), wire, ingestBenchRecords, func(r io.Reader) Source {
 		return &NginxSource{R: r}
 	})
 }
@@ -99,13 +101,13 @@ func BenchmarkIngestJSONL(b *testing.B) {
 	if err := w.Flush(); err != nil {
 		b.Fatal(err)
 	}
-	benchIngest(b, benchDaemon(b), buf.Bytes(), func(r io.Reader) Source {
+	benchIngest(b, benchDaemon(b, 2), buf.Bytes(), ingestBenchRecords, func(r io.Reader) Source {
 		return &JSONLSource{R: r}
 	})
 }
 
-// BenchmarkIngestBin is the binary path end to end — decode into pooled
-// batches sized from the segment header, whole segments per queue send, a
+// BenchmarkIngestBin is the binary path end to end — whole CRC-checked
+// segments per queue send, decoded by the workers into their own batches, a
 // handful of allocations per Run and none per segment or record — on the
 // narrow shape (k3: three candidates, 2-upstream contexts) and on the loop
 // benchmark's wide one (wide32: 32 candidates, 8 upstreams).
@@ -114,12 +116,35 @@ func BenchmarkIngestBin(b *testing.B) {
 	run := func(name string, daemon func(*testing.B) *Daemon, ds []core.Datapoint) {
 		wire := encodeBin(b, ds, 0)
 		b.Run(name, func(b *testing.B) {
-			benchIngest(b, daemon(b), wire, func(r io.Reader) Source {
+			benchIngest(b, daemon(b), wire, ingestBenchRecords, func(r io.Reader) Source {
 				return &BinSource{R: r}
 			})
 		})
 	}
-	run("k3", benchDaemon, benchDatapoints(ingestBenchRecords))
+	run("k3", func(b *testing.B) *Daemon { return benchDaemon(b, 2) }, benchDatapoints(ingestBenchRecords))
 	run("wide32", func(b *testing.B) *Daemon { return benchDaemonOn(b, newWideRegistry(b, 2)) },
 		wideDatapoints(ingestBenchRecords, 1))
+}
+
+// BenchmarkIngestScaling is the two batch paths at 64 Ki records an op, with
+// one worker and with two: what the second core buys. At IngestNginx's and
+// IngestBin's 4096 records a Run is over in a millisecond or four, and its
+// warm-up — the free list and its buffers, their first touch, the garbage of
+// the op before — is a sixth of the samples; here it is noise.
+func BenchmarkIngestScaling(b *testing.B) {
+	const records = 64 * 1024
+	for _, f := range []struct {
+		name string
+		wire []byte
+		src  func(io.Reader) Source
+	}{
+		{"nginx", []byte(genNginxLog(records, 1)), func(r io.Reader) Source { return &NginxSource{R: r} }},
+		{"bin", encodeBin(b, benchDatapoints(records), 0), func(r io.Reader) Source { return &BinSource{R: r} }},
+	} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", f.name, workers), func(b *testing.B) {
+				benchIngest(b, benchDaemon(b, workers), f.wire, records, f.src)
+			})
+		}
+	}
 }

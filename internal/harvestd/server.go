@@ -5,13 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/harvester"
-	"repro/internal/harvester/binrec"
 )
 
 // handler builds the daemon's stdlib-only HTTP API:
@@ -40,7 +38,8 @@ import (
 //	                 FreshnessReport) — for harvestagg and fleetwatch
 //	POST /ingest     push raw log data (?format=nginx|jsonl|bin), for smoke
 //	                 tests and push-based producers; bin takes the binrec
-//	                 binary stream and ingests whole decoded segments
+//	                 binary stream; the reply's counts are exact and, for
+//	                 nginx and bin, given once every record is folded
 //	POST /checkpoint force a checkpoint now
 func (d *Daemon) handler() http.Handler {
 	mux := http.NewServeMux()
@@ -130,9 +129,14 @@ func (d *Daemon) handleEvidence(w http.ResponseWriter, r *http.Request) {
 	ServeEvidence(w, r, d.cfg.Delta, d.Evidence)
 }
 
-// handleIngest accepts newline-delimited log data and pushes it through the
+// handleIngest accepts log data in the body and pushes it through the
 // regular ingestion pipeline. Malformed lines are counted, not fatal — a
-// live endpoint must not die because one producer hiccupped.
+// live endpoint must not die because one producer hiccupped. nginx and bin
+// bodies go through the sources' read loops, tolerant and untyped, feeding
+// the guarded push entry instead of a source's sink: the body is queued raw,
+// the workers parse it, and the reply is the sum of what they found in each
+// batch, given once the last batch is home — so a 200 also says folded, and
+// its counts are the ones /metrics moved by.
 func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -148,114 +152,49 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	sp := d.cfg.Tracer.Start("ingest/http", d.root, map[string]any{"format": format})
 	defer sp.End()
-	var lines, ingested, rejected int64
+	var total tally
 	defer func() {
-		sp.SetAttr("lines", lines)
-		sp.SetAttr("ingested", ingested)
+		sp.SetAttr("lines", total.lines)
+		sp.SetAttr("ingested", total.ingested)
 	}()
-	if format == "bin" {
-		d.handleIngestBin(w, r, &lines, &ingested, &rejected)
-		return
-	}
-	if format == "nginx" {
-		// NginxSource's read loop, tolerant and untyped, feeding the guarded
-		// push entry instead of a source's sink. 503 says the daemon refused
-		// a batch; whatever else ends the pass early is the body's fault.
-		var parseErrors int64
-		sink := d.sinkFor(pushSourceName)
-		err := ingestNginx(r.Context(), r.Body, 1, false, func(pts []core.Datapoint, free func(), read nginxTally) error {
-			sink.tally(read)
-			lines, rejected, parseErrors = lines+read.lines, rejected+read.rejected, parseErrors+read.parseErrors
-			n := int64(len(pts)) // pts is the daemon's once pushed
-			if err := d.pushBatch(pts, free); err != nil {
-				return err
+	var err error
+	switch ctx := r.Context(); format {
+	case "nginx":
+		total, err = readNginx(ctx, r.Body, 1, false, d.push)
+	case "bin":
+		total, err = readBin(ctx, r.Body, d.push)
+		if err != nil && err != ctx.Err() && !errors.Is(err, errRefused) {
+			d.ctr.parseErrors.Add(1) // machine-written: the body ends at its first fault, counted once
+		}
+	default:
+		lr := harvester.NewLineReader(r.Body)
+		for lr.Fill() {
+			for lr.Next() {
+				total.lines++
+				d.ctr.lines.Add(1)
+				if err := d.ingestJSONLLine(lr.Line()); err != nil {
+					total.rejected++
+					d.ctr.rejected.Add(1)
+					continue
+				}
+				total.ingested++
 			}
-			ingested += n
-			return nil
+		}
+		err = lr.Err()
+	}
+	// 503 says the daemon refused a batch; whatever else ends the pass early
+	// is the body's fault.
+	switch {
+	case err == nil:
+		writeJSON(w, map[string]int64{
+			"lines": total.lines, "ingested": total.ingested,
+			"rejected": total.rejected, "parse_errors": total.parseErrors,
 		})
-		switch {
-		case err == nil:
-			writeJSON(w, map[string]int64{
-				"lines": lines, "ingested": ingested,
-				"rejected": rejected, "parse_errors": parseErrors,
-			})
-		case errors.Is(err, errRefused):
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		default:
-			http.Error(w, err.Error(), http.StatusBadRequest)
-		}
-		return
-	}
-	lr := harvester.NewLineReader(r.Body)
-	for lr.Fill() {
-		for lr.Next() {
-			lines++
-			d.ctr.lines.Add(1)
-			if err := d.ingestJSONLLine(lr.Line()); err != nil {
-				rejected++
-				d.ctr.rejected.Add(1)
-				continue
-			}
-			ingested++
-		}
-	}
-	if err := lr.Err(); err != nil {
+	case errors.Is(err, errRefused):
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+	default:
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
 	}
-	writeJSON(w, map[string]int64{
-		"lines": lines, "ingested": ingested,
-		"rejected": rejected, "parse_errors": 0,
-	})
-}
-
-// handleIngestBin streams a binrec binary body through the batched ingest
-// path: whole decoded segments go to the worker queue in one channel send,
-// and the two decode arenas ping-pong through a free list so a sustained
-// push allocates nothing per record. Invalid points are tallied for the
-// response here but counted into harvestd_rejected_total by the fold
-// workers, which validate every queued point exactly once.
-func (d *Daemon) handleIngestBin(w http.ResponseWriter, r *http.Request, lines, ingested, rejected *int64) {
-	ctx := r.Context()
-	sink := d.sinkFor(pushSourceName)
-	free := newFreeList[binrec.Batch](2)
-	dec := binrec.NewDecoder(r.Body)
-	for {
-		var p *pooled[binrec.Batch]
-		select {
-		case p = <-free:
-		case <-ctx.Done():
-			http.Error(w, ctx.Err().Error(), http.StatusServiceUnavailable)
-			return
-		}
-		b := &p.batch
-		err := dec.Next(b)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			d.ctr.parseErrors.Add(1)
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		n := len(b.Points)
-		*lines += int64(n)
-		sink.Lines(n)
-		for i := range b.Points {
-			if b.Points[i].Validate() != nil {
-				*rejected++
-			}
-		}
-		if err := sink.EmitBatch(ctx, b.Points, p.release); err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		*ingested += int64(n)
-	}
-	writeJSON(w, map[string]int64{
-		"lines": *lines, "ingested": *ingested,
-		"rejected": *rejected, "parse_errors": 0,
-	})
 }
 
 // ingestJSONLLine parses one JSONL datapoint and offers it to the queue.

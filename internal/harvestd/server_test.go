@@ -1,12 +1,14 @@
 package harvestd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -182,6 +184,72 @@ func TestServerIngestNginxEdges(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("ingest into a stopped daemon = %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestServerIngestReplyCountsWhatWasFolded: a push body is queued raw and
+// parsed by the workers, and the reply still gives exact counts — the ones
+// the /metrics counters moved by, a record the worker's validation turned
+// away included — and is given only once every record of the body is folded.
+func TestServerIngestReplyCountsWhatWasFolded(t *testing.T) {
+	// Several reads' worth of access log with every kind of line, plus one
+	// that parses and cannot be folded (a propensity above 1).
+	lines := strings.SplitAfter(messyNginxLog(1500, 91), "\n")
+	lines[700] = strings.Replace(lines[700], "prop=0.500000", "prop=1.500000", 1)
+	// Many segments, some records invalid in each.
+	ds := benchDatapoints(2000)
+	invalid := 0
+	for i := range ds {
+		ds[i].Seq = int64(i + 1)
+		switch {
+		case i%7 == 3:
+			ds[i].Propensity, invalid = 0, invalid+1
+		case i%11 == 5:
+			ds[i].Action, invalid = 2, invalid+1
+		}
+	}
+	for format, body := range map[string][]byte{
+		"nginx": []byte(strings.Join(lines, "")),
+		"bin":   encodeBin(t, ds, 2048),
+	} {
+		d, srv := startTestDaemon(t, Config{})
+		resp, err := http.Post(srv.URL+"/ingest?format="+format, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got map[string]int64
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		// Read at once: the reply says folded, so nothing is waited for.
+		folded, totalN := d.ctr.folded.Load(), d.reg.TotalN()
+		counted := map[string]int64{
+			"lines": d.ctr.lines.Load(), "ingested": d.ctr.ingested.Load(),
+			"rejected": d.ctr.rejected.Load(), "parse_errors": d.ctr.parseErrors.Load(),
+		}
+		if !reflect.DeepEqual(got, counted) {
+			t.Errorf("%s: reply %v, counters moved by %v", format, got, counted)
+		}
+		if folded != totalN || folded == 0 {
+			t.Errorf("%s: folded counter %d, registry holds %d", format, folded, totalN)
+		}
+		if rep := d.FreshnessNow(); rep.Behind != 0 || rep.QueueDepth != 0 {
+			t.Errorf("%s: behind %d, queue depth %d when the reply arrived", format, rep.Behind, rep.QueueDepth)
+		}
+		switch format {
+		case "nginx":
+			// Every line is parsed and found unparseable, rejected by the
+			// parser, or ingested; the worker rejects one ingested record.
+			if got["parse_errors"] < 50 || got["lines"] != got["ingested"]+got["parse_errors"]+got["rejected"]-1 || folded != got["ingested"]-1 {
+				t.Errorf("nginx: reply %v with %d folded does not add up", got, folded)
+			}
+		case "bin":
+			want := map[string]int64{"lines": 2000, "ingested": 2000, "rejected": int64(invalid), "parse_errors": 0}
+			if !reflect.DeepEqual(got, want) || folded != int64(2000-invalid) {
+				t.Errorf("bin: reply %v with %d folded, want %v with %d", got, folded, want, 2000-invalid)
+			}
+		}
 	}
 }
 

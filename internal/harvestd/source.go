@@ -57,15 +57,14 @@ func (s *Sink) Harvested(n int) { s.d.ctr.harvested.Add(int64(n)) }
 // Emit offers one datapoint to the bounded worker queue, blocking for
 // backpressure; it fails only when ctx is cancelled first.
 func (s *Sink) Emit(ctx context.Context, d core.Datapoint) error {
-	return s.d.enqueue(ctx, []core.Datapoint{d}, nil, s.src)
+	return s.send(ctx, ingestBatch{pts: []core.Datapoint{d}})
 }
 
 // EmitBatch offers a whole slice of datapoints to the worker queue in one
-// channel operation — the hot path of the binary and access-log sources.
-// Ownership of pts transfers to the daemon until free runs (after the batch
-// is folded); sources recycling decode buffers pass a free that returns the
-// batch to their pool, and must not touch pts before it fires. free may be
-// nil.
+// channel operation. Ownership of pts transfers to the daemon until free
+// runs (after the batch is folded); sources recycling decode buffers pass a
+// free that returns the batch to their pool, and must not touch pts before
+// it fires. free may be nil.
 func (s *Sink) EmitBatch(ctx context.Context, pts []core.Datapoint, free func()) error {
 	if len(pts) == 0 {
 		if free != nil {
@@ -73,17 +72,34 @@ func (s *Sink) EmitBatch(ctx context.Context, pts []core.Datapoint, free func())
 		}
 		return nil
 	}
-	return s.d.enqueue(ctx, pts, free, s.src)
+	return s.send(ctx, ingestBatch{pts: pts, free: free})
+}
+
+// send enqueues a batch, decoded or raw, on behalf of the sink's source.
+func (s *Sink) send(ctx context.Context, bt ingestBatch) error {
+	bt.src = s.src
+	return s.d.enqueue(ctx, bt)
 }
 
 // tailReader turns a file into a follow-forever reader (tail -f): on EOF it
 // polls for appended data until ctx is cancelled, then reports io.EOF so
-// downstream scanners terminate cleanly.
+// downstream record scanners terminate cleanly and see a half-written record
+// as truncated — or, when torn is set, ctx.Err(): half a text line can read
+// as a whole one, and on an error the line reader drops its tail.
 type tailReader struct {
 	ctx   context.Context
 	r     io.Reader
 	poll  time.Duration
+	torn  bool
 	timer *time.Timer // reused across polls; a per-poll time.After leaks a timer allocation every interval
+}
+
+// follow is a tailReader over r polling every poll (default 50ms).
+func follow(ctx context.Context, r io.Reader, poll time.Duration, torn bool) io.Reader {
+	if poll <= 0 {
+		poll = 50 * time.Millisecond
+	}
+	return &tailReader{ctx: ctx, r: r, poll: poll, torn: torn}
 }
 
 func (t *tailReader) Read(p []byte) (int, error) {
@@ -104,6 +120,9 @@ func (t *tailReader) Read(p []byte) (int, error) {
 		case <-t.ctx.Done():
 			if !t.timer.Stop() {
 				<-t.timer.C
+			}
+			if t.torn {
+				return 0, t.ctx.Err()
 			}
 			return 0, io.EOF
 		case <-t.timer.C:
@@ -129,12 +148,14 @@ func openSource(path string, r io.Reader) (io.Reader, func() error, error) {
 // harvester.NginxToTypedDataset does in batch: context from the logged
 // per-upstream connection counts, action = the upstream, reward = request
 // time, propensity from the log. The log is what a live system already
-// writes, so this is the deployed input and a fast path: see ingestNginx.
+// writes, so this is the deployed input and a fast path: see readNginx.
 type NginxSource struct {
 	// Path is the log file; R overrides it with an in-process reader.
 	Path string
 	R    io.Reader
-	// Follow keeps reading as the file grows (tail -f) until shutdown.
+	// Follow keeps reading as the file grows (tail -f) until shutdown; what
+	// the file then ends in short of a newline may be half a line and is left
+	// for the next start.
 	Follow bool
 	// NumTypes > 1 harvests typed routing contexts (netlb's type= field).
 	NumTypes int
@@ -162,83 +183,91 @@ func (s *NginxSource) Run(ctx context.Context, sink *Sink) error {
 	}
 	defer func() { _ = closer() }() // read-only source; close error unactionable
 	if s.Follow {
-		poll := s.Poll
-		if poll <= 0 {
-			poll = 50 * time.Millisecond
-		}
-		r = &tailReader{ctx: ctx, r: r, poll: poll}
+		r = follow(ctx, r, s.Poll, true)
 	}
-	err = ingestNginx(ctx, r, s.NumTypes, s.Strict, func(pts []core.Datapoint, free func(), read nginxTally) error {
-		sink.tally(read)
-		return sink.EmitBatch(ctx, pts, free)
-	})
+	_, err = readNginx(ctx, r, s.NumTypes, s.Strict, func(bt ingestBatch) error { return sink.send(ctx, bt) })
 	if err == nil || err == ctx.Err() {
-		return nil // a cancelled emit is shutdown, not a source failure
+		return nil // a cancelled read, emit or wait is shutdown, not a source failure
 	}
 	return fmt.Errorf("harvestd: %s: %w", s.Name(), err)
 }
 
-// nginxTally is what ingestNginx saw in one read.
-type nginxTally struct{ lines, rejected, parseErrors int64 }
-
-// tally adds one access-log read to the stream's vital signs.
-func (s *Sink) tally(t nginxTally) {
-	s.d.ctr.lines.Add(t.lines)
-	s.d.ctr.rejected.Add(t.rejected)
-	s.d.ctr.parseErrors.Add(t.parseErrors)
+// textChunk is an access-log read in wire form: its complete lines, and
+// what a worker needs to parse them as the reader would have.
+type textChunk struct {
+	text     []byte // see pooled for who may touch it when
+	after    int    // physical line number the chunk starts after
+	numTypes int
+	strict   bool
+	ctx      context.Context // the pass's: Strict stands down once it is done
 }
 
-// ingestNginx is the access-log read loop, shared by NginxSource.Run and
-// POST /ingest. One read is one batch: every complete line of a read is
-// parsed into a pooled harvester.NginxBatch, which goes to emit whole, with
-// the read's tally, and comes back through the free list once folded — so a
-// catch-up read of 64 KiB is some 400 lines per queue send, a follow-mode
-// read is the few lines the poll found, and no line waits for a later read.
-// Datapoints are numbered by physical line (blank lines count): access-log
-// lines carry no sequence number of their own, and this one feeds the
-// /freshness watermarks.
-//
-// A line that fails to parse is counted and skipped, unless strict, where
-// it ends the pass with its line number once the lines before it in the
-// same read have been emitted — except when ctx is already done: a shutdown
-// racing a live append can tear the final line, and that is clean
-// termination, not corrupt input. An error from emit is returned as is.
-func ingestNginx(ctx context.Context, r io.Reader, numTypes int, strict bool,
-	emit func(pts []core.Datapoint, free func(), read nginxTally) error) error {
-	free := newFreeList[harvester.NginxBatch](freeListDepth)
-	lr := harvester.NewLineReader(r)
-	for lr.Fill() {
-		var p *pooled[harvester.NginxBatch]
-		select {
-		case p = <-free:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		b := &p.batch
-		b.Reset()
-		var read nginxTally
-		var bad error
-		for bad == nil && lr.Next() {
-			read.lines++
-			ok, err := b.Append(lr.Line(), numTypes, int64(lr.LineNo()))
-			switch {
-			case ok:
-			case err == nil:
-				read.rejected++
-			case strict && ctx.Err() == nil:
-				bad = fmt.Errorf("line %d: %w", lr.LineNo(), err)
-			default:
-				read.parseErrors++
-			}
-		}
-		if err := emit(b.Points, p.release, read); err != nil {
-			return err
-		}
-		if bad != nil {
-			return bad
+// decode implements rawBatch. Datapoints are numbered by physical line
+// (blank lines count): access-log lines carry no sequence number of their
+// own, and this one feeds the /freshness watermarks. A line that fails to
+// parse is counted and skipped, unless strict, where it ends the chunk as
+// its verdict, with its line number — except when ctx is already done: a
+// shutdown racing a live append can tear a line, and that is clean
+// termination, not corrupt input.
+func (c *textChunk) decode(s *scratch, t *tally) []core.Datapoint {
+	b := &s.text
+	b.Reset()
+	lines := harvester.LinesOf(c.text, c.after)
+	for t.err == nil && lines.Next() {
+		t.lines++
+		ok, err := b.Append(lines.Line(), c.numTypes, int64(lines.LineNo()))
+		switch {
+		case ok:
+		case err == nil:
+			t.rejected++
+		case c.strict && c.ctx.Err() == nil:
+			t.err = fmt.Errorf("line %d: %w", lines.LineNo(), err)
+		default:
+			t.parseErrors++
 		}
 	}
-	return lr.Err()
+	return b.Points
+}
+
+// readNginx is the access-log read loop, shared by NginxSource.Run and
+// POST /ingest, and all it does is read. One read is one batch: the
+// complete lines of a read are copied into a pooled chunk and sent raw, so
+// a catch-up read of 64 KiB is some 400 lines per queue send, a follow-mode
+// read is the few lines the poll found, and no line waits for a later read.
+// The worker that takes the chunk parses and folds it and sends it home
+// through the free list with its tally; the tallies' sum is returned, and
+// with a nil error it is complete and every line of it folded.
+//
+// A strict pass keeps one chunk in flight, not freeListDepth: the reader has
+// the verdict on a chunk before it sends the next, so the lines before a
+// malformed one are folded, nothing after it is, and the error names it. An
+// error from send is returned as is; a failed read outranks whatever ended
+// the wait for the chunks still out.
+func readNginx(ctx context.Context, r io.Reader, numTypes int, strict bool, send func(ingestBatch) error) (tally, error) {
+	depth := freeListDepth
+	if strict {
+		depth = 1
+	}
+	free := newFreeList[textChunk](depth)
+	var total tally
+	lr := harvester.NewLineReader(r)
+	for lr.Fill() {
+		p, err := reclaim(ctx, free, &total)
+		if err != nil {
+			return total, err
+		}
+		c := &p.batch
+		c.after, c.numTypes, c.strict, c.ctx = lr.LineNo(), numTypes, strict, ctx
+		c.text = append(c.text[:0], lr.Take()...)
+		if err := send(ingestBatch{raw: c, home: &p.tally, queued: int64(lr.LineNo() - c.after), free: p.release}); err != nil {
+			return total, err
+		}
+	}
+	err := reclaimAll(ctx, free, &total)
+	if rerr := lr.Err(); rerr != nil {
+		err = rerr
+	}
+	return total, err
 }
 
 // JSONLSource streams a core JSONL exploration dataset. Datasets are
@@ -275,11 +304,7 @@ func (s *JSONLSource) Run(ctx context.Context, sink *Sink) error {
 	}
 	defer func() { _ = closer() }() // read-only source; close error unactionable
 	if s.Follow {
-		poll := s.Poll
-		if poll <= 0 {
-			poll = 50 * time.Millisecond
-		}
-		r = &tailReader{ctx: ctx, r: r, poll: poll}
+		r = follow(ctx, r, s.Poll, false)
 	}
 	err = core.ReadJSONLFunc(r, func(d core.Datapoint) error {
 		sink.Line()
@@ -384,14 +409,18 @@ func (s *CacheLogSource) Run(ctx context.Context, sink *Sink) error {
 }
 
 // BinSource streams a binrec binary harvest-record file — the bulk-transport
-// ingest path. Decoded segments are handed to the daemon whole via
-// Sink.EmitBatch, and decode buffers cycle through a small free list so the
-// steady state allocates nothing per record: the decoder arena that a batch
-// was decoded into is returned by the worker's free callback once folded.
+// ingest path. The source goroutine frames, reads and CRC-checks segments
+// (readBin) and queues them raw; segment buffers cycle through a small free
+// list and each worker decodes into its own batch, so the steady state
+// allocates nothing per record.
 //
-// Binary files are machine-written, so corruption aborts the source — except
-// a torn trailing segment racing shutdown in follow mode, which is counted
-// as a parse error, mirroring JSONLSource's truncated-tail handling.
+// Binary files are machine-written, so corruption aborts the source, and in
+// order: a segment that fails its framing or CRC is never queued, nor
+// anything after it — except a torn trailing segment racing shutdown in
+// follow mode, which is counted as a parse error, mirroring JSONLSource's
+// truncated-tail handling. A segment that passes its CRC and fails to decode
+// (an encoder bug, not corruption) fails the source when its verdict comes
+// home; up to freeListDepth-1 later segments may be folded by then.
 type BinSource struct {
 	Path string
 	R    io.Reader
@@ -410,15 +439,20 @@ func (s *BinSource) Name() string {
 }
 
 // freeListDepth bounds the in-flight batches of one binary or access-log
-// source: deep enough to keep decode or parse ahead of fold, small enough
-// that a stalled worker pins only a few arenas.
+// pass: deep enough to keep every worker decoding while the reader reads,
+// small enough that a stalled worker pins only a few buffers.
 const freeListDepth = 4
 
-// pooled is one recycled decode or parse batch of a source, with the
-// release callback that EmitBatch hands to the worker: made once per batch,
-// not once per emit.
+// pooled is one recycled raw batch of a pass — a textChunk or a binSegment —
+// with the tally its last trip brought home and the release callback that
+// goes onto the queue with it: made once per batch, not once per send.
+// Ownership: from send until release the batch is the daemon's and its bytes
+// do not change — the worker parses them in place (NginxBatch.Append views a
+// line through unsafe.String), writes only the tally, and releases last.
+// From release to the next send it is the reader's, tally and bytes.
 type pooled[B any] struct {
 	batch   B
+	tally   tally
 	release func()
 }
 
@@ -436,6 +470,34 @@ func newFreeList[B any](depth int) chan *pooled[B] {
 	return free
 }
 
+// reclaim waits for a batch to come home, moves its tally into total, and
+// returns it for refilling — or the verdict on it, which ends the pass.
+func reclaim[B any](ctx context.Context, free chan *pooled[B], total *tally) (*pooled[B], error) {
+	select {
+	case p := <-free:
+		t := p.tally
+		p.tally = tally{}
+		total.lines += t.lines
+		total.ingested += t.ingested
+		total.rejected += t.rejected
+		total.parseErrors += t.parseErrors
+		return p, t.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// reclaimAll ends a pass: the reader, holding no batch, waits for all of
+// them, so that total is complete and everything sent is folded.
+func reclaimAll[B any](ctx context.Context, free chan *pooled[B], total *tally) error {
+	for i := 0; i < cap(free); i++ {
+		if _, err := reclaim(ctx, free, total); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Run implements Source.
 func (s *BinSource) Run(ctx context.Context, sink *Sink) error {
 	r, closer, err := openSource(s.Path, s.R)
@@ -444,37 +506,56 @@ func (s *BinSource) Run(ctx context.Context, sink *Sink) error {
 	}
 	defer func() { _ = closer() }() // read-only source; close error unactionable
 	if s.Follow {
-		poll := s.Poll
-		if poll <= 0 {
-			poll = 50 * time.Millisecond
-		}
-		r = &tailReader{ctx: ctx, r: r, poll: poll}
+		r = follow(ctx, r, s.Poll, false)
 	}
-	free := newFreeList[binrec.Batch](freeListDepth)
+	_, err = readBin(ctx, r, func(bt ingestBatch) error { return sink.send(ctx, bt) })
+	switch {
+	case err == nil || err == ctx.Err():
+		return nil // a cancelled emit or wait is shutdown, not a source failure
+	case ctx.Err() != nil && errors.Is(err, io.ErrUnexpectedEOF):
+		// Shutdown mid-segment: a torn tail is expected, not corruption.
+		sink.ParseError()
+		return nil
+	default:
+		return fmt.Errorf("harvestd: %s: %w", s.Name(), err)
+	}
+}
+
+// binSegment is a binrec segment in wire form: read, framed and CRC-checked.
+type binSegment binrec.Segment
+
+// decode implements rawBatch: a record is a line, and a segment that fails
+// to decode yields none, its error being the verdict.
+func (c *binSegment) decode(s *scratch, t *tally) []core.Datapoint {
+	if t.err = s.bin.Decode((*binrec.Segment)(c)); t.err != nil {
+		return nil
+	}
+	t.lines = int64(len(s.bin.Points))
+	return s.bin.Points
+}
+
+// readBin is the binrec read loop, shared by BinSource.Run and POST
+// /ingest?format=bin: readNginx's protocol with a segment for a read. The
+// CRC stays here, with the one goroutine that sees the stream in order.
+func readBin(ctx context.Context, r io.Reader, send func(ingestBatch) error) (tally, error) {
+	free := newFreeList[binSegment](freeListDepth)
+	var total tally
 	dec := binrec.NewDecoder(r)
 	for {
-		var p *pooled[binrec.Batch]
-		select {
-		case p = <-free:
-		case <-ctx.Done():
-			return nil
-		}
-		b := &p.batch
-		err := dec.Next(b)
-		if err == io.EOF {
-			return nil
-		}
+		p, err := reclaim(ctx, free, &total)
 		if err != nil {
-			if ctx.Err() != nil && errors.Is(err, io.ErrUnexpectedEOF) {
-				// Shutdown mid-segment: a torn tail is expected, not corruption.
-				sink.ParseError()
-				return nil
-			}
-			return fmt.Errorf("harvestd: %s: %w", s.Name(), err)
+			return total, err
 		}
-		sink.Lines(len(b.Points))
-		if err := sink.EmitBatch(ctx, b.Points, p.release); err != nil {
-			return nil // shutdown, not a source failure
+		seg := (*binrec.Segment)(&p.batch)
+		if err := dec.ReadSegment(seg); err != nil {
+			if err != io.EOF {
+				return total, err
+			}
+			p.release()
+			return total, reclaimAll(ctx, free, &total)
+		}
+		if err := send(ingestBatch{raw: &p.batch, home: &p.tally, queued: int64(seg.Records), free: p.release}); err != nil {
+			return total, err
 		}
 	}
 }

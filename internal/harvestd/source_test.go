@@ -3,11 +3,13 @@ package harvestd
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/cachesim"
 	"repro/internal/core"
 	"repro/internal/harvester"
+	"repro/internal/obs"
 )
 
 // startSourceDaemon wires one source into a 2-worker daemon and starts it.
@@ -190,9 +193,14 @@ func clonePoints(pts []core.Datapoint) []core.Datapoint {
 // CRLF endings, padding, lines that parse but carry nothing, lines that do
 // not parse, a self-contradicting line, request types 0–2, and no final
 // newline.
-func messyNginxLog(n int, seed int64) string {
+func messyNginxLog(n int, seed int64) string { return messUp(genNginxLog(n, seed)) }
+
+// messUp is messyNginxLog over a given clean log.
+func messUp(clean string) string {
 	var b strings.Builder
-	for i, line := range strings.Split(strings.TrimSpace(genNginxLog(n, seed)), "\n") {
+	lines := strings.Split(strings.TrimSpace(clean), "\n")
+	n := len(lines)
+	for i, line := range lines {
 		line += fmt.Sprintf(" type=%d", i%3)
 		switch i % 17 {
 		case 3:
@@ -214,15 +222,53 @@ func messyNginxLog(n int, seed int64) string {
 	return b.String()
 }
 
+// dyadicRewards rewrites every request time of an access log to a multiple
+// of 1/64: with the logs' propensity of 0.5 every accumulator sum is then
+// exact, so estimates do not depend on fold order or sharding and can be
+// compared byte for byte across worker counts.
+func dyadicRewards(logText string) string {
+	k := 0
+	return regexp.MustCompile(`rt=[0-9.]+`).ReplaceAllStringFunc(logText, func(string) string {
+		k++
+		return fmt.Sprintf("rt=%.6f", float64(1+k%63)/64)
+	})
+}
+
+// asJSON renders v as the HTTP API would.
+func asJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.MarshalIndent(v, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 // TestNginxSourceMatchesPerLineReference: however the input is cut into
-// reads — a byte at a time, seven, about a line, or all at once — the batch
-// read loop yields the datapoints, Seqs and counters of the per-line loop it
-// replaced (Scanner, TrimSpace, ParseNginxLine, EntryToTypedDatapoint).
+// reads — a byte at a time, seven, about a line, or all at once — and
+// however many workers parse the chunks, the read loop yields the
+// datapoints, Seqs and counters of the per-line loop it replaced (Scanner,
+// TrimSpace, ParseNginxLine, EntryToTypedDatapoint), and leaves /estimates
+// and /freshness byte-identical to a daemon handed the same reads as decoded
+// batches, which is how a read travelled before the parse moved to the
+// workers.
 func TestNginxSourceMatchesPerLineReference(t *testing.T) {
-	logText := messyNginxLog(700, 81)
+	logText := messUp(dyadicRewards(genNginxLog(700, 81)))
+	ctx := context.Background()
+	start := func(workers int) *Daemon {
+		t.Helper()
+		d, err := New(Config{Workers: workers, Clock: &obs.FixedClock{T: time.Unix(9000, 0)}}, newTestRegistry(t, workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Start(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
 	for _, numTypes := range []int{1, 2} {
 		var want []core.Datapoint
-		var wantTally nginxTally
+		var wantTally tally
 		sc := bufio.NewScanner(strings.NewReader(logText))
 		for lineNo := 1; sc.Scan(); lineNo++ {
 			line := strings.TrimSpace(sc.Text())
@@ -247,92 +293,127 @@ func TestNginxSourceMatchesPerLineReference(t *testing.T) {
 			d.Seq = int64(lineNo)
 			want = append(want, d)
 		}
+		wantTally.ingested = int64(len(want))
 		if numTypes == 1 && (wantTally.parseErrors < 50 || wantTally.rejected < 30 || len(want) < 500) {
 			t.Fatalf("the input is not doing its job: %+v", wantTally)
 		}
 
 		for _, readSize := range []int{1, 7, 150, 64 * 1024} {
-			d, err := New(Config{Workers: 1}, newTestRegistry(t, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []core.Datapoint
-			batches := 0
-			err = ingestNginx(context.Background(), sizedReader{strings.NewReader(logText), readSize}, numTypes, false,
-				func(pts []core.Datapoint, free func(), read nginxTally) error {
-					if len(pts) > 0 {
-						batches++
+			for _, workers := range []int{1, 2, 4} {
+				name := fmt.Sprintf("types %d, %d-byte reads, %d workers", numTypes, readSize, workers)
+				d := start(workers)
+				sink := d.sinkFor("t")
+				// On its way to the queue every chunk is also decoded here, as
+				// a worker will decode it: the bytes a worker gets hold these
+				// points, and the counters and estimates below say the workers
+				// found them.
+				var reads [][]core.Datapoint
+				var mine scratch
+				got, err := readNginx(ctx, sizedReader{strings.NewReader(logText), readSize}, numTypes, false, func(bt ingestBatch) error {
+					var t tally
+					if pts := bt.raw.decode(&mine, &t); len(pts) > 0 {
+						reads = append(reads, clonePoints(pts))
 					}
-					got = append(got, clonePoints(pts)...)
-					d.sinkFor("t").tally(read)
-					free()
-					return nil
+					return sink.send(ctx, bt)
 				})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if l, p, r := d.ctr.lines.Load(), d.ctr.parseErrors.Load(), d.ctr.rejected.Load(); l != wantTally.lines || p != wantTally.parseErrors || r != wantTally.rejected {
-				t.Errorf("types %d, %d-byte reads: counters lines/parse_errors/rejected = %d/%d/%d, want %+v", numTypes, readSize, l, p, r, wantTally)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("types %d, %d-byte reads: %d datapoints differ from the reference's %d", numTypes, readSize, len(got), len(want))
-			}
-			// One read, one batch: small reads cannot batch more than the
-			// lines they complete, one big read takes the whole log.
-			if readSize == 64*1024 && batches > len(logText)/readSize+2 {
-				t.Errorf("64 KiB reads: %d batches for %d bytes", batches, len(logText))
-			}
-			if readSize <= 7 && batches != len(want) {
-				t.Errorf("%d-byte reads: %d batches for %d harvested lines, want one each", readSize, batches, len(want))
+				// No waiting: a nil return says every chunk is home, folded and counted.
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != wantTally {
+					t.Errorf("%s: tally %+v, want %+v", name, got, wantTally)
+				}
+				if c := (tally{lines: d.ctr.lines.Load(), ingested: d.ctr.ingested.Load(), rejected: d.ctr.rejected.Load(), parseErrors: d.ctr.parseErrors.Load()}); c != wantTally || d.ctr.folded.Load() != wantTally.ingested {
+					t.Errorf("%s: counters %+v, folded %d, want %+v all folded", name, c, d.ctr.folded.Load(), wantTally)
+				}
+				var flat []core.Datapoint
+				for _, pts := range reads {
+					flat = append(flat, pts...)
+				}
+				if !reflect.DeepEqual(flat, want) {
+					t.Errorf("%s: %d datapoints differ from the reference's %d", name, len(flat), len(want))
+				}
+				// One read, one batch: small reads cannot batch more than the
+				// lines they complete, one big read takes the whole log.
+				if readSize == 64*1024 && len(reads) > len(logText)/readSize+2 {
+					t.Errorf("%s: %d batches for %d bytes", name, len(reads), len(logText))
+				}
+				if readSize <= 7 && len(reads) != len(want) {
+					t.Errorf("%s: %d batches for %d harvested lines, want one each", name, len(reads), len(want))
+				}
+
+				ref := start(1)
+				for _, pts := range reads {
+					if err := ref.sinkFor("t").EmitBatch(ctx, pts, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				waitFor(t, 10*time.Second, "reference folds", func() bool { return ref.ctr.folded.Load() == wantTally.ingested })
+				if got, want := asJSON(t, d.Estimates()), asJSON(t, ref.Estimates()); got != want {
+					t.Errorf("%s: /estimates differ from the decoded-batch daemon's:\n got  %s\n want %s", name, got, want)
+				}
+				if got, want := asJSON(t, d.FreshnessNow()), asJSON(t, ref.FreshnessNow()); got != want {
+					t.Errorf("%s: /freshness differs from the decoded-batch daemon's:\n got  %s\n want %s", name, got, want)
+				}
+				for _, d := range []*Daemon{d, ref} {
+					if err := d.Shutdown(ctx); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestNginxSourceBatchOwnership: a batch's points stay untouched from emit
-// until its free runs, however far the source runs ahead — it must wait for
-// a batch to come back rather than parse into one still out. The consumer
-// here holds every batch until the source has no more to hand out.
+// TestNginxSourceBatchOwnership: a chunk's bytes stay untouched from send
+// until its release runs, however far the reader runs ahead — it must wait
+// for a chunk to come home rather than read into one still out. The consumer
+// here holds freeListDepth chunks at a time, all the reader has, and parses
+// them only then.
 func TestNginxSourceBatchOwnership(t *testing.T) {
 	logText := genNginxLog(3000, 83)
+	input := func() io.Reader { return sizedReader{strings.NewReader(logText), 2000} }
+	chunks := 0 // the reader waits for the last ones to come home, so the consumer must know them
+	for lr := harvester.NewLineReader(input()); lr.Fill(); lr.Take() {
+		chunks++
+	}
+	if chunks < 10*freeListDepth {
+		t.Fatalf("%d chunks: too few to recycle the free list", chunks)
+	}
 	type held struct {
-		pts, was []core.Datapoint
-		free     func()
+		bt  ingestBatch
+		was string
 	}
 	out := make(chan held)
 	total := make(chan int)
 	go func() {
 		n := 0
 		var pending []held
-		release := func() {
+		var sc scratch
+		for seen := 1; seen <= chunks; seen++ {
+			if pending = append(pending, <-out); len(pending) < freeListDepth && seen < chunks {
+				continue
+			}
 			for _, h := range pending {
-				if !reflect.DeepEqual(h.pts, h.was) {
-					t.Errorf("a batch of %d points changed between emit and free", len(h.was))
+				if string(h.bt.raw.(*textChunk).text) != h.was {
+					t.Errorf("a chunk of %d bytes changed between send and release", len(h.was))
 				}
-				n += len(h.pts)
-				h.free()
+				n += len(h.bt.raw.decode(&sc, h.bt.home))
+				h.bt.free()
 			}
 			pending = pending[:0]
 		}
-		for h := range out {
-			if pending = append(pending, h); len(pending) == freeListDepth {
-				release()
-			}
-		}
-		release()
 		total <- n
 	}()
-	err := ingestNginx(context.Background(), sizedReader{strings.NewReader(logText), 2000}, 1, false,
-		func(pts []core.Datapoint, free func(), _ nginxTally) error {
-			out <- held{pts, clonePoints(pts), free}
-			return nil
-		})
-	close(out)
+	got, err := readNginx(context.Background(), input(), 1, false, func(bt ingestBatch) error {
+		out <- held{bt, string(bt.raw.(*textChunk).text)}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := <-total; n != 3000 {
-		t.Errorf("consumer saw %d points, want 3000", n)
+	if n := <-total; n != 3000 || got.lines != 3000 {
+		t.Errorf("consumer saw %d points, the reader collected %d lines; want 3000", n, got.lines)
 	}
 }
 
@@ -432,5 +513,66 @@ func TestNginxSourceFollowWaitsForNewline(t *testing.T) {
 	}
 	if errs := d.SourceErrors(); len(errs) != 0 {
 		t.Fatalf("source errors: %v", errs)
+	}
+}
+
+// TestNginxSourceFollowDropsTornTailAtShutdown: what a followed log ends in
+// at shutdown, short of a newline, is a line its writer has not finished. Cut
+// inside its last field it still parses — prop=0.500000 as prop=0.5 here,
+// and as easily prop=0.125000 as prop=0.1 — so it must not be read as the
+// last line of the input, only left for the next start to read whole.
+func TestNginxSourceFollowDropsTornTailAtShutdown(t *testing.T) {
+	lines := strings.SplitAfter(genNginxLog(2, 77), "\n")
+	torn := strings.TrimSuffix(lines[1], "00000\n")
+	if !strings.HasSuffix(torn, "prop=0.5") {
+		t.Fatalf("fixture: torn line ends %q", torn[len(torn)-12:])
+	}
+	path := filepath.Join(t.TempDir(), "access.log")
+	if err := os.WriteFile(path, []byte(lines[0]+torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, reg := startSourceDaemon(t, &NginxSource{Path: path, Follow: true, Poll: time.Millisecond})
+	waitFor(t, 10*time.Second, "first line", func() bool { return reg.TotalN() == 1 })
+	if err := d.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.TotalN(); n != 1 {
+		t.Errorf("folded %d records, want 1: the torn tail was read as a line", n)
+	}
+	if l, p := d.ctr.lines.Load(), d.ctr.parseErrors.Load(); l != 1 || p != 0 {
+		t.Errorf("lines/parse_errors = %d/%d, want 1/0: the tail is not counted either", l, p)
+	}
+	if errs := d.SourceErrors(); len(errs) != 0 {
+		t.Fatalf("source errors: %v", errs)
+	}
+}
+
+// TestNginxSourceStrictAbortAcrossChunks: with the parse on the workers, a
+// Strict source still stops at the malformed line — here in the third of many
+// reads, with two workers free to take whatever is queued: the error names
+// the line, the lines before it in its chunk and the chunks before it are
+// folded, and nothing after it is.
+func TestNginxSourceStrictAbortAcrossChunks(t *testing.T) {
+	good := strings.SplitAfter(genNginxLog(200, 79), "\n")
+	const bad = 12 // 1-based line of the malformed one
+	before := strings.Join(good[:bad-1], "")
+	logText := before + "not an access line\n" + strings.Join(good[bad-1:], "")
+	const readSize = 600 // four or five lines a read
+	if len(before) < 2*readSize || len(before)+20 > 3*readSize {
+		t.Fatalf("fixture: line %d starts at byte %d, outside the third %d-byte read", bad, len(before), readSize)
+	}
+	d, reg := startSourceDaemon(t, &NginxSource{R: sizedReader{strings.NewReader(logText), readSize}, Strict: true})
+	waitFor(t, 10*time.Second, "strict failure", func() bool { return len(d.SourceErrors()) == 1 })
+	if err := d.SourceErrors()[0]; !strings.Contains(err.Error(), fmt.Sprintf("line %d:", bad)) {
+		t.Errorf("strict error %q should name line %d", err, bad)
+	}
+	if err := d.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.TotalN(); n != bad-1 {
+		t.Errorf("folded %d records, want exactly the %d before the bad line", n, bad-1)
+	}
+	if l, p := d.ctr.lines.Load(), d.ctr.parseErrors.Load(); l != bad || p != 0 {
+		t.Errorf("lines/parse_errors = %d/%d, want %d/0", l, p, bad)
 	}
 }

@@ -26,11 +26,15 @@
 // not speak rather than misread state (same rule as the harvestd snapshot
 // codec).
 //
-// The Decoder reads whole segments into caller-owned pooled buffers
-// (Batch): after warm-up the decode hot path performs zero per-record heap
-// allocations — feature vectors are carved from a reused arena and tag
-// strings are interned. The price is an aliasing rule: every slice in a
-// Batch is valid only until the next Next/Reset on that Batch.
+// Decoding is two steps over caller-owned pooled buffers: Decoder.ReadSegment
+// frames and reads one payload into a Segment and checks its CRC;
+// Batch.Decode turns a Segment into records, on any goroutine — so one
+// reader keeps a stream's segments coming, in order and verified, while
+// several workers decode them. Decoder.Next is the two in sequence. After
+// warm-up neither allocates per record: feature vectors are carved from the
+// batch's reused arena and tag strings are interned. The price is an
+// aliasing rule: every slice in a Batch is valid only until the next
+// Decode/Next/Reset on that Batch.
 package binrec
 
 import (
@@ -189,7 +193,7 @@ func (e *Encoder) Flush() error {
 
 // A Batch is the caller-owned buffer set one decoded segment lands in.
 // Points (and every Vector hanging off them) alias the batch's arena:
-// they are valid until the next Next or Reset call with this batch,
+// they are valid until the next Decode, Next or Reset call with this batch,
 // so fold them (or copy them out) before reusing it. The zero value is
 // ready to use; reusing one batch across calls is what makes the decode
 // path allocation-free.
@@ -197,25 +201,38 @@ type Batch struct {
 	// Points holds the decoded records of one segment.
 	Points []core.Datapoint
 
-	arena core.Arena // backing store for the vectors and row headers
+	arena core.Arena        // backing store for the vectors and row headers
+	tags  map[string]string // tag interning: one allocation per unique tag
 }
 
-// Reset empties the batch, keeping its arena for reuse.
+// Reset empties the batch, keeping its arena and tag intern table for reuse.
 func (b *Batch) Reset() {
 	b.Points = b.Points[:0]
 	b.arena.Reset()
 }
 
+// A Segment is one segment in wire form, as Decoder.ReadSegment left it in
+// caller-owned storage: CRC-checked, not yet decoded. Batch.Decode copies
+// everything out, so it can be refilled once Decode returns. The zero value
+// is ready to use; reusing one keeps its payload buffer.
+type Segment struct {
+	// Records is the record count the segment's header claims.
+	Records int
+
+	payload []byte
+	index   int   // position in the stream, for error context
+	end     int64 // stream offset the segment ends at, for error context
+}
+
 // A Decoder reads a binary harvest-record stream segment by segment.
 // Decoders are not safe for concurrent use.
 type Decoder struct {
-	src  io.Reader         // what br reads from; payloads bypass br's buffer
-	br   *bufio.Reader     // framing reads: marker, varints, crc
-	seg  []byte            // reused segment payload buffer
-	tags map[string]string // tag interning: one allocation per unique tag
-	hdr  bool              // stream header consumed
-	pos  int64             // bytes consumed, for error context
-	segN int               // segments decoded, for error context
+	src  io.Reader     // what br reads from; payloads bypass br's buffer
+	br   *bufio.Reader // framing reads: marker, varints, crc
+	seg  Segment       // what Next reads into
+	hdr  bool          // stream header consumed
+	pos  int64         // bytes consumed, for error context
+	segN int           // segments read, for error context
 	// scratch backs the fixed-width header/crc reads; a local array would
 	// escape into the io.ReadFull interface call and allocate per segment.
 	scratch [8]byte
@@ -228,8 +245,7 @@ func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{src: r, br: bufio.NewReader(r)}
 }
 
-// Reset redirects the decoder to a new stream, keeping its buffers (and tag
-// intern table) for reuse.
+// Reset redirects the decoder to a new stream, keeping its buffers for reuse.
 func (d *Decoder) Reset(r io.Reader) {
 	d.src = r
 	d.br.Reset(r)
@@ -238,13 +254,23 @@ func (d *Decoder) Reset(r io.Reader) {
 	d.segN = 0
 }
 
-// Next decodes the next segment into b (after resetting it). It returns
-// io.EOF at a clean end of stream — after the last whole segment, or on an
-// entirely empty input. A stream that stops mid-header or mid-segment
-// returns an error wrapping io.ErrUnexpectedEOF with the byte offset, so
-// callers can distinguish a torn tail from corruption with context.
+// Next decodes the next segment into b (after resetting it): ReadSegment
+// into the decoder's own Segment, then b.Decode, with the errors of either.
 func (d *Decoder) Next(b *Batch) error {
-	b.Reset()
+	if err := d.ReadSegment(&d.seg); err != nil {
+		b.Reset()
+		return err
+	}
+	return b.Decode(&d.seg)
+}
+
+// ReadSegment reads the next segment into s and verifies its CRC, without
+// decoding it. It returns io.EOF at a clean end of stream — after the last
+// whole segment, or on an entirely empty input. A stream that stops
+// mid-header or mid-segment returns an error wrapping io.ErrUnexpectedEOF
+// with the byte offset, so callers can distinguish a torn tail from
+// corruption with context.
+func (d *Decoder) ReadSegment(s *Segment) error {
 	if !d.hdr {
 		if err := d.readHeader(); err != nil {
 			return err
@@ -280,43 +306,51 @@ func (d *Decoder) Next(b *Batch) error {
 	}
 	d.pos += 4
 	wantCRC := binary.LittleEndian.Uint32(d.scratch[:4])
-	if cap(d.seg) < int(payloadLen) {
-		d.seg = make([]byte, payloadLen)
+	if cap(s.payload) < int(payloadLen) {
+		s.payload = make([]byte, payloadLen)
 	}
-	d.seg = d.seg[:payloadLen]
+	s.payload = s.payload[:payloadLen]
 	// What br already holds, then the rest from the source itself: br is
 	// empty by then, and through its buffer the payload would move twice.
 	held := 0
 	if d.br.Buffered() > 0 {
-		held, _ = d.br.Read(d.seg[:min(len(d.seg), d.br.Buffered())]) // serves from the buffer, cannot fail
+		held, _ = d.br.Read(s.payload[:min(len(s.payload), d.br.Buffered())]) // serves from the buffer, cannot fail
 	}
-	if _, err := io.ReadFull(d.src, d.seg[held:]); err != nil {
+	if _, err := io.ReadFull(d.src, s.payload[held:]); err != nil {
 		return fmt.Errorf("binrec: segment %d (offset %d): reading %d-byte payload: %w", d.segN, d.pos, payloadLen, noEOF(err))
 	}
 	d.pos += int64(payloadLen)
-	if got := crc32.ChecksumIEEE(d.seg); got != wantCRC {
+	if got := crc32.ChecksumIEEE(s.payload); got != wantCRC {
 		return fmt.Errorf("binrec: segment %d (offset %d): crc mismatch (got %08x want %08x)", d.segN, d.pos, got, wantCRC)
 	}
+	s.Records, s.index, s.end = int(count), d.segN, d.pos
+	d.segN++
+	return nil
+}
 
-	// Size the batch from the header instead of by doubling: the payload has
-	// passed its CRC, and it cannot hold more records than payloadLen /
-	// minRecordBytes or more floats than payloadLen / 8, whatever count says.
+// Decode turns s into records in b (after resetting it). s has passed its
+// CRC, so a failure here is an encoder's fault, not line noise.
+func (b *Batch) Decode(s *Segment) error {
+	b.Reset()
+	// Size the batch from the header instead of by doubling: the payload
+	// cannot hold more records than payloadLen / minRecordBytes or more
+	// floats than payloadLen / 8, whatever count says.
+	count, payloadLen := uint64(s.Records), uint64(len(s.payload))
 	if want := int(min(count, payloadLen/minRecordBytes)); want > cap(b.Points) {
 		b.Points = make([]core.Datapoint, 0, (want+63)&^63)
 	}
 	b.arena.Grow(int(payloadLen/8), 0)
-	rest := d.seg
+	rest := s.payload
 	for i := uint64(0); i < count; i++ {
 		var err error
-		rest, err = d.decodeRecord(rest, b, count-i)
+		rest, err = b.decodeRecord(rest, count-i)
 		if err != nil {
-			return fmt.Errorf("binrec: segment %d record %d (offset %d): %w", d.segN, i, d.pos, err)
+			return fmt.Errorf("binrec: segment %d record %d (offset %d): %w", s.index, i, s.end, err)
 		}
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("binrec: segment %d (offset %d): %d trailing payload bytes after %d records", d.segN, d.pos, len(rest), count)
+		return fmt.Errorf("binrec: segment %d (offset %d): %d trailing payload bytes after %d records", s.index, s.end, len(rest), count)
 	}
-	d.segN++
 	return nil
 }
 
@@ -345,7 +379,7 @@ func (d *Decoder) readHeader() error {
 // decodeRecord parses one length-prefixed record off the front of rest into
 // a new entry of b.Points, returning the remainder. left counts the records
 // the segment still claims, this one included.
-func (d *Decoder) decodeRecord(rest []byte, b *Batch, left uint64) ([]byte, error) {
+func (b *Batch) decodeRecord(rest []byte, left uint64) ([]byte, error) {
 	recLen, n := binary.Uvarint(rest)
 	if n <= 0 {
 		return nil, fmt.Errorf("truncated record length prefix")
@@ -386,10 +420,10 @@ func (d *Decoder) decodeRecord(rest []byte, b *Batch, left uint64) ([]byte, erro
 	}
 	tag := ""
 	if tagLen > 0 {
-		tag = d.internTag(rec[:tagLen])
+		tag = b.internTag(rec[:tagLen])
 		rec = rec[tagLen:]
 	}
-	features, rec, err := d.takeVector(rec, b, "features")
+	features, rec, err := b.takeVector(rec, "features")
 	if err != nil {
 		return nil, err
 	}
@@ -409,7 +443,7 @@ func (d *Decoder) decodeRecord(rest []byte, b *Batch, left uint64) ([]byte, erro
 		b.arena.Grow(0, int(min(afRows*left, uint64(len(rec)+len(rest)))))
 		af = b.arena.Rows(int(afRows))
 		for j := range af {
-			af[j], rec, err = d.takeVector(rec, b, "action-feature row")
+			af[j], rec, err = b.takeVector(rec, "action-feature row")
 			if err != nil {
 				return nil, err
 			}
@@ -436,7 +470,7 @@ func (d *Decoder) decodeRecord(rest []byte, b *Batch, left uint64) ([]byte, erro
 // takeVector decodes a length-prefixed fixed64 vector into the batch arena.
 // The length prefix is parsed inline: building a "<what> length" label for
 // takeUvarint would concatenate strings on the per-vector hot path.
-func (d *Decoder) takeVector(rec []byte, b *Batch, what string) (core.Vector, []byte, error) {
+func (b *Batch) takeVector(rec []byte, what string) (core.Vector, []byte, error) {
 	n, w := binary.Uvarint(rec)
 	if w <= 0 {
 		return nil, nil, fmt.Errorf("truncated %s length", what)
@@ -470,15 +504,15 @@ func (d *Decoder) takeVector(rec []byte, b *Batch, what string) (core.Vector, []
 // internTag returns the string for a tag's bytes, allocating only the first
 // time each distinct tag is seen — the map lookup on a []byte key does not
 // allocate, so repeated tags are free on the hot path.
-func (d *Decoder) internTag(raw []byte) string {
-	if s, ok := d.tags[string(raw)]; ok {
+func (b *Batch) internTag(raw []byte) string {
+	if s, ok := b.tags[string(raw)]; ok {
 		return s
 	}
-	if d.tags == nil {
-		d.tags = make(map[string]string)
+	if b.tags == nil {
+		b.tags = make(map[string]string)
 	}
 	s := string(raw)
-	d.tags[s] = s
+	b.tags[s] = s
 	return s
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -74,20 +75,25 @@ func decodeAll(t testing.TB, wire []byte) core.Dataset {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range b.Points {
-			d := b.Points[i]
-			// Deep-copy out of the batch arenas: the batch is reused.
-			d.Context.Features = d.Context.Features.Clone()
-			if d.Context.ActionFeatures != nil {
-				rows := make([]core.Vector, len(d.Context.ActionFeatures))
-				for j, row := range d.Context.ActionFeatures {
-					rows[j] = row.Clone()
-				}
-				d.Context.ActionFeatures = rows
-			}
-			out = append(out, d)
-		}
+		out = append(out, clonePoints(b.Points)...)
 	}
+}
+
+// clonePoints deep-copies points out of a batch's arenas: the batch is reused.
+func clonePoints(pts []core.Datapoint) core.Dataset {
+	out := make(core.Dataset, len(pts))
+	for i, d := range pts {
+		d.Context.Features = d.Context.Features.Clone()
+		if d.Context.ActionFeatures != nil {
+			rows := make([]core.Vector, len(d.Context.ActionFeatures))
+			for j, row := range d.Context.ActionFeatures {
+				rows[j] = row.Clone()
+			}
+			d.Context.ActionFeatures = rows
+		}
+		out[i] = d
+	}
+	return out
 }
 
 // TestGoldenWireBytes pins the v1 wire format byte for byte. If this test
@@ -414,6 +420,62 @@ func TestDecodeZeroAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("decode allocated %.1f times per pass, want 0", allocs)
+	}
+}
+
+// TestDecodeAwayFromTheReader: the segments one goroutine reads off a stream
+// decode on others, each into its own Batch, to the records Next yields —
+// and everything a decode needs lives with the Batch, the tag intern table
+// included: a warm Batch decodes tagged records without allocating, whatever
+// Decoder read them.
+func TestDecodeAwayFromTheReader(t *testing.T) {
+	wire := encodeAll(t, randomDataset(17, 400), 512)
+	want := decodeAll(t, wire)
+	dec := NewDecoder(bytes.NewReader(wire))
+	var segs []*Segment
+	for {
+		s := new(Segment)
+		err := dec.ReadSegment(s)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs = append(segs, s)
+	}
+	const workers = 3
+	if len(segs) < 10*workers {
+		t.Fatalf("%d segments: too few", len(segs))
+	}
+	got := make([]core.Dataset, len(segs))
+	batches := make([]Batch, workers)
+	var wg sync.WaitGroup
+	for w := range batches {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(segs); i += workers {
+				if err := batches[w].Decode(segs[i]); err != nil {
+					t.Error(err)
+					return
+				}
+				got[i] = clonePoints(batches[w].Points)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range batches {
+		if allocs := testing.AllocsPerRun(20, func() { _ = batches[w].Decode(segs[w]) }); allocs > 0 {
+			t.Errorf("a warm batch allocated %.1f times decoding a segment of %d tagged records", allocs, segs[w].Records)
+		}
+	}
+	var flat core.Dataset
+	for _, ds := range got {
+		flat = append(flat, ds...)
+	}
+	if !reflect.DeepEqual(flat, want) {
+		t.Fatalf("%d records decoded segment by segment differ from Next's %d", len(flat), len(want))
 	}
 }
 

@@ -2,19 +2,72 @@ package binrec
 
 import (
 	"bytes"
-	"io"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"repro/internal/core"
 )
 
+// forgeStream frames payload as a one-segment stream claiming count records,
+// with the CRC a faithful encoder would have written: what is wrong with the
+// payload is then for the record decoder to find, not for the CRC check.
+func forgeStream(count uint64, payload []byte) []byte {
+	wire := append([]byte(magic), Version, segMarker)
+	wire = binary.AppendUvarint(wire, count)
+	wire = binary.AppendUvarint(wire, uint64(len(payload)))
+	wire = binary.LittleEndian.AppendUint32(wire, crc32.ChecksumIEEE(payload))
+	return append(wire, payload...)
+}
+
+// decodeStream reads data to its end or first error, by Next or by the two
+// steps Next is made of (ReadSegment on the stream, Decode wherever), and
+// returns every point decoded on the way, re-encoded — which compares NaNs
+// bit for bit — and the error text.
+func decodeStream(t *testing.T, data []byte, twoStep bool) (reencoded []byte, errText string) {
+	dec := NewDecoder(bytes.NewReader(data))
+	var b Batch
+	var seg Segment
+	var out bytes.Buffer
+	enc := NewAppendEncoder(&out)
+	for records := 0; ; {
+		var err error
+		if twoStep {
+			if err = dec.ReadSegment(&seg); err == nil {
+				err = b.Decode(&seg)
+			}
+		} else {
+			err = dec.Next(&b)
+		}
+		if err != nil {
+			if err := enc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			return out.Bytes(), err.Error()
+		}
+		if records += len(b.Points); records > len(data) {
+			t.Fatalf("%d records decoded from %d input bytes", records, len(data))
+		}
+		for i := range b.Points {
+			_ = b.Points[i].Validate() // must not panic on any decoded point
+			if err := enc.Write(&b.Points[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // FuzzBinRecDecode feeds arbitrary bytes to the decoder: it must terminate
 // with io.EOF or a descriptive error — never panic, never allocate a buffer
-// sized by an unvalidated length prefix. Valid streams are seeded so the
-// fuzzer mutates real framing, not just garbage.
+// sized by an unvalidated length prefix — and reading a segment raw and
+// decoding it separately must yield the points and the error text of Next.
+// Valid streams are seeded so the fuzzer mutates real framing, not just
+// garbage; and since a mutated payload hardly ever passes its CRC, the input
+// is also tried as the payload of a segment framed with the right one.
 func FuzzBinRecDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(magic))
+	f.Add([]byte{1, 0x7f, 0}) // as a payload: one record, its length beyond the segment
 	for _, seed := range []int64{1, 2} {
 		ds := randomDataset(seed, 8)
 		var buf bytes.Buffer
@@ -34,23 +87,16 @@ func FuzzBinRecDecode(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := NewDecoder(bytes.NewReader(data))
-		var b Batch
-		records := 0
-		for {
-			err := dec.Next(&b)
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				return // rejected with context — the acceptable outcome
-			}
-			records += len(b.Points)
-			if records > len(data) {
-				t.Fatalf("%d records decoded from %d input bytes", records, len(data))
-			}
-			for i := range b.Points {
-				_ = b.Points[i].Validate() // must not panic on any decoded point
+		inputs := [][]byte{data}
+		if len(data) > 0 {
+			inputs = append(inputs, forgeStream(uint64(data[0]), data[1:]))
+		}
+		for _, in := range inputs {
+			// Ends in io.EOF or rejected with context: both acceptable outcomes.
+			pts, errText := decodeStream(t, in, false)
+			pts2, errText2 := decodeStream(t, in, true)
+			if errText != errText2 || !bytes.Equal(pts, pts2) {
+				t.Fatalf("Next: %d bytes of points, then %q; ReadSegment+Decode: %d bytes, then %q", len(pts), errText, len(pts2), errText2)
 			}
 		}
 	})

@@ -85,6 +85,46 @@ func TestLineReaderMatchesScannerLoop(t *testing.T) {
 	}
 }
 
+// TestLineReaderTakeMatchesNext: handing a Fill over whole with Take and
+// walking it elsewhere with LinesOf yields the lines and physical line
+// numbers Next would have — blank lines, CRLF and the unterminated last line
+// included — and leaves LineNo where Next would have left it.
+func TestLineReaderTakeMatchesNext(t *testing.T) {
+	input := "a\n\n \t\nb\r\n\r\nc d \n\n\ne\nf\n\n\ng"
+	for _, size := range []int{1, 3, 7, 1 << 16} {
+		want, _, err := readAll(t, sizedReader{strings.NewReader(input), size})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []numbered
+		lr := NewLineReader(sizedReader{strings.NewReader(input), size})
+		for lr.Fill() {
+			after := lr.LineNo()
+			chunk := append([]byte(nil), lr.Take()...) // a consumer on another goroutine owns a copy
+			if lr.Next() {
+				t.Fatalf("%d-byte reads: Next after Take handed out %q", size, lr.Line())
+			}
+			lines := LinesOf(chunk, after)
+			for lines.Next() {
+				got = append(got, numbered{lines.LineNo(), string(lines.Line())})
+			}
+			// The reader counts blank lines the walker skipped at the chunk's end.
+			if lines.LineNo() > lr.LineNo() {
+				t.Fatalf("%d-byte reads: walker at line %d, reader at %d", size, lines.LineNo(), lr.LineNo())
+			}
+		}
+		if err := lr.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d-byte reads:\n got  %v\n want %v", size, got, want)
+		}
+		if lr.LineNo() != 13 {
+			t.Errorf("%d-byte reads: LineNo after the last Take = %d, want 13", size, lr.LineNo())
+		}
+	}
+}
+
 // TestLineReaderOneReadOneBatch: every complete line of a read is handed
 // out in that Fill, a line cut by the read waits for its newline, and the
 // unterminated tail comes out at the end of the input.
@@ -118,12 +158,18 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 }
 
 func TestLineReaderErrors(t *testing.T) {
-	// A read error ends the input after the lines read so far, the torn
-	// tail included, as bufio.Scanner does.
+	// A read error ends the input after the complete lines read so far. The
+	// unterminated tail may be torn and is dropped, where bufio.Scanner
+	// would hand it out — also when it arrives with the error.
 	boom := errors.New("boom")
-	lines, _, err := readAll(t, io.MultiReader(strings.NewReader("a\nb"), iotest.ErrReader(boom)))
-	if !errors.Is(err, boom) || len(lines) != 2 {
-		t.Errorf("read error: %d lines, err = %v", len(lines), err)
+	for name, r := range map[string]io.Reader{
+		"error after data": io.MultiReader(strings.NewReader("a\nb\nc"), iotest.ErrReader(boom)),
+		"error with data":  &dataErrReader{"a\nb\nc", boom},
+	} {
+		lines, _, err := readAll(t, r)
+		if want := []numbered{{1, "a"}, {2, "b"}}; !errors.Is(err, boom) || !reflect.DeepEqual(lines, want) {
+			t.Errorf("%s: lines = %v, err = %v; want %v and boom", name, lines, err, want)
+		}
 	}
 	// The record bound: one byte under fits, the bound itself does not.
 	fits := strings.Repeat("z", core.MaxRecordBytes-1)
@@ -140,6 +186,18 @@ func TestLineReaderErrors(t *testing.T) {
 	if _, _, err := readAll(t, &stuck); !errors.Is(err, io.ErrNoProgress) {
 		t.Errorf("reader returning 0, nil forever: err = %v", err)
 	}
+}
+
+// dataErrReader returns all its data together with its error in one Read.
+type dataErrReader struct {
+	data string
+	err  error
+}
+
+func (d *dataErrReader) Read(p []byte) (int, error) {
+	n := copy(p, d.data)
+	d.data = d.data[n:]
+	return n, d.err
 }
 
 type stuckReader struct{}

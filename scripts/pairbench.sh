@@ -5,19 +5,23 @@
 # next pair, each pair on a fresh seed — and per gated metric the two sides'
 # medians with quartiles and the pairs the change won are printed.
 #
-#   scripts/pairbench.sh PARENT_DIR CHANGE_DIR WORKLOAD PAIRS [FIRST_SEED]
+#   scripts/pairbench.sh PARENT_DIR CHANGE_DIR WORKLOADS PAIRS [FIRST_SEED]
 #
-# Both directories are checkouts of this repository (git clone or git
+# WORKLOADS is one workload name, several separated by commas, or "all" for
+# every workload CHANGE_DIR's BENCHMARK.json declares: they run one after the
+# other on the same seeds, and each prints its own table when its last pair
+# is done. Both directories are checkouts of this repository (git clone or git
 # archive, not a worktree sharing bench/out). Nothing is written outside each
 # checkout's git-ignored bench/out/: the builds and results.jsonl that run.sh
 # leaves there, plus one pairbench-WORKLOAD.tsv per side with every run made.
 # The gated metrics and which way is better come from CHANGE_DIR's
 # BENCHMARK.json. A run that exits non-zero (oracle mismatch) stops the
-# script. ~35 s per run, so ten pairs are about twelve minutes.
+# script. ~35 s per run, so ten pairs of one workload are about twelve
+# minutes.
 set -euo pipefail
 
 if [ $# -lt 4 ] || [ $# -gt 5 ]; then
-	echo "usage: $0 PARENT_DIR CHANGE_DIR WORKLOAD PAIRS [FIRST_SEED]" >&2
+	echo "usage: $0 PARENT_DIR CHANGE_DIR WORKLOAD[,WORKLOAD...]|all PAIRS [FIRST_SEED]" >&2
 	exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -25,6 +29,21 @@ change=$(cd "$2" && pwd)
 workload=$3
 pairs=$4
 first=${5:-101}
+
+# A list of workloads is this script once per workload.
+if [ "$workload" = all ]; then
+	workload=$(awk '
+		/"workloads"/ { on = 1; next }
+		on && /\]/    { exit }
+		on { name = $0; sub(/.*"name": *"/, "", name); sub(/".*/, "", name); printf "%s,", name }' "$change/BENCHMARK.json")
+	workload=${workload%,}
+fi
+case $workload in *,*)
+	for w in ${workload//,/ }; do
+		bash "$0" "$parent" "$change" "$w" "$pairs" "$first"
+	done
+	exit ;;
+esac
 
 # "name better" per end-to-end metric, from the end_to_end array.
 gated=$(awk '
@@ -41,7 +60,7 @@ gated=$(awk '
 # metrics, plus the run's failed count, to that side's table.
 one_run() {
 	local side=$1 dir=$2 seed=$3 out
-	echo "pairbench: $side seed $seed" >&2
+	echo "pairbench: $workload $side seed $seed" >&2
 	out=$(bash "$dir/bench/run.sh" --workload "$workload" --seed "$seed" --seconds 24 --trace 0)
 	printf '%s\n' "$out" | awk -v seed="$seed" -v wl="$workload" -v gated="$(echo $gated)" '
 		BEGIN { n = split(gated, g, " "); for (i = 1; i < n; i += 2) want[g[i]] = 1 }
