@@ -55,7 +55,8 @@ race:
 # what the second worker buys them; BinRecDecode/{k2,k8} pins 0
 # allocs/op at both context widths. ParseNginxLine/{compat,batch}/{k2,k8} is
 # one access-log line → one datapoint, on the one-off API and on the batch
-# path IngestNginx runs (0 allocs/op there). The read path is
+# path IngestNginx runs (0 allocs/op there); ParseNginxLine/batch/malformed
+# is that path on a log where every line fails. The read path is
 # RegistryEstimates/{k3,wide32} (every policy rendered), AggregatorEvidence/
 # {k3,wide32} (two policies read off the shard set) and StepHTTP/{k2of3,
 # k2of32} (one rolloutd step against a live harvestd over loopback).
@@ -120,13 +121,17 @@ trace-demo:
 	$(GO) run ./cmd/harvest -quick -workers 2 -trace /tmp/harvest-fig3-trace.jsonl fig3
 	$(GO) run ./cmd/tracecat /tmp/harvest-fig3-trace.jsonl
 
-# Short fuzz pass over the wire-format parsers.
+# Short fuzz pass over the wire-format parsers, FUZZTIME per target.
+# FuzzParseNginxLine and FuzzParseNumber are differential (against the
+# regexp parser and against strconv), so CI runs this beyond the seeds.
+FUZZTIME ?= 15s
 fuzz:
-	$(GO) test -fuzz=FuzzReadValue -fuzztime=15s ./internal/resp/
-	$(GO) test -fuzz=FuzzParseNginxLine -fuzztime=15s ./internal/harvester/
-	$(GO) test -fuzz=FuzzCacheLogRoundTrip -fuzztime=15s ./internal/harvester/
-	$(GO) test -fuzz=FuzzBinRecDecode -fuzztime=15s ./internal/harvester/binrec/
-	$(GO) test -fuzz=FuzzBinRecRoundTrip -fuzztime=15s ./internal/harvester/binrec/
+	$(GO) test -fuzz=FuzzReadValue -fuzztime=$(FUZZTIME) ./internal/resp/
+	$(GO) test -fuzz=FuzzParseNginxLine -fuzztime=$(FUZZTIME) ./internal/harvester/
+	$(GO) test -fuzz=FuzzParseNumber -fuzztime=$(FUZZTIME) ./internal/harvester/
+	$(GO) test -fuzz=FuzzCacheLogRoundTrip -fuzztime=$(FUZZTIME) ./internal/harvester/
+	$(GO) test -fuzz=FuzzBinRecDecode -fuzztime=$(FUZZTIME) ./internal/harvester/binrec/
+	$(GO) test -fuzz=FuzzBinRecRoundTrip -fuzztime=$(FUZZTIME) ./internal/harvester/binrec/
 
 clean:
 	$(GO) clean ./...

@@ -113,8 +113,31 @@ func benchNginxLines(n, k int) [][]byte {
 // BenchmarkParseNginxLine measures one access-log line → one datapoint, on
 // the compat API (ParseNginxLine + EntryToTypedDatapoint, what one-off
 // callers and the loop benchmark's parse probe use) and on the batch path
-// harvestd ingests through, at 2 and 8 upstreams.
+// harvestd ingests through, at 2 and 8 upstreams. batch/malformed is the
+// hostile log: every line fails, a third each with junk before the remote,
+// rt=oops appended, and the line cut in half.
 func BenchmarkParseNginxLine(b *testing.B) {
+	b.Run("batch/malformed", func(b *testing.B) {
+		lines := benchNginxLines(4096, 2)
+		for i, l := range lines {
+			switch i % 3 {
+			case 0:
+				lines[i] = append([]byte("junk here "), l...)
+			case 1:
+				lines[i] = append(l, " rt=oops"...)
+			case 2:
+				lines[i] = l[:len(l)/2]
+			}
+		}
+		var batch NginxBatch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if ok, err := batch.Append(lines[i&4095], 1, int64(i)); ok || err == nil {
+				b.Fatal(ok, err)
+			}
+		}
+	})
 	for _, k := range []int{2, 8} {
 		lines := benchNginxLines(4096, k)
 		b.Run(fmt.Sprintf("compat/k%d", k), func(b *testing.B) {

@@ -2,8 +2,11 @@ package harvester
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 
 	"repro/internal/cachesim"
 )
@@ -85,7 +88,56 @@ func FuzzParseNginxLine(f *testing.F) {
 	} {
 		f.Add(line)
 	}
+	for _, num := range numberShapes {
+		f.Add(head + " rt=" + num + " prop=" + num + " upstream=0 conns=" + num + "|" + num)
+	}
 	f.Fuzz(checkAgainstOracle)
+}
+
+// numberShapes are the values on either side of what the scanner reads in
+// place: digits[.digits] up to 15 digits and digit runs up to 9 are its own,
+// everything else must reach strconv whole.
+var numberShapes = []string{
+	"0", "7", "000.5", "1.", ".5", "+0.5", "-0", "1e-3", "0x1p-4", "1_0", "NaN", "Inf", "", ".", "1.5.2", "1|2",
+	"0.000000", "0.333333", "1.000000", "3600.000000", "0.1\u00a0", "5\v6", "0.5\x85",
+	"123456789012345", "1234567.89012345", "0.12345678901234", // 15 digits
+	"1234567890123456", "0.123456789012345", "9007199254740993", // 16
+	"12345678901234567", "0.1234567890123456", "00000000000000001", // 17
+	"999999999", "000000001", "1000000000", "9999999999", "99999999999999999999",
+}
+
+// FuzzParseNumber is differential: the two in-place readers against the
+// strconv calls they stand in for, over the field their input starts with.
+func FuzzParseNumber(f *testing.F) {
+	for _, s := range numberShapes {
+		f.Add(s)
+	}
+	f.Fuzz(checkNumber)
+}
+
+func checkNumber(t *testing.T, s string) {
+	t.Helper()
+	field := s
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		field = s[:i]
+	}
+	v, end, err := readDecimal(s, 0)
+	want, werr := strconv.ParseFloat(field, 64)
+	if end != len(field) || (err == nil) != (werr == nil) || math.Float64bits(v) != math.Float64bits(want) {
+		t.Fatalf("readDecimal(%q) = %v (%#x), %d, %v; strconv.ParseFloat(%q) = %v (%#x), %v",
+			s, v, math.Float64bits(v), end, err, field, want, math.Float64bits(want), werr)
+	}
+	for _, list := range []bool{false, true} {
+		part := field
+		if list {
+			part, _, _ = strings.Cut(field, "|")
+		}
+		n, end, err := readCount(s, 0, list)
+		want, werr := strconv.Atoi(part)
+		if end != len(part) || (err == nil) != (werr == nil) || n != want {
+			t.Fatalf("readCount(%q, list=%v) = %d, %d, %v; strconv.Atoi(%q) = %d, %v", s, list, n, end, err, part, want, werr)
+		}
+	}
 }
 
 // FuzzCacheLogRoundTrip checks arbitrary keys and numeric fields survive

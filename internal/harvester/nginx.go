@@ -82,7 +82,27 @@ func (m *timeMemo) parse(ts string) (time.Time, error) {
 	return t, err
 }
 
-// parseNginx scans one line left to right into e, reusing e.Conns'
+// Byte classes of the scanner. Every byte at or above utf8.RuneSelf is
+// classed as whitespace; whether the rune there is one, spaceWidth decides.
+const (
+	clsBlank uint8 = 1 << iota // the five bytes a regexp's \s matches: they end a head token
+	clsSpace                   // what strings.Fields splits the extras on: blank and \v
+	clsStop                    // where the scan of an extras key stops: whitespace and '='
+)
+
+var byteClass = func() (t [256]uint8) {
+	for _, c := range " \t\n\f\r" {
+		t[c] = clsBlank | clsSpace | clsStop
+	}
+	t['\v'] = clsSpace | clsStop
+	t['='] = clsStop
+	for c := utf8.RuneSelf; c < len(t); c++ {
+		t[c] = clsSpace | clsStop
+	}
+	return t
+}()
+
+// parseNginx scans one line left to right, once, into e, reusing e.Conns'
 // capacity. The text fields it sets are substrings of line. The grammar is
 //
 //	remote - - [time] "METHOD path PROTO" status bytes "ref" "ua" <extras>
@@ -92,11 +112,14 @@ func (m *timeMemo) parse(ts string) (time.Time, error) {
 // or more, time holds no ']' and ref and ua no '"'; extras are
 // whitespace-separated key=value fields, of which rt, upstream, conns,
 // prop and type are read (the last of a repeated key wins) and the rest,
-// like fields without '=', ignored. A line is first matched against the
-// whole shape, then its values are validated in order, so a line wrong in
-// both ways is "unrecognized".
+// like fields without '=', ignored. The head is matched against its whole
+// shape before its values are validated, so a line wrong in both ways is
+// "unrecognized". The numbers the proxy writes — digits[.digits] for rt and
+// prop, short digit runs for the counts — are read in place; any other
+// shape goes to strconv whole, so accept, value and error text stay its.
 func parseNginx(line string, e *AccessEntry, memo *timeMemo) error {
-	*e = AccessEntry{Conns: e.Conns[:0], Upstream: -1, Type: -1}
+	// The extras may omit these; a line that parses sets every other field.
+	e.RequestTime, e.Upstream, e.Conns, e.Propensity, e.Type = 0, -1, e.Conns[:0], 0, -1
 
 	p := nonBlankRun(line, 0)
 	if p == 0 || !strings.HasPrefix(line[p:], " - - [") {
@@ -137,10 +160,7 @@ func parseNginx(line string, e *AccessEntry, memo *timeMemo) error {
 	}
 	e.Status = int(line[p]-'0')*100 + int(line[p+1]-'0')*10 + int(line[p+2]-'0')
 	p += 4
-	q = p
-	for q < len(line) && isDigit(line[q]) {
-		q++
-	}
+	bytes, q := digitRun(line, p, 0)
 	if q == p || !strings.HasPrefix(line[q:], ` "`) {
 		return errUnrecognized(line)
 	}
@@ -157,8 +177,8 @@ func parseNginx(line string, e *AccessEntry, memo *timeMemo) error {
 		return errUnrecognized(line)
 	}
 	e.UserAgent = line[p : p+n]
-	extras := line[p+n+1:]
-	if strings.IndexByte(extras, '\n') >= 0 {
+	p += n + 1
+	if strings.IndexByte(line[p:], '\n') >= 0 {
 		return errUnrecognized(line)
 	}
 
@@ -166,51 +186,114 @@ func parseNginx(line string, e *AccessEntry, memo *timeMemo) error {
 	if e.Time, err = memo.parse(ts); err != nil {
 		return fmt.Errorf("harvester: bad timestamp %q: %w", ts, err)
 	}
-	if e.Bytes, err = strconv.ParseInt(bytesField, 10, 64); err != nil {
-		return fmt.Errorf("harvester: bad bytes %q", bytesField)
+	if e.Bytes = int64(bytes); len(bytesField) > maxCountDigits {
+		if e.Bytes, err = strconv.ParseInt(bytesField, 10, 64); err != nil {
+			return fmt.Errorf("harvester: bad bytes %q", bytesField)
+		}
 	}
 	for {
-		var field string
-		if field, extras = nextField(extras); field == "" {
+		for p < len(line) && byteClass[line[p]]&clsSpace != 0 {
+			if line[p] < utf8.RuneSelf {
+				p++
+			} else if w := spaceWidth(line, p); w > 0 {
+				p += w
+			} else {
+				break
+			}
+		}
+		key := p
+		for p < len(line) && (byteClass[line[p]]&clsStop == 0 || line[p] >= utf8.RuneSelf && spaceWidth(line, p) == 0) {
+			p++
+		}
+		switch {
+		case p == len(line):
 			return nil
+		case line[p] != '=':
+			continue // a field without one
 		}
-		key, val, found := strings.Cut(field, "=")
-		if !found {
-			continue
-		}
-		switch key {
+		val := p + 1
+		switch line[key:p] {
 		case "rt":
-			e.RequestTime, err = strconv.ParseFloat(val, 64)
+			e.RequestTime, p, err = readDecimal(line, val)
 		case "upstream":
-			e.Upstream, err = strconv.Atoi(val)
+			e.Upstream, p, err = readCount(line, val, false)
 		case "conns":
-			e.Conns, err = appendConns(e.Conns[:0], val)
+			if e.Conns = e.Conns[:0]; cap(e.Conns) == 0 { // a fresh entry: size it once
+				e.Conns = make([]int, 0, 1+strings.Count(line[val:fieldEnd(line, val)], "|"))
+			}
+			for p = val; ; p++ {
+				var c int
+				c, p, err = readCount(line, p, true)
+				e.Conns = append(e.Conns, c)
+				if err != nil || p == len(line) || line[p] != '|' {
+					break
+				}
+			}
 		case "prop":
-			e.Propensity, err = strconv.ParseFloat(val, 64)
+			e.Propensity, p, err = readDecimal(line, val)
 		case "type":
-			e.Type, err = strconv.Atoi(val)
+			e.Type, p, err = readCount(line, val, false)
+		default:
+			p = fieldEnd(line, val)
 		}
 		if err != nil {
-			return fmt.Errorf("harvester: bad %s %q", key, val)
+			return fmt.Errorf("harvester: bad %s %q", line[key:val-1], line[val:fieldEnd(line, p)])
 		}
 	}
 }
 
-// appendConns parses a '|'-separated list of counts onto dst.
-func appendConns(dst []int, val string) ([]int, error) {
-	if n := strings.Count(val, "|") + 1; cap(dst) < n {
-		dst = make([]int, 0, n)
+// maxCountDigits is the longest digit run read in place as a count: nine
+// digits fit an int of any width.
+const maxCountDigits = 9
+
+// digitRun folds the run of decimal digits at s[i:] onto n and returns the
+// index after it. Past 19 digits n has wrapped around.
+func digitRun(s string, i int, n uint64) (uint64, int) {
+	for ; i < len(s) && isDigit(s[i]); i++ {
+		n = n*10 + uint64(s[i]-'0')
 	}
-	for more := true; more; {
-		var part string
-		part, val, more = strings.Cut(val, "|")
-		c, err := strconv.Atoi(part)
-		if err != nil {
-			return dst, err
+	return n, i
+}
+
+// readCount reads the integer s[i:] holds up to the end of the field — or,
+// for one part of a '|'-separated list, up to the next '|' — as strconv.Atoi
+// would, and returns the index it ends at.
+func readCount(s string, i int, list bool) (n, end int, err error) {
+	u, end := digitRun(s, i, 0)
+	if d := end - i; d == 0 || d > maxCountDigits || !(list && end < len(s) && s[end] == '|') && !endsField(s, end) {
+		end = fieldEnd(s, end)
+		if list {
+			if j := strings.IndexByte(s[i:end], '|'); j >= 0 {
+				end = i + j
+			}
 		}
-		dst = append(dst, c)
+		n, err = strconv.Atoi(s[i:end])
+		return n, end, err
 	}
-	return dst, nil
+	return int(u), end, nil
+}
+
+// pow10 holds the powers of ten readDecimal divides by, each exact.
+var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// readDecimal reads the field value at s[i:] as strconv.ParseFloat(_, 64)
+// would and returns the index it ends at. digits[.digits] with 15 digits or
+// fewer is read in place: the digits as an integer and the power of ten it
+// is to be divided by are then both exact float64s, so their quotient is the
+// correctly rounded value, which is what strconv returns.
+func readDecimal(s string, i int) (v float64, end int, err error) {
+	m, dot := digitRun(s, i, 0)
+	end = dot
+	if dot < len(s) && s[dot] == '.' {
+		m, end = digitRun(s, dot+1, m)
+	}
+	frac := max(end-dot-1, 0)
+	if dot == i || end == dot+1 || dot-i+frac >= len(pow10) || !endsField(s, end) {
+		end = fieldEnd(s, end)
+		v, err = strconv.ParseFloat(s[i:end], 64)
+		return v, end, err
+	}
+	return float64(m) / pow10[frac], end, nil
 }
 
 func errUnrecognized(line string) error {
@@ -219,57 +302,32 @@ func errUnrecognized(line string) error {
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-// nonBlankRun returns the end of the run of non-blank bytes starting at i,
-// blank being the five bytes a regexp's \s matches.
+// nonBlankRun returns the end of the run of non-blank bytes starting at i.
 func nonBlankRun(s string, i int) int {
-	for i < len(s) {
-		switch s[i] {
-		case ' ', '\t', '\n', '\f', '\r':
-			return i
-		}
+	for i < len(s) && byteClass[s[i]]&clsBlank == 0 {
 		i++
 	}
 	return i
 }
 
-// nextField splits the first whitespace-separated field off s, as
-// strings.Fields would: whitespace is unicode.IsSpace, so NBSP and U+0085
-// separate fields too. field is empty when s holds none.
-func nextField(s string) (field, rest string) {
-	i := 0
-	for i < len(s) {
-		w := spaceWidth(s, i)
-		if w == 0 {
-			break
-		}
-		i += w
+// fieldEnd returns the end of the field that reaches s[i]: the index of the
+// next whitespace rune — whitespace as strings.Fields has it,
+// unicode.IsSpace, so NBSP and U+0085 end a field too.
+func fieldEnd(s string, i int) int {
+	for i < len(s) && (byteClass[s[i]]&clsSpace == 0 || s[i] >= utf8.RuneSelf && spaceWidth(s, i) == 0) {
+		i++
 	}
-	start := i
-	for i < len(s) {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c == ' ' || c-'\t' < 5 {
-				break
-			}
-			i++
-		} else if spaceWidth(s, i) > 0 {
-			break
-		} else {
-			_, w := utf8.DecodeRuneInString(s[i:])
-			i += w
-		}
-	}
-	return s[start:i], s[i:]
+	return i
+}
+
+// endsField reports whether a field that reaches s[i] ends there.
+func endsField(s string, i int) bool {
+	return i == len(s) || s[i] == ' ' || fieldEnd(s, i) == i
 }
 
 // spaceWidth returns the width of the whitespace rune at s[i], 0 if the
 // rune there is not whitespace.
 func spaceWidth(s string, i int) int {
-	if c := s[i]; c < utf8.RuneSelf {
-		if c == ' ' || c-'\t' < 5 { // \t \n \v \f \r
-			return 1
-		}
-		return 0
-	}
 	if r, w := utf8.DecodeRuneInString(s[i:]); unicode.IsSpace(r) {
 		return w
 	}

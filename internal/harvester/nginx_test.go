@@ -1,6 +1,7 @@
 package harvester
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"reflect"
@@ -62,6 +63,48 @@ func TestParseNginxLineMalformed(t *testing.T) {
 			t.Errorf("line %q should fail", line)
 		}
 	}
+}
+
+// TestParseNginxReusedEntry pins what parseNginx's partial reset relies on:
+// nothing of the previous line survives in a reused entry. A field added to
+// AccessEntry fails here until the full line sets it and, if the extras may
+// omit it, parseNginx resets it.
+func TestParseNginxReusedEntry(t *testing.T) {
+	const full = sampleLine + " type=2"
+	const bare = `[::1]:9 - - [07/Aug/2027:11:31:01 +0100] "PUT /y HTTP/2" 503 7 "-" "curl"`
+	var e AccessEntry
+	var memo timeMemo
+	if err := parseNginx(full, &e, &memo); err != nil {
+		t.Fatal(err)
+	}
+	for v, i := reflect.ValueOf(e), 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("the full line leaves AccessEntry.%s zero: extend it", v.Type().Field(i).Name)
+		}
+	}
+	if err := parseNginx(bare, &e, &memo); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := ParseNginxLine(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.Conns) != 0 {
+		t.Fatalf("conns = %v after a line without any", e.Conns)
+	}
+	if e.Conns = nil; !reflect.DeepEqual(&e, fresh) {
+		t.Errorf("reused entry %+v, fresh parse %+v", e, *fresh)
+	}
+}
+
+// TestReadDecimalProxyGrid holds the decimal reader to strconv on every
+// value the proxy's %.6f can print below one, and on the ends of rt's range.
+func TestReadDecimalProxyGrid(t *testing.T) {
+	for i := 0; i < 1e6; i++ {
+		checkNumber(t, fmt.Sprintf("0.%06d", i))
+	}
+	checkNumber(t, "1.000000")
+	checkNumber(t, "3600.000000")
 }
 
 func TestScavengeNginxReportsLineNumbers(t *testing.T) {

@@ -2,8 +2,10 @@ package netlb
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -102,6 +104,50 @@ func TestAccessLineMatchesSprintfAndParses(t *testing.T) {
 					fmt.Sprintf("%.6f", e.Propensity) != fmt.Sprintf("%.6f", prop) {
 					t.Errorf("k=%d type=%d req %d: parsed %+v from %q", k, reqType, i, e, got)
 				}
+			}
+		}
+	}
+}
+
+// TestAccessLineEdgesThroughBatch takes the writer's %.6f to the ends of its
+// range and reads the lines back on harvestd's path. The batch parser gives
+// strconv's reading of the printed text, bit for bit: the six decimals are
+// what is harvested, not the proxy's float. A propensity that prints as
+// 0.000000 is a line with nothing to harvest — harvestd counts it rejected —
+// not a datapoint with p = 0 and not a parse error.
+func TestAccessLineEdgesThroughBatch(t *testing.T) {
+	now := time.Date(2026, time.July, 6, 10, 30, 0, 0, time.UTC)
+	r := accessLogRequest("127.0.0.1:54321", "GET", "/api/x", "Go-http-client/1.1")
+	var batch harvester.NginxBatch
+	for _, rt := range []struct {
+		d    time.Duration
+		text string
+	}{{0, "0.000000"}, {time.Nanosecond, "0.000000"}, {time.Hour, "3600.000000"}} {
+		for _, prop := range []struct {
+			p    float64
+			text string
+		}{{1.0 / 3, "0.333333"}, {1.0 / 7, "0.142857"}, {1e-7, "0.000000"}} {
+			line := appendAccessLine(nil, now, r, 200, 42, rt.d, 1, prop.p, []int{3, 7}, -1)
+			if want := " rt=" + rt.text + " upstream=1 conns=3|7 prop=" + prop.text + "\n"; !strings.HasSuffix(string(line), want) {
+				t.Fatalf("rt=%v prop=%v: line %q does not end in %q", rt.d, prop.p, line, want)
+			}
+			wantRT, _ := strconv.ParseFloat(rt.text, 64)
+			wantProp, _ := strconv.ParseFloat(prop.text, 64)
+			batch.Reset()
+			ok, err := batch.Append(line[:len(line)-1], 1, 1)
+			if err != nil || ok != (wantProp > 0) {
+				t.Fatalf("line %q: ok=%v err=%v, want ok=%v and no error", line, ok, err, wantProp > 0)
+			}
+			if !ok {
+				if len(batch.Points) != 0 {
+					t.Errorf("line %q: a zero propensity was harvested: %+v", line, batch.Points)
+				}
+				continue
+			}
+			d := batch.Points[0]
+			if math.Float64bits(d.Reward) != math.Float64bits(wantRT) || math.Float64bits(d.Propensity) != math.Float64bits(wantProp) || d.Action != 1 {
+				t.Errorf("line %q harvested as reward %v propensity %v action %d, want %v, %v and 1",
+					line, d.Reward, d.Propensity, d.Action, wantRT, wantProp)
 			}
 		}
 	}
