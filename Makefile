@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-json wirelock test loopbench-check race bench bench-all bench-parallel experiments fuzz harvestd-demo trace-demo fleet-demo rollout-demo clean
+.PHONY: all build vet lint lint-json wirelock loc test loopbench-check race bench bench-all bench-parallel experiments fuzz harvestd-demo trace-demo fleet-demo rollout-demo clean
 
 all: build vet lint test
 
@@ -29,6 +29,11 @@ lint-json:
 # regenerates and fails on diff, so schema bumps are always deliberate.
 wirelock:
 	$(GO) run ./cmd/harvestlint -wirelock
+
+# Non-test Go lines per package and in total, outside bench/ — the count
+# ROADMAP item 2's net-line rule reads.
+loc:
+	sh scripts/loc.sh
 
 test:
 	$(GO) test ./...

@@ -13,24 +13,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
-	"syscall"
 
 	"repro/internal/cachesim"
+	"repro/internal/daemon"
 	"repro/internal/obs"
 	"repro/internal/resp"
 	"repro/internal/stats"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, nil); err != nil {
-		fmt.Fprintln(os.Stderr, "cached:", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main("cached", run) }
 
 // run wires flags → cache → RESP server and serves until ctx is cancelled.
 // When ready is non-nil the bound RESP address is sent on it after startup —
@@ -43,11 +34,8 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	polName := fs.String("policy", "random", "eviction policy: random|lru|lfu|freqsize")
 	seed := fs.Int64("seed", 1, "RNG seed")
 	metricsAddr := fs.String("metrics-addr", "", "Prometheus /metrics listen address (empty disables)")
-	if err := fs.Parse(args); err != nil {
+	if err := daemon.ParseFlags(fs, args); err != nil {
 		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 
 	r := stats.NewRand(*seed)
@@ -88,12 +76,11 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		reg := obs.NewRegistry()
 		srv.RegisterMetrics(reg)
 		obs.RegisterGoRuntime(reg)
-		mux := obs.MetricsMux(reg)
-		ms, err := obs.ServeMux(*metricsAddr, mux)
+		ms, err := daemon.ListenAndServe(*metricsAddr, obs.MetricsMux(reg))
 		if err != nil {
 			return err
 		}
-		defer func() { _ = ms.Close() }()
+		defer ms.Close()
 		fmt.Fprintf(stdout, "cached: metrics on http://%s/metrics\n", ms.Addr())
 	}
 

@@ -28,22 +28,14 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/obswatch"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, nil); err != nil {
-		fmt.Fprintln(os.Stderr, "fleetwatch:", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main("fleetwatch", run) }
 
 // run wires flags → watcher, serves until ctx is cancelled, then shuts
 // down gracefully. When ready is non-nil the API base URL is sent on it
@@ -64,11 +56,8 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	flapWindow := fs.Int("flap-window", 10, "trailing gate decisions inspected for flapping")
 	flapThreshold := fs.Int("flap-threshold", 3, "alert at this many outcome changes inside the flap window")
 	seriesCap := fs.Int("series-cap", 512, "samples retained per time series")
-	if err := fs.Parse(args); err != nil {
+	if err := daemon.ParseFlags(fs, args); err != nil {
 		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 	targets, err := parseTargets(*targetsSpec)
 	if err != nil {
@@ -101,25 +90,12 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		FlapWindow:    *flapWindow,
 		IncidentW:     incidentW,
 		Addr:          *addr,
-		Logf: func(format string, a ...any) {
-			fmt.Fprintf(stdout, format+"\n", a...)
-		},
+		Logf:          daemon.Logf(stdout),
 	})
 	if err != nil {
 		return err
 	}
-	if err := w.Start(ctx); err != nil {
-		return err
-	}
-	if ready != nil {
-		ready <- w.URL()
-	}
-
-	<-ctx.Done()
-	fmt.Fprintln(stdout, "fleetwatch: shutting down")
-	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := w.Shutdown(sctx); err != nil {
+	if err := daemon.Run(ctx, w, "fleetwatch", "", stdout, ready); err != nil {
 		return err
 	}
 	st := w.StatusNow()

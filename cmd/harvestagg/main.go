@@ -24,24 +24,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/fleet"
 	"repro/internal/obs"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, nil); err != nil {
-		fmt.Fprintln(os.Stderr, "harvestagg:", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main("harvestagg", run) }
 
 // run wires flags → aggregator, serves until ctx is cancelled (the SIGTERM
 // path), then shuts down gracefully. When ready is non-nil the API base URL
@@ -60,11 +51,8 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	checkpoint := fs.String("checkpoint", "", "aggregator checkpoint file (empty disables)")
 	ckptEvery := fs.Duration("checkpoint-interval", 30*time.Second, "time between checkpoints")
 	debugAddr := fs.String("debug-addr", "", "pprof/expvar listen address (empty disables)")
-	if err := fs.Parse(args); err != nil {
+	if err := daemon.ParseFlags(fs, args); err != nil {
 		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 	shards, err := parseShards(*shardsSpec)
 	if err != nil {
@@ -81,9 +69,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		Addr:               *addr,
 		CheckpointPath:     *checkpoint,
 		CheckpointInterval: *ckptEvery,
-		Logf: func(format string, a ...any) {
-			fmt.Fprintf(stdout, format+"\n", a...)
-		},
+		Logf:               daemon.Logf(stdout),
 	})
 	if err != nil {
 		return err
@@ -93,28 +79,16 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	if err != nil {
 		return err
 	}
+	defer debug.Close()
 	if debug != nil {
-		defer func() { _ = debug.Close() }()
 		fmt.Fprintf(stdout, "harvestagg: debug (pprof/expvar) on http://%s/debug/pprof/\n", debug.Addr())
 	}
 
-	if err := a.Start(ctx); err != nil {
-		return err
-	}
 	names := make([]string, len(shards))
 	for i, s := range shards {
 		names[i] = s.Name
 	}
-	fmt.Fprintf(stdout, "harvestagg: aggregating %s on %s\n", strings.Join(names, ", "), a.URL())
-	if ready != nil {
-		ready <- a.URL()
-	}
-
-	<-ctx.Done()
-	fmt.Fprintln(stdout, "harvestagg: shutting down")
-	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := a.Shutdown(sctx); err != nil {
+	if err := daemon.Run(ctx, a, "harvestagg", "aggregating "+strings.Join(names, ", "), stdout, ready); err != nil {
 		return err
 	}
 	for _, pe := range a.Estimates(*delta) {

@@ -29,28 +29,20 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"runtime"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/harvestd"
 	"repro/internal/lbsim"
 	"repro/internal/obs"
 	"repro/internal/policy"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, nil); err != nil {
-		fmt.Fprintln(os.Stderr, "harvestd:", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main("harvestd", run) }
 
 // run wires flags → sources → registry → daemon, serves until ctx is
 // cancelled (the SIGTERM path), then shuts down gracefully. When ready is
@@ -80,11 +72,8 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	ckptEvery := fs.Duration("checkpoint-interval", 30*time.Second, "time between checkpoints")
 	debugAddr := fs.String("debug-addr", "", "pprof/expvar listen address (empty disables)")
 	tracePath := fs.String("trace", "", "write JSONL pipeline trace to this file (empty disables)")
-	if err := fs.Parse(args); err != nil {
+	if err := daemon.ParseFlags(fs, args); err != nil {
 		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 
 	nWorkers := *workers
@@ -125,9 +114,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		PropensityFloor:    floorVal,
 		ShardID:            *shardID,
 		Tracer:             tracer,
-		Logf: func(format string, a ...any) {
-			fmt.Fprintf(stdout, format+"\n", a...)
-		},
+		Logf:               daemon.Logf(stdout),
 	}, reg)
 	if err != nil {
 		return err
@@ -137,8 +124,8 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	if err != nil {
 		return err
 	}
+	defer debug.Close()
 	if debug != nil {
-		defer func() { _ = debug.Close() }()
 		fmt.Fprintf(stdout, "harvestd: debug (pprof/expvar) on http://%s/debug/pprof/\n", debug.Addr())
 	}
 	for _, p := range splitPaths(*nginx) {
@@ -156,20 +143,8 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		d.AddSource(&harvestd.CacheLogSource{Path: p, Horizon: *horizon})
 	}
 
-	if err := d.Start(ctx); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "harvestd: evaluating %s on %s\n",
-		strings.Join(reg.Names(), ", "), d.URL())
-	if ready != nil {
-		ready <- d.URL()
-	}
-
-	<-ctx.Done()
-	fmt.Fprintln(stdout, "harvestd: shutting down")
-	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := d.Shutdown(sctx); err != nil {
+	doing := "evaluating " + strings.Join(reg.Names(), ", ")
+	if err := daemon.Run(ctx, d, "harvestd", doing, stdout, ready); err != nil {
 		return err
 	}
 	for _, pe := range d.Estimates() {

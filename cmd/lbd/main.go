@@ -31,11 +31,10 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/lbsim"
 	"repro/internal/netlb"
 	"repro/internal/obs"
@@ -43,14 +42,7 @@ import (
 	"repro/internal/stats"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, nil); err != nil {
-		fmt.Fprintln(os.Stderr, "lbd:", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main("lbd", run) }
 
 // run wires flags → backends → proxy, then either self-generates load or
 // serves until ctx is cancelled. When ready is non-nil the proxy base URL
@@ -71,11 +63,8 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	canaryShare := fs.Float64("canary-share", 0, "initial canary traffic share in [0,1]")
 	adminAddr := fs.String("admin-addr", "", "share admin API listen address (empty disables)")
 	debugAddr := fs.String("debug-addr", "", "pprof/expvar listen address (empty disables)")
-	if err := fs.Parse(args); err != nil {
+	if err := daemon.ParseFlags(fs, args); err != nil {
 		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 
 	if *numBackends < 2 {
@@ -136,27 +125,27 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		reg := obs.NewRegistry()
 		proxy.SetMetrics(reg)
 		obs.RegisterGoRuntime(reg)
-		ms, err := obs.ServeMux(*metricsAddr, obs.MetricsMux(reg))
+		ms, err := daemon.ListenAndServe(*metricsAddr, obs.MetricsMux(reg))
 		if err != nil {
 			return err
 		}
-		defer func() { _ = ms.Close() }()
+		defer ms.Close()
 		fmt.Fprintf(stdout, "metrics on http://%s/metrics\n", ms.Addr())
 	}
 	if *adminAddr != "" {
-		as, err := obs.ServeMux(*adminAddr, adminMux(blend))
+		as, err := daemon.ListenAndServe(*adminAddr, adminMux(blend))
 		if err != nil {
 			return err
 		}
-		defer func() { _ = as.Close() }()
+		defer as.Close()
 		fmt.Fprintf(stdout, "share admin on http://%s/share\n", as.Addr())
 	}
 	debug, err := obs.StartDebug(*debugAddr)
 	if err != nil {
 		return err
 	}
+	defer debug.Close()
 	if debug != nil {
-		defer func() { _ = debug.Close() }()
 		fmt.Fprintf(stdout, "debug (pprof/expvar) on http://%s/debug/pprof/\n", debug.Addr())
 	}
 

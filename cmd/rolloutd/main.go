@@ -32,24 +32,16 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/obs"
 	"repro/internal/rollout"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, nil); err != nil {
-		fmt.Fprintln(os.Stderr, "rolloutd:", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main("rolloutd", run) }
 
 // run wires flags → controller, serves until ctx is cancelled, then shuts
 // down gracefully. When ready is non-nil the API base URL is sent on it
@@ -76,11 +68,8 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	ckptEvery := fs.Duration("checkpoint-interval", 30*time.Second, "time between checkpoints")
 	tracePath := fs.String("trace", "", "JSONL trace output file (empty disables)")
 	debugAddr := fs.String("debug-addr", "", "pprof/expvar listen address (empty disables)")
-	if err := fs.Parse(args); err != nil {
+	if err := daemon.ParseFlags(fs, args); err != nil {
 		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 	if *harvest == "" {
 		return fmt.Errorf("missing -harvest URL")
@@ -124,9 +113,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		Harvest:            &rollout.HTTPHarvest{BaseURL: strings.TrimSuffix(*harvest, "/")},
 		Actuator:           act,
 		Tracer:             tracer,
-		Logf: func(format string, a ...any) {
-			fmt.Fprintf(stdout, format+"\n", a...)
-		},
+		Logf:               daemon.Logf(stdout),
 	})
 	if err != nil {
 		return err
@@ -136,25 +123,13 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	if err != nil {
 		return err
 	}
+	defer debug.Close()
 	if debug != nil {
-		defer func() { _ = debug.Close() }()
 		fmt.Fprintf(stdout, "rolloutd: debug (pprof/expvar) on http://%s/debug/pprof/\n", debug.Addr())
 	}
 
-	if err := c.Start(ctx); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "rolloutd: gating %s vs %s from %s on %s\n",
-		*candidate, *baseline, *harvest, c.URL())
-	if ready != nil {
-		ready <- c.URL()
-	}
-
-	<-ctx.Done()
-	fmt.Fprintln(stdout, "rolloutd: shutting down")
-	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := c.Shutdown(sctx); err != nil {
+	doing := fmt.Sprintf("gating %s vs %s from %s", *candidate, *baseline, *harvest)
+	if err := daemon.Run(ctx, c, "rolloutd", doing, stdout, ready); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "rolloutd: final stage=%s share=%g\n", c.Stage(), c.Share())

@@ -3,13 +3,14 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"net"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/harvestd"
 	"repro/internal/obs"
 )
@@ -119,13 +120,12 @@ type Aggregator struct {
 	stateMu sync.Mutex
 	running bool
 
-	loopCtx  context.Context
-	cancel   context.CancelFunc
-	wg       sync.WaitGroup
-	ckptDone chan struct{}
+	loopCtx context.Context
+	cancel  context.CancelFunc
+	wg      sync.WaitGroup // pull loops and the checkpoint timer
+	ckpt    daemon.Checkpointer
 
-	ln  net.Listener
-	srv *http.Server
+	api *daemon.Server
 }
 
 // New builds an aggregator over the configured shard fleet.
@@ -151,6 +151,10 @@ func New(cfg Config) (*Aggregator, error) {
 	for _, s := range shards {
 		a.shards = append(a.shards, &shardState{shard: s})
 	}
+	a.ckpt = daemon.Checkpointer{
+		Path: cfg.CheckpointPath, Interval: cfg.CheckpointInterval,
+		Save: a.Checkpoint, Name: "harvestagg", Logf: cfg.Logf,
+	}
 	a.initMetrics()
 	return a, nil
 }
@@ -171,25 +175,18 @@ func (a *Aggregator) Start(ctx context.Context) error {
 		return fmt.Errorf("fleet: aggregator already started")
 	}
 
-	if a.cfg.CheckpointPath != "" {
+	if err := a.ckpt.Resume(func() (string, error) {
 		n, err := a.loadCheckpoint()
-		switch {
-		case err == nil:
-			a.cfg.Logf("harvestagg: resumed %d shard snapshots from %s", n, a.cfg.CheckpointPath)
-		case isNotExist(err):
-			// First run: nothing to resume.
-		default:
-			return fmt.Errorf("fleet: loading checkpoint: %w", err)
-		}
+		return fmt.Sprintf("%d shard snapshots", n), err
+	}); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
 
-	if a.cfg.Addr != "" {
-		ln, err := net.Listen("tcp", a.cfg.Addr)
-		if err != nil {
-			return fmt.Errorf("fleet: listen %s: %w", a.cfg.Addr, err)
-		}
-		a.ln = ln
+	api, err := daemon.Listen(a.cfg.Addr)
+	if err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
+	a.api = api
 
 	a.start = a.cfg.Clock.Now()
 	a.loopCtx, a.cancel = context.WithCancel(ctx)
@@ -198,17 +195,11 @@ func (a *Aggregator) Start(ctx context.Context) error {
 		go a.pullLoop(st)
 	}
 
-	a.ckptDone = make(chan struct{})
-	if a.cfg.CheckpointPath != "" {
-		go a.checkpointLoop()
-	} else {
-		close(a.ckptDone)
-	}
+	a.ckpt.StartTimer(a.loopCtx, &a.wg)
 
-	if a.ln != nil {
-		a.srv = &http.Server{Handler: a.handler()}
-		go func(srv *http.Server, ln net.Listener) { _ = srv.Serve(ln) }(a.srv, a.ln)
-		a.cfg.Logf("harvestagg: serving on http://%s (%d shards)", a.ln.Addr(), len(a.shards))
+	if a.api != nil {
+		a.api.Serve(a.handler())
+		a.cfg.Logf("harvestagg: serving on %s (%d shards)", a.api.URL(), len(a.shards))
 	}
 
 	a.running = true
@@ -220,10 +211,7 @@ func (a *Aggregator) Start(ctx context.Context) error {
 func (a *Aggregator) Addr() string {
 	a.stateMu.Lock()
 	defer a.stateMu.Unlock()
-	if a.ln == nil {
-		return ""
-	}
-	return a.ln.Addr().String()
+	return a.api.Addr()
 }
 
 // URL returns the API's base URL (after Start).
@@ -300,20 +288,15 @@ func (a *Aggregator) pullShard(ctx context.Context, st *shardState) error {
 }
 
 // fetchSnapshot performs one GET {base}/snapshot and decodes the result.
-func fetchSnapshot(ctx context.Context, client *http.Client, base string) (*harvestd.StateSnapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/snapshot", nil)
+func fetchSnapshot(ctx context.Context, client *http.Client, base string) (snap *harvestd.StateSnapshot, err error) {
+	err = daemon.Get(ctx, client, base+"/snapshot", func(body io.Reader) error {
+		snap, err = harvestd.DecodeSnapshot(body)
+		return err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("fleet: building snapshot request: %w", err)
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = resp.Body.Close() }() // read-only response body
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fleet: %s/snapshot: HTTP %d", base, resp.StatusCode)
-	}
-	return harvestd.DecodeSnapshot(resp.Body)
+	return snap, nil
 }
 
 // PullAll pulls every shard once, synchronously — the startup warm-up and
@@ -476,36 +459,11 @@ func (a *Aggregator) Shutdown(ctx context.Context) error {
 
 	a.cancel()
 	a.wg.Wait()
-	<-a.ckptDone
 
-	var ckptErr error
-	if a.cfg.CheckpointPath != "" {
-		ckptErr = a.Checkpoint()
-	}
-
-	var srvErr error
-	if a.srv != nil {
-		srvErr = a.srv.Shutdown(ctx)
-	}
+	ckptErr := a.ckpt.Final()
+	srvErr := a.api.Shutdown(ctx)
 	if ckptErr != nil {
-		return fmt.Errorf("fleet: final checkpoint: %w", ckptErr)
+		return fmt.Errorf("fleet: %w", ckptErr)
 	}
 	return srvErr
-}
-
-// checkpointLoop writes checkpoints on a timer until shutdown.
-func (a *Aggregator) checkpointLoop() {
-	defer close(a.ckptDone)
-	t := time.NewTicker(a.cfg.CheckpointInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if err := a.Checkpoint(); err != nil {
-				a.cfg.Logf("harvestagg: checkpoint failed: %v", err)
-			}
-		case <-a.loopCtx.Done():
-			return
-		}
-	}
 }

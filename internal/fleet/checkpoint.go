@@ -1,12 +1,10 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/harvestd"
 )
 
@@ -30,10 +28,8 @@ type checkpointFile struct {
 	Shards  map[string]shardCheckpoint `json:"shards"`
 }
 
-// Checkpoint atomically persists the last-known snapshot of every shard:
-// marshal to a temp file in the checkpoint's directory, fsync, then rename
-// over the destination — a crash mid-write leaves the previous checkpoint
-// intact (the same protocol as harvestd's own checkpoints).
+// Checkpoint persists the last-known snapshot of every shard atomically
+// (daemon.SaveJSON): a crash mid-write leaves the previous checkpoint intact.
 func (a *Aggregator) Checkpoint() error {
 	path := a.cfg.CheckpointPath
 	if path == "" {
@@ -57,33 +53,8 @@ func (a *Aggregator) Checkpoint() error {
 			LastSuccessUnix: last.UnixNano(),
 		}
 	}
-	blob, err := json.MarshalIndent(&ck, "", " ")
-	if err != nil {
-		return fmt.Errorf("fleet: encoding checkpoint: %w", err)
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("fleet: checkpoint temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(blob); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("fleet: writing checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("fleet: syncing checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("fleet: closing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("fleet: publishing checkpoint: %w", err)
+	if err := daemon.SaveJSON(path, &ck); err != nil {
+		return fmt.Errorf("fleet: checkpoint: %w", err)
 	}
 	a.checkpoints.Add(1)
 	return nil
@@ -91,20 +62,12 @@ func (a *Aggregator) Checkpoint() error {
 
 // loadCheckpoint restores per-shard snapshots for shards still in the
 // configured fleet (membership may shrink across restarts; unknown shards
-// are ignored), returning how many were restored. A missing file returns
-// os.ErrNotExist (the caller treats it as a cold start).
+// are ignored), returning how many were restored. A missing file is an
+// fs.ErrNotExist (the caller treats it as a cold start).
 func (a *Aggregator) loadCheckpoint() (int, error) {
-	blob, err := os.ReadFile(a.cfg.CheckpointPath)
-	if err != nil {
-		return 0, err
-	}
 	var ck checkpointFile
-	if err := json.Unmarshal(blob, &ck); err != nil {
-		return 0, fmt.Errorf("fleet: corrupt checkpoint %s: %w", a.cfg.CheckpointPath, err)
-	}
-	if ck.Version != checkpointVersion {
-		return 0, fmt.Errorf("fleet: checkpoint %s has version %d, want %d",
-			a.cfg.CheckpointPath, ck.Version, checkpointVersion)
+	if err := daemon.LoadJSON(a.cfg.CheckpointPath, checkpointVersion, &ck); err != nil {
+		return 0, err
 	}
 	restored := 0
 	for _, st := range a.shards {
@@ -123,6 +86,3 @@ func (a *Aggregator) loadCheckpoint() (int, error) {
 	}
 	return restored, nil
 }
-
-// isNotExist reports a missing-checkpoint error (cold start).
-func isNotExist(err error) bool { return os.IsNotExist(err) }

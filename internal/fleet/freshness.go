@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 
+	"repro/internal/daemon"
 	"repro/internal/harvestd"
 )
 
@@ -53,26 +55,16 @@ type FleetFreshness struct {
 // nil): the shard predates the endpoint, and freshness merging is strictly
 // additive over the snapshot pull.
 func fetchFreshness(ctx context.Context, client *http.Client, base string) (*harvestd.FreshnessReport, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/freshness", nil)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: building freshness request: %w", err)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = resp.Body.Close() }() // read-only response body
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fleet: %s/freshness: HTTP %d", base, resp.StatusCode)
-	}
 	var rep harvestd.FreshnessReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("fleet: decoding freshness: %w", err)
-	}
-	if rep.Version != harvestd.FreshnessVersion {
+	err := daemon.Get(ctx, client, base+"/freshness", func(body io.Reader) error {
+		return json.NewDecoder(body).Decode(&rep)
+	})
+	switch {
+	case daemon.StatusCode(err) == http.StatusNotFound:
+		return nil, nil
+	case err != nil:
+		return nil, fmt.Errorf("fleet: freshness: %w", err)
+	case rep.Version != harvestd.FreshnessVersion:
 		return nil, fmt.Errorf("fleet: freshness version %d, want %d", rep.Version, harvestd.FreshnessVersion)
 	}
 	return &rep, nil

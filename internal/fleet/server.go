@@ -1,11 +1,11 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/harvestd"
 )
 
@@ -49,7 +49,7 @@ func (a *Aggregator) handler() http.Handler {
 	mux.HandleFunc("/route", a.handleRoute)
 	mux.HandleFunc("/metrics", a.handleMetrics)
 	mux.HandleFunc("/pull", a.handlePull)
-	mux.HandleFunc("/checkpoint", a.handleCheckpoint)
+	mux.Handle("/checkpoint", &a.ckpt)
 	return mux
 }
 
@@ -74,10 +74,10 @@ func (a *Aggregator) handleEstimates(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("unknown policy %q", name), http.StatusNotFound)
 			return
 		}
-		writeJSON(w, acc.Estimate(name, delta))
+		daemon.WriteJSON(w, acc.Estimate(name, delta))
 		return
 	}
-	writeJSON(w, view.Estimates(delta))
+	daemon.WriteJSON(w, view.Estimates(delta))
 }
 
 func (a *Aggregator) handleEvidence(w http.ResponseWriter, r *http.Request) {
@@ -104,7 +104,7 @@ type fleetDiagnostics struct {
 
 func (a *Aggregator) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 	v := a.View()
-	writeJSON(w, fleetDiagnostics{
+	daemon.WriteJSON(w, fleetDiagnostics{
 		UptimeSeconds:    a.cfg.Clock.Now().Sub(a.start).Seconds(),
 		Delta:            a.cfg.Delta,
 		PullIntervalSecs: a.cfg.PullInterval.Seconds(),
@@ -122,12 +122,12 @@ func (a *Aggregator) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *Aggregator) handleFreshness(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, a.Freshness())
+	daemon.WriteJSON(w, a.Freshness())
 }
 
 func (a *Aggregator) handleShards(w http.ResponseWriter, r *http.Request) {
 	v := a.View()
-	writeJSON(w, v.Shards)
+	daemon.WriteJSON(w, v.Shards)
 }
 
 // routeReply is the /route payload.
@@ -151,7 +151,7 @@ func (a *Aggregator) handleRoute(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	writeJSON(w, routeReply{Key: key, Shard: name, URL: url})
+	daemon.WriteJSON(w, routeReply{Key: key, Shard: name, URL: url})
 }
 
 func (a *Aggregator) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -172,31 +172,4 @@ func (a *Aggregator) handlePull(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fmt.Fprintf(w, "pulled: shards=%d/%d\n", v.LiveShards, v.TotalShards)
-}
-
-func (a *Aggregator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	if a.cfg.CheckpointPath == "" {
-		http.Error(w, "checkpointing disabled", http.StatusConflict)
-		return
-	}
-	if err := a.Checkpoint(); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "checkpointed to %s\n", a.cfg.CheckpointPath)
-}
-
-// writeJSON matches harvestd's encoder settings exactly, so the merged
-// /estimates of a fleet and the /estimates of an equivalent single daemon
-// are comparable byte-for-byte.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
 }

@@ -1,11 +1,10 @@
 package harvestd
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
+
+	"repro/internal/daemon"
 )
 
 // checkpointVersion guards the on-disk schema.
@@ -25,9 +24,8 @@ type checkpointFile struct {
 	Policies    map[string]Accum `json:"policies"`
 }
 
-// Checkpoint atomically persists the current estimator state: marshal to a
-// temp file in the checkpoint's directory, fsync, then rename over the
-// destination — a crash mid-write leaves the previous checkpoint intact.
+// Checkpoint persists the current estimator state atomically
+// (daemon.SaveJSON): a crash mid-write leaves the previous checkpoint intact.
 func (d *Daemon) Checkpoint() error {
 	path := d.cfg.CheckpointPath
 	if path == "" {
@@ -43,33 +41,8 @@ func (d *Daemon) Checkpoint() error {
 		Folded:      d.ctr.folded.Load(),
 		Policies:    d.reg.exportState(),
 	}
-	blob, err := json.MarshalIndent(&ck, "", " ")
-	if err != nil {
-		return fmt.Errorf("harvestd: encoding checkpoint: %w", err)
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("harvestd: checkpoint temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(blob); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("harvestd: writing checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("harvestd: syncing checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("harvestd: closing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("harvestd: publishing checkpoint: %w", err)
+	if err := daemon.SaveJSON(path, &ck); err != nil {
+		return fmt.Errorf("harvestd: checkpoint: %w", err)
 	}
 	d.ctr.checkpoints.Add(1)
 	d.cfg.Tracer.Event("checkpoint", d.root, map[string]any{"folded": ck.Folded})
@@ -77,20 +50,12 @@ func (d *Daemon) Checkpoint() error {
 }
 
 // loadCheckpoint restores estimator state and counters from the checkpoint
-// file, returning how many policies were restored. A missing file returns
-// os.ErrNotExist (the caller treats it as a cold start).
-func (d *Daemon) loadCheckpoint() (int, error) {
-	blob, err := os.ReadFile(d.cfg.CheckpointPath)
-	if err != nil {
-		return 0, err
-	}
+// file and says how many policies it restored. A missing file is an
+// fs.ErrNotExist (a cold start).
+func (d *Daemon) loadCheckpoint() (string, error) {
 	var ck checkpointFile
-	if err := json.Unmarshal(blob, &ck); err != nil {
-		return 0, fmt.Errorf("harvestd: corrupt checkpoint %s: %w", d.cfg.CheckpointPath, err)
-	}
-	if ck.Version != checkpointVersion {
-		return 0, fmt.Errorf("harvestd: checkpoint %s has version %d, want %d",
-			d.cfg.CheckpointPath, ck.Version, checkpointVersion)
+	if err := daemon.LoadJSON(d.cfg.CheckpointPath, checkpointVersion, &ck); err != nil {
+		return "", err
 	}
 	restored := d.reg.restoreState(ck.Policies)
 	d.ctr.lines.Store(ck.Lines)
@@ -98,5 +63,5 @@ func (d *Daemon) loadCheckpoint() (int, error) {
 	d.ctr.rejected.Store(ck.Rejected)
 	d.ctr.ingested.Store(ck.Ingested)
 	d.ctr.folded.Store(ck.Folded)
-	return restored, nil
+	return fmt.Sprintf("%d policies", restored), nil
 }

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+
+	"repro/internal/daemon"
 )
 
 // EvidenceVersion is the wire-format version of the /evidence payload
@@ -137,5 +139,5 @@ func ServeEvidence(w http.ResponseWriter, r *http.Request, defDelta float64,
 		http.Error(w, fmt.Sprintf("unknown policy %q", unknown), http.StatusNotFound)
 		return
 	}
-	writeJSON(w, ev)
+	daemon.WriteJSON(w, ev)
 }

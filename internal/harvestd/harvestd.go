@@ -44,15 +44,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"net/http"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/harvester"
 	"repro/internal/harvester/binrec"
 	"repro/internal/obs"
@@ -189,6 +187,7 @@ type Daemon struct {
 	root    *obs.Span // pipeline root span (nil without a tracer)
 
 	sources []Source
+	ckpt    daemon.Checkpointer
 
 	srcStatsMu sync.Mutex // guards the srcStats map (not the stats themselves)
 	srcStats   map[string]*sourceStats
@@ -201,13 +200,11 @@ type Daemon struct {
 	srcCancel context.CancelFunc
 	srcWG     sync.WaitGroup
 	workerWG  sync.WaitGroup
-	ckptDone  chan struct{}
 
 	errMu   sync.Mutex
 	srcErrs []error
 
-	ln  net.Listener
-	srv *http.Server
+	api *daemon.Server
 }
 
 // New builds a daemon over a registry. The registry must have at least as
@@ -233,6 +230,10 @@ func New(cfg Config, reg *Registry) (*Daemon, error) {
 		reg:      reg,
 		queue:    make(chan ingestBatch, cfg.QueueSize),
 		srcStats: make(map[string]*sourceStats),
+	}
+	d.ckpt = daemon.Checkpointer{
+		Path: cfg.CheckpointPath, Interval: cfg.CheckpointInterval,
+		Save: d.Checkpoint, Name: "harvestd", Logf: cfg.Logf,
 	}
 	d.initMetrics()
 	return d, nil
@@ -260,26 +261,16 @@ func (d *Daemon) Start(ctx context.Context) error {
 		return fmt.Errorf("harvestd: already started")
 	}
 
-	if d.cfg.CheckpointPath != "" {
-		n, err := d.loadCheckpoint()
-		switch {
-		case err == nil:
-			d.cfg.Logf("harvestd: resumed %d policies from %s", n, d.cfg.CheckpointPath)
-		case os.IsNotExist(err):
-			// First run: nothing to resume.
-		default:
-			return fmt.Errorf("harvestd: loading checkpoint: %w", err)
-		}
+	if err := d.ckpt.Resume(d.loadCheckpoint); err != nil {
+		return fmt.Errorf("harvestd: %w", err)
 	}
 
 	// Listen before spawning anything so a bad address fails cleanly.
-	if d.cfg.Addr != "" {
-		ln, err := net.Listen("tcp", d.cfg.Addr)
-		if err != nil {
-			return fmt.Errorf("harvestd: listen %s: %w", d.cfg.Addr, err)
-		}
-		d.ln = ln
+	api, err := daemon.Listen(d.cfg.Addr)
+	if err != nil {
+		return fmt.Errorf("harvestd: %w", err)
 	}
+	d.api = api
 
 	d.start = d.cfg.Clock.Now()
 	d.srcCtx, d.srcCancel = context.WithCancel(ctx)
@@ -308,17 +299,11 @@ func (d *Daemon) Start(ctx context.Context) error {
 		}(s, sink)
 	}
 
-	d.ckptDone = make(chan struct{})
-	if d.cfg.CheckpointPath != "" {
-		go d.checkpointLoop()
-	} else {
-		close(d.ckptDone)
-	}
+	d.ckpt.StartTimer(d.srcCtx, &d.srcWG)
 
-	if d.ln != nil {
-		d.srv = &http.Server{Handler: d.handler()}
-		go func(srv *http.Server, ln net.Listener) { _ = srv.Serve(ln) }(d.srv, d.ln)
-		d.cfg.Logf("harvestd: serving on http://%s", d.ln.Addr())
+	if d.api != nil {
+		d.api.Serve(d.handler())
+		d.cfg.Logf("harvestd: serving on %s", d.api.URL())
 	}
 
 	d.running = true
@@ -330,10 +315,7 @@ func (d *Daemon) Start(ctx context.Context) error {
 func (d *Daemon) Addr() string {
 	d.stateMu.RLock()
 	defer d.stateMu.RUnlock()
-	if d.ln == nil {
-		return ""
-	}
-	return d.ln.Addr().String()
+	return d.api.Addr()
 }
 
 // URL returns the API's base URL (after Start).
@@ -472,23 +454,6 @@ func (d *Daemon) push(bt ingestBatch) error {
 // errRefused marks a push the daemon turned away; POST /ingest answers 503.
 var errRefused = errors.New("harvestd: not accepting data")
 
-// checkpointLoop writes checkpoints on a timer until shutdown.
-func (d *Daemon) checkpointLoop() {
-	defer close(d.ckptDone)
-	t := time.NewTicker(d.cfg.CheckpointInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if err := d.Checkpoint(); err != nil {
-				d.cfg.Logf("harvestd: checkpoint failed: %v", err)
-			}
-		case <-d.srcCtx.Done():
-			return
-		}
-	}
-}
-
 // SourceErrors returns errors from sources that failed so far.
 func (d *Daemon) SourceErrors() []error {
 	d.errMu.Lock()
@@ -521,21 +486,14 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	// authoritative).
 	d.srcCancel()
 	d.srcWG.Wait()
-	var srvErr error
-	if d.srv != nil {
-		srvErr = d.srv.Shutdown(ctx)
-	}
+	srvErr := d.api.Shutdown(ctx)
 
 	// 2. Drain: close the queue and let the workers fold what's in flight.
 	close(d.queue)
 	d.workerWG.Wait()
-	<-d.ckptDone
 
 	// 3. Persist the drained state.
-	var ckptErr error
-	if d.cfg.CheckpointPath != "" {
-		ckptErr = d.Checkpoint()
-	}
+	ckptErr := d.ckpt.Final()
 
 	d.stateMu.Lock()
 	d.running = false
@@ -543,7 +501,7 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.root.End()
 
 	if ckptErr != nil {
-		return fmt.Errorf("harvestd: final checkpoint: %w", ckptErr)
+		return fmt.Errorf("harvestd: %w", ckptErr)
 	}
 	return srvErr
 }

@@ -2,13 +2,13 @@ package harvestd
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/harvester"
 )
 
@@ -52,7 +52,7 @@ func (d *Daemon) handler() http.Handler {
 	mux.HandleFunc("/snapshot", d.handleSnapshot)
 	mux.HandleFunc("/freshness", d.handleFreshness)
 	mux.HandleFunc("/ingest", d.handleIngest)
-	mux.HandleFunc("/checkpoint", d.handleCheckpoint)
+	mux.Handle("/checkpoint", &d.ckpt)
 	return mux
 }
 
@@ -78,7 +78,7 @@ func (d *Daemon) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 func (d *Daemon) handleFreshness(w http.ResponseWriter, r *http.Request) {
 	sp := d.cfg.Tracer.Start("freshness", d.root, nil)
 	defer sp.End()
-	writeJSON(w, d.FreshnessNow())
+	daemon.WriteJSON(w, d.FreshnessNow())
 }
 
 func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -100,7 +100,7 @@ func (d *Daemon) handlePolicies(w http.ResponseWriter, r *http.Request) {
 	for i, pe := range ests {
 		out[i] = policyInfo{Name: pe.Policy, N: pe.N, MatchRate: pe.MatchRate}
 	}
-	writeJSON(w, out)
+	daemon.WriteJSON(w, out)
 }
 
 func (d *Daemon) handleEstimates(w http.ResponseWriter, r *http.Request) {
@@ -117,10 +117,10 @@ func (d *Daemon) handleEstimates(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("unknown policy %q", name), http.StatusNotFound)
 			return
 		}
-		writeJSON(w, pe)
+		daemon.WriteJSON(w, pe)
 		return
 	}
-	writeJSON(w, d.reg.Estimates(delta))
+	daemon.WriteJSON(w, d.reg.Estimates(delta))
 }
 
 func (d *Daemon) handleEvidence(w http.ResponseWriter, r *http.Request) {
@@ -186,7 +186,7 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// is the body's fault.
 	switch {
 	case err == nil:
-		writeJSON(w, map[string]int64{
+		daemon.WriteJSON(w, map[string]int64{
 			"lines": total.lines, "ingested": total.ingested,
 			"rejected": total.rejected, "parse_errors": total.parseErrors,
 		})
@@ -211,23 +211,6 @@ func (d *Daemon) ingestJSONLLine(line []byte) error {
 		return fmt.Errorf("harvestd: invalid datapoint line")
 	}
 	return d.Ingest(dp)
-}
-
-func (d *Daemon) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	if d.cfg.CheckpointPath == "" {
-		http.Error(w, "checkpointing disabled", http.StatusConflict)
-		return
-	}
-	if err := d.Checkpoint(); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "checkpointed to %s\n", d.cfg.CheckpointPath)
 }
 
 // handleMetrics serves the obs registry as Prometheus text. Static series
@@ -263,7 +246,7 @@ type DiagnosticsReport struct {
 func (d *Daemon) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 	sp := d.cfg.Tracer.Start("diagnostics", d.root, nil)
 	defer sp.End()
-	writeJSON(w, DiagnosticsReport{
+	daemon.WriteJSON(w, DiagnosticsReport{
 		UptimeSeconds:   d.cfg.Clock.Now().Sub(d.start).Seconds(),
 		Clip:            d.reg.Clip(),
 		PropensityFloor: d.reg.PropensityFloor(),
@@ -274,11 +257,4 @@ func (d *Daemon) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 		EvalPanics:      d.reg.EvalPanics(),
 		Policies:        d.reg.Diagnostics(),
 	})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
 }

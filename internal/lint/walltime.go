@@ -22,6 +22,13 @@ var walltimeDeterministic = map[string]bool{
 // else in the package would silently pin telemetry to the host clock.
 const walltimeObsPkg = "repro/internal/obs"
 
+// walltimeInjected lists packages held to internal/obs's clock-injection
+// rule: the daemon chassis serves every service, and each service's clock
+// is its own Config.Clock.
+var walltimeInjected = map[string]bool{
+	"repro/internal/daemon": true,
+}
+
 // walltimeBanned is the set of wall-clock readers flagged inside
 // deterministic packages. Duration arithmetic and time.Time values remain
 // fine; only sampling the host clock is banned.
@@ -37,12 +44,12 @@ var walltimeBanned = map[string]bool{
 // outside the WallClock constructor path are flagged.
 var WallTime = &Analyzer{
 	Name: "walltime",
-	Doc:  "time.Now/time.Since inside deterministic simulation packages, or outside the sanctioned WallClock path in internal/obs",
+	Doc:  "time.Now/time.Since inside deterministic simulation packages, outside the sanctioned WallClock path in internal/obs, or in the daemon chassis",
 	Run:  runWallTime,
 }
 
 func runWallTime(pass *Pass) {
-	obsMode := pass.Pkg.Path() == walltimeObsPkg
+	obsMode := pass.Pkg.Path() == walltimeObsPkg || walltimeInjected[pass.Pkg.Path()]
 	if !obsMode && !walltimeDeterministic[pass.Pkg.Path()] {
 		return
 	}
@@ -63,7 +70,7 @@ func runWallTime(pass *Pass) {
 				if obsMode {
 					pass.Reportf(sel.Sel.Pos(),
 						"time.%s reads the host clock inside %s; time must flow through an injected Clock (only the WallClock constructor path may read it)",
-						name, walltimeObsPkg)
+						name, pass.Pkg.Path())
 					return true
 				}
 				pass.Reportf(sel.Sel.Pos(),

@@ -2,9 +2,10 @@ package obs
 
 import (
 	"expvar"
-	"net"
 	"net/http"
 	"net/http/pprof"
+
+	"repro/internal/daemon"
 )
 
 // DebugMux returns a fresh mux serving the standard Go debug surface:
@@ -23,32 +24,9 @@ func DebugMux() *http.ServeMux {
 	return mux
 }
 
-// HTTPServer is a minimal owned listener + server pair for auxiliary
-// endpoints (debug surface, standalone /metrics).
-type HTTPServer struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-// ServeMux listens on addr and serves handler until Close. addr ""
-// returns (nil, nil): the nil *HTTPServer is a valid disabled server, so
-// flag-gated call sites need no branching.
-func ServeMux(addr string, handler http.Handler) (*HTTPServer, error) {
-	if addr == "" {
-		return nil, nil
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s := &HTTPServer{ln: ln, srv: &http.Server{Handler: handler}}
-	go func() { _ = s.srv.Serve(ln) }()
-	return s, nil
-}
-
 // StartDebug serves DebugMux on addr ("" = disabled, returns (nil, nil)).
-func StartDebug(addr string) (*HTTPServer, error) {
-	return ServeMux(addr, DebugMux())
+func StartDebug(addr string) (*daemon.Server, error) {
+	return daemon.ListenAndServe(addr, DebugMux())
 }
 
 // MetricsMux returns a fresh mux serving the registry at /metrics — the
@@ -57,21 +35,4 @@ func MetricsMux(r *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", r.Handler())
 	return mux
-}
-
-// Addr returns the bound host:port ("" for a disabled server).
-func (s *HTTPServer) Addr() string {
-	if s == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
-// Close shuts the listener down. Closing a disabled (nil) server is a
-// no-op.
-func (s *HTTPServer) Close() error {
-	if s == nil {
-		return nil
-	}
-	return s.srv.Close()
 }

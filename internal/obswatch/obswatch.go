@@ -19,13 +19,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/obs"
 )
 
@@ -103,13 +103,12 @@ type Watcher struct {
 	reg   *obs.Registry
 	met   watchMetrics
 
-	stateMu  sync.Mutex
-	running  bool
-	ln       net.Listener
-	srv      *http.Server
-	loopCtx  context.Context
-	cancel   context.CancelFunc
-	loopDone chan struct{}
+	stateMu sync.Mutex
+	running bool
+	api     *daemon.Server
+	loopCtx context.Context
+	cancel  context.CancelFunc
+	loop    sync.WaitGroup // the scrape loop
 }
 
 // targetStatus is one target's scrape health, indexed like cfg.Targets.
@@ -188,50 +187,34 @@ func (w *Watcher) Start(ctx context.Context) error {
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	ln, err := net.Listen("tcp", addr)
+	api, err := daemon.Listen(addr)
 	if err != nil {
-		return fmt.Errorf("obswatch: listen %s: %w", addr, err)
+		return fmt.Errorf("obswatch: %w", err)
 	}
-	w.ln = ln
-	w.srv = &http.Server{Handler: w.handler()}
-	go func() { _ = w.srv.Serve(ln) }()
+	w.api = api
+	api.Serve(w.handler())
 
 	w.loopCtx, w.cancel = context.WithCancel(context.WithoutCancel(ctx))
-	w.loopDone = make(chan struct{})
 	if w.cfg.Interval > 0 {
-		go w.loop()
-	} else {
-		close(w.loopDone)
+		// The first round runs at once, then one every Interval.
+		w.loop.Add(1)
+		go func() {
+			defer w.loop.Done()
+			tick := func() { w.Tick(w.loopCtx) }
+			tick()
+			daemon.Every(w.loopCtx, w.cfg.Interval, tick)
+		}()
 	}
 	w.running = true
-	w.cfg.Logf("fleetwatch: watching %d targets on http://%s", len(w.cfg.Targets), ln.Addr())
+	w.cfg.Logf("fleetwatch: watching %d targets on %s", len(w.cfg.Targets), api.URL())
 	return nil
-}
-
-// loop runs Tick every Interval until Shutdown.
-func (w *Watcher) loop() {
-	defer close(w.loopDone)
-	w.Tick(w.loopCtx)
-	t := time.NewTicker(w.cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			w.Tick(w.loopCtx)
-		case <-w.loopCtx.Done():
-			return
-		}
-	}
 }
 
 // Addr returns the API's host:port (after Start).
 func (w *Watcher) Addr() string {
 	w.stateMu.Lock()
 	defer w.stateMu.Unlock()
-	if w.ln == nil {
-		return ""
-	}
-	return w.ln.Addr().String()
+	return w.api.Addr()
 }
 
 // URL returns the API's base URL (after Start).
@@ -247,8 +230,8 @@ func (w *Watcher) Shutdown(ctx context.Context) error {
 	w.running = false
 	w.stateMu.Unlock()
 	w.cancel()
-	<-w.loopDone
-	return w.srv.Shutdown(ctx)
+	w.loop.Wait()
+	return w.api.Shutdown(ctx)
 }
 
 // Tick performs one scrape-and-evaluate round: every target is scraped in
@@ -350,20 +333,12 @@ func (w *Watcher) scrapeTarget(ctx context.Context, t Target) (map[string]float6
 }
 
 // fetch GETs one URL and returns the body (capped at 8 MiB).
-func (w *Watcher) fetch(ctx context.Context, url string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, fmt.Errorf("building request: %w", err)
-	}
-	resp, err := w.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: HTTP %d", url, resp.StatusCode)
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+func (w *Watcher) fetch(ctx context.Context, url string) (body []byte, err error) {
+	err = daemon.Get(ctx, w.cfg.Client, url, func(r io.Reader) error {
+		body, err = io.ReadAll(io.LimitReader(r, 8<<20))
+		return err
+	})
+	return body, err
 }
 
 // watchFreshness is the slice of a /freshness payload the watcher keeps.
@@ -376,24 +351,15 @@ type watchFreshness struct {
 // fetchFreshness reads a harvest surface's watermark view; (nil, nil) on
 // 404 (the daemon predates the endpoint).
 func (w *Watcher) fetchFreshness(ctx context.Context, t Target) (*watchFreshness, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.URL+"/freshness", nil)
-	if err != nil {
-		return nil, fmt.Errorf("building request: %w", err)
-	}
-	resp, err := w.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("/freshness: HTTP %d", resp.StatusCode)
-	}
 	var fr watchFreshness
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&fr); err != nil {
-		return nil, fmt.Errorf("decoding /freshness: %w", err)
+	err := daemon.Get(ctx, w.cfg.Client, t.URL+"/freshness", func(r io.Reader) error {
+		return json.NewDecoder(io.LimitReader(r, 8<<20)).Decode(&fr)
+	})
+	switch {
+	case daemon.StatusCode(err) == http.StatusNotFound:
+		return nil, nil
+	case err != nil:
+		return nil, err
 	}
 	return &fr, nil
 }

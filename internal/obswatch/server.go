@@ -1,11 +1,12 @@
 package obswatch
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
 	"time"
+
+	"repro/internal/daemon"
 )
 
 // handler builds the watcher's stdlib-only HTTP API:
@@ -108,11 +109,11 @@ func (w *Watcher) StatusNow() Status {
 }
 
 func (w *Watcher) handleStatus(rw http.ResponseWriter, r *http.Request) {
-	writeJSON(rw, w.StatusNow())
+	daemon.WriteJSON(rw, w.StatusNow())
 }
 
 func (w *Watcher) handleAlerts(rw http.ResponseWriter, r *http.Request) {
-	writeJSON(rw, w.Alerts())
+	daemon.WriteJSON(rw, w.Alerts())
 }
 
 // handleSeries dumps the retained ring buffers as target → series →
@@ -139,14 +140,5 @@ func (w *Watcher) handleSeries(rw http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.mu.Unlock()
-	writeJSON(rw, out)
-}
-
-// writeJSON matches the other daemons' encoder settings (one-space
-// indent), keeping fleet payloads visually uniform.
-func writeJSON(rw http.ResponseWriter, v any) {
-	rw.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(rw)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
+	daemon.WriteJSON(rw, out)
 }

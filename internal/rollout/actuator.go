@@ -5,9 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"time"
+
+	"repro/internal/daemon"
 )
 
 // Actuator pushes the controller's chosen candidate traffic share to the
@@ -37,7 +37,7 @@ type shareBody struct {
 type HTTPActuator struct {
 	// URL is the full endpoint, e.g. "http://127.0.0.1:9090/share".
 	URL string
-	// Client defaults to a client with a 10s timeout.
+	// Client defaults to the shared client HTTPHarvest uses (10s timeout).
 	Client *http.Client
 }
 
@@ -50,23 +50,13 @@ func (a *HTTPActuator) SetShare(ctx context.Context, share float64) error {
 	if err != nil {
 		return fmt.Errorf("rollout: encoding share: %w", err)
 	}
-	client := a.Client
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, a.URL, bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("rollout: building actuation request: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return fmt.Errorf("rollout: actuating %s: %w", a.URL, err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return fmt.Errorf("rollout: actuating %s: status %d: %s", a.URL, resp.StatusCode, msg)
+	if err := daemon.Do(clientOr(a.Client), req, nil); err != nil {
+		return fmt.Errorf("rollout: actuating: %w", err)
 	}
 	return nil
 }

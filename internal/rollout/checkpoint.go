@@ -1,14 +1,11 @@
 package rollout
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/abtest"
+	"repro/internal/daemon"
 )
 
 // CheckpointVersion guards the on-disk rollout checkpoint schema; bump it
@@ -74,10 +71,8 @@ func (c *Controller) snapshotLocked() Checkpoint {
 	}
 }
 
-// Checkpoint atomically persists the controller state with the same
-// protocol as harvestd: marshal to a temp file in the destination
-// directory, fsync, rename — a crash mid-write leaves the previous
-// checkpoint intact.
+// Checkpoint persists the controller state atomically (daemon.SaveJSON): a
+// crash mid-write leaves the previous checkpoint intact.
 func (c *Controller) Checkpoint() error {
 	path := c.cfg.CheckpointPath
 	if path == "" {
@@ -86,40 +81,11 @@ func (c *Controller) Checkpoint() error {
 	c.mu.Lock()
 	ck := c.snapshotLocked()
 	c.mu.Unlock()
-	blob, err := json.MarshalIndent(&ck, "", " ")
-	if err != nil {
-		return fmt.Errorf("rollout: encoding checkpoint: %w", err)
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("rollout: checkpoint temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(blob); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("rollout: writing checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("rollout: syncing checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("rollout: closing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("rollout: publishing checkpoint: %w", err)
+	if err := daemon.SaveJSON(path, &ck); err != nil {
+		return fmt.Errorf("rollout: checkpoint: %w", err)
 	}
 	return nil
 }
-
-// isNotExist reports whether loading failed only because no checkpoint
-// exists yet (a cold start, not an error).
-func isNotExist(err error) bool { return errors.Is(err, os.ErrNotExist) }
 
 // timeToMS maps the zero time to 0 so msToTime can invert it exactly.
 func timeToMS(t time.Time) int64 {
@@ -142,36 +108,29 @@ func msToTime(ms int64) time.Time {
 // mismatched checkpoints are rejected with the path in the error — a
 // controller that silently started a rollout from scratch could re-promote
 // a candidate that was just rolled back.
-func (c *Controller) loadCheckpointLocked() error {
+func (c *Controller) loadCheckpointLocked() (string, error) {
 	path := c.cfg.CheckpointPath
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
 	var ck Checkpoint
-	if err := json.Unmarshal(blob, &ck); err != nil {
-		return fmt.Errorf("corrupt checkpoint %s: %w", path, err)
-	}
-	if ck.Version != CheckpointVersion {
-		return fmt.Errorf("checkpoint %s has version %d, want %d", path, ck.Version, CheckpointVersion)
+	if err := daemon.LoadJSON(path, CheckpointVersion, &ck); err != nil {
+		return "", err
 	}
 	if ck.Candidate != c.cfg.Candidate || ck.Baseline != c.cfg.Baseline {
-		return fmt.Errorf("checkpoint %s tracks %s vs %s, config wants %s vs %s",
+		return "", fmt.Errorf("checkpoint %s tracks %s vs %s, config wants %s vs %s",
 			path, ck.Candidate, ck.Baseline, c.cfg.Candidate, c.cfg.Baseline)
 	}
 	switch ck.Stage {
 	case StageShadow, StageFull, StageRolledBack:
 	case StageCanary:
 		if ck.ShareIdx < 0 || ck.ShareIdx >= len(c.cfg.CanaryShares) {
-			return fmt.Errorf("checkpoint %s canary index %d out of range (shares %v)",
+			return "", fmt.Errorf("checkpoint %s canary index %d out of range (shares %v)",
 				path, ck.ShareIdx, c.cfg.CanaryShares)
 		}
 	default:
-		return fmt.Errorf("checkpoint %s has unknown stage %q", path, ck.Stage)
+		return "", fmt.Errorf("checkpoint %s has unknown stage %q", path, ck.Stage)
 	}
 	seq, err := abtest.RestoreSequential(ck.Sequential)
 	if err != nil {
-		return fmt.Errorf("checkpoint %s: %w", path, err)
+		return "", fmt.Errorf("checkpoint %s: %w", path, err)
 	}
 	c.stage = ck.Stage
 	c.shareIdx = ck.ShareIdx
@@ -186,5 +145,5 @@ func (c *Controller) loadCheckpointLocked() error {
 	c.gates = append([]GateDecision(nil), ck.Gates...)
 	c.transitions = append([]StageTransition(nil), ck.Transitions...)
 	c.met.setStage(c.stage, c.share())
-	return nil
+	return fmt.Sprintf("stage=%s share=%g polls=%d", c.stage, c.share(), c.polls), nil
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/harvestd"
 )
 
@@ -32,28 +33,24 @@ type HTTPHarvest struct {
 	Client *http.Client
 }
 
+// defaultClient serves every HTTP call a Client left nil, so reads and
+// actuations reuse keep-alive connections.
 var defaultClient = &http.Client{Timeout: 10 * time.Second}
 
+// clientOr returns c, or the shared default client when c is nil.
+func clientOr(c *http.Client) *http.Client {
+	if c == nil {
+		return defaultClient
+	}
+	return c
+}
+
 func (h *HTTPHarvest) get(ctx context.Context, path string, v any) error {
-	client := h.Client
-	if client == nil {
-		client = defaultClient
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, h.BaseURL+path, nil)
+	err := daemon.Get(ctx, clientOr(h.Client), h.BaseURL+path, func(body io.Reader) error {
+		return json.NewDecoder(io.LimitReader(body, core.MaxRecordBytes)).Decode(v)
+	})
 	if err != nil {
-		return fmt.Errorf("rollout: building %s request: %w", path, err)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return fmt.Errorf("rollout: fetching %s: %w", path, err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return fmt.Errorf("rollout: %s: status %d: %s", path, resp.StatusCode, body)
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, core.MaxRecordBytes)).Decode(v); err != nil {
-		return fmt.Errorf("rollout: decoding %s: %w", path, err)
+		return fmt.Errorf("rollout: %s: %w", path, err)
 	}
 	return nil
 }

@@ -42,12 +42,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"net"
-	"net/http"
 	"sync"
 	"time"
 
 	"repro/internal/abtest"
+	"repro/internal/daemon"
 	"repro/internal/obs"
 )
 
@@ -242,12 +241,11 @@ type Controller struct {
 
 	runCtx    context.Context
 	runCancel context.CancelFunc
-	loopDone  chan struct{}
-	ckptDone  chan struct{}
+	loops     sync.WaitGroup // the poll loop and the checkpoint timer
+	ckpt      daemon.Checkpointer
 	running   bool
 
-	ln  net.Listener
-	srv *http.Server
+	api *daemon.Server
 }
 
 // New builds a controller. Call Start to begin polling (or drive Step
@@ -261,6 +259,10 @@ func New(cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{cfg: cfg, stage: StageShadow, seq: seq}
+	c.ckpt = daemon.Checkpointer{
+		Path: cfg.CheckpointPath, Interval: cfg.CheckpointInterval,
+		Save: c.Checkpoint, Name: "rollout", Logf: cfg.Logf,
+	}
 	c.initMetrics()
 	return c, nil
 }
@@ -286,25 +288,14 @@ func (c *Controller) Start(ctx context.Context) error {
 	if c.running {
 		return fmt.Errorf("rollout: already started")
 	}
-	if c.cfg.CheckpointPath != "" {
-		err := c.loadCheckpointLocked()
-		switch {
-		case err == nil:
-			c.cfg.Logf("rollout: resumed stage=%s share=%g polls=%d from %s",
-				c.stage, c.share(), c.polls, c.cfg.CheckpointPath)
-		case isNotExist(err):
-			// First run: nothing to resume.
-		default:
-			return fmt.Errorf("rollout: loading checkpoint: %w", err)
-		}
+	if err := c.ckpt.Resume(c.loadCheckpointLocked); err != nil {
+		return fmt.Errorf("rollout: %w", err)
 	}
-	if c.cfg.Addr != "" {
-		ln, err := net.Listen("tcp", c.cfg.Addr)
-		if err != nil {
-			return fmt.Errorf("rollout: listen %s: %w", c.cfg.Addr, err)
-		}
-		c.ln = ln
+	api, err := daemon.Listen(c.cfg.Addr)
+	if err != nil {
+		return fmt.Errorf("rollout: %w", err)
 	}
+	c.api = api
 
 	c.start = c.cfg.Clock.Now()
 	if c.lastProgress.IsZero() {
@@ -324,20 +315,16 @@ func (c *Controller) Start(ctx context.Context) error {
 		}
 	}
 
-	c.loopDone = make(chan struct{})
-	go c.runLoop()
+	c.loops.Add(1)
+	go func() {
+		defer c.loops.Done()
+		daemon.Every(c.runCtx, c.cfg.PollInterval, c.poll)
+	}()
+	c.ckpt.StartTimer(c.runCtx, &c.loops)
 
-	c.ckptDone = make(chan struct{})
-	if c.cfg.CheckpointPath != "" {
-		go c.checkpointLoop()
-	} else {
-		close(c.ckptDone)
-	}
-
-	if c.ln != nil {
-		c.srv = &http.Server{Handler: c.handler()}
-		go func(srv *http.Server, ln net.Listener) { _ = srv.Serve(ln) }(c.srv, c.ln)
-		c.cfg.Logf("rollout: serving on http://%s", c.ln.Addr())
+	if c.api != nil {
+		c.api.Serve(c.handler())
+		c.cfg.Logf("rollout: serving on %s", c.api.URL())
 	}
 	c.running = true
 	return nil
@@ -347,10 +334,7 @@ func (c *Controller) Start(ctx context.Context) error {
 func (c *Controller) Addr() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.ln == nil {
-		return ""
-	}
-	return c.ln.Addr().String()
+	return c.api.Addr()
 }
 
 // URL returns the API's base URL (after Start).
@@ -370,42 +354,15 @@ func (c *Controller) Share() float64 {
 	return c.share()
 }
 
-// runLoop polls on the configured interval until shutdown. Terminal stages
-// stop the clock: a rolled-back controller keeps serving its decision
-// history but stops polling.
-func (c *Controller) runLoop() {
-	defer close(c.loopDone)
-	t := time.NewTicker(c.cfg.PollInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if c.Stage() == StageRolledBack {
-				continue
-			}
-			if _, err := c.Step(c.runCtx); err != nil && c.runCtx.Err() == nil {
-				c.cfg.Logf("rollout: poll failed: %v", err)
-			}
-		case <-c.runCtx.Done():
-			return
-		}
+// poll is one tick of the control loop. Terminal stages stop the clock: a
+// rolled-back controller keeps serving its decision history but stops
+// polling.
+func (c *Controller) poll() {
+	if c.Stage() == StageRolledBack {
+		return
 	}
-}
-
-// checkpointLoop writes checkpoints on a timer until shutdown.
-func (c *Controller) checkpointLoop() {
-	defer close(c.ckptDone)
-	t := time.NewTicker(c.cfg.CheckpointInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if err := c.Checkpoint(); err != nil {
-				c.cfg.Logf("rollout: checkpoint failed: %v", err)
-			}
-		case <-c.runCtx.Done():
-			return
-		}
+	if _, err := c.Step(c.runCtx); err != nil && c.runCtx.Err() == nil {
+		c.cfg.Logf("rollout: poll failed: %v", err)
 	}
 }
 
@@ -633,19 +590,12 @@ func (c *Controller) Shutdown(ctx context.Context) error {
 	c.mu.Unlock()
 
 	cancel()
-	<-c.loopDone
-	<-c.ckptDone
-	var srvErr error
-	if c.srv != nil {
-		srvErr = c.srv.Shutdown(ctx)
-	}
-	var ckptErr error
-	if c.cfg.CheckpointPath != "" {
-		ckptErr = c.Checkpoint()
-	}
+	c.loops.Wait()
+	srvErr := c.api.Shutdown(ctx)
+	ckptErr := c.ckpt.Final()
 	c.root.End()
 	if ckptErr != nil {
-		return fmt.Errorf("rollout: final checkpoint: %w", ckptErr)
+		return fmt.Errorf("rollout: %w", ckptErr)
 	}
 	return srvErr
 }

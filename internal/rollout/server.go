@@ -1,12 +1,12 @@
 package rollout
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
 
 	"repro/internal/abtest"
+	"repro/internal/daemon"
 )
 
 // Status is the /status payload: the controller's full current view. Under
@@ -70,13 +70,13 @@ func (c *Controller) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", getOnly(c.handleHealthz))
 	mux.HandleFunc("/status", getOnly(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, c.StatusNow())
+		daemon.WriteJSON(w, c.StatusNow())
 	}))
 	mux.HandleFunc("/gates", getOnly(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, c.Gates())
+		daemon.WriteJSON(w, c.Gates())
 	}))
 	mux.HandleFunc("/history", getOnly(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, c.Transitions())
+		daemon.WriteJSON(w, c.Transitions())
 	}))
 	mux.HandleFunc("/metrics", getOnly(func(w http.ResponseWriter, r *http.Request) {
 		c.obsReg.Handler().ServeHTTP(w, r)
@@ -103,13 +103,4 @@ func (c *Controller) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	c.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "ok stage=%s uptime=%s\n", stage, uptime.Round(time.Millisecond))
-}
-
-// writeJSON mirrors harvestd's encoder settings so every JSON surface in
-// the project renders identically (one-space indent, trailing newline).
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
 }
