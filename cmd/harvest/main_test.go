@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"io"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -51,6 +52,36 @@ func TestRunFig3Quick(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "Fig 3") {
 		t.Errorf("missing header:\n%s", buf.String())
+	}
+}
+
+// TestRunAllMatchesResultsSeed1 pins the committed paper-results file:
+// `harvest all` at seed 1 must regenerate RESULTS-seed1.txt byte for byte,
+// so a refactor of any estimator or simulator under it cannot move a
+// printed figure unnoticed.
+func TestRunAllMatchesResultsSeed1(t *testing.T) {
+	want, err := os.ReadFile("../../RESULTS-seed1.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run(&buf, "all", 1, false, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.Bytes(); !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("output differs from RESULTS-seed1.txt at line %d:\n got  %q\n want %q", i+1, g, w)
+			}
+		}
 	}
 }
 
