@@ -46,10 +46,10 @@ loopbench-check:
 race:
 	$(GO) test -race ./...
 
-# Focused federation + ingest + rollout hot-path benchmarks (per-line fold,
-# accumulator merge, registry fan-out per record and per batch, snapshot
-# encode/decode, router assignment, binary codec, end-to-end source→fold
-# ingest per format, gate evaluation and state transition), emitted as
+# Focused federation + ingest + rollout hot-path benchmarks (ope.Accum's
+# per-record fold and merge, registry fan-out per record and per batch,
+# snapshot encode/decode, router assignment, binary codec, end-to-end
+# source→fold ingest per format, gate evaluation and state transition), emitted as
 # BENCH_harvestd.json for CI trend tracking. RegistryFold also selects
 # RegistryFoldBatch/{1,64,720,wide32,policies={1,4,16,64}}, where one op is
 # one record and the policies rows (8 upstreams, 97-record batches) are the
@@ -68,7 +68,7 @@ race:
 # bench-all is the full sweep.
 bench:
 	$(GO) test -run NONE -bench 'AccumFold|AccumMerge|RegistryFold|RegistryEstimates|AggregatorEvidence|StepHTTP|SnapshotEncode|SnapshotDecode|RouterAssign|BinRecEncode|BinRecDecode|ParseNginxLine|IngestNginx|IngestJSONL|IngestBin|IngestScaling|GateEval|StateTransition' \
-		-benchmem ./internal/harvestd ./internal/fleet ./internal/harvester ./internal/harvester/binrec ./internal/rollout | $(GO) run ./cmd/benchjson -o BENCH_harvestd.json
+		-benchmem ./internal/ope ./internal/harvestd ./internal/fleet ./internal/harvester ./internal/harvester/binrec ./internal/rollout | $(GO) run ./cmd/benchjson -o BENCH_harvestd.json
 	@cat BENCH_harvestd.json
 
 bench-all:

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/harvestd"
+	"repro/internal/ope"
 )
 
 func TestParseShards(t *testing.T) {
@@ -51,7 +52,7 @@ func TestRunBadFlags(t *testing.T) {
 // fakeShard serves a fixed snapshot the way a harvestd shard would.
 func fakeShard(t *testing.T, shardID string, n int) *httptest.Server {
 	t.Helper()
-	var acc harvestd.Accum
+	var acc ope.Accum
 	for i := 0; i < n; i++ {
 		acc.Fold(0.5, 0.5, float64(i%7)/8, 10, harvestd.DefaultPropensityFloor)
 	}
@@ -62,7 +63,7 @@ func fakeShard(t *testing.T, shardID string, n int) *httptest.Server {
 		Clip:     10,
 		Floor:    harvestd.DefaultPropensityFloor,
 		Counters: harvestd.SnapshotCounters{Lines: int64(n), Ingested: int64(n), Folded: int64(n)},
-		Policies: map[string]harvestd.Accum{"uniform": acc},
+		Policies: map[string]ope.Accum{"uniform": acc},
 	}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/snapshot" {
@@ -103,7 +104,7 @@ func TestRunAggregatesFleet(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(30 * time.Second)
-	var ests []harvestd.PolicyEstimate
+	var ests []ope.PolicyEstimate
 	for {
 		resp, err := http.Get(base + "/estimates")
 		if err != nil {

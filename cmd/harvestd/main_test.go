@@ -15,9 +15,9 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/harvestd"
 	"repro/internal/harvester/binrec"
 	"repro/internal/lbsim"
+	"repro/internal/ope"
 	"repro/internal/stats"
 )
 
@@ -82,14 +82,14 @@ func startRun(t *testing.T, ctx context.Context, args []string) (string, <-chan 
 }
 
 // fetchEstimates polls /estimates until every policy reports wantN samples.
-func fetchEstimates(t *testing.T, base string, wantN int64) []harvestd.PolicyEstimate {
+func fetchEstimates(t *testing.T, base string, wantN int64) []ope.PolicyEstimate {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
-	var last []harvestd.PolicyEstimate
+	var last []ope.PolicyEstimate
 	for time.Now().Before(deadline) {
 		resp, err := http.Get(base + "/estimates")
 		if err == nil {
-			var ests []harvestd.PolicyEstimate
+			var ests []ope.PolicyEstimate
 			if json.NewDecoder(resp.Body).Decode(&ests) == nil {
 				last = ests
 			}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/harvestd"
+	"repro/internal/ope"
 	"repro/internal/rollout"
 )
 
@@ -67,9 +68,9 @@ func (g *growingHarvest) grow() {
 	g.baseSumSq += dn * (sd*sd + baseMean*baseMean)
 }
 
-func estOf(n int64, sum, sumSq float64) harvestd.EstimatorValue {
+func estOf(n int64, sum, sumSq float64) ope.EstimatorValue {
 	if n < 2 {
-		return harvestd.EstimatorValue{}
+		return ope.EstimatorValue{}
 	}
 	nf := float64(n)
 	v := sum / nf
@@ -77,7 +78,7 @@ func estOf(n int64, sum, sumSq float64) harvestd.EstimatorValue {
 	if va < 0 {
 		va = 0
 	}
-	return harvestd.EstimatorValue{Value: v, StdErr: math.Sqrt(va / nf)}
+	return ope.EstimatorValue{Value: v, StdErr: math.Sqrt(va / nf)}
 }
 
 func (g *growingHarvest) serve(t *testing.T) *httptest.Server {
@@ -92,11 +93,11 @@ func (g *growingHarvest) serve(t *testing.T) *httptest.Server {
 		_ = json.NewEncoder(w).Encode(harvestd.Evidence{
 			Version: harvestd.EvidenceVersion,
 			Policies: []harvestd.PolicyEvidence{{
-				Estimate:    harvestd.PolicyEstimate{Policy: "better", N: g.candN, MatchRate: 1, IPS: cand, ClippedIPS: cand, SNIPS: cand},
-				Diagnostics: harvestd.PolicyDiagnostics{Policy: "better", N: g.candN, ESSFraction: 1},
+				Estimate:    ope.PolicyEstimate{Policy: "better", N: g.candN, MatchRate: 1, IPS: cand, ClippedIPS: cand, SNIPS: cand},
+				Diagnostics: ope.PolicyDiagnostics{Policy: "better", N: g.candN, ESSFraction: 1},
 			}, {
-				Estimate:    harvestd.PolicyEstimate{Policy: "incumbent", N: g.baseN, MatchRate: 1, IPS: base, ClippedIPS: base, SNIPS: base},
-				Diagnostics: harvestd.PolicyDiagnostics{Policy: "incumbent", N: g.baseN, ESSFraction: 1},
+				Estimate:    ope.PolicyEstimate{Policy: "incumbent", N: g.baseN, MatchRate: 1, IPS: base, ClippedIPS: base, SNIPS: base},
+				Diagnostics: ope.PolicyDiagnostics{Policy: "incumbent", N: g.baseN, ESSFraction: 1},
 			}},
 		})
 	})

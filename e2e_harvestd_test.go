@@ -22,6 +22,7 @@ import (
 	"repro/internal/harvester"
 	"repro/internal/lbsim"
 	"repro/internal/netlb"
+	"repro/internal/ope"
 	"repro/internal/policy"
 	"repro/internal/stats"
 )
@@ -139,7 +140,7 @@ func TestE2EHarvestdEstimatesLiveNetLB(t *testing.T) {
 	completed := runNetLB(t, exploreLog, policy.UniformRandom{R: stats.NewRand(31)}, requests, 32)
 
 	// Scrape the API until the tail catches up with the load.
-	var est harvestd.PolicyEstimate
+	var est ope.PolicyEstimate
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		resp, err := http.Get(d.URL() + "/estimates?policy=leastloaded")
@@ -180,7 +181,7 @@ func TestE2EHarvestdEstimatesLiveNetLB(t *testing.T) {
 		t.Errorf("SNIPS %.6f vs deployed %.6f (%.0f%% off)", est.SNIPS.Value, truth, 100*rel)
 	}
 	// Sanity: least-loaded should not look worse than the logging policy.
-	var unif harvestd.PolicyEstimate
+	var unif ope.PolicyEstimate
 	resp, err := http.Get(d.URL() + "/estimates?policy=uniform")
 	if err != nil {
 		t.Fatal(err)

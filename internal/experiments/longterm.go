@@ -24,10 +24,10 @@ type LongTermParams struct {
 	N, Horizon int
 	// Outages is the number of staggered chaos outages injected.
 	Outages int
-	// Workers bounds the scheduler's concurrency: 1 runs the serial path,
-	// <1 selects runtime.NumCPU(). Results are identical for every value —
-	// the two collection passes use fixed seeds and the per-request IPS
-	// folds sharded accumulators in index order.
+	// Workers bounds the scheduler's concurrency over the two collection
+	// passes: 1 runs them serially, <1 selects runtime.NumCPU(). Results are
+	// identical for every value — each pass has a fixed seed, and the
+	// estimators run serially after both.
 	Workers int
 	// Config is the Fig. 5 deployment.
 	Config lbsim.Config
@@ -113,10 +113,8 @@ func LongTerm(p LongTermParams) (*LongTermResult, error) {
 	}
 	candidate := policy.Constant{A: 0}
 
-	// Per-request IPS over the full log, folded from per-shard harvester
-	// accumulators merged in index order — identical to the serial estimate
-	// for every worker count.
-	plainSnap, err := parallel.ShardedIPS(p.Workers, candidate, ds)
+	// Per-request IPS over the full log.
+	plain, err := (ope.IPS{}).Estimate(candidate, ds)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +133,7 @@ func LongTerm(p LongTermParams) (*LongTermResult, error) {
 	pdisPerStep := selfNormalizedPerStep(candidate, trajs, h, true)
 	return &LongTermResult{
 		Params:      p,
-		PlainIPS:    plainSnap.Mean,
+		PlainIPS:    plain.Value,
 		TrajIS:      trajPerStep,
 		PDIS:        pdisPerStep,
 		TrajMatched: tis.Matches,

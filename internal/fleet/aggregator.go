@@ -13,6 +13,7 @@ import (
 	"repro/internal/daemon"
 	"repro/internal/harvestd"
 	"repro/internal/obs"
+	"repro/internal/ope"
 )
 
 // Shard names one harvestd shard and where to pull its snapshot from.
@@ -341,7 +342,7 @@ type ShardStatus struct {
 // served estimates never depend on pull arrival order.
 type View struct {
 	Shards      []ShardStatus
-	Merged      map[string]harvestd.Accum
+	Merged      map[string]ope.Accum
 	Counters    harvestd.SnapshotCounters
 	LiveShards  int
 	TotalShards int
@@ -354,7 +355,7 @@ type View struct {
 func (a *Aggregator) View() View {
 	now := a.cfg.Clock.Now()
 	v := View{
-		Merged:      make(map[string]harvestd.Accum),
+		Merged:      make(map[string]ope.Accum),
 		TotalShards: len(a.shards),
 	}
 	for _, st := range a.shards {
@@ -419,9 +420,9 @@ func (v *View) policyNames() []string {
 // Estimates reports the fleet-wide per-policy estimates at confidence
 // 1−delta, in the same shape (and, for identical merged state, the same
 // bytes) as a single harvestd's /estimates.
-func (v *View) Estimates(delta float64) []harvestd.PolicyEstimate {
+func (v *View) Estimates(delta float64) []ope.PolicyEstimate {
 	names := v.policyNames()
-	out := make([]harvestd.PolicyEstimate, len(names))
+	out := make([]ope.PolicyEstimate, len(names))
 	for i, name := range names {
 		acc := v.Merged[name]
 		out[i] = acc.Estimate(name, delta)
@@ -430,9 +431,9 @@ func (v *View) Estimates(delta float64) []harvestd.PolicyEstimate {
 }
 
 // Diagnostics reports the fleet-wide estimator-health view per policy.
-func (v *View) Diagnostics() []harvestd.PolicyDiagnostics {
+func (v *View) Diagnostics() []ope.PolicyDiagnostics {
 	names := v.policyNames()
-	out := make([]harvestd.PolicyDiagnostics, len(names))
+	out := make([]ope.PolicyDiagnostics, len(names))
 	for i, name := range names {
 		acc := v.Merged[name]
 		out[i] = acc.Diagnostics(name)
@@ -441,7 +442,7 @@ func (v *View) Diagnostics() []harvestd.PolicyDiagnostics {
 }
 
 // Estimates is the aggregator-level convenience over the current view.
-func (a *Aggregator) Estimates(delta float64) []harvestd.PolicyEstimate {
+func (a *Aggregator) Estimates(delta float64) []ope.PolicyEstimate {
 	v := a.View()
 	return v.Estimates(delta)
 }

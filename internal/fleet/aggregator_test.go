@@ -16,13 +16,14 @@ import (
 
 	"repro/internal/harvestd"
 	"repro/internal/obs"
+	"repro/internal/ope"
 	"repro/internal/stats"
 )
 
 // testAccum folds n pseudo-random datapoints into one accumulator.
-func testAccum(seed int64, n int) harvestd.Accum {
+func testAccum(seed int64, n int) ope.Accum {
 	r := stats.NewRand(seed)
-	var a harvestd.Accum
+	var a ope.Accum
 	for i := 0; i < n; i++ {
 		pi := r.Float64()
 		p := 0.1 + 0.9*r.Float64()
@@ -42,7 +43,7 @@ func testSnap(shardID string, seq, seed int64, n int) *harvestd.StateSnapshot {
 		Counters: harvestd.SnapshotCounters{
 			Lines: int64(n), Ingested: int64(n), Folded: int64(n),
 		},
-		Policies: map[string]harvestd.Accum{
+		Policies: map[string]ope.Accum{
 			"uniform":     testAccum(seed, n),
 			"leastloaded": testAccum(seed+100, n),
 		},
@@ -134,7 +135,7 @@ func TestAggregatorPullAndMergedView(t *testing.T) {
 	// The merged accumulator must equal merging the snapshots directly in
 	// sorted-shard order, bit for bit.
 	for _, pol := range []string{"uniform", "leastloaded"} {
-		var want harvestd.Accum
+		var want ope.Accum
 		a1 := testSnap("shard-a", 1, 10, 200).Policies[pol]
 		a2 := testSnap("shard-b", 1, 20, 300).Policies[pol]
 		want.Merge(&a1)
@@ -461,7 +462,7 @@ func TestAggregatorHTTPEndpoints(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("estimates = %d", code)
 	}
-	var pe harvestd.PolicyEstimate
+	var pe ope.PolicyEstimate
 	if err := json.Unmarshal([]byte(body), &pe); err != nil {
 		t.Fatalf("bad estimates JSON: %v\n%s", err, body)
 	}

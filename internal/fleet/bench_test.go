@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/harvestd"
+	"repro/internal/ope"
 )
 
 // benchAggregator holds two live shards carrying k policies each, installed
@@ -17,7 +18,7 @@ func benchAggregator(b *testing.B, k int) *Aggregator {
 	}
 	for i, st := range a.shards {
 		snap := testSnap(st.shard.Name, 1, int64(i), 0)
-		snap.Policies = make(map[string]harvestd.Accum, k)
+		snap.Policies = make(map[string]ope.Accum, k)
 		for p := 0; p < k; p++ {
 			snap.Policies[fmt.Sprintf("p%02d", p)] = testAccum(int64(100*i+p), 512)
 		}

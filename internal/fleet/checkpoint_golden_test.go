@@ -13,13 +13,14 @@ import (
 
 	"repro/internal/harvestd"
 	"repro/internal/obs"
+	"repro/internal/ope"
 )
 
 // TestCheckpointGoldenBytes pins the aggregator's checkpoint file for two
 // shards, one pulled and one never pulled, under a fixed clock. The
 // accumulators fold binary fractions, so every field prints exactly.
 func TestCheckpointGoldenBytes(t *testing.T) {
-	var acc harvestd.Accum
+	var acc ope.Accum
 	acc.Fold(0.5, 0.25, 1.5, 3.0, 1e-3)
 	acc.Fold(1.0, 0.25, -0.5, 3.0, 1e-3)
 	clk := &obs.FixedClock{T: time.Unix(1700000000, 0)}
@@ -40,7 +41,7 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 		Clip:     3,
 		Floor:    0.001,
 		Counters: harvestd.SnapshotCounters{Lines: 3, Rejected: 1, Ingested: 2, Folded: 2},
-		Policies: map[string]harvestd.Accum{"p": acc},
+		Policies: map[string]ope.Accum{"p": acc},
 	}
 	st.lastSuccess = time.Unix(1699999990, 500)
 	if err := a.Checkpoint(); err != nil {

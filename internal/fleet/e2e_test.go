@@ -28,6 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/harvestd"
 	"repro/internal/lbsim"
+	"repro/internal/ope"
 	"repro/internal/policy"
 	"repro/internal/stats"
 )
@@ -302,7 +303,7 @@ func TestE2EFleetKillShardDegradeAndRecover(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("degraded estimates = %d", code)
 	}
-	var fullEsts, degradedEsts []harvestd.PolicyEstimate
+	var fullEsts, degradedEsts []ope.PolicyEstimate
 	if err := json.Unmarshal([]byte(fleetBody), &fullEsts); err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/daemon"
 	"repro/internal/harvestd"
+	"repro/internal/ope"
 )
 
 // ShardFreshness is one shard's row in the fleet freshness view: the
@@ -139,7 +140,7 @@ func (a *Aggregator) freshness(visit func(*harvestd.StateSnapshot)) FleetFreshne
 // a stamp — from one walk of the shard set. unknown names the first policy
 // no live shard carries.
 func (a *Aggregator) Evidence(names []string, delta float64) (ev harvestd.Evidence, unknown string) {
-	accs := make([]harvestd.Accum, len(names))
+	accs := make([]ope.Accum, len(names))
 	found := make([]bool, len(names))
 	var folded int64
 	ff := a.freshness(func(snap *harvestd.StateSnapshot) {
@@ -156,7 +157,7 @@ func (a *Aggregator) Evidence(names []string, delta float64) (ev harvestd.Eviden
 		if !found[i] {
 			return harvestd.Evidence{}, name
 		}
-		rows[i] = accs[i].Evidence(name, delta)
+		rows[i] = harvestd.EvidenceOf(&accs[i], name, delta)
 	}
 	return harvestd.Evidence{
 		Version:   harvestd.EvidenceVersion,

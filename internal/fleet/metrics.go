@@ -1,8 +1,8 @@
 package fleet
 
 import (
-	"repro/internal/harvestd"
 	"repro/internal/obs"
+	"repro/internal/ope"
 )
 
 // Metric help strings shared between registration and scrape-time updates
@@ -107,7 +107,7 @@ func (a *Aggregator) updatePolicyMetrics() {
 		r.Gauge("harvestagg_policy_n", helpPolicyN, "policy", pe.Policy).Set(float64(pe.N))
 		for _, est := range []struct {
 			name string
-			ev   harvestd.EstimatorValue
+			ev   ope.EstimatorValue
 		}{
 			{"ips", pe.IPS},
 			{"clipped_ips", pe.ClippedIPS},

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/daemon"
 	"repro/internal/harvestd"
+	"repro/internal/ope"
 )
 
 // handler builds the aggregator's stdlib-only HTTP API:
@@ -87,19 +88,19 @@ func (a *Aggregator) handleEvidence(w http.ResponseWriter, r *http.Request) {
 // fleetDiagnostics is the /diagnostics payload: shard health, the merged
 // pipeline counters, and the merged per-policy estimator-health rows.
 type fleetDiagnostics struct {
-	UptimeSeconds    float64                      `json:"uptime_seconds"`
-	Delta            float64                      `json:"delta"`
-	PullIntervalSecs float64                      `json:"pull_interval_seconds"`
-	PullTimeoutSecs  float64                      `json:"pull_timeout_seconds"`
-	StaleAfterSecs   float64                      `json:"stale_after_seconds"`
-	TotalShards      int                          `json:"total_shards"`
-	LiveShards       int                          `json:"live_shards"`
-	Clip             float64                      `json:"clip"`
-	PropensityFloor  float64                      `json:"propensity_floor"`
-	EvalPanics       int64                        `json:"eval_panics"`
-	Counters         harvestd.SnapshotCounters    `json:"counters"`
-	Shards           []ShardStatus                `json:"shards"`
-	Policies         []harvestd.PolicyDiagnostics `json:"policies"`
+	UptimeSeconds    float64                   `json:"uptime_seconds"`
+	Delta            float64                   `json:"delta"`
+	PullIntervalSecs float64                   `json:"pull_interval_seconds"`
+	PullTimeoutSecs  float64                   `json:"pull_timeout_seconds"`
+	StaleAfterSecs   float64                   `json:"stale_after_seconds"`
+	TotalShards      int                       `json:"total_shards"`
+	LiveShards       int                       `json:"live_shards"`
+	Clip             float64                   `json:"clip"`
+	PropensityFloor  float64                   `json:"propensity_floor"`
+	EvalPanics       int64                     `json:"eval_panics"`
+	Counters         harvestd.SnapshotCounters `json:"counters"`
+	Shards           []ShardStatus             `json:"shards"`
+	Policies         []ope.PolicyDiagnostics   `json:"policies"`
 }
 
 func (a *Aggregator) handleDiagnostics(w http.ResponseWriter, r *http.Request) {

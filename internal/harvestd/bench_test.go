@@ -1,9 +1,9 @@
 package harvestd
 
-// Benchmarks for the federation-relevant hot paths: folding one datapoint
-// (per-line ingest cost), merging accumulators (the aggregation tier's unit
-// of work), registry fan-out (one datapoint scored under every candidate),
-// and snapshot encode/decode (the per-pull wire cost). `make bench` runs
+// Benchmarks for the federation-relevant hot paths: registry fan-out (one
+// datapoint scored under every candidate), and snapshot encode/decode (the
+// per-pull wire cost). The accumulator's own fold and merge are
+// BenchmarkAccumFold / BenchmarkAccumMerge in package ope. `make bench` runs
 // these and emits BENCH_harvestd.json for CI trend tracking.
 
 import (
@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lbsim"
+	"repro/internal/ope"
 	"repro/internal/stats"
 )
 
@@ -31,33 +32,6 @@ func benchDatapoints(n int) []core.Datapoint {
 		}
 	}
 	return ds
-}
-
-func BenchmarkAccumFold(b *testing.B) {
-	r := stats.NewRand(1)
-	pis := make([]float64, 1024)
-	rewards := make([]float64, 1024)
-	for i := range pis {
-		pis[i] = r.Float64()
-		rewards[i] = r.Float64()
-	}
-	var acc Accum
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := i % 1024
-		acc.Fold(pis[k], 0.5, rewards[k], 3.0, DefaultPropensityFloor)
-	}
-}
-
-func BenchmarkAccumMerge(b *testing.B) {
-	src := randomAccum(7, 1000)
-	var dst Accum
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst.Merge(&src)
-	}
 }
 
 // benchRegistry is the three-candidate registry of the fold benchmarks.
@@ -141,7 +115,7 @@ func BenchmarkRegistryEstimates(b *testing.B) {
 		reg.FoldBatch(0, ds)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			var out []PolicyEstimate
+			var out []ope.PolicyEstimate
 			for i := 0; i < b.N; i++ {
 				out = reg.Estimates(0.05)
 			}
@@ -169,7 +143,7 @@ func benchSnapshot() *StateSnapshot {
 		Counters: SnapshotCounters{
 			Lines: 3000, Ingested: 3000, Folded: 3000,
 		},
-		Policies: map[string]Accum{
+		Policies: map[string]ope.Accum{
 			"always-0":    randomAccum(1, 1000),
 			"always-1":    randomAccum(2, 1000),
 			"leastloaded": randomAccum(3, 1000),

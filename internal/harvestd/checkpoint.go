@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/daemon"
+	"repro/internal/ope"
 )
 
 // checkpointVersion guards the on-disk schema.
@@ -14,14 +15,14 @@ const checkpointVersion = 1
 // accumulator plus the stream counters, so a restarted daemon reports
 // continuous metrics and identical estimates (n, mean, intervals).
 type checkpointFile struct {
-	Version     int              `json:"version"`
-	SavedAt     time.Time        `json:"saved_at"`
-	Lines       int64            `json:"lines"`
-	ParseErrors int64            `json:"parse_errors"`
-	Rejected    int64            `json:"rejected"`
-	Ingested    int64            `json:"ingested"`
-	Folded      int64            `json:"folded"`
-	Policies    map[string]Accum `json:"policies"`
+	Version     int                  `json:"version"`
+	SavedAt     time.Time            `json:"saved_at"`
+	Lines       int64                `json:"lines"`
+	ParseErrors int64                `json:"parse_errors"`
+	Rejected    int64                `json:"rejected"`
+	Ingested    int64                `json:"ingested"`
+	Folded      int64                `json:"folded"`
+	Policies    map[string]ope.Accum `json:"policies"`
 }
 
 // Checkpoint persists the current estimator state atomically

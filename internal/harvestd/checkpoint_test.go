@@ -11,12 +11,13 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/ope"
 )
 
 // runDaemonOverDataset starts a daemon with the given checkpoint path, feeds
 // it a JSONL source, waits until TotalN reaches expectTotal (restored
 // baseline plus the fresh datapoints), and shuts it down cleanly.
-func runDaemonOverDataset(t *testing.T, path string, n int, seed int64, expectTotal int64) []PolicyEstimate {
+func runDaemonOverDataset(t *testing.T, path string, n int, seed int64, expectTotal int64) []ope.PolicyEstimate {
 	t.Helper()
 	ds := testDataset(n, seed)
 	var buf strings.Builder

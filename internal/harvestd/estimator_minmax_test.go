@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ope"
 )
 
 // refFold and refMerge are Accum.Fold and Accum.Merge as they stood on
 // math.Min / math.Max — the reference the builtin min/max version is held
 // to, bit for bit.
-func refFold(a *Accum, pi, p, r, clip, floor float64) {
+func refFold(a *ope.Accum, pi, p, r, clip, floor float64) {
 	w, ok := core.ImportanceWeight(pi, p)
 	if !ok {
 		return
@@ -54,7 +55,7 @@ func refFold(a *Accum, pi, p, r, clip, floor float64) {
 	a.SumCWRSq += cterm * cterm
 }
 
-func refMerge(a, o *Accum) {
+func refMerge(a, o *ope.Accum) {
 	if o.N == 0 {
 		return
 	}
@@ -86,7 +87,7 @@ func refMerge(a, o *Accum) {
 
 // sameBits reports the first field on which two accumulators differ,
 // comparing floats by bit pattern so that −0 ≠ +0 and NaN = NaN.
-func sameBits(got, want Accum) (field string, ok bool) {
+func sameBits(got, want ope.Accum) (field string, ok bool) {
 	g, w := reflect.ValueOf(got), reflect.ValueOf(want)
 	for i := 0; i < g.NumField(); i++ {
 		same := g.Field(i).Interface() == w.Field(i).Interface()
@@ -134,7 +135,7 @@ func TestAccumFoldMergeMatchMathMinMax(t *testing.T) {
 	for _, clip := range []float64{0, 3} {
 		for _, floor := range []float64{0, DefaultPropensityFloor} {
 			for _, seq := range [][]foldArgs{grid, reversed} {
-				var got, want Accum
+				var got, want ope.Accum
 				for i, a := range seq {
 					got.Fold(a.pi, a.p, a.r, clip, floor)
 					refFold(&want, a.pi, a.p, a.r, clip, floor)
@@ -143,14 +144,14 @@ func TestAccumFoldMergeMatchMathMinMax(t *testing.T) {
 					}
 				}
 				for cut := 0; cut <= len(seq); cut += 7 {
-					var lo, hi Accum
+					var lo, hi ope.Accum
 					for _, a := range seq[:cut] {
 						refFold(&lo, a.pi, a.p, a.r, clip, floor)
 					}
 					for _, a := range seq[cut:] {
 						refFold(&hi, a.pi, a.p, a.r, clip, floor)
 					}
-					for _, pair := range [][2]Accum{{lo, hi}, {hi, lo}} {
+					for _, pair := range [][2]ope.Accum{{lo, hi}, {hi, lo}} {
 						got, want := pair[0], pair[0]
 						got.Merge(&pair[1])
 						refMerge(&want, &pair[1])
@@ -170,7 +171,7 @@ func TestAccumFoldMergeMatchMathMinMax(t *testing.T) {
 // non-finite rewards out of Fold, and the NaN has poisoned every sum of the
 // accumulator either way, so the old answer is not preserved.
 func TestAccumFoldNaNAfterInfIsTheOneException(t *testing.T) {
-	var got, want Accum
+	var got, want ope.Accum
 	for _, r := range []float64{math.Inf(1), math.NaN()} {
 		got.Fold(1, 1, r, 0, 0)
 		refFold(&want, 1, 1, r, 0, 0)

@@ -31,9 +31,9 @@ func testDataset(n int, seed int64) core.Dataset {
 	return ds
 }
 
-func foldAll(t *testing.T, ds core.Dataset, pol core.Policy, clip float64) *Accum {
+func foldAll(t *testing.T, ds core.Dataset, pol core.Policy, clip float64) *ope.Accum {
 	t.Helper()
-	var acc Accum
+	var acc ope.Accum
 	for i := range ds {
 		pi := core.ActionProb(pol, &ds[i].Context, ds[i].Action)
 		acc.Fold(pi, ds[i].Propensity, ds[i].Reward, clip, 0)
@@ -82,12 +82,12 @@ func TestAccumMergeEqualsSingleStream(t *testing.T) {
 	ds := testDataset(3000, 12)
 	pol := lbsim.LeastLoaded{}
 	whole := foldAll(t, ds, pol, 5)
-	shards := make([]Accum, 4)
+	shards := make([]ope.Accum, 4)
 	for i := range ds {
 		pi := core.ActionProb(pol, &ds[i].Context, ds[i].Action)
 		shards[i%4].Fold(pi, ds[i].Propensity, ds[i].Reward, 5, 0)
 	}
-	var merged Accum
+	var merged ope.Accum
 	for i := range shards {
 		merged.Merge(&shards[i])
 	}
@@ -110,7 +110,7 @@ func TestAccumIntervalsContainTruthOnSyntheticData(t *testing.T) {
 	// Uniform logging over 2 actions, reward depends only on the action:
 	// r = 1 for action 0, 0 for action 1. The value of always-0 is exactly 1.
 	r := stats.NewRand(9)
-	var acc Accum
+	var acc ope.Accum
 	for i := 0; i < 5000; i++ {
 		a := core.Action(r.Intn(2))
 		reward := 0.0
@@ -155,7 +155,7 @@ func TestAccumDiagnosticsAgreeWithOfflineRecompute(t *testing.T) {
 		clip  = 5.0
 		floor = 0.1 // above the 0.05 skewed propensities, so floor hits occur
 	)
-	var acc Accum
+	var acc ope.Accum
 	for i := range ds {
 		pi := core.ActionProb(pol, &ds[i].Context, ds[i].Action)
 		acc.Fold(pi, ds[i].Propensity, ds[i].Reward, clip, floor)
@@ -217,12 +217,12 @@ func TestAccumDiagnosticsAgreeWithOfflineRecompute(t *testing.T) {
 	}
 
 	// Diagnostics must survive sharding exactly (same sums, same merge).
-	shards := make([]Accum, 3)
+	shards := make([]ope.Accum, 3)
 	for i := range ds {
 		pi := core.ActionProb(pol, &ds[i].Context, ds[i].Action)
 		shards[i%3].Fold(pi, ds[i].Propensity, ds[i].Reward, clip, floor)
 	}
-	var merged Accum
+	var merged ope.Accum
 	for i := range shards {
 		merged.Merge(&shards[i])
 	}
@@ -232,7 +232,7 @@ func TestAccumDiagnosticsAgreeWithOfflineRecompute(t *testing.T) {
 		t.Errorf("sharded diagnostics %+v != single-stream %+v", md, diag)
 	}
 
-	var empty Accum
+	var empty ope.Accum
 	ed := empty.Diagnostics("e")
 	if ed.N != 0 || ed.ESS != 0 || ed.ESSFraction != 0 {
 		t.Errorf("empty diagnostics = %+v", ed)
@@ -240,7 +240,7 @@ func TestAccumDiagnosticsAgreeWithOfflineRecompute(t *testing.T) {
 }
 
 func TestAccumEmptyAndSingleton(t *testing.T) {
-	var acc Accum
+	var acc ope.Accum
 	pe := acc.Estimate("p", 0.05)
 	if pe.N != 0 || pe.IPS.Value != 0 || pe.IPS.EBOK {
 		t.Errorf("empty estimate = %+v", pe)

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/daemon"
+	"repro/internal/ope"
 )
 
 // EvidenceVersion is the wire-format version of the /evidence payload
@@ -36,15 +37,20 @@ type EvidenceStamp struct {
 	TotalShards int   `json:"total_shards,omitempty"`
 }
 
+// PolicyEstimate is ope.PolicyEstimate under the name the loop benchmark
+// (bench/, its own module) still uses. It goes when that benchmark is next
+// edited — ROADMAP item 0.
+type PolicyEstimate = ope.PolicyEstimate
+
 // PolicyEvidence is one policy's estimate and estimator-health rows,
 // derived from the same merged Accum — Estimate.N == Diagnostics.N always.
 type PolicyEvidence struct {
-	Estimate    PolicyEstimate    `json:"estimate"`
-	Diagnostics PolicyDiagnostics `json:"diagnostics"`
+	Estimate    ope.PolicyEstimate    `json:"estimate"`
+	Diagnostics ope.PolicyDiagnostics `json:"diagnostics"`
 }
 
-// Evidence derives both rows of a policy from the accumulator.
-func (a *Accum) Evidence(name string, delta float64) PolicyEvidence {
+// EvidenceOf derives both rows of a policy from its accumulator.
+func EvidenceOf(a *ope.Accum, name string, delta float64) PolicyEvidence {
 	return PolicyEvidence{Estimate: a.Estimate(name, delta), Diagnostics: a.Diagnostics(name)}
 }
 
@@ -77,7 +83,7 @@ func (g *Registry) Evidence(names []string, delta float64) (rows []PolicyEvidenc
 			return nil, names[i]
 		}
 		acc := e.merged()
-		rows[i] = acc.Evidence(e.name, delta)
+		rows[i] = EvidenceOf(&acc, e.name, delta)
 	}
 	return rows, ""
 }

@@ -54,6 +54,7 @@ import (
 	"repro/internal/harvester"
 	"repro/internal/harvester/binrec"
 	"repro/internal/obs"
+	"repro/internal/ope"
 )
 
 // Config tunes the daemon. The zero value is usable: defaults fill in.
@@ -463,7 +464,7 @@ func (d *Daemon) SourceErrors() []error {
 
 // Estimates reports every policy's current estimate at the daemon's
 // default confidence.
-func (d *Daemon) Estimates() []PolicyEstimate {
+func (d *Daemon) Estimates() []ope.PolicyEstimate {
 	return d.reg.Estimates(d.cfg.Delta)
 }
 

@@ -1,6 +1,9 @@
 package harvestd
 
-import "repro/internal/obs"
+import (
+	"repro/internal/obs"
+	"repro/internal/ope"
+)
 
 // Metric help strings, shared between registration and scrape-time updates
 // (the obs registry enforces that help text never changes for a name).
@@ -78,7 +81,7 @@ func (d *Daemon) updatePolicyMetrics() {
 		r.Gauge("harvestd_policy_match_rate", helpPolicyMatchRate, "policy", pe.Policy).Set(pe.MatchRate)
 		for _, est := range []struct {
 			name string
-			ev   EstimatorValue
+			ev   ope.EstimatorValue
 		}{
 			{"ips", pe.IPS},
 			{"clipped_ips", pe.ClippedIPS},

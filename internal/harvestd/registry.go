@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/ope"
 )
 
 // Registry is the daemon's set of named candidate policies, each with
@@ -46,7 +47,7 @@ type regEntry struct {
 
 type shard struct {
 	mu  sync.Mutex
-	acc Accum
+	acc ope.Accum
 }
 
 // NewRegistry creates a registry sharded for the given number of ingestion
@@ -157,7 +158,7 @@ func (g *Registry) FoldBatch(worker int, pts []core.Datapoint) {
 // foldRun folds pts[from:] into acc under one recover frame and returns
 // len(pts) — or, when the policy panics on record k, counts the panic and
 // returns k+1 so the caller resumes past exactly that record.
-func (g *Registry) foldRun(pol core.ActionProber, acc *Accum, pts []core.Datapoint, from int) (next int) {
+func (g *Registry) foldRun(pol core.ActionProber, acc *ope.Accum, pts []core.Datapoint, from int) (next int) {
 	defer func() {
 		if r := recover(); r != nil {
 			g.evalPanics.Add(1)
@@ -182,8 +183,8 @@ func (g *Registry) Fold(worker int, d *core.Datapoint) {
 func (g *Registry) EvalPanics() int64 { return g.evalPanics.Load() }
 
 // merged returns the cross-shard aggregate for one entry.
-func (e *regEntry) merged() Accum {
-	var total Accum
+func (e *regEntry) merged() ope.Accum {
+	var total ope.Accum
 	for _, sh := range e.shards {
 		sh.mu.Lock()
 		acc := sh.acc
@@ -194,21 +195,21 @@ func (e *regEntry) merged() Accum {
 }
 
 // Estimate reports one policy's current estimate at confidence 1−delta.
-func (g *Registry) Estimate(name string, delta float64) (PolicyEstimate, bool) {
+func (g *Registry) Estimate(name string, delta float64) (ope.PolicyEstimate, bool) {
 	g.mu.RLock()
 	e, ok := g.entries[name]
 	g.mu.RUnlock()
 	if !ok {
-		return PolicyEstimate{}, false
+		return ope.PolicyEstimate{}, false
 	}
 	acc := e.merged()
 	return acc.Estimate(name, delta), true
 }
 
 // Estimates reports every policy's current estimate, sorted by name.
-func (g *Registry) Estimates(delta float64) []PolicyEstimate {
+func (g *Registry) Estimates(delta float64) []ope.PolicyEstimate {
 	entries := g.sortedEntries()
-	out := make([]PolicyEstimate, len(entries))
+	out := make([]ope.PolicyEstimate, len(entries))
 	for i, e := range entries {
 		acc := e.merged()
 		out[i] = acc.Estimate(e.name, delta)
@@ -218,9 +219,9 @@ func (g *Registry) Estimates(delta float64) []PolicyEstimate {
 
 // Diagnostics reports every policy's estimator-health view, sorted by
 // name — the /diagnostics read path.
-func (g *Registry) Diagnostics() []PolicyDiagnostics {
+func (g *Registry) Diagnostics() []ope.PolicyDiagnostics {
 	entries := g.sortedEntries()
-	out := make([]PolicyDiagnostics, len(entries))
+	out := make([]ope.PolicyDiagnostics, len(entries))
 	for i, e := range entries {
 		acc := e.merged()
 		out[i] = acc.Diagnostics(e.name)
@@ -241,9 +242,9 @@ func (g *Registry) TotalN() int64 {
 
 // exportState snapshots the merged accumulator of every policy, for
 // checkpointing.
-func (g *Registry) exportState() map[string]Accum {
+func (g *Registry) exportState() map[string]ope.Accum {
 	entries := g.sortedEntries()
-	out := make(map[string]Accum, len(entries))
+	out := make(map[string]ope.Accum, len(entries))
 	for _, e := range entries {
 		out[e.name] = e.merged()
 	}
@@ -255,7 +256,7 @@ func (g *Registry) exportState() map[string]Accum {
 // in the snapshot but not registered are ignored (a registry may shrink
 // across restarts); registered policies missing from the snapshot resume
 // from zero. It returns the number of policies restored.
-func (g *Registry) restoreState(snap map[string]Accum) int {
+func (g *Registry) restoreState(snap map[string]ope.Accum) int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	restored := 0

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lbsim"
+	"repro/internal/ope"
 	"repro/internal/policy"
 	"repro/internal/stats"
 )
@@ -93,7 +94,7 @@ func newWideRegistry(tb testing.TB, workers int) *Registry {
 
 // requireState fails unless the registry holds, bit for bit, the wanted
 // accumulator for every policy.
-func requireState(t *testing.T, what string, got *Registry, want map[string]Accum) {
+func requireState(t *testing.T, what string, got *Registry, want map[string]ope.Accum) {
 	t.Helper()
 	g := got.exportState()
 	if len(g) != len(want) {
@@ -112,9 +113,9 @@ func requireState(t *testing.T, what string, got *Registry, want map[string]Accu
 // core.ActionProb into Accum.Fold.
 func TestFoldBatchEqualsPerRecordFold(t *testing.T) {
 	ds := wideDatapoints(1500, 3)
-	want := map[string]Accum{}
+	want := map[string]ope.Accum{}
 	for name, pol := range widePolicies() {
-		var acc Accum
+		var acc ope.Accum
 		for i := range ds {
 			acc.Fold(core.ActionProb(pol, &ds[i].Context, ds[i].Action),
 				ds[i].Propensity, ds[i].Reward, 10, DefaultPropensityFloor)
@@ -162,12 +163,12 @@ func TestRegisterSnapshotsPreparedProber(t *testing.T) {
 	ds := wideDatapoints(300, 7)
 	reg.FoldBatch(0, ds)
 	asRegistered := &lbsim.WeightedRandom{Weights: weights}
-	var want Accum
+	var want ope.Accum
 	for i := range ds {
 		want.Fold(asRegistered.ActionProb(&ds[i].Context, ds[i].Action),
 			ds[i].Propensity, ds[i].Reward, reg.Clip(), reg.PropensityFloor())
 	}
-	requireState(t, "weights changed after Register", reg, map[string]Accum{"weighted": want})
+	requireState(t, "weights changed after Register", reg, map[string]ope.Accum{"weighted": want})
 }
 
 // panicOn is a policy that panics on the records whose Seq it lists and
@@ -231,7 +232,7 @@ func TestFoldBatchSkipsExactlyThePanickingPair(t *testing.T) {
 				}
 			}
 			// The panicking policy's state is the fold of the surviving records.
-			var want Accum
+			var want ope.Accum
 			for i := range ds {
 				if !bad[ds[i].Seq] {
 					want.Fold(core.ActionProb(policy.Constant{A: 0}, &ds[i].Context, ds[i].Action),

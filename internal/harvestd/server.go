@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/harvester"
+	"repro/internal/ope"
 )
 
 // handler builds the daemon's stdlib-only HTTP API:
@@ -228,15 +229,15 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // DiagnosticsReport is the /diagnostics payload: the estimator-health view
 // of every policy plus the pipeline settings that shape it.
 type DiagnosticsReport struct {
-	UptimeSeconds   float64             `json:"uptime_seconds"`
-	Clip            float64             `json:"clip"`
-	PropensityFloor float64             `json:"propensity_floor"`
-	Delta           float64             `json:"delta"`
-	QueueDepth      int                 `json:"queue_depth"`
-	QueueCapacity   int                 `json:"queue_capacity"`
-	Workers         int                 `json:"workers"`
-	EvalPanics      int64               `json:"eval_panics"`
-	Policies        []PolicyDiagnostics `json:"policies"`
+	UptimeSeconds   float64                 `json:"uptime_seconds"`
+	Clip            float64                 `json:"clip"`
+	PropensityFloor float64                 `json:"propensity_floor"`
+	Delta           float64                 `json:"delta"`
+	QueueDepth      int                     `json:"queue_depth"`
+	QueueCapacity   int                     `json:"queue_capacity"`
+	Workers         int                     `json:"workers"`
+	EvalPanics      int64                   `json:"eval_panics"`
+	Policies        []ope.PolicyDiagnostics `json:"policies"`
 }
 
 // handleDiagnostics reports per-policy estimator health as JSON: effective

@@ -17,6 +17,7 @@ import (
 	"repro/internal/harvester"
 	"repro/internal/lbsim"
 	"repro/internal/obs"
+	"repro/internal/ope"
 	"repro/internal/policy"
 )
 
@@ -85,7 +86,7 @@ func TestServerIngestAndEstimates(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("estimates = %d", code)
 	}
-	var ests []PolicyEstimate
+	var ests []ope.PolicyEstimate
 	if err := json.Unmarshal([]byte(body), &ests); err != nil {
 		t.Fatalf("bad estimates JSON: %v\n%s", err, body)
 	}
@@ -106,7 +107,7 @@ func TestServerIngestAndEstimates(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("filtered estimates = %d", code)
 	}
-	var one PolicyEstimate
+	var one ope.PolicyEstimate
 	if err := json.Unmarshal([]byte(body), &one); err != nil {
 		t.Fatal(err)
 	}
@@ -409,9 +410,9 @@ func TestServerDiagnostics(t *testing.T) {
 	}
 
 	// Offline recompute: re-parse the raw log and fold single-threaded.
-	offline := map[string]*Accum{}
+	offline := map[string]*ope.Accum{}
 	for _, name := range d.reg.Names() {
-		offline[name] = &Accum{}
+		offline[name] = &ope.Accum{}
 	}
 	pols := map[string]core.Policy{
 		"always-0":    policy.Constant{A: core.Action(0)},

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"repro/internal/ope"
 )
 
 // SnapshotVersion guards the shard-snapshot wire schema. The aggregation
@@ -44,12 +46,12 @@ type StateSnapshot struct {
 	// Seq increments on every snapshot the daemon takes; a regression
 	// (smaller Seq than previously observed) tells the aggregator the shard
 	// restarted.
-	Seq        int64            `json:"seq"`
-	Clip       float64          `json:"clip"`
-	Floor      float64          `json:"floor"`
-	EvalPanics int64            `json:"eval_panics"`
-	Counters   SnapshotCounters `json:"counters"`
-	Policies   map[string]Accum `json:"policies"`
+	Seq        int64                `json:"seq"`
+	Clip       float64              `json:"clip"`
+	Floor      float64              `json:"floor"`
+	EvalPanics int64                `json:"eval_panics"`
+	Counters   SnapshotCounters     `json:"counters"`
+	Policies   map[string]ope.Accum `json:"policies"`
 }
 
 // StateSnapshot captures the daemon's current estimator state for the
@@ -88,7 +90,7 @@ func (d *Daemon) StateSnapshot() StateSnapshot {
 // floats lists every float field of an Accum in a fixed order, for
 // finiteness validation and bit-exact comparison. Keep in sync with the
 // struct: the round-trip tests count fields reflectively to catch drift.
-func (a *Accum) floats() [16]float64 {
+func floats(a *ope.Accum) [16]float64 {
 	return [...]float64{
 		a.SumW, a.SumWSq, a.MaxW,
 		a.SumWR, a.SumWRSq, a.SumW2R, a.SumW2R2,
@@ -101,8 +103,8 @@ func (a *Accum) floats() [16]float64 {
 // them, and an aggregator must never merge poisoned state. The guarded
 // importance-weight path upstream makes this unreachable in practice; the
 // check turns "impossible" into "loud" at the fleet boundary.
-func accumFinite(name string, a *Accum) error {
-	for _, v := range a.floats() {
+func accumFinite(name string, a *ope.Accum) error {
+	for _, v := range floats(a) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("harvestd: policy %q accumulator carries non-finite state", name)
 		}

@@ -10,17 +10,18 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ope"
 	"repro/internal/stats"
 )
 
 // accumBitsEqual compares two accumulators bit-for-bit: integer fields by
 // value, float fields by IEEE-754 bit pattern (so +0 vs −0 or a single-ULP
 // drift fails, which plain == would let through for signed zeros).
-func accumBitsEqual(a, b *Accum) bool {
+func accumBitsEqual(a, b *ope.Accum) bool {
 	if a.N != b.N || a.Matches != b.Matches || a.Clipped != b.Clipped || a.FloorHits != b.FloorHits {
 		return false
 	}
-	af, bf := a.floats(), b.floats()
+	af, bf := floats(a), floats(b)
 	for i := range af {
 		if math.Float64bits(af[i]) != math.Float64bits(bf[i]) {
 			return false
@@ -33,24 +34,24 @@ func accumBitsEqual(a, b *Accum) bool {
 // drift: if someone adds a float field to Accum without listing it, the
 // finiteness gate and the bit-exactness tests would silently skip it.
 func TestAccumFloatsCoversEveryField(t *testing.T) {
-	typ := reflect.TypeOf(Accum{})
+	typ := reflect.TypeOf(ope.Accum{})
 	floatFields := 0
 	for i := 0; i < typ.NumField(); i++ {
 		if typ.Field(i).Type.Kind() == reflect.Float64 {
 			floatFields++
 		}
 	}
-	var a Accum
-	if got := len(a.floats()); got != floatFields {
+	var a ope.Accum
+	if got := len(floats(&a)); got != floatFields {
 		t.Fatalf("Accum has %d float64 fields but floats() lists %d — update snapshot.go", floatFields, got)
 	}
 }
 
 // randomAccum builds an accumulator by folding n random datapoints — every
 // realizable field pattern, including clip hits and floor hits.
-func randomAccum(seed int64, n int) Accum {
+func randomAccum(seed int64, n int) ope.Accum {
 	r := stats.NewRand(seed)
-	var a Accum
+	var a ope.Accum
 	for i := 0; i < n; i++ {
 		pi := r.Float64()
 		if r.Intn(4) == 0 {
@@ -81,7 +82,7 @@ func TestSnapshotRoundTripExact(t *testing.T) {
 			Counters: SnapshotCounters{
 				Lines: 100 + seed, ParseErrors: 1, Rejected: 2, Ingested: 97, Folded: 97,
 			},
-			Policies: map[string]Accum{
+			Policies: map[string]ope.Accum{
 				"uniform":     randomAccum(seed, 200),
 				"leastloaded": randomAccum(seed+1000, 137),
 				"empty":       {},
@@ -125,7 +126,7 @@ func TestSnapshotWireMergeMatchesInProcess(t *testing.T) {
 		direct.Merge(&a2)
 
 		// Over-the-wire merge.
-		s := StateSnapshot{Version: SnapshotVersion, Policies: map[string]Accum{"p": a2}}
+		s := StateSnapshot{Version: SnapshotVersion, Policies: map[string]ope.Accum{"p": a2}}
 		var buf bytes.Buffer
 		if err := EncodeSnapshot(&buf, &s); err != nil {
 			t.Fatalf("seed %d: encode: %v", seed, err)
@@ -158,7 +159,7 @@ func TestSnapshotWireMergeMatchesInProcess(t *testing.T) {
 // any schema or encoding change (field rename, float formatting, key
 // order) must be deliberate, because it breaks mixed-version fleets.
 func TestSnapshotGoldenBytes(t *testing.T) {
-	var acc Accum
+	var acc ope.Accum
 	acc.Fold(0.5, 0.25, 1.5, 3.0, 1e-3)  // w=2, term=3
 	acc.Fold(1.0, 0.25, -0.5, 3.0, 1e-3) // w=4 → clipped to 3
 	s := StateSnapshot{
@@ -168,7 +169,7 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 		Clip:     3,
 		Floor:    0.001,
 		Counters: SnapshotCounters{Lines: 2, Ingested: 2, Folded: 2},
-		Policies: map[string]Accum{"p": acc},
+		Policies: map[string]ope.Accum{"p": acc},
 	}
 	var buf bytes.Buffer
 	if err := EncodeSnapshot(&buf, &s); err != nil {
@@ -185,7 +186,7 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 func TestSnapshotRejectsPoisonedState(t *testing.T) {
 	bad := randomAccum(1, 10)
 	bad.SumW = math.Inf(1)
-	s := StateSnapshot{Version: SnapshotVersion, Policies: map[string]Accum{"p": bad}}
+	s := StateSnapshot{Version: SnapshotVersion, Policies: map[string]ope.Accum{"p": bad}}
 	var buf bytes.Buffer
 	if err := EncodeSnapshot(&buf, &s); err == nil {
 		t.Fatal("encoded a snapshot carrying +Inf")

@@ -6,93 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/lbsim"
 	"repro/internal/stats"
 )
-
-// benchDataset builds a fixed exploration set for the estimator benchmarks.
-func benchDataset(n int) core.Dataset {
-	r := stats.NewRand(3)
-	ds := make(core.Dataset, n)
-	for i := range ds {
-		conns := []int{r.Intn(10), r.Intn(10), r.Intn(10)}
-		a := core.Action(r.Intn(3))
-		ds[i] = core.Datapoint{
-			Context:    lbsim.BuildContext(conns, 0, 1),
-			Action:     a,
-			Reward:     0.1 + 0.01*float64(conns[a]),
-			Propensity: 1.0 / 3,
-		}
-	}
-	return ds
-}
-
-// BenchmarkIncrementalEstimator measures the per-datapoint fold — the hot
-// path of every ingestion worker in harvestd.
-func BenchmarkIncrementalEstimator(b *testing.B) {
-	ds := benchDataset(4096)
-	ie, err := NewIncrementalEstimator(lbsim.LeastLoaded{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ie.Add(ds[i&4095]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkIncrementalEstimatorSnapshot measures the read path a live API
-// hits on every scrape.
-func BenchmarkIncrementalEstimatorSnapshot(b *testing.B) {
-	ds := benchDataset(4096)
-	ie, err := NewIncrementalEstimator(lbsim.LeastLoaded{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := range ds {
-		if err := ie.Add(ds[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s := ie.Snapshot(); s.N == 0 {
-			b.Fatal("empty snapshot")
-		}
-	}
-}
-
-// BenchmarkIncrementalEstimatorMerge measures merging one worker shard into
-// an aggregate — the per-read cost of the sharded design.
-func BenchmarkIncrementalEstimatorMerge(b *testing.B) {
-	ds := benchDataset(4096)
-	pol := lbsim.LeastLoaded{}
-	shard, err := NewIncrementalEstimator(pol)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := range ds {
-		if err := shard.Add(ds[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	agg, err := NewIncrementalEstimator(pol)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := agg.Merge(shard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // benchNginxLines renders n access-log lines over k upstreams in netlb's
 // format, a new timestamp every 500 lines.

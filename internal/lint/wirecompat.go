@@ -7,17 +7,18 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"regexp"
 	"sort"
 	"strings"
 )
 
 // WireCompat diffs the field sets of the versioned wire structs against
 // the committed lockfile internal/lint/wire.lock. The federation tier
-// (StateSnapshot), the estimator codec (EstimatorState) and the binary
-// record layout (binrec encodes core.Datapoint field by field) all
-// promise that a version number fully determines the bytes on the wire;
-// editing a struct without bumping its version silently breaks mixed-
-// version fleets and archived checkpoints. The analyzer makes the drift
+// (StateSnapshot and the ope.Accum it carries), the gate's /evidence rows
+// and the binary record layout (binrec encodes core.Datapoint field by
+// field) all promise that a version number fully determines the bytes on
+// the wire; editing a struct without bumping its version silently breaks
+// mixed-version fleets and archived checkpoints. The analyzer makes the drift
 // loud: any difference between the live field set (names, types, tags,
 // order) and the lock is a finding, and regenerating the lock refuses to
 // absorb a field change whose wire-version constant did not move.
@@ -42,10 +43,9 @@ type wireWatchItem struct {
 var wireWatch = []wireWatchItem{
 	{"repro/internal/core", "Context", "struct"},
 	{"repro/internal/core", "Datapoint", "struct"},
-	{"repro/internal/harvestd", "Accum", "struct"},
+	{"repro/internal/ope", "Accum", "struct"},
 	{"repro/internal/harvestd", "SnapshotCounters", "struct"},
 	{"repro/internal/harvestd", "StateSnapshot", "struct"},
-	{"repro/internal/harvester", "EstimatorState", "struct"},
 	{"repro/internal/abtest", "SequentialState", "struct"},
 	{"repro/internal/rollout", "Checkpoint", "struct"},
 	{"repro/internal/rollout", "GateDecision", "struct"},
@@ -60,9 +60,9 @@ var wireWatch = []wireWatchItem{
 	{"repro/internal/harvestd", "Evidence", "struct"},
 	{"repro/internal/harvestd", "EvidenceStamp", "struct"},
 	{"repro/internal/harvestd", "PolicyEvidence", "struct"},
-	{"repro/internal/harvestd", "PolicyEstimate", "struct"},
-	{"repro/internal/harvestd", "EstimatorValue", "struct"},
-	{"repro/internal/harvestd", "PolicyDiagnostics", "struct"},
+	{"repro/internal/ope", "PolicyEstimate", "struct"},
+	{"repro/internal/ope", "EstimatorValue", "struct"},
+	{"repro/internal/ope", "PolicyDiagnostics", "struct"},
 	{"repro/internal/harvestd", "Watermark", "struct"},
 	{"repro/internal/harvestd", "SnapshotVersion", "const"},
 	{"repro/internal/harvestd", "FreshnessVersion", "const"},
@@ -73,32 +73,32 @@ var wireWatch = []wireWatchItem{
 }
 
 // wireVersionOf names the version constant that must move when a struct's
-// field set changes. Structs without an entry (EstimatorState rides inside
-// the versioned snapshot) regenerate freely; the lock diff still gates CI.
+// field set changes. A struct without an entry would regenerate freely;
+// the lock diff still gates CI.
 var wireVersionOf = map[string]string{
-	"repro/internal/core.Context":               "repro/internal/harvester/binrec.Version",
-	"repro/internal/core.Datapoint":             "repro/internal/harvester/binrec.Version",
-	"repro/internal/harvestd.Accum":             "repro/internal/harvestd.SnapshotVersion",
-	"repro/internal/harvestd.SnapshotCounters":  "repro/internal/harvestd.SnapshotVersion",
-	"repro/internal/harvestd.StateSnapshot":     "repro/internal/harvestd.SnapshotVersion",
-	"repro/internal/abtest.SequentialState":     "repro/internal/rollout.CheckpointVersion",
-	"repro/internal/rollout.Checkpoint":         "repro/internal/rollout.CheckpointVersion",
-	"repro/internal/rollout.GateDecision":       "repro/internal/rollout.CheckpointVersion",
-	"repro/internal/rollout.GateArm":            "repro/internal/rollout.CheckpointVersion",
-	"repro/internal/rollout.GateCheck":          "repro/internal/rollout.CheckpointVersion",
-	"repro/internal/rollout.StageTransition":    "repro/internal/rollout.CheckpointVersion",
-	"repro/internal/harvestd.FreshnessReport":   "repro/internal/harvestd.FreshnessVersion",
-	"repro/internal/harvestd.SourceFreshness":   "repro/internal/harvestd.FreshnessVersion",
-	"repro/internal/fleet.FleetFreshness":       "repro/internal/harvestd.FreshnessVersion",
-	"repro/internal/fleet.ShardFreshness":       "repro/internal/harvestd.FreshnessVersion",
-	"repro/internal/obswatch.Incident":          "repro/internal/obswatch.IncidentVersion",
-	"repro/internal/harvestd.Evidence":          "repro/internal/harvestd.EvidenceVersion",
-	"repro/internal/harvestd.EvidenceStamp":     "repro/internal/harvestd.EvidenceVersion",
-	"repro/internal/harvestd.PolicyEvidence":    "repro/internal/harvestd.EvidenceVersion",
-	"repro/internal/harvestd.PolicyEstimate":    "repro/internal/harvestd.EvidenceVersion",
-	"repro/internal/harvestd.EstimatorValue":    "repro/internal/harvestd.EvidenceVersion",
-	"repro/internal/harvestd.PolicyDiagnostics": "repro/internal/harvestd.EvidenceVersion",
-	"repro/internal/harvestd.Watermark":         "repro/internal/harvestd.EvidenceVersion",
+	"repro/internal/core.Context":              "repro/internal/harvester/binrec.Version",
+	"repro/internal/core.Datapoint":            "repro/internal/harvester/binrec.Version",
+	"repro/internal/ope.Accum":                 "repro/internal/harvestd.SnapshotVersion",
+	"repro/internal/harvestd.SnapshotCounters": "repro/internal/harvestd.SnapshotVersion",
+	"repro/internal/harvestd.StateSnapshot":    "repro/internal/harvestd.SnapshotVersion",
+	"repro/internal/abtest.SequentialState":    "repro/internal/rollout.CheckpointVersion",
+	"repro/internal/rollout.Checkpoint":        "repro/internal/rollout.CheckpointVersion",
+	"repro/internal/rollout.GateDecision":      "repro/internal/rollout.CheckpointVersion",
+	"repro/internal/rollout.GateArm":           "repro/internal/rollout.CheckpointVersion",
+	"repro/internal/rollout.GateCheck":         "repro/internal/rollout.CheckpointVersion",
+	"repro/internal/rollout.StageTransition":   "repro/internal/rollout.CheckpointVersion",
+	"repro/internal/harvestd.FreshnessReport":  "repro/internal/harvestd.FreshnessVersion",
+	"repro/internal/harvestd.SourceFreshness":  "repro/internal/harvestd.FreshnessVersion",
+	"repro/internal/fleet.FleetFreshness":      "repro/internal/harvestd.FreshnessVersion",
+	"repro/internal/fleet.ShardFreshness":      "repro/internal/harvestd.FreshnessVersion",
+	"repro/internal/obswatch.Incident":         "repro/internal/obswatch.IncidentVersion",
+	"repro/internal/harvestd.Evidence":         "repro/internal/harvestd.EvidenceVersion",
+	"repro/internal/harvestd.EvidenceStamp":    "repro/internal/harvestd.EvidenceVersion",
+	"repro/internal/harvestd.PolicyEvidence":   "repro/internal/harvestd.EvidenceVersion",
+	"repro/internal/ope.PolicyEstimate":        "repro/internal/harvestd.EvidenceVersion",
+	"repro/internal/ope.EstimatorValue":        "repro/internal/harvestd.EvidenceVersion",
+	"repro/internal/ope.PolicyDiagnostics":     "repro/internal/harvestd.EvidenceVersion",
+	"repro/internal/harvestd.Watermark":        "repro/internal/harvestd.EvidenceVersion",
 }
 
 // WireLock is the parsed lockfile: fully-qualified symbol → recorded
@@ -256,15 +256,25 @@ func MergeWireLock(dst, src *WireLock) {
 
 // CheckWireBump enforces the deliberate-bump rule during regeneration:
 // for every struct whose shape changed between old and next, the guarding
-// version constant must have changed too. It returns the offending struct
-// keys, sorted.
+// version constant must have changed too. A struct that moved to another
+// package under the same name is held to its old shape, and field lines
+// naming it are read at its new path, so a move alone changes no shape.
+// It returns the offending struct keys, sorted.
 func CheckWireBump(old, next *WireLock) []string {
 	if old == nil {
 		return nil
 	}
+	moved := wireMoves(old, next)
+	prev := make(map[string][]string, len(old.Structs))
+	for key, fields := range old.Structs {
+		if to, ok := moved[key]; ok {
+			key = to
+		}
+		prev[key] = retypeLines(fields, moved)
+	}
 	var bad []string
 	for key, fields := range next.Structs {
-		oldFields, had := old.Structs[key]
+		oldFields, had := prev[key]
 		if !had || equalLines(oldFields, fields) {
 			continue
 		}
@@ -278,6 +288,43 @@ func CheckWireBump(old, next *WireLock) []string {
 	}
 	sort.Strings(bad)
 	return bad
+}
+
+// wireMoves pairs a struct key that left the lock with the key that
+// arrived under the same type name, when each side has exactly one.
+func wireMoves(old, next *WireLock) map[string]string {
+	typeName := func(key string) string { return key[strings.LastIndex(key, ".")+1:] }
+	left, arrived := map[string][]string{}, map[string][]string{}
+	for key := range old.Structs {
+		if _, kept := next.Structs[key]; !kept {
+			left[typeName(key)] = append(left[typeName(key)], key)
+		}
+	}
+	for key := range next.Structs {
+		if _, had := old.Structs[key]; !had {
+			arrived[typeName(key)] = append(arrived[typeName(key)], key)
+		}
+	}
+	moved := map[string]string{}
+	for name, from := range left {
+		if to := arrived[name]; len(from) == 1 && len(to) == 1 {
+			moved[from[0]] = to[0]
+		}
+	}
+	return moved
+}
+
+// retypeLines rewrites every whole mention of a moved struct key in the
+// field lines to its new key.
+func retypeLines(lines []string, moved map[string]string) []string {
+	out := append([]string(nil), lines...)
+	for from, to := range moved {
+		re := regexp.MustCompile(regexp.QuoteMeta(from) + `\b`)
+		for i := range out {
+			out[i] = re.ReplaceAllLiteralString(out[i], to)
+		}
+	}
+	return out
 }
 
 func equalLines(a, b []string) bool {

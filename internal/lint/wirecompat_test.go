@@ -85,9 +85,24 @@ func TestCheckWireBump(t *testing.T) {
 
 	// A brand-new struct (not in the old lock) is never refused.
 	next = sampleLock()
-	next.Structs["repro/internal/harvester.EstimatorState"] = []string{"N int"}
+	next.Structs["repro/internal/obswatch.Incident"] = []string{"Seq int64"}
 	if bad := CheckWireBump(old, next); len(bad) != 0 {
 		t.Errorf("new struct refused: %v", bad)
+	}
+
+	// A guarded struct moved to another package under its own name, with
+	// the field line that names it following: no shape changed, accepted.
+	old.Structs["repro/internal/harvestd.Accum"] = []string{"N int64 `json:\"n\"`"}
+	next = sampleLock()
+	next.Structs["repro/internal/ope.Accum"] = []string{"N int64 `json:\"n\"`"}
+	next.Structs["repro/internal/harvestd.StateSnapshot"][1] = "Policies map[string]repro/internal/ope.Accum `json:\"policies\"`"
+	if bad := CheckWireBump(old, next); len(bad) != 0 {
+		t.Errorf("pure move refused: %v", bad)
+	}
+	// The moved struct is still held to its old shape under its new key.
+	next.Structs["repro/internal/ope.Accum"] = []string{"N int32 `json:\"n\"`"}
+	if bad := CheckWireBump(old, next); len(bad) != 1 || bad[0] != "repro/internal/ope.Accum" {
+		t.Errorf("moved and edited struct: bad = %v", bad)
 	}
 
 	// No old lock at all: first generation is free.

@@ -17,8 +17,8 @@
 //     so two renders of the same state are byte-identical — scrape diffs
 //     and regression tests stay trivial.
 //   - Mergeable state. Histograms are lock-sharded for write concurrency
-//     and snapshot into a mergeable value type, the same Snapshot/Merge
-//     shape as harvester.IncrementalEstimator and harvestd.Accum.
+//     and snapshot into a mergeable value type, the same fold-per-writer,
+//     merge-on-read shape as the estimators' ope.Accum.
 //   - Injected clocks. Nothing here reads time.Now directly except the
 //     WallClock constructor (enforced by harvestlint's walltime rule), so
 //     simulations can drive the tracer from a des.Simulator virtual clock

@@ -1,4 +1,4 @@
-package harvestd
+package ope
 
 import (
 	"math"
@@ -9,12 +9,13 @@ import (
 
 // Accum holds the sufficient statistics for three importance-weighted
 // estimators of one candidate policy — plain IPS, clipped IPS, and SNIPS —
-// over a stream of ⟨x, a, r, p⟩ datapoints. Unlike the estimators in
-// package ope it never sees the data twice: everything the read path needs
-// (point estimates, standard errors, normal and empirical-Bernstein
-// intervals) is derived from these running sums, so an Accum is also the
-// unit of sharding (one per ingestion worker, merged on read) and of
-// checkpointing (all fields are exported and JSON-serializable).
+// over a stream of ⟨x, a, r, p⟩ datapoints. It is the package's one
+// importance-weighted sum: the batch estimators fold a dataset into one and
+// read it, and harvestd folds one per ingestion worker and merges them on
+// read. Everything the read path needs (point estimates, standard errors,
+// normal and empirical-Bernstein intervals) is derived from these running
+// sums, so an Accum is also the unit of sharding and of checkpointing (all
+// fields are exported and JSON-serializable).
 type Accum struct {
 	// N counts folded datapoints; Matches those on which the candidate put
 	// positive probability.
@@ -60,7 +61,7 @@ type Accum struct {
 // logged action, the logged propensity p > 0, and the reward r. clip <= 0
 // disables clipping (the clipped estimator then coincides with plain IPS);
 // floor <= 0 disables propensity-floor accounting. A datapoint with
-// non-positive propensity is dropped: the sources validate upstream, and
+// non-positive propensity is dropped: callers validate upstream, and
 // folding one would poison every running sum with ±Inf.
 //
 // The running ranges use the builtin min/max, which compile inline where
@@ -161,7 +162,7 @@ type EstimatorValue struct {
 	EBOK   bool    `json:"eb_ok"`
 }
 
-// PolicyEstimate is the full per-policy report served by the API.
+// PolicyEstimate is the full per-policy report served by the daemons.
 type PolicyEstimate struct {
 	Policy     string         `json:"policy"`
 	N          int64          `json:"n"`
@@ -177,29 +178,33 @@ func (a *Accum) Estimate(name string, delta float64) PolicyEstimate {
 	if a.N == 0 {
 		return pe
 	}
-	nf := float64(a.N)
-	pe.MatchRate = float64(a.Matches) / nf
-
+	pe.MatchRate = float64(a.Matches) / float64(a.N)
 	pe.IPS = meanValue(a.SumWR, a.SumWRSq, a.N, a.MaxTerm-a.MinTerm, delta)
 	pe.ClippedIPS = meanValue(a.SumCWR, a.SumCWRSq, a.N, a.MaxCTerm-a.MinCTerm, delta)
-
-	// SNIPS: v = Σwr / Σw with the delta-method standard error used by
-	// ope.SNIPS: se = sqrt(Var(wr − vw)/n)/w̄. The residual sum expands to
-	// Σw²r² − 2vΣw²r + v²Σw² (the residuals have zero mean by construction),
-	// so the running sums suffice — no second pass over the data.
 	if a.SumW > 0 {
-		v := a.SumWR / a.SumW
-		pe.SNIPS = EstimatorValue{Value: v}
-		if a.N >= 2 {
-			ss := a.SumW2R2 - 2*v*a.SumW2R + v*v*a.SumWSq
-			if ss < 0 {
-				ss = 0
-			}
-			pe.SNIPS.StdErr = math.Sqrt(ss*nf/(nf-1)) / a.SumW
-		}
-		pe.SNIPS.Lo, pe.SNIPS.Hi = normalCI(v, pe.SNIPS.StdErr, delta)
+		v, se := a.snips()
+		pe.SNIPS = EstimatorValue{Value: v, StdErr: se}
+		pe.SNIPS.Lo, pe.SNIPS.Hi = normalCI(v, se, delta)
 	}
 	return pe
+}
+
+// snips is the self-normalized estimate v = Σwr / Σw with the delta-method
+// standard error se = sqrt(Var(wr − vw)/n)/w̄. The residual sum expands to
+// Σw²r² − 2vΣw²r + v²Σw² (the residuals have zero mean by construction),
+// so the running sums suffice — no second pass over the data. It needs
+// SumW > 0.
+func (a *Accum) snips() (v, se float64) {
+	v = a.SumWR / a.SumW
+	if a.N >= 2 {
+		nf := float64(a.N)
+		ss := a.SumW2R2 - 2*v*a.SumW2R + v*v*a.SumWSq
+		if ss < 0 {
+			ss = 0
+		}
+		se = math.Sqrt(ss*nf/(nf-1)) / a.SumW
+	}
+	return v, se
 }
 
 // PolicyDiagnostics is one policy's estimator-health report: the runtime
@@ -258,22 +263,30 @@ func (a *Accum) Diagnostics(name string) PolicyDiagnostics {
 	return d
 }
 
+// moments returns the sample mean of n > 0 terms, their unbiased variance
+// (0 below two terms, clamped at 0 against cancellation) and the mean's
+// standard error, from the terms' sum and sum of squares.
+func moments(sum, sumSq float64, n int64) (mean, variance, se float64) {
+	nf := float64(n)
+	mean = sum / nf
+	if n >= 2 {
+		if variance = (sumSq - nf*mean*mean) / (nf - 1); variance < 0 {
+			variance = 0
+		}
+	}
+	return mean, variance, math.Sqrt(variance / nf)
+}
+
 // meanValue builds the EstimatorValue of a plain sample mean from its term
 // sums: mean, stderr, normal CI, and an empirical-Bernstein CI over the
 // observed term range.
 func meanValue(sum, sumSq float64, n int64, rangeWidth, delta float64) EstimatorValue {
-	nf := float64(n)
-	mean := sum / nf
-	ev := EstimatorValue{Value: mean}
+	mean, variance, se := moments(sum, sumSq, n)
+	ev := EstimatorValue{Value: mean, StdErr: se}
 	if n < 2 {
 		ev.Lo, ev.Hi = mean, mean
 		return ev
 	}
-	variance := (sumSq - nf*mean*mean) / (nf - 1)
-	if variance < 0 {
-		variance = 0
-	}
-	ev.StdErr = math.Sqrt(variance / nf)
 	ev.Lo, ev.Hi = normalCI(mean, ev.StdErr, delta)
 	if r := stats.EmpiricalBernsteinRadius(int(n), variance, rangeWidth, delta); !math.IsInf(r, 0) && !math.IsNaN(r) {
 		ev.EBLo, ev.EBHi, ev.EBOK = mean-r, mean+r, true

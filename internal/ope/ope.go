@@ -15,6 +15,11 @@
 // robust) and the trajectory-level importance sampling estimators needed
 // when decisions have long-term effects, plus the paper's Eq. 1 error bound
 // and its A/B-testing counterpart.
+//
+// IPS, clipped IPS and SNIPS share one core, Accum: the running sums of a
+// candidate's importance weights and weighted rewards. The batch estimators
+// fold a dataset into one and read it; harvestd folds one per ingestion
+// worker and merges them on read — the same formulas over the same sums.
 package ope
 
 import (
@@ -44,7 +49,9 @@ type Estimate struct {
 	// weights — how many "full-value" datapoints the weighted estimate is
 	// really built on. A small ESS relative to N warns that the candidate
 	// policy strays far from the logging policy. Zero when the estimator
-	// does not use importance weights.
+	// does not use importance weights. ClippedIPS reports it over the raw,
+	// unclipped weights — the figure /diagnostics serves for the same
+	// Accum — not over the clipped ones it averaged.
 	ESS float64
 	// MeanWeight is the average importance weight actually used by the
 	// estimator (post-clipping, when the estimator clips). For a
@@ -98,7 +105,12 @@ func (IPS) Name() string { return "ips" }
 // Estimate implements Estimator. It errors on an empty dataset or any
 // datapoint with non-positive propensity (the estimator is undefined there).
 func (IPS) Estimate(policy core.Policy, data core.Dataset) (Estimate, error) {
-	return weightedEstimate(policy, data, 0, false)
+	a, err := fold(policy, data, 0)
+	if err != nil {
+		return Estimate{}, err
+	}
+	mean, _, se := moments(a.SumWR, a.SumWRSq, a.N)
+	return read(&a, mean, se), nil
 }
 
 // ClippedIPS truncates importance weights at Max, trading a little bias for
@@ -111,9 +123,20 @@ type ClippedIPS struct {
 // Name implements Estimator.
 func (c ClippedIPS) Name() string { return fmt.Sprintf("ips-clip%.3g", c.Max) }
 
-// Estimate implements Estimator.
+// Estimate implements Estimator. MeanWeight and MaxWeight describe the
+// clipped weights the estimate used; ESS is Kish's over the raw weights.
 func (c ClippedIPS) Estimate(policy core.Policy, data core.Dataset) (Estimate, error) {
-	return weightedEstimate(policy, data, c.Max, false)
+	a, err := fold(policy, data, c.Max)
+	if err != nil {
+		return Estimate{}, err
+	}
+	mean, _, se := moments(a.SumCWR, a.SumCWRSq, a.N)
+	e := read(&a, mean, se)
+	e.MeanWeight = a.SumCW / float64(a.N)
+	if c.Max > 0 {
+		e.MaxWeight = min(e.MaxWeight, c.Max)
+	}
+	return e, nil
 }
 
 // SNIPS is the self-normalized IPS estimator: it divides the weighted reward
@@ -124,128 +147,46 @@ type SNIPS struct{}
 // Name implements Estimator.
 func (SNIPS) Name() string { return "snips" }
 
-// Estimate implements Estimator.
+// Estimate implements Estimator. It errors with ErrNoOverlap when no
+// datapoint matches the candidate.
 func (SNIPS) Estimate(policy core.Policy, data core.Dataset) (Estimate, error) {
-	return weightedEstimate(policy, data, 0, true)
-}
-
-// weightedEstimate is the shared IPS/clip/SNIPS core.
-//
-// The plain (non-self-normalized) path streams: one pass, no per-datapoint
-// storage, variance via a running Welford accumulator — estimator calls sit
-// in the inner loop of the policy-class sweeps (Eq. 1 evaluates thousands
-// of policies on one log), so the hot path must not allocate. The
-// self-normalized path needs the ratio's residuals after the ratio is
-// known, so it keeps the per-datapoint terms and takes a second pass.
-func weightedEstimate(policy core.Policy, data core.Dataset, clip float64, selfNormalize bool) (Estimate, error) {
-	if len(data) == 0 {
-		return Estimate{}, core.ErrNoData
+	a, err := fold(policy, data, 0)
+	if err != nil {
+		return Estimate{}, err
 	}
-	if !selfNormalize {
-		var (
-			acc        stats.Welford
-			matches    int
-			clipped    int
-			maxW       float64
-			wsum, w2um float64
-		)
-		for i := range data {
-			d := &data[i]
-			pi := core.ActionProb(policy, &d.Context, d.Action)
-			w, ok := core.ImportanceWeight(pi, d.Propensity)
-			if !ok {
-				return Estimate{}, fmt.Errorf("ope: datapoint %d has propensity %v; %w",
-					i, d.Propensity, errBadPropensity)
-			}
-			if clip > 0 && w > clip {
-				w = clip
-				clipped++
-			}
-			if pi > 0 {
-				matches++
-			}
-			if w > maxW {
-				maxW = w
-			}
-			wsum += w
-			w2um += w * w
-			acc.Add(w * d.Reward)
-		}
-		n := float64(len(data))
-		ess := 0.0
-		if w2um > 0 {
-			ess = wsum * wsum / w2um
-		}
-		return Estimate{
-			Value:        acc.Mean(),
-			StdErr:       math.Sqrt(acc.Variance() / n),
-			N:            len(data),
-			Matches:      matches,
-			MaxWeight:    maxW,
-			ESS:          ess,
-			MeanWeight:   wsum / n,
-			ClipFraction: float64(clipped) / n,
-		}, nil
-	}
-
-	var (
-		sum     float64 // Σ w_t r_t
-		wsum    float64 // Σ w_t
-		matches int
-		clipped int
-		maxW    float64
-		terms   = make([]float64, 0, len(data)) // w_t r_t
-		weights = make([]float64, 0, len(data))
-	)
-	for i := range data {
-		d := &data[i]
-		pi := core.ActionProb(policy, &d.Context, d.Action)
-		w, ok := core.ImportanceWeight(pi, d.Propensity)
-		if !ok {
-			return Estimate{}, fmt.Errorf("ope: datapoint %d has propensity %v; %w",
-				i, d.Propensity, errBadPropensity)
-		}
-		if clip > 0 && w > clip {
-			w = clip
-			clipped++
-		}
-		if pi > 0 {
-			matches++
-		}
-		if w > maxW {
-			maxW = w
-		}
-		sum += w * d.Reward
-		wsum += w
-		terms = append(terms, w*d.Reward)
-		weights = append(weights, w)
-	}
-	n := float64(len(data))
-	est := Estimate{
-		N: len(data), Matches: matches, MaxWeight: maxW,
-		MeanWeight: wsum / n, ClipFraction: float64(clipped) / n,
-	}
-	if wsum == 0 {
+	if a.SumW == 0 {
 		return Estimate{}, fmt.Errorf("ope: %w: no datapoint matches the candidate policy", ErrNoOverlap)
 	}
-	w2 := 0.0
-	for _, wv := range weights {
-		w2 += wv * wv
+	v, se := a.snips()
+	return read(&a, v, se), nil
+}
+
+// fold checks each propensity and folds the dataset, in order, into one
+// Accum clipping at clip — the single pass behind IPS, ClippedIPS and
+// SNIPS. It does not allocate: estimator calls sit in the inner loop of the
+// policy-class sweeps (Eq. 1 evaluates thousands of policies on one log).
+func fold(policy core.Policy, data core.Dataset, clip float64) (Accum, error) {
+	var a Accum
+	if len(data) == 0 {
+		return a, core.ErrNoData
 	}
-	if w2 > 0 {
-		est.ESS = wsum * wsum / w2
+	for i := range data {
+		d := &data[i]
+		if !(d.Propensity > 0) {
+			return a, fmt.Errorf("ope: datapoint %d has propensity %v; %w",
+				i, d.Propensity, errBadPropensity)
+		}
+		a.Fold(core.ActionProb(policy, &d.Context, d.Action), d.Propensity, d.Reward, clip, 0)
 	}
-	v := sum / wsum
-	est.Value = v
-	// Delta-method standard error for the ratio estimator:
-	// Var(Σwr/Σw) ≈ (1/(n·w̄²)) · Var(w r - v w).
-	wbar := wsum / n
-	resid := make([]float64, len(data))
-	for i := range resid {
-		resid[i] = terms[i] - v*weights[i]
-	}
-	est.StdErr = math.Sqrt(stats.Variance(resid)/n) / wbar
-	return est, nil
+	return a, nil
+}
+
+// read is one estimator's Estimate off a folded Accum: its value and
+// standard error, and the weight health /diagnostics reports.
+func read(a *Accum, value, stderr float64) Estimate {
+	d := a.Diagnostics("")
+	return Estimate{Value: value, StdErr: stderr, N: int(a.N), Matches: int(a.Matches),
+		MaxWeight: d.MaxWeight, ESS: d.ESS, MeanWeight: d.MeanWeight, ClipFraction: d.ClipFraction}
 }
 
 // DirectMethod scores a policy purely with a learned reward model:

@@ -21,14 +21,11 @@
 package parallel
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
-	"repro/internal/harvester"
 	"repro/internal/stats"
 )
 
@@ -113,53 +110,4 @@ func ForSeeded(workers, n int, base int64, task func(i int, r *rand.Rand) error)
 // unrelated simulation passes) on the pool and waits for all of them.
 func Do(workers int, tasks ...func() error) error {
 	return For(workers, len(tasks), func(i int) error { return tasks[i]() })
-}
-
-// ipsShardSize fixes the shard boundaries of ShardedIPS as a function of
-// the dataset length only. The worker count must never influence the
-// sharding: merge order (and with it float summation order) is part of the
-// reproducibility contract.
-const ipsShardSize = 8192
-
-// ShardedIPS estimates a candidate policy's value on exploration data by
-// folding fixed-size dataset shards into per-shard harvester accumulators
-// concurrently, then merging the shards in index order — the
-// Snapshot/Merge machinery harvestd's sharded ingestion uses, applied to a
-// batch dataset. The result is identical for every workers value: shard
-// boundaries depend only on len(ds), each shard folds its datapoints in
-// order, and the serial in-order merge fixes the reduction order.
-func ShardedIPS(workers int, pol core.Policy, ds core.Dataset) (harvester.Snapshot, error) {
-	if len(ds) == 0 {
-		return harvester.Snapshot{}, core.ErrNoData
-	}
-	shards := (len(ds) + ipsShardSize - 1) / ipsShardSize
-	ests := make([]*harvester.IncrementalEstimator, shards)
-	err := For(workers, shards, func(i int) error {
-		ie, err := harvester.NewIncrementalEstimator(pol)
-		if err != nil {
-			return err
-		}
-		lo := i * ipsShardSize
-		hi := lo + ipsShardSize
-		if hi > len(ds) {
-			hi = len(ds)
-		}
-		for j := lo; j < hi; j++ {
-			if err := ie.Add(ds[j]); err != nil {
-				return fmt.Errorf("parallel: datapoint %d: %w", j, err)
-			}
-		}
-		ests[i] = ie
-		return nil
-	})
-	if err != nil {
-		return harvester.Snapshot{}, err
-	}
-	merged := ests[0]
-	for _, ie := range ests[1:] {
-		if err := merged.Merge(ie); err != nil {
-			return harvester.Snapshot{}, err
-		}
-	}
-	return merged.Snapshot(), nil
 }

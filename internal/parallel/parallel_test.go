@@ -2,14 +2,10 @@ package parallel
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/ope"
-	"repro/internal/policy"
 	"repro/internal/stats"
 )
 
@@ -125,68 +121,5 @@ func TestDo(t *testing.T) {
 	}
 	if err := Do(2, func() error { return nil }, func() error { return fmt.Errorf("boom") }); err == nil {
 		t.Error("Do must propagate task errors")
-	}
-}
-
-// shardedDataset builds exploration data spanning several shards.
-func shardedDataset(n int) core.Dataset {
-	r := stats.NewRand(3)
-	ds := make(core.Dataset, n)
-	for i := range ds {
-		ds[i] = core.Datapoint{
-			Context:    core.Context{Features: core.Vector{r.Float64()}, NumActions: 4},
-			Action:     core.Action(r.Intn(4)),
-			Reward:     r.Float64(),
-			Propensity: 0.25,
-		}
-	}
-	return ds
-}
-
-func TestShardedIPSWorkerInvariance(t *testing.T) {
-	ds := shardedDataset(3*ipsShardSize + 517)
-	pol := policy.Constant{A: 1}
-	serial, err := ShardedIPS(1, pol, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 16} {
-		snap, err := ShardedIPS(workers, pol, ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snap != serial {
-			t.Errorf("workers=%d snapshot %+v differs from serial %+v", workers, snap, serial)
-		}
-	}
-}
-
-func TestShardedIPSAgreesWithOPE(t *testing.T) {
-	ds := shardedDataset(2*ipsShardSize + 99)
-	pol := policy.Constant{A: 1}
-	snap, err := ShardedIPS(4, pol, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := (ope.IPS{}).Estimate(pol, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.N != len(ds) {
-		t.Errorf("snapshot folded %d of %d datapoints", snap.N, len(ds))
-	}
-	if math.Abs(snap.Mean-est.Value) > 1e-9 {
-		t.Errorf("sharded mean %v vs ope ips %v", snap.Mean, est.Value)
-	}
-}
-
-func TestShardedIPSErrors(t *testing.T) {
-	if _, err := ShardedIPS(2, policy.Constant{A: 0}, nil); err == nil {
-		t.Error("empty dataset should fail")
-	}
-	bad := shardedDataset(10)
-	bad[3].Propensity = 0
-	if _, err := ShardedIPS(2, policy.Constant{A: 0}, bad); err == nil {
-		t.Error("non-positive propensity should fail")
 	}
 }

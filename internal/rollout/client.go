@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/harvestd"
+	"repro/internal/ope"
 )
 
 // HarvestClient supplies the controller's input. Both harvestd and
@@ -74,8 +75,8 @@ func (h *HTTPHarvest) Evidence(ctx context.Context, policies ...string) (harvest
 //
 // Deprecated: the controller reads Evidence; this remains for the loop
 // benchmark's fetch probe.
-func (h *HTTPHarvest) Estimates(ctx context.Context) ([]harvestd.PolicyEstimate, error) {
-	var out []harvestd.PolicyEstimate
+func (h *HTTPHarvest) Estimates(ctx context.Context) ([]ope.PolicyEstimate, error) {
+	var out []ope.PolicyEstimate
 	err := h.get(ctx, "/estimates", &out)
 	return out, err
 }

@@ -90,7 +90,7 @@ type EstimatorView struct {
 }
 
 // selectEstimator picks the configured estimator out of a served estimate.
-func selectEstimator(pe harvestd.PolicyEstimate, name string) EstimatorView {
+func selectEstimator(pe ope.PolicyEstimate, name string) EstimatorView {
 	ev := pe.ClippedIPS
 	if name == "ips" {
 		ev = pe.IPS
@@ -102,7 +102,7 @@ func selectEstimator(pe harvestd.PolicyEstimate, name string) EstimatorView {
 // estimate re-bounded with the controller's own gate interval (so the
 // recorded Lo/Hi are exactly what the separation check compared) plus the
 // health fractions. cfg's Delta and TermHi shape the interval.
-func gateArm(cfg *Config, policy string, ev EstimatorView, n int64, dg harvestd.PolicyDiagnostics) GateArm {
+func gateArm(cfg *Config, policy string, ev EstimatorView, n int64, dg ope.PolicyDiagnostics) GateArm {
 	iv := ope.HighConfidenceInterval(ope.Estimate{Value: ev.Value, StdErr: ev.StdErr, N: int(n)}, cfg.TermHi, cfg.Delta)
 	// Intersect with the a-priori term range: every per-datapoint estimator
 	// term lies in [TermLo, TermHi], so the true value does too and the

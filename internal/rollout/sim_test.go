@@ -113,14 +113,14 @@ func (f *fakeHarvest) setWatermark(wm *harvestd.Watermark) {
 	f.wm = wm
 }
 
-func (f *fakeHarvest) policyEstimate(name string, a *simArm) harvestd.PolicyEstimate {
+func (f *fakeHarvest) policyEstimate(name string, a *simArm) ope.PolicyEstimate {
 	v, se := a.estimate()
-	ev := harvestd.EstimatorValue{Value: v, StdErr: se}
-	return harvestd.PolicyEstimate{Policy: name, N: a.n, MatchRate: 1, IPS: ev, ClippedIPS: ev, SNIPS: ev}
+	ev := ope.EstimatorValue{Value: v, StdErr: se}
+	return ope.PolicyEstimate{Policy: name, N: a.n, MatchRate: 1, IPS: ev, ClippedIPS: ev, SNIPS: ev}
 }
 
-func (f *fakeHarvest) policyDiag(name string, a *simArm) harvestd.PolicyDiagnostics {
-	return harvestd.PolicyDiagnostics{
+func (f *fakeHarvest) policyDiag(name string, a *simArm) ope.PolicyDiagnostics {
+	return ope.PolicyDiagnostics{
 		Policy: name, N: a.n,
 		ESSFraction:  a.essFrac,
 		ClipFraction: a.clipFrac,
