@@ -14,15 +14,14 @@ vet:
 # Repo-specific invariants the compiler cannot check: seeded RNG plumbing,
 # guarded propensity divisions, virtual clocks in simulations, locks passed
 # by pointer, no dropped errors, plus the dataflow analyses (propensity
-# taint, map-order determinism, wire-struct locking, ctx-deaf loops). The
-# committed baseline is empty and must stay empty. See internal/lint,
-# DESIGN.md §6 and §11.
+# taint, map-order determinism, wire-struct locking, ctx-deaf loops). Any
+# finding fails the build; see internal/lint, DESIGN.md §6 and §11.
 lint:
-	$(GO) run ./cmd/harvestlint -baseline internal/lint/baseline.txt ./...
+	$(GO) run ./cmd/harvestlint ./...
 
 # Machine-readable diagnostics for CI artifact upload (same gate as lint).
 lint-json:
-	$(GO) run ./cmd/harvestlint -baseline internal/lint/baseline.txt -json ./... > LINT_harvestlint.json
+	$(GO) run ./cmd/harvestlint -json ./... > LINT_harvestlint.json
 
 # Regenerate internal/lint/wire.lock from the watched wire structs. Refuses
 # a struct whose field set changed without its version constant moving; CI
@@ -48,7 +47,7 @@ race:
 
 # Focused federation + ingest + rollout hot-path benchmarks (ope.Accum's
 # per-record fold and merge, registry fan-out per record and per batch,
-# snapshot encode/decode, router assignment, binary codec, end-to-end
+# snapshot encode/decode, binary codec, end-to-end
 # source→fold ingest per format, gate evaluation and state transition), emitted as
 # BENCH_harvestd.json for CI trend tracking. RegistryFold also selects
 # RegistryFoldBatch/{1,64,720,wide32,policies={1,4,16,64}}, where one op is
@@ -67,7 +66,7 @@ race:
 # k2of32} (one rolloutd step against a live harvestd over loopback).
 # bench-all is the full sweep.
 bench:
-	$(GO) test -run NONE -bench 'AccumFold|AccumMerge|RegistryFold|RegistryEstimates|AggregatorEvidence|StepHTTP|SnapshotEncode|SnapshotDecode|RouterAssign|BinRecEncode|BinRecDecode|ParseNginxLine|IngestNginx|IngestJSONL|IngestBin|IngestScaling|GateEval|StateTransition' \
+	$(GO) test -run NONE -bench 'AccumFold|AccumMerge|RegistryFold|RegistryEstimates|AggregatorEvidence|StepHTTP|SnapshotEncode|SnapshotDecode|BinRecEncode|BinRecDecode|ParseNginxLine|IngestNginx|IngestJSONL|IngestBin|IngestScaling|GateEval|StateTransition' \
 		-benchmem ./internal/ope ./internal/harvestd ./internal/fleet ./internal/harvester ./internal/harvester/binrec ./internal/rollout | $(GO) run ./cmd/benchjson -o BENCH_harvestd.json
 	@cat BENCH_harvestd.json
 

@@ -1,7 +1,7 @@
 // Command harvestagg runs the fleet aggregation tier: it periodically
 // pulls per-shard estimator snapshots from N harvestd /snapshot endpoints,
 // merges them through the order-insensitive accumulator merge, and serves
-// fleet-wide /estimates, /evidence, /diagnostics, /shards, /route, and
+// fleet-wide /estimates, /evidence, /diagnostics, /freshness, /shards and
 // /metrics from the merged state. Shards that stop answering are retried with backoff and
 // dropped from the merge once their last snapshot ages past -stale-after;
 // estimates degrade gracefully (coverage shrinks, intervals widen) and

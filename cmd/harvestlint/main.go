@@ -9,15 +9,8 @@
 // current directory: "./..." (the default) lints the whole module,
 // "./internal/..." a subtree, and "./internal/ope" a single package.
 //
-// Analyzer selection: -enable=a,b runs only the named analyzers,
-// -disable=a,b runs everything but them (-only is a legacy alias of
-// -enable). -list enumerates the registry.
-//
-// Output and gating: -json emits machine-readable diagnostics for CI;
-// -baseline FILE absorbs known findings (burn the file down to empty,
-// never grow it); -write-baseline regenerates that file from the current
-// findings; -fix applies the suggested edits carried by fixable findings
-// and gofmts the touched files.
+// Every registered analyzer runs; -list enumerates them. -json emits the
+// findings as machine-readable diagnostics for CI.
 //
 // Wire-format locking: -wirelock regenerates internal/lint/wire.lock
 // from the watched wire structs, refusing any struct whose field set
@@ -36,7 +29,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/lint"
@@ -49,17 +41,11 @@ func main() {
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("harvestlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	only := fs.String("only", "", "legacy alias of -enable")
-	enable := fs.String("enable", "", "comma-separated analyzer names to run (default: all)")
-	disable := fs.String("disable", "", "comma-separated analyzer names to skip")
 	list := fs.Bool("list", false, "list registered analyzers and exit")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text")
-	fixMode := fs.Bool("fix", false, "apply suggested fixes for fixable findings")
-	baselinePath := fs.String("baseline", "", "baseline file of known findings that do not fail the build")
-	writeBaseline := fs.Bool("write-baseline", false, "write current findings to the -baseline file and exit")
 	wirelock := fs.Bool("wirelock", false, "regenerate "+lint.WireLockPath+" from the watched wire structs and exit")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: harvestlint [-enable a,b | -disable a,b] [-json] [-fix] [-baseline FILE [-write-baseline]] [-wirelock] [-list] [packages]")
+		fmt.Fprintln(stderr, "usage: harvestlint [-json] [-wirelock] [-list] [packages]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -72,25 +58,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintf(stdout, "%-10s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	if *only != "" && *enable != "" {
-		fmt.Fprintln(stderr, "harvestlint: -only is an alias of -enable; give only one")
-		return 2
-	}
-	if *only != "" {
-		*enable = *only
-	}
-	if *enable != "" && *disable != "" {
-		fmt.Fprintln(stderr, "harvestlint: -enable and -disable are mutually exclusive")
-		return 2
-	}
-	if sel, unknown := selectAnalyzers(analyzers, *enable, *disable); len(unknown) > 0 {
-		for _, name := range unknown {
-			fmt.Fprintf(stderr, "harvestlint: unknown analyzer %q\n", name)
-		}
-		return 2
-	} else {
-		analyzers = sel
 	}
 
 	cwd, err := os.Getwd()
@@ -141,50 +108,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 	lint.Sort(findings)
 
-	rel := func(path string) string { return relTo(root, path) }
-	if *writeBaseline {
-		if *baselinePath == "" {
-			fmt.Fprintln(stderr, "harvestlint: -write-baseline requires -baseline FILE")
-			return 2
-		}
-		if err := os.WriteFile(*baselinePath, lint.FormatBaseline(findings, rel), 0o644); err != nil {
-			fmt.Fprintf(stderr, "harvestlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "harvestlint: wrote %d baseline entries to %s\n", len(findings), *baselinePath)
-		return 0
-	}
-	if *baselinePath != "" {
-		data, err := os.ReadFile(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "harvestlint: %v\n", err)
-			return 2
-		}
-		var stale []string
-		findings, _, stale = lint.FilterBaseline(findings, lint.ParseBaseline(data), rel)
-		for _, k := range stale {
-			fmt.Fprintf(stderr, "harvestlint: stale baseline entry (finding fixed — delete the line): %s\n", k)
-		}
-	}
-
-	if *fixMode {
-		applied, err := lint.ApplyFixes(findings)
-		if err != nil {
-			fmt.Fprintf(stderr, "harvestlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "harvestlint: applied %d fixes\n", applied)
-		// Keep only findings the fix pass could not resolve; the caller
-		// re-runs to verify the rewritten tree.
-		var unfixed []lint.Finding
-		for _, f := range findings {
-			if len(f.Fixes) == 0 {
-				unfixed = append(unfixed, f)
-			}
-		}
-		findings = unfixed
-	}
-
 	for i := range findings {
 		findings[i].Pos.Filename = relTo(cwd, findings[i].Pos.Filename)
 	}
@@ -204,58 +127,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	return 0
 }
 
-// selectAnalyzers applies -enable/-disable to the registry, returning the
-// selection and any unknown names (sorted) for error reporting.
-func selectAnalyzers(all []*lint.Analyzer, enable, disable string) (sel []*lint.Analyzer, unknown []string) {
-	byName := make(map[string]*lint.Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	splitNames := func(s string) []string {
-		var names []string
-		for _, n := range strings.Split(s, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
-			}
-		}
-		return names
-	}
-	switch {
-	case enable != "":
-		want := map[string]bool{}
-		for _, n := range splitNames(enable) {
-			if byName[n] == nil {
-				unknown = append(unknown, n)
-			} else {
-				want[n] = true
-			}
-		}
-		for _, a := range all {
-			if want[a.Name] {
-				sel = append(sel, a)
-			}
-		}
-	case disable != "":
-		drop := map[string]bool{}
-		for _, n := range splitNames(disable) {
-			if byName[n] == nil {
-				unknown = append(unknown, n)
-			} else {
-				drop[n] = true
-			}
-		}
-		for _, a := range all {
-			if !drop[a.Name] {
-				sel = append(sel, a)
-			}
-		}
-	default:
-		sel = all
-	}
-	sort.Strings(unknown)
-	return sel, unknown
-}
-
 // jsonFinding is the -json wire shape of one finding.
 type jsonFinding struct {
 	File     string `json:"file"`
@@ -263,7 +134,6 @@ type jsonFinding struct {
 	Column   int    `json:"column"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-	Fixable  bool   `json:"fixable"`
 }
 
 func writeJSON(out *os.File, findings []lint.Finding) error {
@@ -275,7 +145,6 @@ func writeJSON(out *os.File, findings []lint.Finding) error {
 			Column:   f.Pos.Column,
 			Analyzer: f.Analyzer,
 			Message:  f.Message,
-			Fixable:  len(f.Fixes) > 0,
 		})
 	}
 	enc := json.NewEncoder(out)

@@ -138,7 +138,7 @@ func main() {
 	}
 }
 
-func TestBinarySuppressionAndOnly(t *testing.T) {
+func TestBinarySuppression(t *testing.T) {
 	bin := buildBinary(t)
 	dir := writeModule(t, map[string]string{
 		"go.mod": goMod,
@@ -159,17 +159,5 @@ func main() {
 	}
 	if strings.Count(stdout, "[rawrand]") != 1 || !strings.Contains(stdout, "Float64") {
 		t.Errorf("suppression should leave exactly the Float64 finding:\n%s", stdout)
-	}
-
-	// -only with a different analyzer silences rawrand entirely.
-	stdout, _, code = runLint(t, bin, dir, "-only", "errdrop", "./...")
-	if code != 0 || stdout != "" {
-		t.Errorf("-only errdrop: exit=%d output:\n%s", code, stdout)
-	}
-
-	// Unknown analyzer names are a usage error.
-	_, stderr, code := runLint(t, bin, dir, "-only", "nosuch", "./...")
-	if code != 2 || !strings.Contains(stderr, "unknown analyzer") {
-		t.Errorf("-only nosuch: exit=%d stderr:\n%s", code, stderr)
 	}
 }

@@ -83,7 +83,7 @@ func Rollout(p RolloutParams) (*RolloutResult, error) {
 	base := root.Int63()
 	err = parallel.ForSeeded(p.Workers, len(p.Shares), base, func(i int, r *rand.Rand) error {
 		share := p.Shares[i]
-		blend, err := policy.NewBlend(candidate, policy.UniformRandom{R: stats.Split(r)}, share, stats.Split(r))
+		blend, err := policy.NewDynamicBlend(candidate, policy.UniformRandom{R: stats.Split(r)}, share, stats.Split(r))
 		if err != nil {
 			return fmt.Errorf("experiments: rollout share %v: %w", share, err)
 		}

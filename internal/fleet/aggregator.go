@@ -1,3 +1,14 @@
+// Package fleet federates N harvestd shards behind an aggregation tier:
+// each shard ingests its own sources, and an Aggregator periodically pulls
+// each shard's /snapshot, merges the order-insensitive estimator state, and
+// serves fleet-wide estimates, diagnostics, and metrics from the merged
+// view — the fan-in aggregation shape of cosi-style protocol trees,
+// flattened to one tier because the estimator state is a few KB per shard.
+//
+//	sources ──▶ shard harvestd₁..N (own logs, checkpoints, /snapshot)
+//	                 │pull (HTTP, timeout+backoff, stale window)
+//	  aggregator ◀───┘
+//	  /estimates /evidence /diagnostics /freshness /metrics /shards ◀── merged state
 package fleet
 
 import (
@@ -111,7 +122,6 @@ type shardState struct {
 // associative, so tiers compose).
 type Aggregator struct {
 	cfg    Config
-	router *Router
 	shards []*shardState // sorted by name: the canonical merge order
 	obsReg *obs.Registry
 	start  time.Time
@@ -135,21 +145,18 @@ func New(cfg Config) (*Aggregator, error) {
 		return nil, fmt.Errorf("fleet: aggregator needs at least one shard")
 	}
 	cfg.fillDefaults()
-	names := make([]string, len(cfg.Shards))
-	for i, s := range cfg.Shards {
-		if s.URL == "" {
-			return nil, fmt.Errorf("fleet: shard %q has no URL", s.Name)
-		}
-		names[i] = s.Name
-	}
-	router, err := NewRouter(names) // also rejects empty/duplicate names
-	if err != nil {
-		return nil, err
-	}
-	a := &Aggregator{cfg: cfg, router: router}
 	shards := append([]Shard(nil), cfg.Shards...)
 	sort.Slice(shards, func(i, j int) bool { return shards[i].Name < shards[j].Name })
-	for _, s := range shards {
+	a := &Aggregator{cfg: cfg}
+	for i, s := range shards {
+		switch {
+		case s.URL == "":
+			return nil, fmt.Errorf("fleet: shard %q has no URL", s.Name)
+		case s.Name == "":
+			return nil, fmt.Errorf("fleet: empty shard name")
+		case i > 0 && shards[i-1].Name == s.Name:
+			return nil, fmt.Errorf("fleet: duplicate shard %q", s.Name)
+		}
 		a.shards = append(a.shards, &shardState{shard: s})
 	}
 	a.ckpt = daemon.Checkpointer{
@@ -159,9 +166,6 @@ func New(cfg Config) (*Aggregator, error) {
 	a.initMetrics()
 	return a, nil
 }
-
-// Router returns the fleet's source-to-shard router.
-func (a *Aggregator) Router() *Router { return a.router }
 
 // Metrics returns the aggregator's obs registry.
 func (a *Aggregator) Metrics() *obs.Registry { return a.obsReg }
@@ -300,9 +304,8 @@ func fetchSnapshot(ctx context.Context, client *http.Client, base string) (snap 
 	return snap, nil
 }
 
-// PullAll pulls every shard once, synchronously — the startup warm-up and
-// the POST /pull handler. It returns the first error but attempts every
-// shard regardless.
+// PullAll pulls every shard once, synchronously — the startup warm-up. It
+// returns the first error but attempts every shard regardless.
 func (a *Aggregator) PullAll(ctx context.Context) error {
 	var first error
 	for _, st := range a.shards {

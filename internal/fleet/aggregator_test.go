@@ -95,16 +95,47 @@ func (ss *snapServer) fail(status int) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Error("New with no shards: expected error")
+	if _, err := New(Config{}); err == nil || !strings.Contains(err.Error(), "at least one shard") {
+		t.Errorf("New with no shards: error = %v", err)
 	}
-	if _, err := New(Config{Shards: []Shard{{Name: "a"}}}); err == nil {
-		t.Error("New with URL-less shard: expected error")
+	if _, err := New(Config{Shards: []Shard{{Name: "a"}}}); err == nil || !strings.Contains(err.Error(), `shard "a" has no URL`) {
+		t.Errorf("New with URL-less shard: error = %v", err)
 	}
 	if _, err := New(Config{Shards: []Shard{
 		{Name: "a", URL: "http://x"}, {Name: "a", URL: "http://y"},
-	}}); err == nil {
-		t.Error("New with duplicate shard names: expected error")
+	}}); err == nil || !strings.Contains(err.Error(), `duplicate shard "a"`) {
+		t.Errorf("New with duplicate shard names: error = %v", err)
+	}
+}
+
+// TestRouterRejectsBadShardSets: New refuses a shard set that is empty,
+// holds an empty name, or names a shard twice, and takes any set of
+// distinct names whatever their order.
+func TestRouterRejectsBadShardSets(t *testing.T) {
+	shards := func(names ...string) []Shard {
+		out := make([]Shard, len(names))
+		for i, n := range names {
+			out[i] = Shard{Name: n, URL: "http://x" + n}
+		}
+		return out
+	}
+	for _, c := range []struct {
+		shards  []Shard
+		wantErr string
+	}{
+		{nil, "at least one shard"},
+		{[]Shard{}, "at least one shard"},
+		{shards(""), "empty shard name"},
+		{shards("b", ""), "empty shard name"},
+		{shards("a", "a"), `duplicate shard "a"`},
+		{shards("a", "b", "a"), `duplicate shard "a"`},
+	} {
+		if _, err := New(Config{Shards: c.shards}); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("New(%v) error = %v, want %q", c.shards, err, c.wantErr)
+		}
+	}
+	if _, err := New(Config{Shards: shards("z", "m", "a")}); err != nil {
+		t.Errorf("New over three distinct shards: %v", err)
 	}
 }
 
@@ -447,14 +478,11 @@ func TestAggregatorHTTPEndpoints(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
-	// POST /pull warms the state up; everything else reads it.
-	if code, body := post("/pull"); code != 200 || !strings.Contains(body, "shards=1/1") {
-		t.Fatalf("POST /pull = %d %q", code, body)
+	// One synchronous pull warms the state up; everything else reads it.
+	if err := a.PullAll(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	if code, _ := get("/pull"); code != http.StatusMethodNotAllowed {
-		t.Errorf("GET /pull = %d, want 405", code)
-	}
-	if code, body := get("/healthz"); code != 200 || !strings.HasPrefix(body, "ok") {
+	if code, body := get("/healthz"); code != 200 || !strings.HasPrefix(body, "ok") || !strings.Contains(body, "shards=1/1") {
 		t.Errorf("healthz = %d %q", code, body)
 	}
 
@@ -491,14 +519,6 @@ func TestAggregatorHTTPEndpoints(t *testing.T) {
 	code, body = get("/shards")
 	if code != 200 || !strings.Contains(body, `"shard-a"`) {
 		t.Errorf("shards = %d %q", code, body)
-	}
-
-	code, body = get("/route?key=access.log")
-	if code != 200 || !strings.Contains(body, `"shard": "shard-a"`) {
-		t.Errorf("route = %d %q", code, body)
-	}
-	if code, _ := get("/route"); code != 400 {
-		t.Errorf("route without key = %d, want 400", code)
 	}
 
 	code, body = get("/metrics")

@@ -32,12 +32,8 @@ import (
 //	                  merged into min-watermark / max-age / total-backlog
 //	                  (see FleetFreshness), for rolloutd and fleetwatch
 //	GET  /shards      per-shard pull status rows
-//	GET  /route?key=K the shard owning an ingest-source key (consistent-
-//	                  hash routing as a service: producers ask the
-//	                  aggregator where to send)
 //	GET  /metrics     Prometheus text: per-shard liveness/staleness/pull
 //	                  counters and merged per-policy estimator gauges
-//	POST /pull        force an immediate synchronous pull of every shard
 //	POST /checkpoint  force a checkpoint now
 func (a *Aggregator) handler() http.Handler {
 	mux := http.NewServeMux()
@@ -47,9 +43,7 @@ func (a *Aggregator) handler() http.Handler {
 	mux.HandleFunc("/diagnostics", a.handleDiagnostics)
 	mux.HandleFunc("/freshness", a.handleFreshness)
 	mux.HandleFunc("/shards", a.handleShards)
-	mux.HandleFunc("/route", a.handleRoute)
 	mux.HandleFunc("/metrics", a.handleMetrics)
-	mux.HandleFunc("/pull", a.handlePull)
 	mux.Handle("/checkpoint", &a.ckpt)
 	return mux
 }
@@ -131,46 +125,7 @@ func (a *Aggregator) handleShards(w http.ResponseWriter, r *http.Request) {
 	daemon.WriteJSON(w, v.Shards)
 }
 
-// routeReply is the /route payload.
-type routeReply struct {
-	Key   string `json:"key"`
-	Shard string `json:"shard"`
-	URL   string `json:"url"`
-}
-
-func (a *Aggregator) handleRoute(w http.ResponseWriter, r *http.Request) {
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		http.Error(w, "missing ?key=", http.StatusBadRequest)
-		return
-	}
-	name := a.router.Assign(key)
-	url := ""
-	for _, st := range a.shards {
-		if st.shard.Name == name {
-			url = st.shard.URL
-			break
-		}
-	}
-	daemon.WriteJSON(w, routeReply{Key: key, Shard: name, URL: url})
-}
-
 func (a *Aggregator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	a.updatePolicyMetrics()
 	a.obsReg.Handler().ServeHTTP(w, r)
-}
-
-func (a *Aggregator) handlePull(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	err := a.PullAll(r.Context())
-	v := a.View()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if err != nil {
-		fmt.Fprintf(w, "pulled with errors (%v): shards=%d/%d\n", err, v.LiveShards, v.TotalShards)
-		return
-	}
-	fmt.Fprintf(w, "pulled: shards=%d/%d\n", v.LiveShards, v.TotalShards)
 }

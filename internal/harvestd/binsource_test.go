@@ -331,7 +331,9 @@ func TestBinSourceCorruption(t *testing.T) {
 // TestBinSourceUndecodableSegment: a segment that passes its CRC and does not
 // decode — an encoder's fault, which no reader-side check can see now that
 // the workers decode — still fails the source with the decoder's error, and
-// folds nothing of its own.
+// folds nothing of its own. With one worker batches come home in send order,
+// so at most freeListDepth-1 later segments fold before the verdict; with
+// two they come home in release order and the test bounds only from below.
 func TestBinSourceUndecodableSegment(t *testing.T) {
 	ds := benchDatapoints(600)
 	good := encodeBin(t, ds, 2048) // some 25 segments
@@ -342,21 +344,37 @@ func TestBinSourceUndecodableSegment(t *testing.T) {
 	const hdr = 5 // "HRVB" and the version, which a second stream's segments go without
 	wire := append(append(append([]byte(nil), good...), bad...), good[hdr:]...)
 
-	d, reg := startSourceDaemon(t, &BinSource{R: bytes.NewReader(wire)})
-	waitFor(t, 10*time.Second, "decode failure", func() bool { return len(d.SourceErrors()) == 1 })
-	if err := d.SourceErrors()[0].Error(); !strings.Contains(err, "binrec: segment") || !strings.Contains(err, "record length 127") {
-		t.Errorf("error %q should be the binrec decoder's, naming the segment and the record length", err)
-	}
-	if err := d.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// Everything before the bad segment, and at most the freeListDepth-1
-	// segments (under 30 records each) that were in flight behind it.
-	if n := reg.TotalN(); n < 600 || n > 600+(freeListDepth-1)*30 {
-		t.Errorf("folded %d records, want the 600 before the bad segment and at most %d after", n, (freeListDepth-1)*30)
-	}
-	if l, f := d.ctr.lines.Load(), d.ctr.folded.Load(); l != f || d.ctr.parseErrors.Load() != 0 {
-		t.Errorf("lines %d, folded %d, parse errors %d: the bad segment must count for nothing", l, f, d.ctr.parseErrors.Load())
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			reg := newTestRegistry(t, 2)
+			d, err := New(Config{Workers: workers, Clip: 10}, reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.AddSource(&BinSource{R: bytes.NewReader(wire)})
+			if err := d.Start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 10*time.Second, "decode failure", func() bool { return len(d.SourceErrors()) == 1 })
+			if err := d.SourceErrors()[0].Error(); !strings.Contains(err, "binrec: segment") || !strings.Contains(err, "record length 127") {
+				t.Errorf("error %q should be the binrec decoder's, naming the segment and the record length", err)
+			}
+			if err := d.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			// Everything before the bad segment; with one worker, at most the
+			// freeListDepth-1 segments (under 30 records each) sent behind it.
+			n := reg.TotalN()
+			if n < 600 {
+				t.Errorf("folded %d records, want at least the 600 before the bad segment", n)
+			}
+			if workers == 1 && n > 600+(freeListDepth-1)*30 {
+				t.Errorf("folded %d records, want at most %d after the bad segment", n, (freeListDepth-1)*30)
+			}
+			if l, f := d.ctr.lines.Load(), d.ctr.folded.Load(); l != f || d.ctr.parseErrors.Load() != 0 {
+				t.Errorf("lines %d, folded %d, parse errors %d: the bad segment must count for nothing", l, f, d.ctr.parseErrors.Load())
+			}
+		})
 	}
 }
 

@@ -176,17 +176,9 @@ func (d *Daemon) FreshnessNow() FreshnessReport {
 	d.srcStatsMu.Unlock()
 	sort.Slice(stats, func(i, j int) bool { return stats[i].name < stats[j].name })
 
-	id := d.cfg.ShardID
-	if id == "" {
-		if addr := d.Addr(); addr != "" {
-			id = addr
-		} else {
-			id = "harvestd"
-		}
-	}
 	rep := FreshnessReport{
 		Version:             FreshnessVersion,
-		ShardID:             id,
+		ShardID:             d.shardID(),
 		TimeUnixMilli:       now.UnixMilli(),
 		WatermarkSeq:        -1,
 		WatermarkAgeSeconds: -1,

@@ -322,6 +322,18 @@ func (d *Daemon) Addr() string {
 // URL returns the API's base URL (after Start).
 func (d *Daemon) URL() string { return "http://" + d.Addr() }
 
+// shardID names this daemon on the federation wire: Config.ShardID, else the
+// listen address, else "harvestd".
+func (d *Daemon) shardID() string {
+	if d.cfg.ShardID != "" {
+		return d.cfg.ShardID
+	}
+	if addr := d.Addr(); addr != "" {
+		return addr
+	}
+	return "harvestd"
+}
+
 // worker drains the queue, folding each batch into its own shard of every
 // registered policy: it decodes a raw batch into its own scratch and books
 // what a decoding source would have booked before the enqueue, with the

@@ -280,7 +280,7 @@ func TestDaemonConcurrentIngestAndScrape(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				for _, path := range []string{"/estimates", "/metrics", "/policies", "/healthz"} {
+				for _, path := range []string{"/estimates", "/metrics", "/healthz"} {
 					resp, err := http.Get(base + path)
 					if err != nil {
 						t.Errorf("GET %s: %v", path, err)

@@ -16,7 +16,6 @@ import (
 // handler builds the daemon's stdlib-only HTTP API:
 //
 //	GET  /healthz    liveness + uptime
-//	GET  /policies   registered policies with sample counts
 //	GET  /estimates  per-policy IPS/clipped/SNIPS estimates with intervals
 //	                 (?policy=name filters, ?delta=0.01 overrides confidence)
 //	GET  /evidence   ?policy=a,b[&delta=]: what one gate step reads, from
@@ -45,7 +44,6 @@ import (
 func (d *Daemon) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", d.handleHealthz)
-	mux.HandleFunc("/policies", d.handlePolicies)
 	mux.HandleFunc("/estimates", d.handleEstimates)
 	mux.HandleFunc("/evidence", d.handleEvidence)
 	mux.HandleFunc("/metrics", d.handleMetrics)
@@ -86,22 +84,6 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	uptime := d.cfg.Clock.Now().Sub(d.start)
 	fmt.Fprintf(w, "ok uptime=%s\n", uptime.Round(time.Millisecond))
-}
-
-// policyInfo is one row of /policies.
-type policyInfo struct {
-	Name      string  `json:"name"`
-	N         int64   `json:"n"`
-	MatchRate float64 `json:"match_rate"`
-}
-
-func (d *Daemon) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	ests := d.reg.Estimates(d.cfg.Delta)
-	out := make([]policyInfo, len(ests))
-	for i, pe := range ests {
-		out[i] = policyInfo{Name: pe.Policy, N: pe.N, MatchRate: pe.MatchRate}
-	}
-	daemon.WriteJSON(w, out)
 }
 
 func (d *Daemon) handleEstimates(w http.ResponseWriter, r *http.Request) {

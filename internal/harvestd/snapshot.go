@@ -61,17 +61,9 @@ type StateSnapshot struct {
 // policies' reads — harmless, since every snapshot is superseded by the
 // next pull.
 func (d *Daemon) StateSnapshot() StateSnapshot {
-	id := d.cfg.ShardID
-	if id == "" {
-		if addr := d.Addr(); addr != "" {
-			id = addr
-		} else {
-			id = "harvestd"
-		}
-	}
 	return StateSnapshot{
 		Version: SnapshotVersion,
-		ShardID: id,
+		ShardID: d.shardID(),
 		Seq:     d.snapSeq.Add(1),
 		Clip:    d.reg.Clip(),
 		Floor:   d.reg.PropensityFloor(),

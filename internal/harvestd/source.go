@@ -420,7 +420,11 @@ func (s *CacheLogSource) Run(ctx context.Context, sink *Sink) error {
 // follow mode, which is counted as a parse error, mirroring JSONLSource's
 // truncated-tail handling. A segment that passes its CRC and fails to decode
 // (an encoder bug, not corruption) fails the source when its verdict comes
-// home; up to freeListDepth-1 later segments may be folded by then.
+// home, and later segments may be folded by then. With one worker at most
+// freeListDepth-1 of them are, because batches come home in the order they
+// were sent. With more there is no such bound: the free list returns batches
+// in release order, not send order, and later segments keep folding until
+// the bad segment's verdict comes home.
 type BinSource struct {
 	Path string
 	R    io.Reader

@@ -1,10 +1,8 @@
 package lint
 
 import (
-	"bytes"
 	"fmt"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
 )
@@ -26,8 +24,8 @@ import (
 // examples' poll loops are deliberate).
 //
 // Range over a channel is exempt — that is the close-based shutdown
-// idiom, terminated by the sender. The suggested fix wraps a bare send
-// or receive statement in a select with a <-ctx.Done() case.
+// idiom, terminated by the sender. The remedy the message names is a
+// select with a <-ctx.Done() case around the blocking operation.
 var CtxLoop = &Analyzer{
 	Name: "ctxloop",
 	Doc:  "blocking channel ops or sleeps in loops that never consult an in-scope context",
@@ -120,9 +118,9 @@ func ctxLoopScan(pass *Pass, ft *ast.FuncType, body *ast.BlockStmt, inherited []
 				ctxLoopScan(pass, n.Type, n.Body, ctxs)
 				return false
 			case *ast.ForStmt:
-				ctxLoopCheck(pass, n, n.Body, ft, ctxs)
+				ctxLoopCheck(pass, n, n.Body, ctxs)
 			case *ast.RangeStmt:
-				ctxLoopCheck(pass, n, n.Body, ft, ctxs)
+				ctxLoopCheck(pass, n, n.Body, ctxs)
 			}
 			return true
 		})
@@ -135,7 +133,7 @@ func ctxLoopScan(pass *Pass, ft *ast.FuncType, body *ast.BlockStmt, inherited []
 // descended into — each gets its own check — but they do count toward
 // the consultation scan, and so do nested function literals: a ctx use
 // anywhere inside the loop means cancellation was considered.
-func ctxLoopCheck(pass *Pass, loop ast.Node, body *ast.BlockStmt, ft *ast.FuncType, ctxs []types.Object) {
+func ctxLoopCheck(pass *Pass, loop ast.Node, body *ast.BlockStmt, ctxs []types.Object) {
 	if len(ctxs) == 0 {
 		return
 	}
@@ -144,14 +142,9 @@ func ctxLoopCheck(pass *Pass, loop ast.Node, body *ast.BlockStmt, ft *ast.FuncTy
 	}
 	ctxName := consultName(ctxs)
 	for _, op := range blockingOps(pass, body) {
-		fixes := ctxSelectFix(pass, op, ft, ctxName)
-		suffix := ""
-		if fixes == nil {
-			suffix = fmt.Sprintf(" (add a select case on <-%s.Done())", ctxName)
-		}
-		pass.ReportFix(op.pos, fixes,
-			"%s inside loop but in-scope context %q is never consulted; cancellation cannot stop this loop%s",
-			op.what, ctxName, suffix)
+		pass.Reportf(op.pos,
+			"%s inside loop but in-scope context %q is never consulted; cancellation cannot stop this loop (add a select case on <-%s.Done())",
+			op.what, ctxName, ctxName)
 	}
 }
 
@@ -175,7 +168,7 @@ func loopConsultsCtx(pass *Pass, loop ast.Node, ctxs []types.Object) bool {
 	return found
 }
 
-// consultName picks the context variable to name in messages and fixes:
+// consultName picks the context variable to name in messages:
 // the one literally called ctx when present, else the first in scope.
 func consultName(ctxs []types.Object) string {
 	for _, o := range ctxs {
@@ -190,11 +183,6 @@ func consultName(ctxs []types.Object) string {
 type blockingOp struct {
 	pos  token.Pos
 	what string
-	// stmt is the whole statement when it can be select-wrapped (a bare
-	// send or a bare receive expression statement); nil otherwise.
-	stmt ast.Stmt
-	// comm is the rendered communication clause for the fix.
-	comm string
 }
 
 // blockingOps scans a loop body for blocking channel operations and
@@ -203,7 +191,7 @@ type blockingOp struct {
 // whether it includes ctx is the consultation scan's question).
 func blockingOps(pass *Pass, body *ast.BlockStmt) []blockingOp {
 	var ops []blockingOp
-	inspectShallow(body, func(n ast.Node, stack []ast.Node) bool {
+	inspectShallow(body, func(n ast.Node, _ []ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.ForStmt, *ast.RangeStmt, *ast.SelectStmt:
 			return false
@@ -211,28 +199,16 @@ func blockingOps(pass *Pass, body *ast.BlockStmt) []blockingOp {
 			ops = append(ops, blockingOp{
 				pos:  n.Arrow,
 				what: fmt.Sprintf("blocking send on %s", types.ExprString(n.Chan)),
-				stmt: n,
-				comm: renderNode(pass, n),
 			})
 			return false
 		case *ast.UnaryExpr:
 			if n.Op != token.ARROW {
 				return true
 			}
-			op := blockingOp{
+			ops = append(ops, blockingOp{
 				pos:  n.OpPos,
 				what: fmt.Sprintf("blocking receive from %s", types.ExprString(n.X)),
-			}
-			// Only a bare `<-ch` statement can be select-wrapped; a
-			// receive with assignment would move the variable into the
-			// case's scope.
-			if len(stack) > 0 {
-				if es, ok := stack[len(stack)-1].(*ast.ExprStmt); ok && unparen(es.X) == n {
-					op.stmt = es
-					op.comm = renderNode(pass, n)
-				}
-			}
-			ops = append(ops, op)
+			})
 			return false
 		case *ast.CallExpr:
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
@@ -245,35 +221,4 @@ func blockingOps(pass *Pass, body *ast.BlockStmt) []blockingOp {
 		return true
 	})
 	return ops
-}
-
-// renderNode prints a node back to source text.
-func renderNode(pass *Pass, n ast.Node) string {
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, pass.Fset, n); err != nil {
-		return ""
-	}
-	return buf.String()
-}
-
-// ctxSelectFix wraps a bare send/receive statement in a select that also
-// watches ctx.Done(). Only built when the enclosing function's return
-// shape admits a mechanical early return: no results (plain return) or a
-// single error (return ctx.Err()).
-func ctxSelectFix(pass *Pass, op blockingOp, ft *ast.FuncType, ctxName string) []TextEdit {
-	if op.stmt == nil || op.comm == "" {
-		return nil
-	}
-	ret := ""
-	switch {
-	case ft == nil || ft.Results == nil || len(ft.Results.List) == 0:
-		ret = "return"
-	case len(ft.Results.List) == 1 && len(ft.Results.List[0].Names) <= 1 &&
-		types.ExprString(ft.Results.List[0].Type) == "error":
-		ret = fmt.Sprintf("return %s.Err()", ctxName)
-	default:
-		return nil
-	}
-	text := fmt.Sprintf("select {\ncase %s:\ncase <-%s.Done():\n%s\n}", op.comm, ctxName, ret)
-	return []TextEdit{pass.edit(op.stmt.Pos(), op.stmt.End(), text)}
 }

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
 	"strings"
 )
 
@@ -22,8 +21,8 @@ import (
 // counting (addition over int is commutative and exact), collecting keys
 // for a later sort, and appends to a slice that is sorted after the loop.
 //
-// The suggested fix is the sanctioned pattern: collect the keys, sort
-// them, range over the sorted slice, and read the map per key.
+// The remedy the message names is the sanctioned pattern: collect the keys,
+// sort them, range over the sorted slice, and read the map per key.
 var DetOrder = &Analyzer{
 	Name: "detorder",
 	Doc:  "map iteration whose body writes serialized output or folds order-sensitive state without sorted keys",
@@ -64,14 +63,9 @@ func runDetOrder(pass *Pass) {
 			if sink == nil {
 				return
 			}
-			fixes := detorderFix(pass, file, rs, stack)
-			suffix := ""
-			if fixes == nil {
-				suffix = " (sort the keys first and range over them)"
-			}
-			pass.ReportFix(rs.For, fixes,
-				"map iteration order reaches %s; iterating %s unsorted makes the output nondeterministic%s",
-				sink.what, types.ExprString(rs.X), suffix)
+			pass.Reportf(rs.For,
+				"map iteration order reaches %s; iterating %s unsorted makes the output nondeterministic (sort the keys first and range over them)",
+				sink.what, types.ExprString(rs.X))
 		})
 	}
 }
@@ -439,158 +433,4 @@ func sortFuncName(name string) bool {
 		return true
 	}
 	return false
-}
-
-// detorderFix builds the sort-keys-before-range rewrite when it is safely
-// mechanical: `for k[, v] := range m` with an ident key over a pure map
-// expression whose key type has an obvious sorter, and a fresh name for
-// the key slice. Returns nil when any condition fails (the finding is
-// still reported, fix-less).
-func detorderFix(pass *Pass, file *ast.File, rs *ast.RangeStmt, stack []ast.Node) []TextEdit {
-	if rs.Tok != token.DEFINE {
-		return nil
-	}
-	keyID, ok := rs.Key.(*ast.Ident)
-	if !ok || keyID.Name == "_" {
-		return nil
-	}
-	var valID *ast.Ident
-	if rs.Value != nil {
-		valID, ok = rs.Value.(*ast.Ident)
-		if !ok {
-			return nil
-		}
-		if valID.Name == "_" {
-			valID = nil
-		}
-	}
-	if !isPureExpr(rs.X) {
-		return nil
-	}
-	tv, ok := pass.Info.Types[rs.X]
-	if !ok || tv.Type == nil {
-		return nil
-	}
-	mt, ok := tv.Type.Underlying().(*types.Map)
-	if !ok {
-		return nil
-	}
-	kb, ok := mt.Key().Underlying().(*types.Basic)
-	if !ok {
-		return nil
-	}
-	var sorter string
-	switch {
-	case kb.Info()&types.IsString != 0:
-		sorter = "sort.Strings"
-	case kb.Kind() == types.Int:
-		sorter = "sort.Ints"
-	default:
-		return nil
-	}
-	keyType := types.TypeString(mt.Key(), func(p *types.Package) string {
-		if p == pass.Pkg {
-			return ""
-		}
-		return p.Name()
-	})
-	sliceName := keyID.Name + "s"
-	if identInUse(file, sliceName) {
-		sliceName = keyID.Name + "Sorted"
-		if identInUse(file, sliceName) {
-			return nil
-		}
-	}
-	mapText := types.ExprString(rs.X)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s := make([]%s, 0, len(%s))\n", sliceName, keyType, mapText)
-	fmt.Fprintf(&b, "for %s := range %s {\n", keyID.Name, mapText)
-	fmt.Fprintf(&b, "%s = append(%s, %s)\n", sliceName, sliceName, keyID.Name)
-	fmt.Fprintf(&b, "}\n")
-	fmt.Fprintf(&b, "%s(%s)\n", sorter, sliceName)
-	fmt.Fprintf(&b, "for _, %s := range %s {\n", keyID.Name, sliceName)
-	if valID != nil {
-		fmt.Fprintf(&b, "%s := %s[%s]\n", valID.Name, mapText, keyID.Name)
-	}
-	edits := []TextEdit{pass.edit(rs.For, rs.Body.Lbrace+1, b.String())}
-	if imp := addImportEdit(pass, file, "sort"); imp != nil {
-		edits = append(edits, *imp)
-	} else if !importsPackage(file, "sort") {
-		return nil
-	}
-	return edits
-}
-
-// isPureExpr reports whether re-evaluating the expression is free of side
-// effects: identifiers, selections, and indexing with pure parts.
-func isPureExpr(e ast.Expr) bool {
-	switch e := unparen(e).(type) {
-	case *ast.Ident:
-		return true
-	case *ast.SelectorExpr:
-		return isPureExpr(e.X)
-	case *ast.IndexExpr:
-		return isPureExpr(e.X) && isPureExpr(e.Index)
-	case *ast.BasicLit:
-		return true
-	case *ast.StarExpr:
-		return isPureExpr(e.X)
-	}
-	return false
-}
-
-// identInUse reports whether the name occurs anywhere in the file — a
-// deliberately coarse freshness check for generated variable names.
-func identInUse(file *ast.File, name string) bool {
-	found := false
-	ast.Inspect(file, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == name {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// importsPackage reports whether the file already imports the path.
-func importsPackage(file *ast.File, path string) bool {
-	for _, imp := range file.Imports {
-		if p, err := strconv.Unquote(imp.Path.Value); err == nil && p == path {
-			return true
-		}
-	}
-	return false
-}
-
-// addImportEdit builds an edit inserting the import into the file's first
-// grouped import block, alphabetically among its existing specs. Returns
-// nil when the import is already present or there is no grouped block to
-// extend (single-line import declarations are left alone — no fix).
-func addImportEdit(pass *Pass, file *ast.File, path string) *TextEdit {
-	if importsPackage(file, path) {
-		return nil
-	}
-	for _, decl := range file.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.IMPORT || !gd.Lparen.IsValid() || len(gd.Specs) == 0 {
-			continue
-		}
-		// Insert before the first spec that sorts after path, staying in
-		// the first (standard-library) group.
-		for _, spec := range gd.Specs {
-			is := spec.(*ast.ImportSpec)
-			p, err := strconv.Unquote(is.Path.Value)
-			if err != nil {
-				continue
-			}
-			if p > path {
-				e := pass.edit(is.Pos(), is.Pos(), strconv.Quote(path)+"\n")
-				return &e
-			}
-		}
-		last := gd.Specs[len(gd.Specs)-1].(*ast.ImportSpec)
-		e := pass.edit(last.End(), last.End(), "\n"+strconv.Quote(path))
-		return &e
-	}
-	return nil
 }

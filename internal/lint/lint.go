@@ -34,9 +34,6 @@
 //   - ctxloop:    blocking channel operations or sleeps inside loops that
 //     never consult an in-scope context (the CacheLogSource bug class)
 //
-// Findings of detorder and ctxloop carry mechanical suggested fixes
-// (sort-keys-before-range, ctx select wrap) applied by harvestlint -fix.
-//
 // Any finding can be suppressed with a directive comment on the same line
 // or the line above:
 //
@@ -60,21 +57,6 @@ type Finding struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	// Fixes holds the suggested mechanical edit for this finding, if the
-	// analyzer could construct one. All edits of one finding are applied
-	// together (harvestlint -fix) or not at all.
-	Fixes []TextEdit
-}
-
-// TextEdit is one byte-range replacement of a suggested fix, resolved to
-// file offsets so it can be applied without re-parsing.
-type TextEdit struct {
-	// Filename, Start and End delimit the half-open byte range to replace.
-	Filename   string
-	Start, End int
-	// New is the replacement text. The result is gofmt'ed after applying,
-	// so edits need not reproduce surrounding indentation exactly.
-	New string
 }
 
 // String renders the finding in the canonical output format.
@@ -111,25 +93,11 @@ type Pass struct {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportFix(pos, nil, format, args...)
-}
-
-// ReportFix records a finding at pos carrying a suggested fix. A nil or
-// empty edit list degrades to a plain finding.
-func (p *Pass) ReportFix(pos token.Pos, fixes []TextEdit, format string, args ...any) {
 	*p.findings = append(*p.findings, Finding{
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-		Fixes:    fixes,
 	})
-}
-
-// edit builds a TextEdit replacing the source range [start, end) with new
-// text, resolving token positions through the pass's file set.
-func (p *Pass) edit(start, end token.Pos, newText string) TextEdit {
-	s, e := p.Fset.Position(start), p.Fset.Position(end)
-	return TextEdit{Filename: s.Filename, Start: s.Offset, End: e.Offset, New: newText}
 }
 
 // ignoreDirective is one parsed //lint:ignore comment.
@@ -174,9 +142,9 @@ func parseIgnores(fset *token.FileSet, file *ast.File, known map[string]bool) (d
 // RunPackage runs the analyzers over one loaded package and returns the
 // surviving (non-suppressed) findings sorted by position.
 func RunPackage(pkg *Package, analyzers []*Analyzer) []Finding {
-	// Directives are validated against the full registry, not the selected
-	// subset: running with -only must not misreport a suppression of an
-	// unselected analyzer as unknown.
+	// Directives are validated against the full registry, not the given
+	// subset: a run with some analyzers must not misreport a suppression of
+	// another as unknown.
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range All() {
 		known[a.Name] = true

@@ -110,28 +110,3 @@ func TestCheckWireBump(t *testing.T) {
 		t.Errorf("first generation refused: %v", bad)
 	}
 }
-
-// TestBaselineFilter pins multiset semantics and stale reporting.
-func TestBaselineFilter(t *testing.T) {
-	rel := func(s string) string { return s }
-	findings := []Finding{
-		{Analyzer: "detorder", Message: "m1"},
-		{Analyzer: "detorder", Message: "m1"},
-		{Analyzer: "ctxloop", Message: "m2"},
-	}
-	findings[0].Pos.Filename = "a.go"
-	findings[1].Pos.Filename = "a.go"
-	findings[2].Pos.Filename = "b.go"
-
-	base := ParseBaseline([]byte("# comment\na.go: [detorder] m1\nc.go: [propdiv] gone\n"))
-	fresh, baselined, stale := FilterBaseline(findings, base, rel)
-	if len(fresh) != 2 {
-		t.Errorf("fresh = %v, want 2 entries (one duplicate absorbed)", fresh)
-	}
-	if len(baselined) != 1 {
-		t.Errorf("baselined = %v, want 1", baselined)
-	}
-	if len(stale) != 1 || !strings.Contains(stale[0], "c.go") {
-		t.Errorf("stale = %v, want the c.go entry", stale)
-	}
-}

@@ -9,18 +9,25 @@ import (
 	"repro/internal/core"
 )
 
-// DynamicBlend is a Blend whose share can be retuned while the policy is
-// serving live traffic — the actuation target of a staged rollout
-// controller. The share lives in an atomic word, so a controller goroutine
-// may call SetShare concurrently with a proxy making routing decisions;
-// every decision reads the share exactly once, keeping the action draw and
-// the logged propensity consistent (the harvesting invariant: the logged
-// distribution must be the one the action was drawn from).
+// DynamicBlend deploys a new policy on a fraction of traffic while the
+// incumbent keeps the rest — the staged rollout of the paper's introduction,
+// expressed as a single stochastic policy. Because it exposes its exact
+// action distribution, the rollout's traffic remains fully harvestable: the
+// data collected at 10% exposure already evaluates the candidate at 100%
+// (that is the whole point of randomizing over actions instead of over
+// policies).
 //
-// Like Blend, the rand source and the wrapped policies are not themselves
-// synchronized — Act and Distribution must be serialized by the caller
-// (netlb's proxy routes under its own lock), while SetShare may come from
-// anywhere.
+// The share can be retuned while the policy is serving live traffic — the
+// actuation target of a staged rollout controller. It lives in an atomic
+// word, so a controller goroutine may call SetShare concurrently with a
+// proxy making routing decisions; every decision reads the share exactly
+// once, keeping the action draw and the logged propensity consistent (the
+// harvesting invariant: the logged distribution must be the one the action
+// was drawn from).
+//
+// The rand source and the wrapped policies are not themselves synchronized
+// — Act and Distribution must be serialized by the caller (netlb's proxy
+// routes under its own lock), while SetShare may come from anywhere.
 type DynamicBlend struct {
 	// New receives the current share of decisions; Old the rest.
 	New, Old core.Policy

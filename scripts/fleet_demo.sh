@@ -89,6 +89,6 @@ echo "== merged estimates fully recovered"
 curl -sf http://127.0.0.1:8450/estimates
 
 echo
-echo "fleet is live: http://127.0.0.1:8450/{estimates,diagnostics,shards,route?key=K,metrics}"
+echo "fleet is live: http://127.0.0.1:8450/{estimates,diagnostics,shards,metrics}"
 echo "Ctrl-C to stop."
 wait
