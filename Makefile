@@ -64,10 +64,15 @@ race:
 # RegistryEstimates/{k3,wide32} (every policy rendered), AggregatorEvidence/
 # {k3,wide32} (two policies read off the shard set) and StepHTTP/{k2of3,
 # k2of32} (one rolloutd step against a live harvestd over loopback).
+# ProxyRequest/{direct,proxied,proxied-parallel} is one 64-byte GET straight
+# to an upstream and through netlb's proxy (access log to a file): proxied
+# minus direct is what the proxy adds; proxied-parallel is 64 goroutines
+# and reports p99-us, which only `go test -bench` prints (benchjson keeps
+# ns/op, B/op and allocs/op).
 # bench-all is the full sweep.
 bench:
-	$(GO) test -run NONE -bench 'AccumFold|AccumMerge|RegistryFold|RegistryEstimates|AggregatorEvidence|StepHTTP|SnapshotEncode|SnapshotDecode|BinRecEncode|BinRecDecode|ParseNginxLine|IngestNginx|IngestJSONL|IngestBin|IngestScaling|GateEval|StateTransition' \
-		-benchmem ./internal/ope ./internal/harvestd ./internal/fleet ./internal/harvester ./internal/harvester/binrec ./internal/rollout | $(GO) run ./cmd/benchjson -o BENCH_harvestd.json
+	$(GO) test -run NONE -bench 'AccumFold|AccumMerge|RegistryFold|RegistryEstimates|AggregatorEvidence|StepHTTP|SnapshotEncode|SnapshotDecode|BinRecEncode|BinRecDecode|ParseNginxLine|IngestNginx|IngestJSONL|IngestBin|IngestScaling|GateEval|StateTransition|ProxyRequest' \
+		-benchmem ./internal/ope ./internal/harvestd ./internal/fleet ./internal/harvester ./internal/harvester/binrec ./internal/rollout ./internal/netlb | $(GO) run ./cmd/benchjson -o BENCH_harvestd.json
 	@cat BENCH_harvestd.json
 
 bench-all:

@@ -1,12 +1,15 @@
 package netlb
 
 import (
+	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,9 +27,9 @@ import (
 // with the upstream choice, per-upstream connection counts, the decision
 // propensity, and the request time — everything the harvester needs.
 type Proxy struct {
-	backends []string // upstream host:port
-	policy   core.Policy
-	r        *rand.Rand
+	ups    []*upstream
+	policy core.Policy
+	r      *rand.Rand
 
 	mu    sync.Mutex
 	conns []int // active requests per upstream (LB's own view)
@@ -43,9 +46,8 @@ type Proxy struct {
 	numTypes int
 	metrics  *proxyMetrics
 
-	client *http.Client
-	ln     net.Listener
-	srv    *http.Server
+	ln  net.Listener
+	srv *http.Server
 }
 
 // proxyMetrics caches per-backend instrument handles: the registry lookup
@@ -64,24 +66,24 @@ type proxyMetrics struct {
 // before Start.
 func (p *Proxy) SetMetrics(r *obs.Registry) {
 	m := &proxyMetrics{
-		requests: make([]*obs.Counter, len(p.backends)),
-		errors:   make([]*obs.Counter, len(p.backends)),
-		latency:  make([]*obs.Histogram, len(p.backends)),
+		requests: make([]*obs.Counter, len(p.ups)),
+		errors:   make([]*obs.Counter, len(p.ups)),
+		latency:  make([]*obs.Histogram, len(p.ups)),
 	}
-	for i, addr := range p.backends {
+	for i, u := range p.ups {
 		m.requests[i] = r.Counter("netlb_backend_requests_total",
-			"requests routed to the backend", "backend", addr)
+			"requests routed to the backend", "backend", u.addr)
 		m.errors[i] = r.Counter("netlb_backend_errors_total",
-			"proxy failures and 5xx responses from the backend", "backend", addr)
+			"proxy failures and 5xx responses from the backend", "backend", u.addr)
 		m.latency[i] = r.Histogram("netlb_backend_latency_seconds",
-			"request time through the backend", obs.DefLatencyBuckets(), "backend", addr)
+			"request time through the backend", obs.DefLatencyBuckets(), "backend", u.addr)
 		i := i
 		r.GaugeFunc("netlb_backend_active_requests",
 			"in-flight requests on the backend", func() float64 {
 				p.mu.Lock()
 				defer p.mu.Unlock()
 				return float64(p.conns[i])
-			}, "backend", addr)
+			}, "backend", u.addr)
 	}
 	m.logRecords = r.Counter("netlb_log_records_total",
 		"access-log lines written for the harvester")
@@ -148,19 +150,11 @@ func NewProxy(upstreams []string, pol core.Policy, r *rand.Rand, logW io.Writer)
 	if r == nil {
 		r = stats.NewRand(0)
 	}
-	return &Proxy{
-		backends: append([]string(nil), upstreams...),
-		policy:   pol,
-		r:        r,
-		conns:    make([]int, len(upstreams)),
-		logW:     logW,
-		client: &http.Client{
-			Timeout: 30 * time.Second,
-			Transport: &http.Transport{
-				MaxIdleConnsPerHost: 64,
-			},
-		},
-	}, nil
+	p := &Proxy{policy: pol, r: r, conns: make([]int, len(upstreams)), logW: logW}
+	for _, addr := range upstreams {
+		p.ups = append(p.ups, &upstream{addr: addr})
+	}
+	return p, nil
 }
 
 // Start listens on an ephemeral localhost port and serves until Close.
@@ -181,12 +175,23 @@ func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 // URL returns the proxy's base URL (after Start).
 func (p *Proxy) URL() string { return "http://" + p.Addr() }
 
-// Close shuts down the proxy listener.
+// Close shuts down the proxy listener and closes every pooled upstream
+// connection; an exchange still in flight closes its own when it ends.
 func (p *Proxy) Close() error {
-	if p.srv == nil {
-		return nil
+	var err error
+	if p.srv != nil {
+		err = p.srv.Close()
 	}
-	return p.srv.Close()
+	for _, u := range p.ups {
+		u.mu.Lock()
+		idle := u.idle
+		u.idle, u.closed = nil, true
+		u.mu.Unlock()
+		for _, c := range idle {
+			_ = c.Close()
+		}
+	}
+	return err
 }
 
 // route makes one routing decision under the lock: snapshot the context,
@@ -224,8 +229,8 @@ func (p *Proxy) route(reqType int) (a core.Action, propensity float64, snapshot 
 			}
 		}
 	}
-	if int(a) >= len(p.backends) {
-		a = core.Action(len(p.backends) - 1)
+	if int(a) >= len(p.ups) {
+		a = core.Action(len(p.ups) - 1)
 	}
 	p.conns[a]++
 	return a, propensity, snapshot
@@ -273,7 +278,8 @@ func (p *Proxy) release(a core.Action) {
 	p.mu.Unlock()
 }
 
-// ServeHTTP implements http.Handler: route, proxy, log.
+// ServeHTTP implements http.Handler: route, proxy (on this goroutine), log
+// with rt and the line's time taken from one clock reading.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	reqType := -1
 	if p.numTypes > 1 {
@@ -282,36 +288,149 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	a, prop, snapshot := p.route(reqType)
 	defer p.release(a)
 	start := time.Now()
+	status, n, err := p.ups[a].exchange(w, r, start)
+	if err != nil {
+		status = http.StatusBadGateway
+		http.Error(w, "bad gateway: "+err.Error(), status)
+	}
+	now := time.Now()
+	rt := now.Sub(start)
+	p.observe(a, status, rt)
+	p.logAccess(r, status, n, now, rt, a, prop, snapshot, reqType)
+}
 
-	outURL := "http://" + p.backends[a] + r.URL.Path
-	if r.URL.RawQuery != "" {
-		outURL += "?" + r.URL.RawQuery
+const (
+	exchangeTimeout    = 30 * time.Second // dial to the reply's last byte
+	maxIdlePerUpstream = 64
+	bodyReuseWindow    = time.Second // see upstream.get
+)
+
+// hopHeaders are the hop-by-hop request headers httputil.ReverseProxy strips.
+var hopHeaders = []string{"Connection", "Keep-Alive", "Proxy-Connection", "Te", "Trailer", "Transfer-Encoding", "Upgrade"}
+
+// replayable are the methods a bodiless request may be sent again with.
+var replayable = map[string]bool{http.MethodGet: true, http.MethodHead: true, http.MethodOptions: true, http.MethodTrace: true}
+
+// upstream is one backend and its kept-alive connections, last used last.
+type upstream struct {
+	addr   string
+	mu     sync.Mutex
+	idle   []*upConn
+	closed bool
+}
+
+type upConn struct {
+	net.Conn
+	br   *bufio.Reader
+	bw   *bufio.Writer
+	used time.Time // start of its last exchange
+}
+
+// exchange forwards r to the upstream and copies the reply to w; err means
+// nothing reached w. A bodiless idempotent request that finds its pooled
+// connection stale is replayed once on a fresh one. The connection is pooled
+// again only if the reply was read to its end, did not ask to close, and
+// the client stayed.
+func (u *upstream) exchange(w http.ResponseWriter, r *http.Request, start time.Time) (status int, n int64, err error) {
+	out := &http.Request{Method: r.Method, URL: r.URL, Host: u.addr, Header: forwardHeader(r.Header),
+		Body: r.Body, ContentLength: r.ContentLength}
+	replay := replayable[r.Method] && (r.Body == nil || r.Body == http.NoBody)
+	c := u.get(start, !replay)
+	for retry := c != nil && replay; ; retry = false {
+		if c == nil {
+			nc, err := (&net.Dialer{Timeout: exchangeTimeout}).DialContext(r.Context(), "tcp", u.addr)
+			if err != nil {
+				return 0, 0, err
+			}
+			c = &upConn{Conn: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
+		}
+		resp, stop, err := c.roundTrip(r.Context(), out, start)
+		if err != nil {
+			_ = c.Close()
+			if !retry {
+				return 0, 0, err
+			}
+			c = nil
+			continue
+		}
+		h := w.Header()
+		for k, vs := range resp.Header {
+			h[k] = append(h[k], vs...)
+		}
+		w.WriteHeader(resp.StatusCode)
+		n, err = io.Copy(w, resp.Body)
+		if stop() && err == nil && !resp.Close {
+			u.put(c)
+		} else {
+			_ = c.Close()
+		}
+		return resp.StatusCode, n, nil
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, outURL, r.Body)
-	if err != nil {
-		http.Error(w, "bad gateway: "+err.Error(), http.StatusBadGateway)
-		p.observe(a, http.StatusBadGateway, time.Since(start))
-		p.logAccess(r, http.StatusBadGateway, 0, time.Since(start), a, prop, snapshot, reqType)
-		return
+}
+
+// roundTrip writes out and reads the reply's head, skipping 1xx replies
+// other than 101 as net/http's client does. It arms the exchange deadline,
+// and a client that goes away moves the deadline into the past; stop
+// reports whether that has not happened, as context.AfterFunc's stop does.
+func (c *upConn) roundTrip(ctx context.Context, out *http.Request, start time.Time) (resp *http.Response, stop func() bool, err error) {
+	c.used = start
+	_ = c.SetDeadline(start.Add(exchangeTimeout)) // fails only on a closed conn, which Write reports
+	stop = context.AfterFunc(ctx, func() { _ = c.SetDeadline(time.Unix(1, 0)) })
+	if err = out.Write(c.bw); err == nil {
+		err = c.bw.Flush()
 	}
-	req.Header = r.Header.Clone()
-	resp, err := p.client.Do(req)
-	if err != nil {
-		http.Error(w, "bad gateway: "+err.Error(), http.StatusBadGateway)
-		p.observe(a, http.StatusBadGateway, time.Since(start))
-		p.logAccess(r, http.StatusBadGateway, 0, time.Since(start), a, prop, snapshot, reqType)
-		return
-	}
-	defer resp.Body.Close()
-	for k, vs := range resp.Header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
+	for err == nil {
+		if resp, err = http.ReadResponse(c.br, out); err == nil && (resp.StatusCode/100 != 1 || resp.StatusCode == 101) {
+			return resp, stop, nil
 		}
 	}
-	w.WriteHeader(resp.StatusCode)
-	n, _ := io.Copy(w, resp.Body)
-	p.observe(a, resp.StatusCode, time.Since(start))
-	p.logAccess(r, resp.StatusCode, n, time.Since(start), a, prop, snapshot, reqType)
+	stop()
+	return nil, nil, err
+}
+
+// forwardHeader returns h without its hop-by-hop headers and the headers
+// its Connection names; without any, h itself, shared and not cloned.
+func forwardHeader(h http.Header) http.Header {
+	for _, k := range hopHeaders {
+		if _, ok := h[k]; ok {
+			h = h.Clone()
+			for _, name := range strings.Split(strings.Join(h["Connection"], ","), ",") {
+				h.Del(strings.TrimSpace(name))
+			}
+			for _, k := range hopHeaders {
+				delete(h, k)
+			}
+			return h
+		}
+	}
+	return h
+}
+
+// get pops the most recently used idle connection, or returns nil. A request
+// with a body is never replayed, so with fresh set it takes one only if its
+// last exchange began within bodyReuseWindow, well inside common upstream
+// keep-alive timeouts, and the caller dials otherwise.
+func (u *upstream) get(now time.Time, fresh bool) *upConn {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	i := len(u.idle) - 1
+	if i < 0 || fresh && now.Sub(u.idle[i].used) > bodyReuseWindow {
+		return nil
+	}
+	c := u.idle[i]
+	u.idle = u.idle[:i]
+	return c
+}
+
+// put pools c, or closes it if the pool is full or closed.
+func (u *upstream) put(c *upConn) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if u.closed || len(u.idle) >= maxIdlePerUpstream {
+		_ = c.Close()
+		return
+	}
+	u.idle = append(u.idle, c)
 }
 
 // logAccess emits one Nginx-style access-log line:
@@ -322,7 +441,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // $request_time / $upstream_addr / custom variables to log_format — the
 // paper's point that "existing logging modules already provided what we
 // needed, and simply needed to be configured".
-func (p *Proxy) logAccess(r *http.Request, status int, bytes int64, rt time.Duration, a core.Action, prop float64, conns []int, reqType int) {
+func (p *Proxy) logAccess(r *http.Request, status int, bytes int64, now time.Time, rt time.Duration, a core.Action, prop float64, conns []int, reqType int) {
 	if p.logW == nil {
 		return
 	}
@@ -330,12 +449,12 @@ func (p *Proxy) logAccess(r *http.Request, status int, bytes int64, rt time.Dura
 		reqType = -1
 	}
 	buf := logBufs.Get().(*[]byte)
-	*buf = appendAccessLine((*buf)[:0], time.Now(), r, status, bytes, rt, a, prop, conns, reqType)
+	*buf = appendAccessLine((*buf)[:0], now, r, status, bytes, rt, a, prop, conns, reqType)
 	p.logMu.Lock()
 	_, _ = p.logW.Write(*buf)
 	p.logMu.Unlock()
 	logBufs.Put(buf)
-	p.lastLogNano.Store(time.Now().UnixNano())
+	p.lastLogNano.Store(now.UnixNano())
 	if m := p.metrics; m != nil {
 		m.logRecords.Inc()
 	}
