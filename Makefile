@@ -131,8 +131,9 @@ trace-demo:
 	$(GO) run ./cmd/tracecat /tmp/harvest-fig3-trace.jsonl
 
 # Short fuzz pass over the wire-format parsers, FUZZTIME per target.
-# FuzzParseNginxLine and FuzzParseNumber are differential (against the
-# regexp parser and against strconv), so CI runs this beyond the seeds.
+# FuzzParseNginxLine, FuzzParseNumber and FuzzRelayHead are differential
+# (against the regexp parser, against strconv, and against net/http's
+# request reader), so CI runs this beyond the seeds.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -fuzz=FuzzReadValue -fuzztime=$(FUZZTIME) ./internal/resp/
@@ -141,6 +142,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzCacheLogRoundTrip -fuzztime=$(FUZZTIME) ./internal/harvester/
 	$(GO) test -fuzz=FuzzBinRecDecode -fuzztime=$(FUZZTIME) ./internal/harvester/binrec/
 	$(GO) test -fuzz=FuzzBinRecRoundTrip -fuzztime=$(FUZZTIME) ./internal/harvester/binrec/
+	$(GO) test -fuzz=FuzzRelayHead -fuzztime=$(FUZZTIME) ./internal/netlb/
 
 clean:
 	$(GO) clean ./...

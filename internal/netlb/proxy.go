@@ -2,14 +2,12 @@ package netlb
 
 import (
 	"bufio"
-	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
-	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,8 +44,9 @@ type Proxy struct {
 	numTypes int
 	metrics  *proxyMetrics
 
-	ln  net.Listener
-	srv *http.Server
+	ln      net.Listener
+	connMu  sync.Mutex
+	clients map[net.Conn]struct{} // open client connections; nil once closed
 }
 
 // proxyMetrics caches per-backend instrument handles: the registry lookup
@@ -111,21 +110,6 @@ func (p *Proxy) observe(a core.Action, status int, rt time.Duration) {
 	m.latency[a].Observe(rt.Seconds())
 }
 
-// SetPolicy swaps the routing policy. Safe while serving: decisions read
-// the policy under the same lock, so every request is routed and logged
-// entirely by one policy or the other, never a mix. A rollout controller
-// uses this to lock in a fully promoted candidate (the epsilon ramp itself
-// goes through a policy.DynamicBlend share, not a policy swap).
-func (p *Proxy) SetPolicy(pol core.Policy) error {
-	if pol == nil {
-		return fmt.Errorf("netlb: nil policy")
-	}
-	p.mu.Lock()
-	p.policy = pol
-	p.mu.Unlock()
-	return nil
-}
-
 // SetNumTypes enables typed routing contexts: requests with paths of the
 // form /type/<t>/... are routed with the type one-hot in the context (and
 // logged), so contextual policies can specialize per request class. Call
@@ -157,16 +141,45 @@ func NewProxy(upstreams []string, pol core.Policy, r *rand.Rand, logW io.Writer)
 	return p, nil
 }
 
-// Start listens on an ephemeral localhost port and serves until Close.
+// Start listens on an ephemeral localhost port and serves until Close, one
+// goroutine per client connection.
 func (p *Proxy) Start() (net.Addr, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("netlb: proxy listen: %w", err)
 	}
 	p.ln = ln
-	p.srv = &http.Server{Handler: p}
-	go func() { _ = p.srv.Serve(ln) }()
+	p.clients = map[net.Conn]struct{}{}
+	go p.serve(ln)
 	return ln.Addr(), nil
+}
+
+// serve accepts client connections until the listener closes.
+func (p *Proxy) serve(ln net.Listener) {
+	for {
+		c, err := ln.Accept()
+		if errors.Is(err, net.ErrClosed) {
+			return
+		} else if err != nil {
+			time.Sleep(5 * time.Millisecond) // out of file descriptors, say: wait, as net/http does
+		} else if p.track(c, true) {
+			go p.serveConn(c)
+		}
+	}
+}
+
+// track adds c to the open client connections, or takes it out and closes
+// it — as it does with a c added after Close.
+func (p *Proxy) track(c net.Conn, add bool) bool {
+	p.connMu.Lock()
+	defer p.connMu.Unlock()
+	if add && p.clients != nil {
+		p.clients[c] = struct{}{}
+		return true
+	}
+	delete(p.clients, c)
+	_ = c.Close()
+	return false
 }
 
 // Addr returns the proxy's host:port (after Start).
@@ -175,12 +188,19 @@ func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 // URL returns the proxy's base URL (after Start).
 func (p *Proxy) URL() string { return "http://" + p.Addr() }
 
-// Close shuts down the proxy listener and closes every pooled upstream
-// connection; an exchange still in flight closes its own when it ends.
+// Close shuts down the proxy listener and closes every client connection
+// and every pooled upstream connection; an exchange still in flight closes
+// its own when it ends.
 func (p *Proxy) Close() error {
 	var err error
-	if p.srv != nil {
-		err = p.srv.Close()
+	if p.ln != nil {
+		err = p.ln.Close()
+		p.connMu.Lock()
+		for c := range p.clients {
+			_ = c.Close()
+		}
+		p.clients = nil
+		p.connMu.Unlock()
 	}
 	for _, u := range p.ups {
 		u.mu.Lock()
@@ -278,38 +298,11 @@ func (p *Proxy) release(a core.Action) {
 	p.mu.Unlock()
 }
 
-// ServeHTTP implements http.Handler: route, proxy (on this goroutine), log
-// with rt and the line's time taken from one clock reading.
-func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	reqType := -1
-	if p.numTypes > 1 {
-		reqType = TypeFromPath(r.URL.Path, p.numTypes)
-	}
-	a, prop, snapshot := p.route(reqType)
-	defer p.release(a)
-	start := time.Now()
-	status, n, err := p.ups[a].exchange(w, r, start)
-	if err != nil {
-		status = http.StatusBadGateway
-		http.Error(w, "bad gateway: "+err.Error(), status)
-	}
-	now := time.Now()
-	rt := now.Sub(start)
-	p.observe(a, status, rt)
-	p.logAccess(r, status, n, now, rt, a, prop, snapshot, reqType)
-}
-
 const (
 	exchangeTimeout    = 30 * time.Second // dial to the reply's last byte
 	maxIdlePerUpstream = 64
 	bodyReuseWindow    = time.Second // see upstream.get
 )
-
-// hopHeaders are the hop-by-hop request headers httputil.ReverseProxy strips.
-var hopHeaders = []string{"Connection", "Keep-Alive", "Proxy-Connection", "Te", "Trailer", "Transfer-Encoding", "Upgrade"}
-
-// replayable are the methods a bodiless request may be sent again with.
-var replayable = map[string]bool{http.MethodGet: true, http.MethodHead: true, http.MethodOptions: true, http.MethodTrace: true}
 
 // upstream is one backend and its kept-alive connections, last used last.
 type upstream struct {
@@ -324,86 +317,6 @@ type upConn struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	used time.Time // start of its last exchange
-}
-
-// exchange forwards r to the upstream and copies the reply to w; err means
-// nothing reached w. A bodiless idempotent request that finds its pooled
-// connection stale is replayed once on a fresh one. The connection is pooled
-// again only if the reply was read to its end, did not ask to close, and
-// the client stayed.
-func (u *upstream) exchange(w http.ResponseWriter, r *http.Request, start time.Time) (status int, n int64, err error) {
-	out := &http.Request{Method: r.Method, URL: r.URL, Host: u.addr, Header: forwardHeader(r.Header),
-		Body: r.Body, ContentLength: r.ContentLength}
-	replay := replayable[r.Method] && (r.Body == nil || r.Body == http.NoBody)
-	c := u.get(start, !replay)
-	for retry := c != nil && replay; ; retry = false {
-		if c == nil {
-			nc, err := (&net.Dialer{Timeout: exchangeTimeout}).DialContext(r.Context(), "tcp", u.addr)
-			if err != nil {
-				return 0, 0, err
-			}
-			c = &upConn{Conn: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
-		}
-		resp, stop, err := c.roundTrip(r.Context(), out, start)
-		if err != nil {
-			_ = c.Close()
-			if !retry {
-				return 0, 0, err
-			}
-			c = nil
-			continue
-		}
-		h := w.Header()
-		for k, vs := range resp.Header {
-			h[k] = append(h[k], vs...)
-		}
-		w.WriteHeader(resp.StatusCode)
-		n, err = io.Copy(w, resp.Body)
-		if stop() && err == nil && !resp.Close {
-			u.put(c)
-		} else {
-			_ = c.Close()
-		}
-		return resp.StatusCode, n, nil
-	}
-}
-
-// roundTrip writes out and reads the reply's head, skipping 1xx replies
-// other than 101 as net/http's client does. It arms the exchange deadline,
-// and a client that goes away moves the deadline into the past; stop
-// reports whether that has not happened, as context.AfterFunc's stop does.
-func (c *upConn) roundTrip(ctx context.Context, out *http.Request, start time.Time) (resp *http.Response, stop func() bool, err error) {
-	c.used = start
-	_ = c.SetDeadline(start.Add(exchangeTimeout)) // fails only on a closed conn, which Write reports
-	stop = context.AfterFunc(ctx, func() { _ = c.SetDeadline(time.Unix(1, 0)) })
-	if err = out.Write(c.bw); err == nil {
-		err = c.bw.Flush()
-	}
-	for err == nil {
-		if resp, err = http.ReadResponse(c.br, out); err == nil && (resp.StatusCode/100 != 1 || resp.StatusCode == 101) {
-			return resp, stop, nil
-		}
-	}
-	stop()
-	return nil, nil, err
-}
-
-// forwardHeader returns h without its hop-by-hop headers and the headers
-// its Connection names; without any, h itself, shared and not cloned.
-func forwardHeader(h http.Header) http.Header {
-	for _, k := range hopHeaders {
-		if _, ok := h[k]; ok {
-			h = h.Clone()
-			for _, name := range strings.Split(strings.Join(h["Connection"], ","), ",") {
-				h.Del(strings.TrimSpace(name))
-			}
-			for _, k := range hopHeaders {
-				delete(h, k)
-			}
-			return h
-		}
-	}
-	return h
 }
 
 // get pops the most recently used idle connection, or returns nil. A request
@@ -441,7 +354,7 @@ func (u *upstream) put(c *upConn) {
 // $request_time / $upstream_addr / custom variables to log_format — the
 // paper's point that "existing logging modules already provided what we
 // needed, and simply needed to be configured".
-func (p *Proxy) logAccess(r *http.Request, status int, bytes int64, now time.Time, rt time.Duration, a core.Action, prop float64, conns []int, reqType int) {
+func (p *Proxy) logAccess(f *logFields, status int, bytes int64, now time.Time, rt time.Duration, a core.Action, prop float64, conns []int, reqType int) {
 	if p.logW == nil {
 		return
 	}
@@ -449,7 +362,7 @@ func (p *Proxy) logAccess(r *http.Request, status int, bytes int64, now time.Tim
 		reqType = -1
 	}
 	buf := logBufs.Get().(*[]byte)
-	*buf = appendAccessLine((*buf)[:0], now, r, status, bytes, rt, a, prop, conns, reqType)
+	*buf = appendAccessLine((*buf)[:0], now, f, status, bytes, rt, a, prop, conns, reqType)
 	p.logMu.Lock()
 	_, _ = p.logW.Write(*buf)
 	p.logMu.Unlock()
@@ -461,14 +374,14 @@ func (p *Proxy) logAccess(r *http.Request, status int, bytes int64, now time.Tim
 }
 
 // logBufs recycles access-log line buffers: the line is on the
-// client-visible path (the reply is flushed after the handler returns), so
-// it is built without an allocation per field.
+// client-visible path (the reply's last bytes are flushed after it), so it
+// is built without an allocation.
 var logBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // appendAccessLine appends one access-log line, newline included, to b;
 // reqType < 0 omits the type= field.
-func appendAccessLine(b []byte, now time.Time, r *http.Request, status int, bytes int64, rt time.Duration, a core.Action, prop float64, conns []int, reqType int) []byte {
-	remote := r.RemoteAddr
+func appendAccessLine(b []byte, now time.Time, f *logFields, status int, bytes int64, rt time.Duration, a core.Action, prop float64, conns []int, reqType int) []byte {
+	remote := f.remote
 	if remote == "" {
 		remote = "-"
 	}
@@ -476,17 +389,17 @@ func appendAccessLine(b []byte, now time.Time, r *http.Request, status int, byte
 	b = append(b, " - - ["...)
 	b = now.AppendFormat(b, "02/Jan/2006:15:04:05 -0700")
 	b = append(b, `] "`...)
-	b = append(b, r.Method...)
+	b = append(b, f.method...)
 	b = append(b, ' ')
-	b = append(b, r.URL.RequestURI()...)
+	b = append(b, f.target...)
 	b = append(b, ' ')
-	b = append(b, r.Proto...)
+	b = append(b, f.proto...)
 	b = append(b, `" `...)
 	b = strconv.AppendInt(b, int64(status), 10)
 	b = append(b, ' ')
 	b = strconv.AppendInt(b, bytes, 10)
 	b = append(b, ` "-" "`...)
-	b = append(b, r.UserAgent()...)
+	b = append(b, f.ua...)
 	b = append(b, `" rt=`...)
 	b = strconv.AppendFloat(b, rt.Seconds(), 'f', 6, 64)
 	b = append(b, " upstream="...)
