@@ -11,11 +11,12 @@ vet:
 	$(GO) vet ./...
 	gofmt -l . | tee /dev/stderr | wc -l | grep -q '^0$$'
 
-# Repo-specific invariants the compiler cannot check: seeded RNG plumbing,
-# guarded propensity divisions, virtual clocks in simulations, locks passed
-# by pointer, no dropped errors, plus the dataflow analyses (propensity
-# taint, map-order determinism, wire-struct locking, ctx-deaf loops). Any
-# finding fails the build; see internal/lint, DESIGN.md §6 and §11.
+# Repo-specific invariants the compiler cannot check, seven analyzers over
+# the packages `go list` resolves: seeded RNG plumbing, guarded propensity
+# divisions, virtual clocks in simulations, no dropped errors, plus the
+# dataflow analyses (propensity taint, map-order determinism, wire-struct
+# locking). Any finding fails the build; see internal/lint, DESIGN.md §6
+# and §11.
 lint:
 	$(GO) run ./cmd/harvestlint ./...
 

@@ -1,21 +1,21 @@
 // Command harvestlint runs the repository's static analyzers (package
-// repro/internal/lint) over every package in the enclosing module and
-// prints findings as
+// repro/internal/lint) over the enclosing module's packages and prints
+// findings as
 //
 //	file:line:col: [analyzer] message
 //
 // It exits 0 when the tree is clean, 1 when there are findings, and 2 on
-// usage or load errors. Arguments are package patterns relative to the
-// current directory: "./..." (the default) lints the whole module,
-// "./internal/..." a subtree, and "./internal/ope" a single package.
-//
-// Every registered analyzer runs; -list enumerates them. -json emits the
-// findings as machine-readable diagnostics for CI.
+// usage or load errors. Arguments are package patterns, resolved by
+// `go list` from the current directory: "./..." (the default) lints the
+// whole module, "./internal/..." a subtree, and "./internal/ope" a single
+// package. Every registered analyzer runs (the package doc of
+// repro/internal/lint lists them). -json emits the findings as
+// machine-readable diagnostics for CI.
 //
 // Wire-format locking: -wirelock regenerates internal/lint/wire.lock
-// from the watched wire structs, refusing any struct whose field set
-// changed while its guarding version constant did not (see the
-// wirecompat analyzer).
+// from the watched wire structs of every package in the module, refusing
+// any struct whose field set changed while its guarding version constant
+// did not (see the wirecompat analyzer).
 //
 // Findings are suppressed by an annotated comment on the same line or the
 // line above:
@@ -41,33 +41,37 @@ func main() {
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("harvestlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	list := fs.Bool("list", false, "list registered analyzers and exit")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text")
 	wirelock := fs.Bool("wirelock", false, "regenerate "+lint.WireLockPath+" from the watched wire structs and exit")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: harvestlint [-json] [-wirelock] [-list] [packages]")
+		fmt.Fprintln(stderr, "usage: harvestlint [-json] [-wirelock] [packages]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	analyzers := lint.All()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Fprintf(stdout, "%-10s %s\n", a.Name, a.Doc)
-		}
-		return 0
+	patterns := fs.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
-
+	if *wirelock {
+		// The lock covers the whole module wherever harvestlint runs, and
+		// "all" names every main-module package from any directory in it.
+		patterns = []string{"all"}
+	}
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintf(stderr, "harvestlint: %v\n", err)
 		return 2
 	}
-	root, err := lint.FindModuleRoot(cwd)
+	pkgs, root, err := lint.Load(cwd, patterns...)
 	if err != nil {
 		fmt.Fprintf(stderr, "harvestlint: %v\n", err)
+		return 2
+	}
+	if len(pkgs) == 0 {
+		fmt.Fprintf(stderr, "harvestlint: no packages match %v\n", patterns)
 		return 2
 	}
 	lockPath := filepath.Join(root, filepath.FromSlash(lint.WireLockPath))
@@ -79,32 +83,13 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 		lint.SetWireLock(lock)
 	}
-	pkgs, err := lint.LoadModule(root)
-	if err != nil {
-		fmt.Fprintf(stderr, "harvestlint: %v\n", err)
-		return 2
-	}
 	if *wirelock {
 		return regenWireLock(pkgs, lockPath, stdout, stderr)
 	}
 
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-
 	var findings []lint.Finding
-	matched := false
 	for _, pkg := range pkgs {
-		if !matchAny(patterns, cwd, pkg.Dir) {
-			continue
-		}
-		matched = true
-		findings = append(findings, lint.RunPackage(pkg, analyzers)...)
-	}
-	if !matched {
-		fmt.Fprintf(stderr, "harvestlint: no packages match %v\n", patterns)
-		return 2
+		findings = append(findings, lint.RunPackage(pkg, lint.All())...)
 	}
 	lint.Sort(findings)
 
@@ -178,34 +163,6 @@ func regenWireLock(pkgs []*lint.Package, lockPath string, stdout, stderr *os.Fil
 	fmt.Fprintf(stdout, "harvestlint: wrote %s (%d consts, %d structs)\n",
 		lockPath, len(next.Consts), len(next.Structs))
 	return 0
-}
-
-// matchAny reports whether the package directory matches any pattern
-// interpreted relative to cwd. "dir/..." matches the subtree rooted at
-// dir; anything else must name the package directory exactly.
-func matchAny(patterns []string, cwd, pkgDir string) bool {
-	for _, pat := range patterns {
-		recursive := false
-		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			recursive = true
-			pat = rest
-			if pat == "." || pat == "" {
-				return true
-			}
-		}
-		abs := pat
-		if !filepath.IsAbs(abs) {
-			abs = filepath.Join(cwd, pat)
-		}
-		abs = filepath.Clean(abs)
-		if pkgDir == abs {
-			return true
-		}
-		if recursive && strings.HasPrefix(pkgDir, abs+string(filepath.Separator)) {
-			return true
-		}
-	}
-	return false
 }
 
 // relTo renders path relative to base when that is shorter and stays

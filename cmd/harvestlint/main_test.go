@@ -161,3 +161,30 @@ func main() {
 		t.Errorf("suppression should leave exactly the Float64 finding:\n%s", stdout)
 	}
 }
+
+// TestBinaryIgnoredFile holds a `//go:build ignore` generator, itself
+// package main, next to a library package: the build leaves it out, and so
+// must the linter.
+func TestBinaryIgnoredFile(t *testing.T) {
+	bin := buildBinary(t)
+	dir := writeModule(t, map[string]string{
+		"go.mod": goMod,
+		"tool/tool.go": `package tool
+
+// Answer is what the generator writes.
+const Answer = 42
+`,
+		"tool/gen.go": `//go:build ignore
+
+package main
+
+import "math/rand"
+
+func main() { _ = rand.Intn(10) }
+`,
+	})
+	stdout, stderr, code := runLint(t, bin, dir, "./...")
+	if code != 0 || stdout != "" {
+		t.Fatalf("exit code = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+}

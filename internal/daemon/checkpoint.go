@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
@@ -93,9 +92,9 @@ func LoadJSON(path string, version int, v any) error {
 	return nil
 }
 
-// Checkpointer is one service's checkpoint file: resume at start, a timer,
-// the POST /checkpoint endpoint and the final write, each called where the
-// service's own Start and Shutdown put it. An empty Path turns all four off.
+// Checkpointer is one service's checkpoint file: resume at start, a timer
+// and the final write, each called where the service's own Start and
+// Shutdown put it. An empty Path turns all three off.
 type Checkpointer struct {
 	Path     string
 	Interval time.Duration
@@ -146,21 +145,4 @@ func (c *Checkpointer) Final() error {
 		return fmt.Errorf("final checkpoint: %w", err)
 	}
 	return nil
-}
-
-// ServeHTTP is POST /checkpoint: write a checkpoint now.
-func (c *Checkpointer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case r.Method != http.MethodPost:
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-	case c.Path == "":
-		http.Error(w, "checkpointing disabled", http.StatusConflict)
-	default:
-		if err := c.Save(); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "checkpointed to %s\n", c.Path)
-	}
 }

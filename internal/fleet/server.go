@@ -34,7 +34,6 @@ import (
 //	GET  /shards      per-shard pull status rows
 //	GET  /metrics     Prometheus text: per-shard liveness/staleness/pull
 //	                  counters and merged per-policy estimator gauges
-//	POST /checkpoint  force a checkpoint now
 func (a *Aggregator) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", a.handleHealthz)
@@ -44,7 +43,6 @@ func (a *Aggregator) handler() http.Handler {
 	mux.HandleFunc("/freshness", a.handleFreshness)
 	mux.HandleFunc("/shards", a.handleShards)
 	mux.HandleFunc("/metrics", a.handleMetrics)
-	mux.Handle("/checkpoint", &a.ckpt)
 	return mux
 }
 

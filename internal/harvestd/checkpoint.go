@@ -52,11 +52,15 @@ func (d *Daemon) Checkpoint() error {
 
 // loadCheckpoint restores estimator state and counters from the checkpoint
 // file and says how many policies it restored. A missing file is an
-// fs.ErrNotExist (a cold start).
+// fs.ErrNotExist (a cold start); policy state a snapshot would be refused
+// for refuses the checkpoint too.
 func (d *Daemon) loadCheckpoint() (string, error) {
 	var ck checkpointFile
 	if err := daemon.LoadJSON(d.cfg.CheckpointPath, checkpointVersion, &ck); err != nil {
 		return "", err
+	}
+	if err := validatePolicies(ck.Policies); err != nil {
+		return "", fmt.Errorf("checkpoint %s: %w", d.cfg.CheckpointPath, err)
 	}
 	restored := d.reg.restoreState(ck.Policies)
 	d.ctr.lines.Store(ck.Lines)

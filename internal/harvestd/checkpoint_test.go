@@ -164,6 +164,28 @@ func TestCheckpointLoadErrors(t *testing.T) {
 		t.Fatalf("version mismatch error = %v", err)
 	}
 
+	// Policy state a snapshot would be refused for fails startup too.
+	for name, acc := range map[string]string{
+		"negative-n":   `{"n": -5}`,
+		"matches-gt-n": `{"n": 2, "matches": 3}`,
+	} {
+		path := filepath.Join(dir, name+".json")
+		body := `{"version": 1, "policies": {"leastloaded": ` + acc + `}}`
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := New(Config{Workers: 1, CheckpointPath: path}, newTestRegistry(t, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Start(context.Background()); err == nil || !strings.Contains(err.Error(), "inconsistent counts") {
+			if err == nil {
+				d.Shutdown(context.Background())
+			}
+			t.Errorf("%s checkpoint: startup error = %v", name, err)
+		}
+	}
+
 	// Missing file is a cold start, not an error.
 	reg3 := newTestRegistry(t, 1)
 	d3, err := New(Config{Workers: 1, CheckpointPath: filepath.Join(dir, "absent.json")}, reg3)

@@ -40,7 +40,6 @@ import (
 //	                 tests and push-based producers; bin takes the binrec
 //	                 binary stream; the reply's counts are exact and, for
 //	                 nginx and bin, given once every record is folded
-//	POST /checkpoint force a checkpoint now
 func (d *Daemon) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", d.handleHealthz)
@@ -51,7 +50,6 @@ func (d *Daemon) handler() http.Handler {
 	mux.HandleFunc("/snapshot", d.handleSnapshot)
 	mux.HandleFunc("/freshness", d.handleFreshness)
 	mux.HandleFunc("/ingest", d.handleIngest)
-	mux.Handle("/checkpoint", &d.ckpt)
 	return mux
 }
 

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -467,29 +468,28 @@ func TestServerDiagnostics(t *testing.T) {
 }
 
 func TestServerCheckpointEndpoint(t *testing.T) {
-	// Disabled checkpointing → 409.
-	_, srv := startTestDaemon(t, Config{})
-	resp, err := http.Post(srv.URL+"/checkpoint", "text/plain", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Errorf("checkpoint without path = %d, want 409", resp.StatusCode)
+	// Disabled checkpointing → an error.
+	d, _ := startTestDaemon(t, Config{})
+	if err := d.Checkpoint(); err == nil {
+		t.Error("checkpoint without a path succeeded")
 	}
 
-	// Enabled → file appears.
+	// Enabled → file appears. The timer and shutdown write it; no HTTP
+	// route does.
 	path := t.TempDir() + "/ck.json"
-	_, srv2 := startTestDaemon(t, Config{CheckpointPath: path})
-	resp, err = http.Post(srv2.URL+"/checkpoint", "text/plain", nil)
+	d2, srv2 := startTestDaemon(t, Config{CheckpointPath: path})
+	if err := d2.Checkpoint(); err != nil {
+		t.Errorf("checkpoint: %v", err)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Errorf("checkpoint file: %v", err)
+	}
+	resp, err := http.Post(srv2.URL+"/checkpoint", "text/plain", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Errorf("checkpoint = %d", resp.StatusCode)
-	}
-	if code, _ := get(t, srv2.URL+"/checkpoint"); code != http.StatusMethodNotAllowed {
-		t.Errorf("GET /checkpoint = %d, want 405", code)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /checkpoint = %d, want 404", resp.StatusCode)
 	}
 }

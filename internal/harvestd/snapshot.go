@@ -91,14 +91,25 @@ func floats(a *ope.Accum) [16]float64 {
 	}
 }
 
-// accumFinite rejects accumulators carrying NaN or ±Inf: JSON cannot encode
-// them, and an aggregator must never merge poisoned state. The guarded
-// importance-weight path upstream makes this unreachable in practice; the
-// check turns "impossible" into "loud" at the fleet boundary.
-func accumFinite(name string, a *ope.Accum) error {
-	for _, v := range floats(a) {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("harvestd: policy %q accumulator carries non-finite state", name)
+// validatePolicies checks the per-policy half of a snapshot or checkpoint:
+// every policy is named, its counts are consistent, and its accumulator is
+// finite. NaN or ±Inf cannot be encoded as JSON, and an aggregator must
+// never merge poisoned state; the guarded importance-weight path upstream
+// makes this unreachable in practice, and the check turns "impossible"
+// into "loud" at the fleet and restart boundaries.
+func validatePolicies(policies map[string]ope.Accum) error {
+	for name, acc := range policies {
+		if name == "" {
+			return fmt.Errorf("harvestd: unnamed policy")
+		}
+		if acc.N < 0 || acc.Matches < 0 || acc.Matches > acc.N {
+			return fmt.Errorf("harvestd: policy %q has inconsistent counts n=%d matches=%d",
+				name, acc.N, acc.Matches)
+		}
+		for _, v := range floats(&acc) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("harvestd: policy %q accumulator carries non-finite state", name)
+			}
 		}
 	}
 	return nil
@@ -110,19 +121,7 @@ func (s *StateSnapshot) Validate() error {
 	if s.Version != SnapshotVersion {
 		return fmt.Errorf("harvestd: snapshot version %d, want %d", s.Version, SnapshotVersion)
 	}
-	for name, acc := range s.Policies {
-		if name == "" {
-			return fmt.Errorf("harvestd: snapshot carries an unnamed policy")
-		}
-		if acc.N < 0 || acc.Matches < 0 || acc.Matches > acc.N {
-			return fmt.Errorf("harvestd: policy %q has inconsistent counts n=%d matches=%d",
-				name, acc.N, acc.Matches)
-		}
-		if err := accumFinite(name, &acc); err != nil {
-			return err
-		}
-	}
-	return nil
+	return validatePolicies(s.Policies)
 }
 
 // EncodeSnapshot writes the snapshot's wire form: one JSON object with

@@ -468,7 +468,6 @@ func newFreeList[B any](depth int) chan *pooled[B] {
 	for i := range batches {
 		p := &batches[i]
 		p.release = func() { free <- p }
-		//lint:ignore ctxloop priming a buffered free list; capacity equals the trip count, sends never block
 		free <- p
 	}
 	return free

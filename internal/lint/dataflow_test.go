@@ -14,10 +14,6 @@ func TestDetOrderGolden(t *testing.T) {
 	runGolden(t, "detorder", "repro/internal/fixture", DetOrder)
 }
 
-func TestCtxLoopGolden(t *testing.T) {
-	runGolden(t, "ctxloop", "repro/internal/fixture", CtxLoop)
-}
-
 // TestWireCompatClean locks exactly the fixture's live shapes: the
 // analyzer must stay silent.
 func TestWireCompatClean(t *testing.T) {

@@ -25,7 +25,6 @@ import (
 // sort them, range over the sorted slice, and read the map per key.
 var DetOrder = &Analyzer{
 	Name: "detorder",
-	Doc:  "map iteration whose body writes serialized output or folds order-sensitive state without sorted keys",
 	Run:  runDetOrder,
 }
 

@@ -14,9 +14,9 @@ import (
 // Deferred Close/Flush/Sync and the fmt print family are allowlisted as
 // idioms whose errors are conventionally unactionable.
 var ErrDrop = &Analyzer{
-	Name: "errdrop",
-	Doc:  "discarded error returns in internal/... packages",
-	Run:  runErrDrop,
+	Name:  "errdrop",
+	Scope: func(pkgPath string) bool { return strings.Contains(pkgPath, "internal/") },
+	Run:   runErrDrop,
 }
 
 // errDropDeferAllowed lists method/function names whose deferred error is
@@ -28,10 +28,6 @@ var errDropDeferAllowed = map[string]bool{
 }
 
 func runErrDrop(pass *Pass) {
-	path := pass.Pkg.Path()
-	if !strings.Contains(path, "internal/") {
-		return
-	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {

@@ -155,10 +155,6 @@ func TestWallTimeNonSimPackage(t *testing.T) {
 	}
 }
 
-func TestLockCopyGolden(t *testing.T) {
-	runGolden(t, "lockcopy", "repro/internal/fixture", LockCopy)
-}
-
 func TestErrDropGolden(t *testing.T) {
 	runGolden(t, "errdrop", "repro/internal/fixture", ErrDrop)
 }
@@ -175,8 +171,9 @@ func TestErrDropOutsideInternal(t *testing.T) {
 	}
 }
 
-// TestMalformedIgnoreDirective checks that a reason-less or unknown-name
-// //lint:ignore is itself reported, so directives can never silently rot.
+// TestMalformedIgnoreDirective checks that a reason-less, unknown-name or
+// stale //lint:ignore is itself reported, so directives can never silently
+// rot.
 func TestMalformedIgnoreDirective(t *testing.T) {
 	pkg, err := LoadDir(filepath.Join("testdata", "src", "badignore"), "repro/internal/fixture")
 	if err != nil {
@@ -193,6 +190,9 @@ func TestMalformedIgnoreDirective(t *testing.T) {
 	}
 	if !strings.Contains(joined, `unknown analyzer "nosuch"`) {
 		t.Errorf("missing unknown-analyzer finding in:\n%s", joined)
+	}
+	if !strings.Contains(joined, "[lint] stale //lint:ignore: no errdrop finding") {
+		t.Errorf("missing stale-directive finding in:\n%s", joined)
 	}
 }
 

@@ -1,27 +1,27 @@
 // Package lint is a repo-specific static analyzer enforcing the two
-// invariants this reproduction's credibility rests on, plus a few general
-// hygiene checks. Off-policy estimates are only unbiased when (1) every
-// random draw flows through the seeded, logged RNG plumbing in
+// invariants this reproduction's credibility rests on, plus the wire
+// contract and error hygiene. Off-policy estimates are only unbiased when
+// (1) every random draw flows through the seeded, logged RNG plumbing in
 // repro/internal/stats (an unseeded math/rand call silently destroys
-// paired-seed reproducibility), and (2) no IPS/SNIPS hot path divides by an
-// unguarded propensity (§2 and §4 of the paper). The compiler checks
+// paired-seed reproducibility), and (2) no IPS/SNIPS hot path divides by
+// an unguarded propensity (§2 and §4 of the paper). The compiler checks
 // neither, so harvestlint does.
 //
 // The driver is built only on the standard library's go/parser, go/ast,
-// go/types and go/token — no golang.org/x/tools dependency — and runs a
-// registry of analyzers over every package in the module:
+// go/types and go/token — no golang.org/x/tools dependency. `go list`
+// resolves the package patterns and the dependency order; Load
+// type-checks the module from source and runs seven analyzers over it:
 //
 //   - rawrand:  math/rand global-source calls and rand.New outside the
 //     approved repro/internal/stats plumbing
 //   - propdiv:  divisions by propensity/weight/probability-named
 //     expressions not dominated by a positivity guard or clip
 //   - walltime: time.Now/time.Since inside deterministic simulation
-//     packages (des, healthsim, cachesim, lbsim)
-//   - lockcopy: functions passing or returning by value a struct that
-//     contains a sync.Mutex, sync.RWMutex or sync.WaitGroup
+//     packages (des, healthsim, cachesim, lbsim), and outside the
+//     WallClock path in internal/obs and the daemon chassis
 //   - errdrop:  discarded error returns in internal/... packages
 //
-// and four dataflow-aware invariant analyses (DESIGN.md §11):
+// and three dataflow-aware invariant analyses (DESIGN.md §11):
 //
 //   - proptaint:  arithmetic, clamping, or branch rewrites applied to a
 //     sampled propensity between the sampler draw and the logged
@@ -31,15 +31,15 @@
 //     keys (the nondeterministic /metrics bug class)
 //   - wirecompat: versioned wire-struct field sets diffed against
 //     lint/wire.lock, so schema drift always rides with a version bump
-//   - ctxloop:    blocking channel operations or sleeps inside loops that
-//     never consult an in-scope context (the CacheLogSource bug class)
 //
 // Any finding can be suppressed with a directive comment on the same line
 // or the line above:
 //
 //	//lint:ignore <analyzer> <reason>
 //
-// The reason is mandatory; a directive without one is itself reported.
+// The reason is mandatory. A directive without one, one naming an unknown
+// analyzer, and one that silences nothing of an analyzer that ran are
+// each reported as findings of the pseudo-analyzer "lint".
 package lint
 
 import (
@@ -68,16 +68,16 @@ func (f Finding) String() string {
 type Analyzer struct {
 	// Name is the identifier used in output and in //lint:ignore directives.
 	Name string
-	// Doc is a one-line description shown by harvestlint -list.
-	Doc string
+	// Scope, when set, limits the analyzer to the import paths it accepts;
+	// RunPackage does not run it on any other package.
+	Scope func(pkgPath string) bool
 	// Run inspects the package and calls pass.Reportf for each finding.
 	Run func(*Pass)
 }
 
 // All returns the full analyzer registry in output order.
 func All() []*Analyzer {
-	return []*Analyzer{RawRand, PropDiv, WallTime, LockCopy, ErrDrop,
-		PropTaint, DetOrder, WireCompat, CtxLoop}
+	return []*Analyzer{RawRand, PropDiv, WallTime, ErrDrop, PropTaint, DetOrder, WireCompat}
 }
 
 // Pass carries one type-checked package through one analyzer.
@@ -104,7 +104,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 type ignoreDirective struct {
 	pos      token.Position
 	analyzer string
-	reason   string
 }
 
 // parseIgnores extracts //lint:ignore directives from a file. Malformed
@@ -133,7 +132,7 @@ func parseIgnores(fset *token.FileSet, file *ast.File, known map[string]bool) (d
 					Message: fmt.Sprintf("//lint:ignore names unknown analyzer %q", fields[0])})
 				continue
 			}
-			dirs = append(dirs, ignoreDirective{pos: pos, analyzer: fields[0], reason: strings.Join(fields[1:], " ")})
+			dirs = append(dirs, ignoreDirective{pos: pos, analyzer: fields[0]})
 		}
 	}
 	return dirs, bad
@@ -149,11 +148,14 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) []Finding {
 	for _, a := range All() {
 		known[a.Name] = true
 	}
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
+	ran := make(map[string]bool, len(analyzers))
 	var findings []Finding
 	for _, a := range analyzers {
+		known[a.Name] = true
+		if a.Scope != nil && !a.Scope(pkg.Path) {
+			continue
+		}
+		ran[a.Name] = true
 		pass := &Pass{
 			Analyzer: a,
 			Fset:     pkg.Fset,
@@ -167,22 +169,33 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) []Finding {
 
 	// Apply suppression: a directive for analyzer X at line L silences X's
 	// findings on line L (trailing comment) and line L+1 (standalone
-	// comment above the offending statement).
-	suppressed := make(map[string]bool) // "file:line:analyzer"
+	// comment above the offending statement). A directive for an analyzer
+	// that ran and silenced nothing is stale.
 	var out []Finding
+	var dirs []ignoreDirective
 	for _, file := range pkg.Files {
-		dirs, bad := parseIgnores(pkg.Fset, file, known)
+		d, bad := parseIgnores(pkg.Fset, file, known)
+		dirs = append(dirs, d...)
 		out = append(out, bad...)
-		for _, d := range dirs {
-			suppressed[fmt.Sprintf("%s:%d:%s", d.pos.Filename, d.pos.Line, d.analyzer)] = true
-			suppressed[fmt.Sprintf("%s:%d:%s", d.pos.Filename, d.pos.Line+1, d.analyzer)] = true
+	}
+	used := make([]bool, len(dirs))
+	for _, f := range findings {
+		silenced := false
+		for i, d := range dirs {
+			if d.analyzer == f.Analyzer && d.pos.Filename == f.Pos.Filename &&
+				(f.Pos.Line == d.pos.Line || f.Pos.Line == d.pos.Line+1) {
+				used[i], silenced = true, true
+			}
+		}
+		if !silenced {
+			out = append(out, f)
 		}
 	}
-	for _, f := range findings {
-		if suppressed[fmt.Sprintf("%s:%d:%s", f.Pos.Filename, f.Pos.Line, f.Analyzer)] {
-			continue
+	for i, d := range dirs {
+		if !used[i] && ran[d.analyzer] {
+			out = append(out, Finding{Pos: d.pos, Analyzer: "lint",
+				Message: fmt.Sprintf("stale //lint:ignore: no %s finding on this line or the next", d.analyzer)})
 		}
-		out = append(out, f)
 	}
 	Sort(out)
 	return out

@@ -1,13 +1,16 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -29,226 +32,120 @@ type Package struct {
 	Info  *types.Info
 }
 
-// loader resolves module-internal imports from source and everything else
-// (the standard library) through the compiler's source importer, so the
-// whole module type-checks without export data and without x/tools.
-type loader struct {
-	fset    *token.FileSet
-	modPath string
-	root    string
-	dirs    map[string]string // import path → absolute dir
-	pkgs    map[string]*Package
-	loading map[string]bool // import-cycle detection
-	std     types.ImporterFrom
-}
-
-// FindModuleRoot walks up from dir to the nearest directory containing a
-// go.mod file.
-func FindModuleRoot(dir string) (string, error) {
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("lint: no go.mod found above %s", dir)
-		}
-		dir = parent
+// listed is the part of one `go list -json` record the loader reads.
+// Without -e, go list fails on an erroneous package instead of listing it,
+// so there is no Error field to check.
+type listed struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Standard   bool
+	DepOnly    bool
+	Module     *struct {
+		Main bool
+		Dir  string
 	}
 }
 
-// modulePath extracts the module path from a go.mod file.
-func modulePath(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
+// Load asks `go list`, run in dir, for the packages matching patterns and
+// their dependencies, then type-checks every non-standard one from source
+// in the order the toolchain lists them, dependencies first. The standard
+// library comes from the compiler's source importer, so nothing needs
+// export data or x/tools. It returns the main-module packages the
+// patterns matched, sorted by import path, and the main module's root.
+func Load(dir string, patterns ...string) (pkgs []*Package, root string, err error) {
+	args := append([]string{"list", "-deps",
+		"-json=ImportPath,Dir,GoFiles,Standard,DepOnly,Module", "--"}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return "", err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module"); ok {
-			rest = strings.TrimSpace(rest)
-			rest = strings.Trim(rest, `"`)
-			if rest != "" {
-				return rest, nil
-			}
-		}
-	}
-	return "", fmt.Errorf("lint: no module directive in %s", gomod)
-}
-
-// LoadModule parses and type-checks every package under the module rooted
-// at root (skipping testdata, vendor, hidden and underscore directories,
-// and _test.go files) and returns them sorted by import path.
-func LoadModule(root string) ([]*Package, error) {
-	root, err := filepath.Abs(root)
-	if err != nil {
-		return nil, err
-	}
-	mod, err := modulePath(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, err
+		return nil, "", fmt.Errorf("lint: go list: %v\n%s", err, bytes.TrimSpace(stderr.Bytes()))
 	}
 	fset := token.NewFileSet()
-	ld := &loader{
-		fset:    fset,
-		modPath: mod,
-		root:    root,
-		dirs:    make(map[string]string),
-		pkgs:    make(map[string]*Package),
-		loading: make(map[string]bool),
-		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+	imp := &importerFrom{
+		std:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		done: make(map[string]*types.Package),
 	}
-	if err := ld.discover(); err != nil {
-		return nil, err
-	}
-	paths := make([]string, 0, len(ld.dirs))
-	for p := range ld.dirs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	pkgs := make([]*Package, 0, len(paths))
-	for _, p := range paths {
-		pkg, err := ld.load(p)
-		if err != nil {
-			return nil, err
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var lp listed
+		if err := dec.Decode(&lp); err != nil {
+			return nil, "", fmt.Errorf("lint: decoding go list output: %w", err)
 		}
-		pkgs = append(pkgs, pkg)
+		if lp.Standard || len(lp.GoFiles) == 0 {
+			continue
+		}
+		srcs := make([]string, len(lp.GoFiles))
+		for i, name := range lp.GoFiles {
+			srcs[i] = filepath.Join(lp.Dir, name)
+		}
+		pkg, err := check(fset, lp.Dir, lp.ImportPath, srcs, imp)
+		if err != nil {
+			return nil, "", err
+		}
+		imp.done[lp.ImportPath] = pkg.Types
+		if !lp.DepOnly && lp.Module != nil && lp.Module.Main {
+			pkgs = append(pkgs, pkg)
+			root = lp.Module.Dir
+		}
 	}
-	return pkgs, nil
+	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
+	return pkgs, root, nil
 }
 
-// discover maps every package directory under the module root to its
-// import path.
-func (ld *loader) discover() error {
-	return filepath.WalkDir(ld.root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != ld.root && (name == "testdata" || name == "vendor" ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		srcs, err := sourceFiles(path)
-		if err != nil {
-			return err
-		}
-		if len(srcs) == 0 {
-			return nil
-		}
-		rel, err := filepath.Rel(ld.root, path)
-		if err != nil {
-			return err
-		}
-		imp := ld.modPath
-		if rel != "." {
-			imp = ld.modPath + "/" + filepath.ToSlash(rel)
-		}
-		ld.dirs[imp] = path
-		return nil
-	})
+// importerFrom serves packages Load has already checked and sends
+// everything else (the standard library) to the source importer.
+type importerFrom struct {
+	std  types.ImporterFrom
+	done map[string]*types.Package
 }
 
-// sourceFiles lists the non-test .go files of a directory, sorted.
-func sourceFiles(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
+func (im *importerFrom) Import(path string) (*types.Package, error) {
+	return im.ImportFrom(path, "", 0)
+}
+
+func (im *importerFrom) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if path == "C" {
+		return nil, errors.New("lint: cgo is not supported")
+	}
+	if pkg, ok := im.done[path]; ok {
+		return pkg, nil
+	}
+	return im.std.ImportFrom(path, dir, mode)
+}
+
+// LoadDir parses and type-checks the non-test .go files of one directory
+// as the package pkgPath, resolving all imports (standard library only)
+// from source. The golden-file tests use it to load fixtures under any
+// import path, so path-conditional analyzers (walltime, errdrop, the
+// rawrand exemption) can be exercised without real module layout.
+func LoadDir(dir, pkgPath string) (*Package, error) {
+	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		return nil, err
 	}
 	var srcs []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
+	for _, m := range matches {
+		if !strings.HasSuffix(m, "_test.go") {
+			srcs = append(srcs, m)
 		}
-		srcs = append(srcs, filepath.Join(dir, name))
 	}
-	sort.Strings(srcs)
-	return srcs, nil
-}
-
-// Import implements types.Importer.
-func (ld *loader) Import(path string) (*types.Package, error) {
-	return ld.ImportFrom(path, ld.root, 0)
-}
-
-// ImportFrom implements types.ImporterFrom: module-internal paths resolve
-// from source under the module root; everything else goes to the standard
-// library's source importer.
-func (ld *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if path == "C" {
-		return nil, fmt.Errorf("lint: cgo is not supported")
-	}
-	if path == ld.modPath || strings.HasPrefix(path, ld.modPath+"/") {
-		pkg, err := ld.load(path)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
-	}
-	return ld.std.ImportFrom(path, dir, mode)
-}
-
-// load parses and type-checks one module package, memoized.
-func (ld *loader) load(path string) (*Package, error) {
-	if pkg, ok := ld.pkgs[path]; ok {
-		return pkg, nil
-	}
-	if ld.loading[path] {
-		return nil, fmt.Errorf("lint: import cycle through %s", path)
-	}
-	dir, ok := ld.dirs[path]
-	if !ok {
-		return nil, fmt.Errorf("lint: no package %s under %s", path, ld.root)
-	}
-	ld.loading[path] = true
-	defer delete(ld.loading, path)
-	pkg, err := checkDir(ld.fset, dir, path, ld)
-	if err != nil {
-		return nil, err
-	}
-	ld.pkgs[path] = pkg
-	return pkg, nil
-}
-
-// LoadDir parses and type-checks a single directory as the package
-// pkgPath, resolving all imports (standard library only) from source. The
-// golden-file tests use it to load fixtures under any import path, so
-// path-conditional analyzers (walltime, errdrop, the rawrand exemption)
-// can be exercised without real module layout.
-func LoadDir(dir, pkgPath string) (*Package, error) {
 	fset := token.NewFileSet()
-	return checkDir(fset, dir, pkgPath, importer.ForCompiler(fset, "source", nil))
+	return check(fset, dir, pkgPath, srcs, importer.ForCompiler(fset, "source", nil))
 }
 
-// checkDir does the shared parse + type-check of one directory.
-func checkDir(fset *token.FileSet, dir, pkgPath string, imp types.Importer) (*Package, error) {
-	srcs, err := sourceFiles(dir)
-	if err != nil {
-		return nil, err
-	}
+// check parses and type-checks one package's files.
+func check(fset *token.FileSet, dir, pkgPath string, srcs []string, imp types.Importer) (*Package, error) {
 	if len(srcs) == 0 {
 		return nil, fmt.Errorf("lint: no Go source files in %s", dir)
 	}
 	files := make([]*ast.File, 0, len(srcs))
-	name := ""
 	for _, src := range srcs {
 		f, err := parser.ParseFile(fset, src, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
-		}
-		if name == "" {
-			name = f.Name.Name
-		} else if f.Name.Name != name {
-			return nil, fmt.Errorf("lint: %s contains packages %s and %s", dir, name, f.Name.Name)
 		}
 		files = append(files, f)
 	}

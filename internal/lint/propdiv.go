@@ -16,7 +16,6 @@ import (
 // early-exit guard, or route through core.ImportanceWeight.
 var PropDiv = &Analyzer{
 	Name: "propdiv",
-	Doc:  "division by a propensity-like expression without a dominating positivity guard or clip",
 	Run:  runPropDiv,
 }
 

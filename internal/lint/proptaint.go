@@ -38,7 +38,6 @@ import (
 //     1.0/3 stay exempt
 var PropTaint = &Analyzer{
 	Name: "proptaint",
-	Doc:  "arithmetic, clamping, or branch rewrites between a sampler draw and the logged propensity",
 	Run:  runPropTaint,
 }
 

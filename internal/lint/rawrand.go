@@ -35,7 +35,6 @@ var rawrandGlobal = map[string]bool{
 // or stats.Split.
 var RawRand = &Analyzer{
 	Name: "rawrand",
-	Doc:  "math/rand global-source calls and rand.New outside repro/internal/stats",
 	Run:  runRawRand,
 }
 

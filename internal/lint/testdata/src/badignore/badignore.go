@@ -1,5 +1,6 @@
-// Package fixture holds malformed suppression directives: both must be
-// reported so a typo can never silently disable a check.
+// Package fixture holds malformed and stale suppression directives: each
+// must be reported so a typo or a fixed finding can never silently disable
+// a check.
 package fixture
 
 import "errors"
@@ -14,4 +15,9 @@ func malformed() {
 func unknown() {
 	//lint:ignore nosuch some reason
 	work()
+}
+
+func stale() error {
+	//lint:ignore errdrop the error below is returned, not dropped
+	return work()
 }

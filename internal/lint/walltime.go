@@ -44,15 +44,14 @@ var walltimeBanned = map[string]bool{
 // outside the WallClock constructor path are flagged.
 var WallTime = &Analyzer{
 	Name: "walltime",
-	Doc:  "time.Now/time.Since inside deterministic simulation packages, outside the sanctioned WallClock path in internal/obs, or in the daemon chassis",
-	Run:  runWallTime,
+	Scope: func(pkgPath string) bool {
+		return pkgPath == walltimeObsPkg || walltimeInjected[pkgPath] || walltimeDeterministic[pkgPath]
+	},
+	Run: runWallTime,
 }
 
 func runWallTime(pass *Pass) {
-	obsMode := pass.Pkg.Path() == walltimeObsPkg || walltimeInjected[pass.Pkg.Path()]
-	if !obsMode && !walltimeDeterministic[pass.Pkg.Path()] {
-		return
-	}
+	obsMode := !walltimeDeterministic[pass.Pkg.Path()]
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			if obsMode && walltimeObsExempt(decl) {

@@ -24,7 +24,6 @@ import (
 // absorb a field change whose wire-version constant did not move.
 var WireCompat = &Analyzer{
 	Name: "wirecompat",
-	Doc:  "wire-struct field sets must match lint/wire.lock; schema changes require a version bump",
 	Run:  runWireCompat,
 }
 
