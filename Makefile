@@ -72,7 +72,7 @@ race:
 # ns/op, B/op and allocs/op).
 # bench-all is the full sweep.
 bench:
-	$(GO) test -run NONE -bench 'AccumFold|AccumMerge|RegistryFold|RegistryEstimates|AggregatorEvidence|StepHTTP|SnapshotEncode|SnapshotDecode|BinRecEncode|BinRecDecode|ParseNginxLine|IngestNginx|IngestJSONL|IngestBin|IngestScaling|GateEval|StateTransition|ProxyRequest' \
+	$(GO) test -run NONE -bench 'AccumFold|AccumMerge|RegistryFold|RegistryEstimates|DaemonEvidence|AggregatorEvidence|StepHTTP|SnapshotEncode|SnapshotDecode|BinRecEncode|BinRecDecode|ParseNginxLine|IngestNginx|IngestJSONL|IngestBin|IngestScaling|GateEval|StateTransition|ProxyRequest' \
 		-benchmem ./internal/ope ./internal/harvestd ./internal/fleet ./internal/harvester ./internal/harvester/binrec ./internal/rollout ./internal/netlb | $(GO) run ./cmd/benchjson -o BENCH_harvestd.json
 	@cat BENCH_harvestd.json
 

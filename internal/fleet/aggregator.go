@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -339,32 +340,47 @@ type ShardStatus struct {
 	Restarts int64 `json:"restarts"`
 }
 
-// View is a point-in-time merged view of the fleet: per-shard health plus
-// the merged per-policy accumulators over the live shards. Merging walks
-// shards in sorted-name order — a pure function of the snapshot set, so the
+// View is one read of the fleet, from one walk of the shard set in
+// sorted-name order: the live shards' snapshots merged into one
+// StateSnapshot (counters, eval panics and policy accumulators; clip and
+// floor from the first live shard, since shards share settings), every
+// shard's health row, and the fleet freshness. Each shard's watermark
+// report is read under the same lock as its snapshot — the pair one pull
+// installed, report fetched first — so the watermark never runs ahead of
+// the merged rows. The merge is a pure function of the snapshot set: the
 // served estimates never depend on pull arrival order.
 type View struct {
+	harvestd.StateSnapshot
 	Shards      []ShardStatus
-	Merged      map[string]ope.Accum
-	Counters    harvestd.SnapshotCounters
+	Freshness   FleetFreshness
 	LiveShards  int
 	TotalShards int
-	EvalPanics  int64
-	Clip        float64 // from the first live shard (shards share settings)
-	Floor       float64
 }
 
-// View merges the current snapshot set.
-func (a *Aggregator) View() View {
+// View reads the fleet, merging every policy.
+func (a *Aggregator) View() View { return a.view(nil) }
+
+// view is the aggregator's one read of its state: View, merging only the
+// named policies, or every policy when names is nil.
+func (a *Aggregator) view(names []string) View {
 	now := a.cfg.Clock.Now()
 	v := View{
-		Merged:      make(map[string]ope.Accum),
+		StateSnapshot: harvestd.StateSnapshot{Policies: make(map[string]ope.Accum, len(names))},
+		Shards:        make([]ShardStatus, 0, len(a.shards)),
+		Freshness: FleetFreshness{
+			Version:             harvestd.FreshnessVersion,
+			TimeUnixMilli:       now.UnixMilli(),
+			WatermarkSeq:        -1,
+			WatermarkAgeSeconds: -1,
+			TotalShards:         len(a.shards),
+			Shards:              make([]ShardFreshness, 0, len(a.shards)),
+		},
 		TotalShards: len(a.shards),
 	}
 	for _, st := range a.shards {
 		st.mu.Lock()
-		snap := st.snap
-		lastSuccess := st.lastSuccess
+		snap, lastSuccess := st.snap, st.lastSuccess
+		rep, freshAt := st.fresh, st.freshAt
 		status := ShardStatus{
 			Name:                st.shard.Name,
 			URL:                 st.shard.URL,
@@ -381,11 +397,13 @@ func (a *Aggregator) View() View {
 		if !lastSuccess.IsZero() {
 			status.AgeSeconds = now.Sub(lastSuccess).Seconds()
 		}
-		fresh := a.live(now, snap, lastSuccess)
-		status.Live = fresh
-		status.Stale = snap != nil && !fresh
+		// Live: the shard has delivered a snapshot, and the last successful
+		// pull is inside the staleness window.
+		status.Live = snap != nil && (a.cfg.StaleAfter <= 0 || now.Sub(lastSuccess) <= a.cfg.StaleAfter)
+		status.Stale = snap != nil && !status.Live
 		v.Shards = append(v.Shards, status)
-		if !fresh {
+		v.Freshness.add(st.shard.Name, status.Live, rep, now.Sub(freshAt))
+		if !status.Live {
 			continue
 		}
 		if v.LiveShards == 0 {
@@ -394,54 +412,26 @@ func (a *Aggregator) View() View {
 		v.LiveShards++
 		v.Counters.Add(snap.Counters)
 		v.EvalPanics += snap.EvalPanics
-		for name, acc := range snap.Policies {
-			merged := v.Merged[name]
-			merged.Merge(&acc)
-			v.Merged[name] = merged
+		if names == nil {
+			for name, acc := range snap.Policies {
+				v.merge(name, &acc)
+			}
+			continue
+		}
+		for i, name := range names {
+			if acc, ok := snap.Policies[name]; ok && !slices.Contains(names[:i], name) {
+				v.merge(name, &acc)
+			}
 		}
 	}
 	return v
 }
 
-// live reports whether a shard's state belongs in the merged view: it has
-// delivered a snapshot, and the last successful pull is inside the
-// staleness window.
-func (a *Aggregator) live(now time.Time, snap *harvestd.StateSnapshot, lastSuccess time.Time) bool {
-	return snap != nil && (a.cfg.StaleAfter <= 0 || now.Sub(lastSuccess) <= a.cfg.StaleAfter)
-}
-
-// policyNames returns the merged view's policy names, sorted.
-func (v *View) policyNames() []string {
-	names := make([]string, 0, len(v.Merged))
-	for name := range v.Merged {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Estimates reports the fleet-wide per-policy estimates at confidence
-// 1−delta, in the same shape (and, for identical merged state, the same
-// bytes) as a single harvestd's /estimates.
-func (v *View) Estimates(delta float64) []ope.PolicyEstimate {
-	names := v.policyNames()
-	out := make([]ope.PolicyEstimate, len(names))
-	for i, name := range names {
-		acc := v.Merged[name]
-		out[i] = acc.Estimate(name, delta)
-	}
-	return out
-}
-
-// Diagnostics reports the fleet-wide estimator-health view per policy.
-func (v *View) Diagnostics() []ope.PolicyDiagnostics {
-	names := v.policyNames()
-	out := make([]ope.PolicyDiagnostics, len(names))
-	for i, name := range names {
-		acc := v.Merged[name]
-		out[i] = acc.Diagnostics(name)
-	}
-	return out
+// merge folds one shard's accumulator into the view's named policy.
+func (v *View) merge(name string, acc *ope.Accum) {
+	merged := v.Policies[name]
+	merged.Merge(acc)
+	v.Policies[name] = merged
 }
 
 // Estimates is the aggregator-level convenience over the current view.

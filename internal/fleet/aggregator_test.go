@@ -171,7 +171,7 @@ func TestAggregatorPullAndMergedView(t *testing.T) {
 		a2 := testSnap("shard-b", 1, 20, 300).Policies[pol]
 		want.Merge(&a1)
 		want.Merge(&a2)
-		got := v.Merged[pol]
+		got := v.Policies[pol]
 		if got != want {
 			t.Fatalf("policy %s merged view diverged:\n got  %+v\n want %+v", pol, got, want)
 		}
@@ -357,8 +357,8 @@ func TestAggregatorCheckpointResume(t *testing.T) {
 		t.Fatalf("loadCheckpoint = %d, %v", n, err)
 	}
 	got := b.View()
-	if got.LiveShards != 1 || got.Merged["uniform"] != want.Merged["uniform"] {
-		t.Fatalf("resumed view diverged: %+v vs %+v", got.Merged, want.Merged)
+	if got.LiveShards != 1 || got.Policies["uniform"] != want.Policies["uniform"] {
+		t.Fatalf("resumed view diverged: %+v vs %+v", got.Policies, want.Policies)
 	}
 
 	// Staleness survives the restart: advance past the window and the

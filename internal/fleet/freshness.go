@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"repro/internal/daemon"
 	"repro/internal/harvestd"
-	"repro/internal/ope"
 )
 
 // ShardFreshness is one shard's row in the fleet freshness view: the
@@ -71,98 +71,57 @@ func fetchFreshness(ctx context.Context, client *http.Client, base string) (*har
 	return &rep, nil
 }
 
-// Freshness merges the current per-shard watermark reports into the fleet
-// view. Shards render in the canonical sorted-name order, so the payload
-// is a pure function of the report set.
-func (a *Aggregator) Freshness() FleetFreshness { return a.freshness(nil) }
+// Freshness is the fleet freshness of the current View. Shards render in
+// the canonical sorted-name order, so the payload is a pure function of
+// the report set.
+func (a *Aggregator) Freshness() FleetFreshness { return a.View().Freshness }
 
-// freshness is Freshness with a hook: visit (when non-nil) sees each live
-// shard's snapshot, read under the same lock as the shard's report — the
-// pair one pull installed, report fetched first — in the canonical merge
-// order. /evidence merges its policies there, so its rows and its
-// watermark are one cut of the shard set.
-func (a *Aggregator) freshness(visit func(*harvestd.StateSnapshot)) FleetFreshness {
-	now := a.cfg.Clock.Now()
-	out := FleetFreshness{
-		Version:             harvestd.FreshnessVersion,
-		TimeUnixMilli:       now.UnixMilli(),
+// add appends one shard's row, from its last watermark report (nil: none
+// yet) pulled reportAge ago, and folds a live shard's row into the fleet
+// watermark.
+func (f *FleetFreshness) add(name string, live bool, rep *harvestd.FreshnessReport, reportAge time.Duration) {
+	row := ShardFreshness{
+		Name:                name,
+		Live:                live,
 		WatermarkSeq:        -1,
 		WatermarkAgeSeconds: -1,
-		TotalShards:         len(a.shards),
-		Shards:              make([]ShardFreshness, 0, len(a.shards)),
+		ReportAgeSeconds:    -1,
 	}
-	for _, st := range a.shards {
-		st.mu.Lock()
-		rep := st.fresh
-		freshAt := st.freshAt
-		lastSuccess := st.lastSuccess
-		snap := st.snap
-		st.mu.Unlock()
-		row := ShardFreshness{
-			Name:                st.shard.Name,
-			WatermarkSeq:        -1,
-			WatermarkAgeSeconds: -1,
-			ReportAgeSeconds:    -1,
+	if rep != nil {
+		row.WatermarkSeq = rep.WatermarkSeq
+		row.Behind = rep.Behind
+		row.QueueDepth = rep.QueueDepth
+		row.ReportAgeSeconds = reportAge.Seconds()
+		if rep.WatermarkAgeSeconds >= 0 {
+			row.WatermarkAgeSeconds = rep.WatermarkAgeSeconds + row.ReportAgeSeconds
 		}
-		row.Live = a.live(now, snap, lastSuccess)
+	}
+	if live {
+		f.LiveShards++
 		if rep != nil {
-			row.WatermarkSeq = rep.WatermarkSeq
-			row.Behind = rep.Behind
-			row.QueueDepth = rep.QueueDepth
-			row.ReportAgeSeconds = now.Sub(freshAt).Seconds()
-			if rep.WatermarkAgeSeconds >= 0 {
-				row.WatermarkAgeSeconds = rep.WatermarkAgeSeconds + row.ReportAgeSeconds
+			if row.WatermarkSeq >= 0 && (f.WatermarkSeq < 0 || row.WatermarkSeq < f.WatermarkSeq) {
+				f.WatermarkSeq = row.WatermarkSeq
 			}
+			if row.WatermarkAgeSeconds > f.WatermarkAgeSeconds {
+				f.WatermarkAgeSeconds = row.WatermarkAgeSeconds
+			}
+			f.Behind += row.Behind
 		}
-		if row.Live {
-			out.LiveShards++
-			if rep != nil {
-				if row.WatermarkSeq >= 0 &&
-					(out.WatermarkSeq < 0 || row.WatermarkSeq < out.WatermarkSeq) {
-					out.WatermarkSeq = row.WatermarkSeq
-				}
-				if row.WatermarkAgeSeconds > out.WatermarkAgeSeconds {
-					out.WatermarkAgeSeconds = row.WatermarkAgeSeconds
-				}
-				out.Behind += row.Behind
-			}
-			if visit != nil {
-				visit(snap)
-			}
-		}
-		out.Shards = append(out.Shards, row)
 	}
-	return out
+	f.Shards = append(f.Shards, row)
 }
 
 // Evidence assembles the /evidence payload — the named policies' estimate
 // and diagnostics rows merged over the live shards, the fleet watermark and
-// a stamp — from one walk of the shard set. unknown names the first policy
-// no live shard carries.
+// a stamp — from one view of the named policies. unknown names the first
+// policy no live shard carries.
 func (a *Aggregator) Evidence(names []string, delta float64) (ev harvestd.Evidence, unknown string) {
-	accs := make([]ope.Accum, len(names))
-	found := make([]bool, len(names))
-	var folded int64
-	ff := a.freshness(func(snap *harvestd.StateSnapshot) {
-		folded += snap.Counters.Folded
-		for i, name := range names {
-			if acc, ok := snap.Policies[name]; ok {
-				accs[i].Merge(&acc)
-				found[i] = true
-			}
-		}
-	})
-	rows := make([]harvestd.PolicyEvidence, len(names))
-	for i, name := range names {
-		if !found[i] {
-			return harvestd.Evidence{}, name
-		}
-		rows[i] = harvestd.EvidenceOf(&accs[i], name, delta)
+	v := a.view(names)
+	ev, unknown = v.StateSnapshot.Evidence(names, delta)
+	if unknown == "" {
+		ff := &v.Freshness
+		ev.Watermark = &harvestd.Watermark{Seq: ff.WatermarkSeq, AgeSeconds: ff.WatermarkAgeSeconds, Behind: ff.Behind}
+		ev.Stamp.LiveShards, ev.Stamp.TotalShards = v.LiveShards, v.TotalShards
 	}
-	return harvestd.Evidence{
-		Version:   harvestd.EvidenceVersion,
-		Watermark: &harvestd.Watermark{Seq: ff.WatermarkSeq, AgeSeconds: ff.WatermarkAgeSeconds, Behind: ff.Behind},
-		Stamp:     harvestd.EvidenceStamp{Folded: folded, LiveShards: ff.LiveShards, TotalShards: ff.TotalShards},
-		Policies:  rows,
-	}, ""
+	return ev, unknown
 }

@@ -3,8 +3,11 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -119,5 +122,109 @@ func TestFleetFreshnessMerge(t *testing.T) {
 	_ = resp.Body.Close()
 	if got.WatermarkSeq != 40 || got.LiveShards != 3 {
 		t.Errorf("HTTP freshness = %+v", got)
+	}
+}
+
+// TestMetricsScrapeMatchesFreshnessAndShards: one /metrics scrape reads
+// the same View as /freshness and /shards, so under a fixed clock the
+// fleet watermark gauges and the per-shard liveness and staleness gauges
+// equal those payloads — across a live, a stale and a never-pulled shard.
+func TestMetricsScrapeMatchesFreshnessAndShards(t *testing.T) {
+	rep := func(wm int64, behind int64) *harvestd.FreshnessReport {
+		return &harvestd.FreshnessReport{Version: harvestd.FreshnessVersion, WatermarkSeq: wm, WatermarkAgeSeconds: 0.5, Behind: behind}
+	}
+	sa := freshSnapServer(t, testSnap("shard-a", 3, 10, 200), rep(90, 4))
+	sb := freshSnapServer(t, testSnap("shard-b", 5, 20, 300), rep(40, 7))
+	sc := newSnapServer(t, testSnap("shard-c", 1, 30, 100))
+	sc.fail(http.StatusInternalServerError)
+	clk := &obs.FixedClock{T: time.Unix(1700000000, 0)}
+	a, err := New(Config{
+		Shards: []Shard{
+			{Name: "shard-a", URL: sa.URL},
+			{Name: "shard-b", URL: sb.URL},
+			{Name: "shard-c", URL: sc.srv.URL},
+		},
+		StaleAfter: 10 * time.Second,
+		Clock:      clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = a.PullAll(context.Background()) // shard-c fails
+	clk.Advance(20 * time.Second)       // shard-b goes stale
+	if err := a.pullShard(context.Background(), a.shards[0]); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(3 * time.Second)
+
+	srv := httptest.NewServer(a.handler())
+	t.Cleanup(srv.Close)
+	read := func(path string, v any) []byte {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != nil {
+			if err := json.Unmarshal(body, v); err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+		}
+		return body
+	}
+	series := map[string]float64{}
+	for _, line := range strings.Split(string(read("/metrics", nil)), "\n") {
+		if i := strings.LastIndexByte(line, ' '); i > 0 && !strings.HasPrefix(line, "#") {
+			v, err := strconv.ParseFloat(line[i+1:], 64)
+			if err != nil {
+				t.Fatalf("metrics line %q: %v", line, err)
+			}
+			series[line[:i]] = v
+		}
+	}
+	var ff FleetFreshness
+	read("/freshness", &ff)
+	var shards []ShardStatus
+	read("/shards", &shards)
+
+	gauge := func(key string) float64 {
+		t.Helper()
+		v, ok := series[key]
+		if !ok {
+			t.Fatalf("scrape has no %s", key)
+		}
+		return v
+	}
+	if ff.LiveShards != 1 || ff.WatermarkSeq != 90 || ff.Behind != 4 {
+		t.Fatalf("freshness = %+v, want shard-a alone live", ff)
+	}
+	if got := gauge("harvestagg_watermark_seq"); got != float64(ff.WatermarkSeq) {
+		t.Errorf("harvestagg_watermark_seq = %v, /freshness %d", got, ff.WatermarkSeq)
+	}
+	if got := gauge("harvestagg_freshness_behind"); got != float64(ff.Behind) {
+		t.Errorf("harvestagg_freshness_behind = %v, /freshness %d", got, ff.Behind)
+	}
+	if len(shards) != 3 {
+		t.Fatalf("/shards has %d rows, want 3", len(shards))
+	}
+	for _, st := range shards {
+		up := 0.0
+		if st.Live {
+			up = 1
+		}
+		if got := gauge(`harvestagg_shard_up{shard="` + st.Name + `"}`); got != up {
+			t.Errorf("%s: harvestagg_shard_up = %v, /shards live %v", st.Name, got, st.Live)
+		}
+		if got := gauge(`harvestagg_shard_staleness_seconds{shard="` + st.Name + `"}`); got != st.AgeSeconds {
+			t.Errorf("%s: harvestagg_shard_staleness_seconds = %v, /shards age %v", st.Name, got, st.AgeSeconds)
+		}
+	}
+	if !shards[0].Live || !shards[1].Stale || shards[2].AgeSeconds != -1 {
+		t.Errorf("shard rows = %+v, want live, stale, never pulled", shards)
 	}
 }

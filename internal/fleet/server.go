@@ -55,22 +55,7 @@ func (a *Aggregator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *Aggregator) handleEstimates(w http.ResponseWriter, r *http.Request) {
-	delta, err := harvestd.ParseDelta(r, a.cfg.Delta)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	view := a.View()
-	if name := r.URL.Query().Get("policy"); name != "" {
-		acc, ok := view.Merged[name]
-		if !ok {
-			http.Error(w, fmt.Sprintf("unknown policy %q", name), http.StatusNotFound)
-			return
-		}
-		daemon.WriteJSON(w, acc.Estimate(name, delta))
-		return
-	}
-	daemon.WriteJSON(w, view.Estimates(delta))
+	harvestd.ServeEstimates(w, r, a.cfg.Delta, func() harvestd.StateSnapshot { return a.View().StateSnapshot })
 }
 
 func (a *Aggregator) handleEvidence(w http.ResponseWriter, r *http.Request) {
@@ -124,6 +109,6 @@ func (a *Aggregator) handleShards(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *Aggregator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	a.updatePolicyMetrics()
+	a.updateMetrics()
 	a.obsReg.Handler().ServeHTTP(w, r)
 }

@@ -128,6 +128,33 @@ func BenchmarkRegistryEstimates(b *testing.B) {
 	run("wide32", newWideRegistry(b, 1), wideDatapoints(1024, 1))
 }
 
+// BenchmarkDaemonEvidence is the shard-side twin of fleet's
+// BenchmarkAggregatorEvidence: one op is what one rolloutd step costs
+// harvestd (two policies' evidence from one snapshot, watermark first),
+// with 3 and with 32 policies registered. The cost must follow the two
+// arms read, not the policies registered.
+func BenchmarkDaemonEvidence(b *testing.B) {
+	run := func(name string, reg *Registry, ds []core.Datapoint) {
+		reg.FoldBatch(0, ds)
+		d, err := New(Config{Workers: 1}, reg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		all := reg.Names()
+		names := []string{all[1], all[0]}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, unknown := d.Evidence(names, 0.05); unknown != "" {
+					b.Fatalf("policy %q unknown", unknown)
+				}
+			}
+		})
+	}
+	run("k3", benchRegistry(b), benchDatapoints(1024))
+	run("wide32", newWideRegistry(b, 1), wideDatapoints(1024, 1))
+}
+
 // constantAction is a minimal deterministic policy for benchmarks.
 type constantAction core.Action
 

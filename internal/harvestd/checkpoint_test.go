@@ -3,6 +3,7 @@ package harvestd
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/ope"
 )
@@ -131,6 +133,75 @@ func TestCheckpointResumeThenContinueIngesting(t *testing.T) {
 	}
 }
 
+// TestCheckpointIsSnapshot: the checkpoint is the daemon's snapshot. A
+// daemon restarted from it, with nothing ingested since, serves the same
+// StateSnapshot field for field (Seq aside, which restarts count from 0) —
+// eval panics included — and the file's snapshot object is one the
+// federation wire accepts.
+func TestCheckpointIsSnapshot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.json")
+	newReg := func() *Registry {
+		reg := newTestRegistry(t, 2)
+		if err := reg.Register("panics", core.PolicyFunc(func(*core.Context) core.Action {
+			panic("policy cannot read this context")
+		})); err != nil {
+			t.Fatal(err)
+		}
+		return reg
+	}
+	reg := newReg()
+	d, err := New(Config{Workers: 2, CheckpointPath: path}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, dp := range testDataset(40, 65) {
+		if err := d.Ingest(dp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 10*time.Second, "folds", func() bool { return d.ctr.folded.Load() == 40 })
+	if err := d.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if reg.EvalPanics() != 40 {
+		t.Fatalf("eval panics = %d, want 40", reg.EvalPanics())
+	}
+
+	d2, err := New(Config{Workers: 2, CheckpointPath: path}, newReg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Shutdown(context.Background())
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ck struct {
+		Snapshot json.RawMessage `json:"snapshot"`
+	}
+	if err := json.Unmarshal(blob, &ck); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := DecodeSnapshot(bytes.NewReader(ck.Snapshot))
+	if err != nil {
+		t.Fatalf("checkpoint snapshot refused by the wire decoder: %v", err)
+	}
+	got := d2.StateSnapshot()
+	got.Seq = saved.Seq
+	if !reflect.DeepEqual(got, *saved) {
+		t.Errorf("restarted snapshot differs from the checkpoint:\n got %+v\nwant %+v", got, *saved)
+	}
+	if got.EvalPanics != 40 {
+		t.Errorf("eval panics after restart = %d, want 40", got.EvalPanics)
+	}
+}
+
 func TestCheckpointLoadErrors(t *testing.T) {
 	dir := t.TempDir()
 
@@ -170,7 +241,7 @@ func TestCheckpointLoadErrors(t *testing.T) {
 		"matches-gt-n": `{"n": 2, "matches": 3}`,
 	} {
 		path := filepath.Join(dir, name+".json")
-		body := `{"version": 1, "policies": {"leastloaded": ` + acc + `}}`
+		body := `{"version": 2, "snapshot": {"version": 1, "policies": {"leastloaded": ` + acc + `}}}`
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -184,6 +255,32 @@ func TestCheckpointLoadErrors(t *testing.T) {
 			}
 			t.Errorf("%s checkpoint: startup error = %v", name, err)
 		}
+	}
+
+	// A checkpoint folded under another clip would mix two caps into every
+	// clipped estimate: refused, naming both values.
+	clipped := filepath.Join(dir, "clip10.json")
+	ck, err := New(Config{Workers: 1, CheckpointPath: clipped}, newTestRegistry(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	clip5, err := NewRegistry(1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d5, err := New(Config{Workers: 1, CheckpointPath: clipped}, clip5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d5.Start(context.Background()); err == nil || !strings.Contains(err.Error(), "clip 10") ||
+		!strings.Contains(err.Error(), "clip 5") {
+		if err == nil {
+			d5.Shutdown(context.Background())
+		}
+		t.Errorf("clip mismatch: startup error = %v", err)
 	}
 
 	// Missing file is a cold start, not an error.

@@ -49,11 +49,6 @@ type PolicyEvidence struct {
 	Diagnostics ope.PolicyDiagnostics `json:"diagnostics"`
 }
 
-// EvidenceOf derives both rows of a policy from its accumulator.
-func EvidenceOf(a *ope.Accum, name string, delta float64) PolicyEvidence {
-	return PolicyEvidence{Estimate: a.Estimate(name, delta), Diagnostics: a.Diagnostics(name)}
-}
-
 // Evidence is the GET /evidence?policy=a,b payload on harvestd and
 // harvestagg: everything one gate step reads, from one read of the
 // registry (or of the shard set). The watermark and the stamp are read
@@ -68,44 +63,39 @@ type Evidence struct {
 	Policies  []PolicyEvidence `json:"policies"`
 }
 
-// Evidence reads the named policies' rows, in argument order. A name that
-// is not registered comes back as unknown, with no rows.
-func (g *Registry) Evidence(names []string, delta float64) (rows []PolicyEvidence, unknown string) {
-	entries := make([]*regEntry, len(names))
-	g.mu.RLock()
+// Evidence reads the named policies' rows, in argument order, stamped with
+// the snapshot's fold count; unknown names the first policy the snapshot
+// does not carry. The caller adds the watermark it read before the
+// snapshot.
+func (s *StateSnapshot) Evidence(names []string, delta float64) (ev Evidence, unknown string) {
+	rows := make([]PolicyEvidence, len(names))
 	for i, name := range names {
-		entries[i] = g.entries[name]
-	}
-	g.mu.RUnlock()
-	rows = make([]PolicyEvidence, len(entries))
-	for i, e := range entries {
-		if e == nil {
-			return nil, names[i]
+		acc, ok := s.Policies[name]
+		if !ok {
+			return Evidence{}, name
 		}
-		acc := e.merged()
-		rows[i] = EvidenceOf(&acc, e.name, delta)
+		rows[i] = PolicyEvidence{Estimate: acc.Estimate(name, delta), Diagnostics: acc.Diagnostics(name)}
 	}
-	return rows, ""
+	return Evidence{
+		Version:  EvidenceVersion,
+		Stamp:    EvidenceStamp{Folded: s.Counters.Folded},
+		Policies: rows,
+	}, ""
 }
 
 // Evidence assembles the /evidence payload for the named policies at
 // confidence 1−delta; unknown names the first policy that is not
-// registered. The fold workers store a batch into the registry before they
-// move its source watermark and the fold counter, so reading those first
-// keeps the rows at or ahead of both.
+// registered. The watermark is read before snapshot(names): the fold
+// workers store a batch into the registry before they move its source
+// watermark and the fold counter, so the rows are at or ahead of both.
 func (d *Daemon) Evidence(names []string, delta float64) (ev Evidence, unknown string) {
 	fr := d.FreshnessNow()
-	folded := d.ctr.folded.Load()
-	rows, unknown := d.reg.Evidence(names, delta)
-	if unknown != "" {
-		return Evidence{}, unknown
+	snap := d.snapshot(names)
+	ev, unknown = snap.Evidence(names, delta)
+	if unknown == "" {
+		ev.Watermark = &Watermark{Seq: fr.WatermarkSeq, AgeSeconds: fr.WatermarkAgeSeconds, Behind: fr.Behind}
 	}
-	return Evidence{
-		Version:   EvidenceVersion,
-		Watermark: &Watermark{Seq: fr.WatermarkSeq, AgeSeconds: fr.WatermarkAgeSeconds, Behind: fr.Behind},
-		Stamp:     EvidenceStamp{Folded: folded},
-		Policies:  rows,
-	}, ""
+	return ev, unknown
 }
 
 // ParseDelta reads the optional ?delta= override shared by the estimate
@@ -146,4 +136,28 @@ func ServeEvidence(w http.ResponseWriter, r *http.Request, defDelta float64,
 		return
 	}
 	daemon.WriteJSON(w, ev)
+}
+
+// ServeEstimates is the GET /estimates handler body shared by harvestd and
+// harvestagg: every policy's estimate from one read, sorted by name, or
+// with ?policy=name that policy's alone (404 when read does not carry it);
+// a bad ?delta= is a 400.
+func ServeEstimates(w http.ResponseWriter, r *http.Request, defDelta float64, read func() StateSnapshot) {
+	delta, err := ParseDelta(r, defDelta)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	snap := read()
+	name := r.URL.Query().Get("policy")
+	if name == "" {
+		daemon.WriteJSON(w, snap.Estimates(delta))
+		return
+	}
+	acc, ok := snap.Policies[name]
+	if !ok {
+		http.Error(w, fmt.Sprintf("unknown policy %q", name), http.StatusNotFound)
+		return
+	}
+	daemon.WriteJSON(w, acc.Estimate(name, delta))
 }

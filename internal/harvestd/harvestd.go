@@ -11,14 +11,15 @@
 // push-fed daemon (POST /ingest, Ingest) thereby resumes exactly where it
 // left off; a file source does not yet — the checkpoint holds no source
 // position, openSource reopens at byte 0, and the log is folded again on
-// top of the restored state (ROADMAP item 2).
+// top of the restored state (ROADMAP item 1).
 //
 // Data flow:
 //
 //	sources ──emit──▶ bounded queue ──▶ workers ──decode, fold──▶ policy shards
 //	                                                                  │merge
-//	HTTP /estimates /metrics ◀── read path ◀──────────────────────────┘
-//	checkpoint (timer + shutdown) ◀── exportState
+//	snapshot(names): counters, then each named policy's Accum ◀───────┘
+//	  ├──▶ HTTP /snapshot /estimates /evidence /diagnostics /metrics
+//	  └──▶ checkpoint (timer + shutdown): {version 2, saved_at, snapshot}
 //
 // The queue carries batches and the fold keeps them whole. The two bulk
 // formats travel raw — decode where you fold: a binrec source reads, frames

@@ -227,7 +227,7 @@ func TestWorkerFoldsExactlyTheValidRecords(t *testing.T) {
 		}
 	}
 	want := foldAll(t, valid, lbsim.LeastLoaded{}, 10)
-	if got := reg.exportState()["leastloaded"]; got != *want {
+	if got := reg.exportState(nil)["leastloaded"]; got != *want {
 		t.Errorf("leastloaded state\n got %+v\nwant %+v", got, *want)
 	}
 	for _, pe := range reg.Estimates(0.05) {

@@ -18,6 +18,9 @@ const (
 	helpPolicyMaxWeight  = "largest single importance weight folded"
 	helpPolicyClipFrac   = "fraction of datapoints whose weight hit the clip cap"
 	helpPolicyFloorFrac  = "fraction of datapoints logged below the propensity floor"
+	helpWatermarkSeq     = "min across sources of the max folded record sequence (-1 before any sequenced fold)"
+	helpWatermarkAge     = "seconds since the estimators last absorbed a batch (-1 never)"
+	helpFreshnessBehind  = "records enqueued but not yet folded, across sources"
 )
 
 // initMetrics builds the daemon's obs registry. The ingestion hot path
@@ -56,27 +59,25 @@ func (d *Daemon) initMetrics() {
 	r.GaugeFunc("harvestd_sources", "configured log sources", func() float64 {
 		return float64(len(d.sources))
 	})
-	r.GaugeFunc("harvestd_watermark_seq", "min across sources of the max folded record sequence (-1 before any sequenced fold)", func() float64 {
-		return float64(d.FreshnessNow().WatermarkSeq)
-	})
-	r.GaugeFunc("harvestd_watermark_age_seconds", "seconds since the estimators last absorbed a batch (-1 never)", func() float64 {
-		return d.FreshnessNow().WatermarkAgeSeconds
-	})
-	r.GaugeFunc("harvestd_freshness_behind", "records enqueued but not yet folded, across sources", func() float64 {
-		return float64(d.FreshnessNow().Behind)
-	})
 	obs.RegisterGoRuntime(r)
 	d.obsReg = r
 }
 
-// updatePolicyMetrics refreshes the per-policy gauge series from the
-// estimator shards. Called at scrape time: policy series appear on the
-// first scrape after registration and track the merged state from then on.
-func (d *Daemon) updatePolicyMetrics() {
-	ests := d.reg.Estimates(d.cfg.Delta)
-	diags := d.reg.Diagnostics()
+// updateMetrics refreshes, at scrape time, the series read from the
+// daemon's state rather than from one atomic: the three watermark gauges
+// from one FreshnessNow, and the per-policy gauges from one snapshot.
+// Policy series appear on the first scrape after registration and track
+// the merged state from then on.
+func (d *Daemon) updateMetrics() {
+	r := d.obsReg
+	fr := d.FreshnessNow()
+	r.Gauge("harvestd_watermark_seq", helpWatermarkSeq).Set(float64(fr.WatermarkSeq))
+	r.Gauge("harvestd_watermark_age_seconds", helpWatermarkAge).Set(fr.WatermarkAgeSeconds)
+	r.Gauge("harvestd_freshness_behind", helpFreshnessBehind).Set(float64(fr.Behind))
+	snap := d.snapshot(nil)
+	ests := snap.Estimates(d.cfg.Delta)
+	diags := snap.Diagnostics()
 	for i, pe := range ests {
-		r := d.obsReg
 		r.Gauge("harvestd_policy_n", helpPolicyN, "policy", pe.Policy).Set(float64(pe.N))
 		r.Gauge("harvestd_policy_match_rate", helpPolicyMatchRate, "policy", pe.Policy).Set(pe.MatchRate)
 		for _, est := range []struct {

@@ -217,18 +217,6 @@ func (g *Registry) Estimates(delta float64) []ope.PolicyEstimate {
 	return out
 }
 
-// Diagnostics reports every policy's estimator-health view, sorted by
-// name — the /diagnostics read path.
-func (g *Registry) Diagnostics() []ope.PolicyDiagnostics {
-	entries := g.sortedEntries()
-	out := make([]ope.PolicyDiagnostics, len(entries))
-	for i, e := range entries {
-		acc := e.merged()
-		out[i] = acc.Diagnostics(e.name)
-	}
-	return out
-}
-
 // TotalN returns the datapoint count folded into the first policy (every
 // policy sees the same stream, so any entry serves); 0 with no policies.
 func (g *Registry) TotalN() int64 {
@@ -240,10 +228,20 @@ func (g *Registry) TotalN() int64 {
 	return acc.N
 }
 
-// exportState snapshots the merged accumulator of every policy, for
-// checkpointing.
-func (g *Registry) exportState() map[string]ope.Accum {
-	entries := g.sortedEntries()
+// exportState returns the merged accumulator of each named policy, or of
+// every policy when names is nil; a name not registered is left out.
+func (g *Registry) exportState(names []string) map[string]ope.Accum {
+	g.mu.RLock()
+	entries := g.sorted
+	if names != nil {
+		entries = make([]*regEntry, 0, len(names))
+		for _, name := range names {
+			if e, ok := g.entries[name]; ok {
+				entries = append(entries, e)
+			}
+		}
+	}
+	g.mu.RUnlock()
 	out := make(map[string]ope.Accum, len(entries))
 	for _, e := range entries {
 		out[e.name] = e.merged()

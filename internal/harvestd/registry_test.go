@@ -96,7 +96,7 @@ func newWideRegistry(tb testing.TB, workers int) *Registry {
 // accumulator for every policy.
 func requireState(t *testing.T, what string, got *Registry, want map[string]ope.Accum) {
 	t.Helper()
-	g := got.exportState()
+	g := got.exportState(nil)
 	if len(g) != len(want) {
 		t.Fatalf("%s: %d policies, want %d", what, len(g), len(want))
 	}
@@ -239,7 +239,7 @@ func TestFoldBatchSkipsExactlyThePanickingPair(t *testing.T) {
 						ds[i].Propensity, ds[i].Reward, reg.Clip(), reg.PropensityFloor())
 				}
 			}
-			if got := reg.exportState()["m-panics"]; got != want {
+			if got := reg.exportState(nil)["m-panics"]; got != want {
 				t.Errorf("panicking policy state\n got %+v\nwant %+v", got, want)
 			}
 		})
@@ -281,8 +281,8 @@ func TestFoldBatchConcurrentWithReadersAndRegister(t *testing.T) {
 			default:
 			}
 			_ = reg.Estimates(0.05)
-			_ = reg.Diagnostics()
-			if snap := d.StateSnapshot(); len(snap.Policies) < 32 {
+			snap := d.StateSnapshot()
+			if _ = snap.Diagnostics(); len(snap.Policies) < 32 {
 				t.Errorf("snapshot lost policies: %d", len(snap.Policies))
 				return
 			}

@@ -19,7 +19,7 @@ import (
 //	GET  /estimates  per-policy IPS/clipped/SNIPS estimates with intervals
 //	                 (?policy=name filters, ?delta=0.01 overrides confidence)
 //	GET  /evidence   ?policy=a,b[&delta=]: what one gate step reads, from
-//	                 one read of the registry — the named policies' estimate
+//	                 one snapshot of the named policies — their estimate
 //	                 and diagnostics rows (both from the same merged Accum),
 //	                 the fold watermark and a folded-count stamp, watermark
 //	                 read before the accumulators (see Evidence); 400 without
@@ -87,21 +87,7 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (d *Daemon) handleEstimates(w http.ResponseWriter, r *http.Request) {
 	sp := d.cfg.Tracer.Start("estimate", d.root, nil)
 	defer sp.End()
-	delta, err := ParseDelta(r, d.cfg.Delta)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if name := r.URL.Query().Get("policy"); name != "" {
-		pe, ok := d.reg.Estimate(name, delta)
-		if !ok {
-			http.Error(w, fmt.Sprintf("unknown policy %q", name), http.StatusNotFound)
-			return
-		}
-		daemon.WriteJSON(w, pe)
-		return
-	}
-	daemon.WriteJSON(w, d.reg.Estimates(delta))
+	ServeEstimates(w, r, d.cfg.Delta, func() StateSnapshot { return d.snapshot(nil) })
 }
 
 func (d *Daemon) handleEvidence(w http.ResponseWriter, r *http.Request) {
@@ -196,13 +182,13 @@ func (d *Daemon) ingestJSONLLine(line []byte) error {
 
 // handleMetrics serves the obs registry as Prometheus text. Static series
 // (counters, queue gauges, Go runtime) are registered once in initMetrics
-// and read through scrape-time functions; the per-policy estimator series
-// are refreshed here from the merged shards. The registry renders families
+// and read through scrape-time functions; the watermark and per-policy
+// series are refreshed here (updateMetrics). The registry renders families
 // and series in sorted order, so two scrapes of the same state are
 // byte-identical — the fix for the map-iteration nondeterminism the
 // hand-rolled renderer had.
 func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	d.updatePolicyMetrics()
+	d.updateMetrics()
 	d.obsReg.Handler().ServeHTTP(w, r)
 }
 
@@ -227,15 +213,16 @@ type DiagnosticsReport struct {
 func (d *Daemon) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 	sp := d.cfg.Tracer.Start("diagnostics", d.root, nil)
 	defer sp.End()
+	snap := d.snapshot(nil)
 	daemon.WriteJSON(w, DiagnosticsReport{
 		UptimeSeconds:   d.cfg.Clock.Now().Sub(d.start).Seconds(),
-		Clip:            d.reg.Clip(),
-		PropensityFloor: d.reg.PropensityFloor(),
+		Clip:            snap.Clip,
+		PropensityFloor: snap.Floor,
 		Delta:           d.cfg.Delta,
 		QueueDepth:      len(d.queue),
 		QueueCapacity:   cap(d.queue),
 		Workers:         d.cfg.Workers,
-		EvalPanics:      d.reg.EvalPanics(),
-		Policies:        d.reg.Diagnostics(),
+		EvalPanics:      snap.EvalPanics,
+		Policies:        snap.Diagnostics(),
 	})
 }

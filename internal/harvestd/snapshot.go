@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 
 	"repro/internal/ope"
 )
@@ -54,17 +55,25 @@ type StateSnapshot struct {
 	Policies   map[string]ope.Accum `json:"policies"`
 }
 
-// StateSnapshot captures the daemon's current estimator state for the
-// federation wire. Callable at any time while the daemon runs; the counters
-// and per-policy accumulators are each internally consistent (per-shard
-// locks), though a concurrently folding datapoint may land between two
-// policies' reads — harmless, since every snapshot is superseded by the
-// next pull.
+// StateSnapshot is snapshot(nil) numbered for the federation wire: each
+// call takes the next Seq.
 func (d *Daemon) StateSnapshot() StateSnapshot {
-	return StateSnapshot{
+	s := d.snapshot(nil)
+	s.Seq = d.snapSeq.Add(1)
+	return s
+}
+
+// snapshot is the daemon's one read of its state, behind /snapshot,
+// /estimates, /evidence, /diagnostics, the per-policy /metrics and the
+// checkpoint: the counters, then the merged Accum of each named policy, or
+// of every policy when names is nil (a name not registered is left out).
+// The workers store a batch into the registry before they move the
+// counters, so the accumulators cover at least what the counters say;
+// two policies can still be one batch apart per worker.
+func (d *Daemon) snapshot(names []string) StateSnapshot {
+	s := StateSnapshot{
 		Version: SnapshotVersion,
 		ShardID: d.shardID(),
-		Seq:     d.snapSeq.Add(1),
 		Clip:    d.reg.Clip(),
 		Floor:   d.reg.PropensityFloor(),
 		Counters: SnapshotCounters{
@@ -75,8 +84,43 @@ func (d *Daemon) StateSnapshot() StateSnapshot {
 			Folded:      d.ctr.folded.Load(),
 		},
 		EvalPanics: d.reg.EvalPanics(),
-		Policies:   d.reg.exportState(),
 	}
+	s.Policies = d.reg.exportState(names)
+	return s
+}
+
+// sortedNames returns the snapshot's policy names in order.
+func (s *StateSnapshot) sortedNames() []string {
+	names := make([]string, 0, len(s.Policies))
+	for name := range s.Policies {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// Estimates reads every policy's estimate at confidence 1−delta, sorted by
+// name: the /estimates rows of either tier.
+func (s *StateSnapshot) Estimates(delta float64) []ope.PolicyEstimate {
+	names := s.sortedNames()
+	out := make([]ope.PolicyEstimate, len(names))
+	for i, name := range names {
+		acc := s.Policies[name]
+		out[i] = acc.Estimate(name, delta)
+	}
+	return out
+}
+
+// Diagnostics reads every policy's estimator-health row, sorted by name:
+// the /diagnostics rows of either tier.
+func (s *StateSnapshot) Diagnostics() []ope.PolicyDiagnostics {
+	names := s.sortedNames()
+	out := make([]ope.PolicyDiagnostics, len(names))
+	for i, name := range names {
+		acc := s.Policies[name]
+		out[i] = acc.Diagnostics(name)
+	}
+	return out
 }
 
 // floats lists every float field of an Accum in a fixed order, for
@@ -91,14 +135,18 @@ func floats(a *ope.Accum) [16]float64 {
 	}
 }
 
-// validatePolicies checks the per-policy half of a snapshot or checkpoint:
-// every policy is named, its counts are consistent, and its accumulator is
-// finite. NaN or ±Inf cannot be encoded as JSON, and an aggregator must
-// never merge poisoned state; the guarded importance-weight path upstream
-// makes this unreachable in practice, and the check turns "impossible"
-// into "loud" at the fleet and restart boundaries.
-func validatePolicies(policies map[string]ope.Accum) error {
-	for name, acc := range policies {
+// Validate checks a snapshot's structural invariants — a supported
+// version, and every policy named, with consistent counts and a finite
+// accumulator — on the wire and at every checkpoint load. NaN or ±Inf
+// cannot be encoded as JSON, and an aggregator must never merge poisoned
+// state; the guarded importance-weight path upstream makes this
+// unreachable in practice, and the check turns "impossible" into "loud" at
+// the fleet and restart boundaries.
+func (s *StateSnapshot) Validate() error {
+	if s.Version != SnapshotVersion {
+		return fmt.Errorf("harvestd: snapshot version %d, want %d", s.Version, SnapshotVersion)
+	}
+	for name, acc := range s.Policies {
 		if name == "" {
 			return fmt.Errorf("harvestd: unnamed policy")
 		}
@@ -113,15 +161,6 @@ func validatePolicies(policies map[string]ope.Accum) error {
 		}
 	}
 	return nil
-}
-
-// Validate checks a snapshot's structural invariants: supported version and
-// finite, non-negative accumulator state.
-func (s *StateSnapshot) Validate() error {
-	if s.Version != SnapshotVersion {
-		return fmt.Errorf("harvestd: snapshot version %d, want %d", s.Version, SnapshotVersion)
-	}
-	return validatePolicies(s.Policies)
 }
 
 // EncodeSnapshot writes the snapshot's wire form: one JSON object with

@@ -151,7 +151,7 @@ func keyedObjects(pass *Pass, rs *ast.RangeStmt) map[types.Object]bool {
 
 // recordKeyedLocals extends the keyed set through simple derivations: a
 // local defined from an expression that mentions a keyed variable
-// (merged := v.Merged[name]) is itself per-key state. Only := counts —
+// (merged := v.Policies[name]) is itself per-key state. Only := counts —
 // a compound assignment like sum += v mixes per-key input into shared
 // state, which is exactly what must stay flaggable.
 func recordKeyedLocals(pass *Pass, as *ast.AssignStmt, keyed map[types.Object]bool) {

@@ -434,8 +434,13 @@ func TestOneFoldThreeWays(t *testing.T) {
 		for at, chunk := 0, 0; at < len(ds); at, chunk = at+97, chunk+1 {
 			reg.FoldBatch(chunk%workers, ds[at:min(at+97, len(ds))])
 		}
-		pe = reg.Estimates(delta)[0]
-		rows = append(rows, mustJSON(t, pe, reg.Diagnostics()[0]))
+		d, err := harvestd.New(harvestd.Config{Workers: workers}, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := d.StateSnapshot()
+		pe = snap.Estimates(delta)[0]
+		rows = append(rows, mustJSON(t, pe, snap.Diagnostics()[0]))
 	}
 	if string(rows[0]) != string(rows[1]) {
 		t.Fatalf("registry rows differ across worker counts:\n%s\n%s", rows[0], rows[1])
