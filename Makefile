@@ -58,7 +58,9 @@ race:
 # workers={1,2} is the two batch paths at 64 Ki records an op — 16 times
 # IngestNginx's and IngestBin's, whose ops are a sixth per-Run warm-up — and
 # what the second worker buys them; BinRecDecode/{k2,k8} pins 0
-# allocs/op at both context widths. ParseNginxLine/{compat,batch}/{k2,k8} is
+# allocs/op at both context widths, framing and CRC included, and
+# BinRecDecode/batch/{k2,k8,k2/tagged} is Batch.Decode alone over segments
+# read beforehand (tagged: four tags in turn, so the intern table is asked). ParseNginxLine/{compat,batch}/{k2,k8} is
 # one access-log line → one datapoint, on the one-off API and on the batch
 # path IngestNginx runs (0 allocs/op there); ParseNginxLine/batch/malformed
 # is that path on a log where every line fails. The read path is
@@ -132,9 +134,10 @@ trace-demo:
 	$(GO) run ./cmd/tracecat /tmp/harvest-fig3-trace.jsonl
 
 # Short fuzz pass over the wire-format parsers, FUZZTIME per target.
-# FuzzParseNginxLine, FuzzParseNumber and FuzzRelayHead are differential
-# (against the regexp parser, against strconv, and against net/http's
-# request reader), so CI runs this beyond the seeds.
+# FuzzParseNginxLine, FuzzParseNumber, FuzzBinRecDecode and FuzzRelayHead
+# are differential (against the regexp parser, against strconv, against the
+# previous binrec record decoder, and against net/http's request reader),
+# so CI runs this beyond the seeds.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -fuzz=FuzzReadValue -fuzztime=$(FUZZTIME) ./internal/resp/

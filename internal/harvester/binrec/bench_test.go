@@ -64,7 +64,10 @@ func BenchmarkBinRecEncode(b *testing.B) {
 
 // BenchmarkBinRecDecode is the zero-alloc batch decode path over a reused
 // Decoder and Batch, at the narrow (k2) and the wide-fold-read (k8) context
-// width. allocs/op must stay 0.
+// width. k2 and k8 read the stream — framing and CRC included — through
+// Decoder.Next; batch/* is Batch.Decode alone over segments read beforehand,
+// the layer harvestd's workers run. batch/k2/tagged cycles four tags, so
+// every record asks the intern table. allocs/op must stay 0.
 func BenchmarkBinRecDecode(b *testing.B) {
 	for _, k := range []int{2, 8} {
 		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
@@ -92,6 +95,41 @@ func BenchmarkBinRecDecode(b *testing.B) {
 			b.StopTimer()
 			if total != b.N*benchRecords {
 				b.Fatalf("decoded %d records, want %d", total, b.N*benchRecords)
+			}
+			b.ReportMetric(float64(benchRecords)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+		})
+	}
+	for _, c := range []struct {
+		name    string
+		k, tags int
+	}{{"k2", 2, 1}, {"k8", 8, 1}, {"k2/tagged", 2, 4}} {
+		b.Run("batch/"+c.name, func(b *testing.B) {
+			ds := benchDataset(benchRecords, c.k)
+			for i := range ds {
+				ds[i].Tag = fmt.Sprintf("trajectory-%d", i%c.tags)
+			}
+			var segs []*Segment
+			dec := NewDecoder(bytes.NewReader(encodeAll(b, ds, 0)))
+			for {
+				s := new(Segment)
+				err := dec.ReadSegment(s)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				segs = append(segs, s)
+			}
+			var batch Batch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, s := range segs {
+					if err := batch.Decode(s); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
 			b.ReportMetric(float64(benchRecords)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 		})

@@ -40,6 +40,7 @@ package binrec
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -205,6 +206,9 @@ type Batch struct {
 	tags  map[string]string // tag interning: one allocation per unique tag
 }
 
+// maxInternTags bounds a Batch's tag intern table (see internTag).
+const maxInternTags = 4096
+
 // Reset empties the batch, keeping its arena and tag intern table for reuse.
 func (b *Batch) Reset() {
 	b.Points = b.Points[:0]
@@ -334,20 +338,23 @@ func (b *Batch) Decode(s *Segment) error {
 	b.Reset()
 	// Size the batch from the header instead of by doubling: the payload
 	// cannot hold more records than payloadLen / minRecordBytes or more
-	// floats than payloadLen / 8, whatever count says.
+	// floats than payloadLen / 8, whatever count says. Records are decoded
+	// in place, so keep one slot spare: a record past that bound is the one
+	// that runs out of bytes, and it fails in that slot.
 	count, payloadLen := uint64(s.Records), uint64(len(s.payload))
-	if want := int(min(count, payloadLen/minRecordBytes)); want > cap(b.Points) {
-		b.Points = make([]core.Datapoint, 0, (want+63)&^63)
+	if want := int(min(count, payloadLen/minRecordBytes)); want >= cap(b.Points) {
+		b.Points = make([]core.Datapoint, 0, (want+64)&^63)
 	}
 	b.arena.Grow(int(payloadLen/8), 0)
-	rest := s.payload
+	pts, rest := b.Points[:cap(b.Points)], s.payload
 	for i := uint64(0); i < count; i++ {
 		var err error
-		rest, err = b.decodeRecord(rest, count-i)
-		if err != nil {
+		if rest, err = b.decodeRecord(&pts[i], rest, count-i); err != nil {
+			b.Points = pts[:i]
 			return fmt.Errorf("binrec: segment %d record %d (offset %d): %w", s.index, i, s.end, err)
 		}
 	}
+	b.Points = pts[:count]
 	if len(rest) != 0 {
 		return fmt.Errorf("binrec: segment %d (offset %d): %d trailing payload bytes after %d records", s.index, s.end, len(rest), count)
 	}
@@ -376,140 +383,162 @@ func (d *Decoder) readHeader() error {
 	return nil
 }
 
-// decodeRecord parses one length-prefixed record off the front of rest into
-// a new entry of b.Points, returning the remainder. left counts the records
-// the segment still claims, this one included.
-func (b *Batch) decodeRecord(rest []byte, left uint64) ([]byte, error) {
-	recLen, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return nil, fmt.Errorf("truncated record length prefix")
+// decodeRecord parses the length-prefixed record at the front of rest into
+// *d, writing every field, and returns the remainder. left counts the
+// records the segment still claims, this one included.
+//
+// It is one straight pass. Each varint's one-byte case is tested where it is
+// read (a helper around binary.Uvarint is over the inline budget), an error
+// is built only on the branch that fails, and the record's floats and row
+// headers are carved from the arena once each.
+func (b *Batch) decodeRecord(d *core.Datapoint, rest []byte, left uint64) ([]byte, error) {
+	var v uint64
+	var n int
+	if len(rest) > 0 && rest[0] < 0x80 {
+		v, n = uint64(rest[0]), 1
+	} else if v, n = binary.Uvarint(rest); n <= 0 {
+		return nil, errors.New("truncated record length prefix")
 	}
 	rest = rest[n:]
-	if recLen > uint64(len(rest)) {
-		return nil, fmt.Errorf("record length %d exceeds %d remaining payload bytes", recLen, len(rest))
+	if v > uint64(len(rest)) {
+		return nil, fmt.Errorf("record length %d exceeds %d remaining payload bytes", v, len(rest))
 	}
-	rec, rest := rest[:recLen], rest[recLen:]
+	rec, rest := rest[:v], rest[v:]
 
-	k, rec, err := takeUvarint(rec, "num_actions")
-	if err != nil {
-		return nil, err
+	if len(rec) > 0 && rec[0] < 0x80 {
+		v, n = uint64(rec[0]), 1
+	} else if v, n = binary.Uvarint(rec); n <= 0 {
+		return nil, errors.New("truncated num_actions")
 	}
-	a, rec, err := takeUvarint(rec, "action")
-	if err != nil {
-		return nil, err
+	d.Context.NumActions, rec = int(v), rec[n:]
+	if len(rec) > 0 && rec[0] < 0x80 {
+		v, n = uint64(rec[0]), 1
+	} else if v, n = binary.Uvarint(rec); n <= 0 {
+		return nil, errors.New("truncated action")
 	}
-	reward, rec, err := takeFixed64(rec, "reward")
-	if err != nil {
-		return nil, err
+	d.Action, rec = core.Action(v), rec[n:]
+	if len(rec) < 16 {
+		if len(rec) < 8 {
+			return nil, errors.New("truncated reward")
+		}
+		return nil, errors.New("truncated propensity")
 	}
-	prop, rec, err := takeFixed64(rec, "propensity")
-	if err != nil {
-		return nil, err
+	d.Reward = math.Float64frombits(binary.LittleEndian.Uint64(rec))
+	d.Propensity = math.Float64frombits(binary.LittleEndian.Uint64(rec[8:]))
+	rec = rec[16:]
+	if len(rec) > 0 && rec[0] < 0x80 {
+		v, n = uint64(rec[0]), 1
+	} else if v, n = binary.Uvarint(rec); n <= 0 {
+		return nil, errors.New("truncated seq")
 	}
-	seq, n := binary.Varint(rec)
-	if n <= 0 {
-		return nil, fmt.Errorf("truncated seq")
+	d.Seq, rec = int64(v>>1)^-int64(v&1), rec[n:] // zigzag, as binary.Varint
+	if len(rec) > 0 && rec[0] < 0x80 {
+		v, n = uint64(rec[0]), 1
+	} else if v, n = binary.Uvarint(rec); n <= 0 {
+		return nil, errors.New("truncated tag length")
 	}
 	rec = rec[n:]
-	tagLen, rec, err := takeUvarint(rec, "tag length")
-	if err != nil {
-		return nil, err
+	if v > uint64(len(rec)) {
+		return nil, fmt.Errorf("tag length %d exceeds %d remaining record bytes", v, len(rec))
 	}
-	if tagLen > uint64(len(rec)) {
-		return nil, fmt.Errorf("tag length %d exceeds %d remaining record bytes", tagLen, len(rec))
+	d.Tag = ""
+	if v > 0 {
+		d.Tag, rec = b.internTag(rec[:v]), rec[v:]
 	}
-	tag := ""
-	if tagLen > 0 {
-		tag = b.internTag(rec[:tagLen])
-		rec = rec[tagLen:]
-	}
-	features, rec, err := b.takeVector(rec, "features")
-	if err != nil {
-		return nil, err
-	}
-	afRows, rec, err := takeUvarint(rec, "action-feature row count")
-	if err != nil {
-		return nil, err
-	}
-	// Each row costs >= 1 byte; an impossible count dies here, not in make.
-	if afRows > uint64(len(rec)) {
-		return nil, fmt.Errorf("action-feature row count %d exceeds %d remaining record bytes", afRows, len(rec))
-	}
+
+	// The vectors: the shared features, the row count, then that many
+	// action-feature rows. No record holds more floats than its bytes over
+	// eight, so one carve of that many serves them all; Decode grew the
+	// arena by the whole payload's worth.
+	fl := b.arena.Floats(len(rec) / 8)
 	var af []core.Vector
-	if afRows > 0 {
-		// Records of one stream share a shape: when the row headers run out,
-		// make room for this many per record left (a row costs a byte, so
-		// never more than the bytes left), not by doubling.
-		b.arena.Grow(0, int(min(afRows*left, uint64(len(rec)+len(rest)))))
-		af = b.arena.Rows(int(afRows))
-		for j := range af {
-			af[j], rec, err = b.takeVector(rec, "action-feature row")
-			if err != nil {
-				return nil, err
+	dst := &d.Context.Features
+	for j := 0; ; j++ { // j == 0: the features; j > 0: row j-1
+		if len(rec) > 0 && rec[0] < 0x80 {
+			v, n = uint64(rec[0]), 1
+		} else if v, n = binary.Uvarint(rec); n <= 0 {
+			return nil, fmt.Errorf("truncated %s length", vectorName(j))
+		}
+		rec = rec[n:]
+		if v > uint64(len(rec))/8 { // not v*8: a huge v must not overflow the check
+			return nil, fmt.Errorf("%s length %d exceeds %d remaining record bytes", vectorName(j), v, len(rec))
+		}
+		*dst = nil
+		if v > 0 {
+			vec, src := fl[:v:v], rec[:v*8]
+			*dst, fl, rec = vec, fl[v:], rec[v*8:]
+			// The source is bounded once and both loops carry their bounds
+			// in the condition, so the copy compiles without a per-element
+			// slice-and-check; four floats a trip because on short vectors
+			// the trips are the cost.
+			for len(vec) >= 4 && len(src) >= 32 {
+				vec[0] = math.Float64frombits(binary.LittleEndian.Uint64(src[0:8]))
+				vec[1] = math.Float64frombits(binary.LittleEndian.Uint64(src[8:16]))
+				vec[2] = math.Float64frombits(binary.LittleEndian.Uint64(src[16:24]))
+				vec[3] = math.Float64frombits(binary.LittleEndian.Uint64(src[24:32]))
+				vec, src = vec[4:], src[32:]
+			}
+			for i := 0; i < len(vec) && len(src) >= 8; i++ {
+				vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
+				src = src[8:]
 			}
 		}
+		if j == 0 {
+			if len(rec) > 0 && rec[0] < 0x80 {
+				v, n = uint64(rec[0]), 1
+			} else if v, n = binary.Uvarint(rec); n <= 0 {
+				return nil, errors.New("truncated action-feature row count")
+			}
+			rec = rec[n:]
+			// Each row costs >= 1 byte; an impossible count dies here, not
+			// in make.
+			if v > uint64(len(rec)) {
+				return nil, fmt.Errorf("action-feature row count %d exceeds %d remaining record bytes", v, len(rec))
+			}
+			if v > 0 {
+				// Records of one stream share a shape: when the row headers
+				// run out, make room for this many per record left (a row
+				// costs a byte, so never more than the bytes left), not by
+				// doubling.
+				b.arena.Grow(0, int(min(v*left, uint64(len(rec)+len(rest)))))
+				af = b.arena.Rows(int(v))
+			}
+		}
+		if j == len(af) {
+			break
+		}
+		dst = &af[j]
 	}
+	d.Context.ActionFeatures = af
 	if len(rec) != 0 {
 		return nil, fmt.Errorf("%d trailing bytes in record", len(rec))
 	}
-	b.Points = append(b.Points, core.Datapoint{
-		Context: core.Context{
-			Features:       features,
-			ActionFeatures: af,
-			NumActions:     int(k),
-		},
-		Action:     core.Action(a),
-		Reward:     reward,
-		Propensity: prop,
-		Seq:        seq,
-		Tag:        tag,
-	})
 	return rest, nil
 }
 
-// takeVector decodes a length-prefixed fixed64 vector into the batch arena.
-// The length prefix is parsed inline: building a "<what> length" label for
-// takeUvarint would concatenate strings on the per-vector hot path.
-func (b *Batch) takeVector(rec []byte, what string) (core.Vector, []byte, error) {
-	n, w := binary.Uvarint(rec)
-	if w <= 0 {
-		return nil, nil, fmt.Errorf("truncated %s length", what)
+// vectorName names vector j of a record in an error: the features, or an
+// action-feature row.
+func vectorName(j int) string {
+	if j == 0 {
+		return "features"
 	}
-	rec = rec[w:]
-	if n > uint64(len(rec))/8 { // not n*8: a huge n must not overflow the check
-		return nil, nil, fmt.Errorf("%s length %d exceeds %d remaining record bytes", what, n, len(rec))
-	}
-	if n == 0 {
-		return nil, rec, nil
-	}
-	v := b.arena.Floats(int(n))
-	// The source is bounded once and both loops carry their bounds in the
-	// condition, so the copy compiles without a per-element slice-and-check;
-	// four floats a trip because on short vectors the trips are the cost.
-	dst, src := v, rec[:n*8]
-	for len(dst) >= 4 && len(src) >= 32 {
-		dst[0] = math.Float64frombits(binary.LittleEndian.Uint64(src[0:8]))
-		dst[1] = math.Float64frombits(binary.LittleEndian.Uint64(src[8:16]))
-		dst[2] = math.Float64frombits(binary.LittleEndian.Uint64(src[16:24]))
-		dst[3] = math.Float64frombits(binary.LittleEndian.Uint64(src[24:32]))
-		dst, src = dst[4:], src[32:]
-	}
-	for i := 0; i < len(dst) && len(src) >= 8; i++ {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
-		src = src[8:]
-	}
-	return v, rec[n*8:], nil
+	return "action-feature row"
 }
 
 // internTag returns the string for a tag's bytes, allocating only the first
 // time each distinct tag is seen — the map lookup on a []byte key does not
-// allocate, so repeated tags are free on the hot path.
+// allocate, so repeated tags are free on the hot path. Tags are trajectory
+// ids, and a worker's Batch lives as long as the daemon, so the table is
+// bounded: at maxInternTags entries it is emptied and refills from the
+// tags still arriving. The strings handed out stay valid.
 func (b *Batch) internTag(raw []byte) string {
 	if s, ok := b.tags[string(raw)]; ok {
 		return s
 	}
 	if b.tags == nil {
 		b.tags = make(map[string]string)
+	} else if len(b.tags) >= maxInternTags {
+		clear(b.tags)
 	}
 	s := string(raw)
 	b.tags[s] = s
@@ -529,21 +558,6 @@ func (d *Decoder) readUvarint() (uint64, error) {
 	}
 	d.pos += int64(n)
 	return v, nil
-}
-
-func takeUvarint(rec []byte, what string) (uint64, []byte, error) {
-	v, n := binary.Uvarint(rec)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("truncated %s", what)
-	}
-	return v, rec[n:], nil
-}
-
-func takeFixed64(rec []byte, what string) (float64, []byte, error) {
-	if len(rec) < 8 {
-		return 0, nil, fmt.Errorf("truncated %s", what)
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(rec)), rec[8:], nil
 }
 
 // noEOF upgrades a bare io.EOF to io.ErrUnexpectedEOF: inside a header or

@@ -526,6 +526,112 @@ func TestErrorContextNamesRecord(t *testing.T) {
 	}
 }
 
+// TestTagInternBounded: tags are trajectory ids and a worker's Batch lives
+// as long as the daemon, so the intern table is bounded. After 100 000
+// distinct tags it holds at most maxInternTags entries, every decoded Tag is
+// still its record's, and tags that keep coming back decode without
+// allocating. The price of the bound: once more than maxInternTags tags are
+// live and their records interleave, the table empties and refills over and
+// over, so a record costs its tag's string again — measured here as
+// allocations per record with maxInternTags tags in turn (0) and one more
+// (at most 1).
+func TestTagInternBounded(t *testing.T) {
+	const n = 100_000
+	ds := make(core.Dataset, n)
+	for i := range ds {
+		ds[i] = core.Datapoint{
+			Context:    core.Context{NumActions: 1},
+			Propensity: 1,
+			Seq:        int64(i),
+			Tag:        fmt.Sprintf("trajectory-%d", i),
+		}
+	}
+	dec := NewDecoder(bytes.NewReader(encodeAll(t, ds, 0)))
+	var b Batch
+	got := 0
+	for {
+		err := dec.Next(&b)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range b.Points {
+			if b.Points[i].Tag != ds[got].Tag {
+				t.Fatalf("record %d: tag %q, want %q", got, b.Points[i].Tag, ds[got].Tag)
+			}
+			got++
+		}
+		if len(b.tags) > maxInternTags {
+			t.Fatalf("after %d records the intern table holds %d tags, bound %d", got, len(b.tags), maxInternTags)
+		}
+	}
+	if got != n {
+		t.Fatalf("decoded %d records, want %d", got, n)
+	}
+
+	for i := range ds[:512] {
+		ds[i].Tag = []string{"a", "b"}[i%2]
+	}
+	dec.Reset(bytes.NewReader(encodeAll(t, ds[:512], 0)))
+	var seg Segment
+	if err := dec.ReadSegment(&seg); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _ = b.Decode(&seg) }); allocs > 0 {
+		t.Errorf("decoding %d records of two alternating tags allocated %.1f times", seg.Records, allocs)
+	}
+	for i := range b.Points {
+		if b.Points[i].Tag != ds[i].Tag {
+			t.Fatalf("record %d: tag %q, want %q", i, b.Points[i].Tag, ds[i].Tag)
+		}
+	}
+
+	for _, live := range []int{maxInternTags, maxInternTags + 1} {
+		ds := ds[:3*live]
+		for i := range ds {
+			ds[i].Tag = fmt.Sprintf("trajectory-%d", i%live)
+		}
+		var segs []*Segment
+		dec.Reset(bytes.NewReader(encodeAll(t, ds, 0)))
+		for {
+			s := new(Segment)
+			if err := dec.ReadSegment(s); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			segs = append(segs, s)
+		}
+		var b Batch
+		got := 0
+		perRecord := testing.AllocsPerRun(5, func() {
+			got = 0
+			for _, s := range segs {
+				if err := b.Decode(s); err != nil {
+					t.Fatal(err)
+				}
+				for i := range b.Points {
+					if b.Points[i].Tag != ds[got].Tag {
+						t.Fatalf("record %d: tag %q, want %q", got, b.Points[i].Tag, ds[got].Tag)
+					}
+					got++
+				}
+			}
+		}) / float64(len(ds))
+		t.Logf("%d tags in turn: %.3f allocs/record", live, perRecord)
+		if got != len(ds) {
+			t.Fatalf("%d tags in turn: decoded %d records, want %d", live, got, len(ds))
+		}
+		if live <= maxInternTags && perRecord != 0 {
+			t.Errorf("%d tags in turn: %.3f allocs/record, want 0", live, perRecord)
+		} else if perRecord > 1 {
+			t.Errorf("%d tags in turn: %.3f allocs/record, want at most 1", live, perRecord)
+		}
+	}
+}
+
 // TestVersionedHeaderConstants guards accidental drift of the constants the
 // golden test depends on.
 func TestVersionedHeaderConstants(t *testing.T) {
