@@ -133,11 +133,12 @@ trace-demo:
 	$(GO) run ./cmd/harvest -quick -workers 2 -trace /tmp/harvest-fig3-trace.jsonl fig3
 	$(GO) run ./cmd/tracecat /tmp/harvest-fig3-trace.jsonl
 
-# Short fuzz pass over the wire-format parsers, FUZZTIME per target.
-# FuzzParseNginxLine, FuzzParseNumber, FuzzBinRecDecode and FuzzRelayHead
-# are differential (against the regexp parser, against strconv, against the
-# previous binrec record decoder, and against net/http's request reader),
-# so CI runs this beyond the seeds.
+# Short fuzz pass over the wire-format parsers and the batch fold, FUZZTIME
+# per target. FuzzParseNginxLine, FuzzParseNumber, FuzzBinRecDecode,
+# FuzzRelayHead and FuzzFoldBatch are differential (against the regexp
+# parser, against strconv, against the previous binrec record decoder,
+# against net/http's request reader, and against the per-record
+# Accum.Fold), so CI runs this beyond the seeds.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -fuzz=FuzzReadValue -fuzztime=$(FUZZTIME) ./internal/resp/
@@ -147,6 +148,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzBinRecDecode -fuzztime=$(FUZZTIME) ./internal/harvester/binrec/
 	$(GO) test -fuzz=FuzzBinRecRoundTrip -fuzztime=$(FUZZTIME) ./internal/harvester/binrec/
 	$(GO) test -fuzz=FuzzRelayHead -fuzztime=$(FUZZTIME) ./internal/netlb/
+	$(GO) test -fuzz=FuzzFoldBatch -fuzztime=$(FUZZTIME) ./internal/harvestd/
 
 clean:
 	$(GO) clean ./...

@@ -69,7 +69,9 @@ func BenchmarkRegistryFold(b *testing.B) {
 // BenchmarkRegistryFoldBatch measures the batch fold per record (one op =
 // one record): three candidates at batch sizes 1, 64 and 720; wide32 — the
 // loop benchmark's wide-fold-read shape, 32 candidates over 8-upstream
-// contexts in 720-record batches; and policies={1,4,16,64} — the first n
+// contexts in 720-record batches; nomiss32 — the same contexts and batches
+// under uniform and 31 weighted-random candidates, which never miss, so
+// skipping the misses cannot help; and policies={1,4,16,64} — the first n
 // wideCandidates over the same contexts in 97-record batches, the size of
 // that workload's binrec segments. The policies rows are the records/s-vs-
 // candidates slope of this layer: what one more policy costs a record.
@@ -92,18 +94,10 @@ func BenchmarkRegistryFoldBatch(b *testing.B) {
 	}
 	wide := wideDatapoints(1024, 1)
 	run("wide32", newWideRegistry(b, 1), wide, 720)
+	run("nomiss32", newNoMissRegistry(b), wide, 720)
 	for _, n := range []int{1, 4, 16, 64} {
-		reg, err := NewRegistry(1, 10)
-		if err != nil {
-			b.Fatal(err)
-		}
 		names, pols := wideCandidates(n)
-		for i, name := range names {
-			if err := reg.Register(name, pols[i]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		run(fmt.Sprintf("policies=%d", n), reg, wide, 97)
+		run(fmt.Sprintf("policies=%d", n), newRegistryOf(b, names, pols), wide, 97)
 	}
 }
 

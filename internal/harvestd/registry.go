@@ -125,17 +125,16 @@ func (g *Registry) Names() []string {
 
 // FoldBatch scores a batch of datapoints under every registered policy and
 // accumulates into the worker's own shard — the daemon's only fold loop.
-// The caller must have validated every datapoint (in particular
-// Propensity > 0) and must be the only goroutine folding as this worker.
+// The caller must have validated every datapoint (an ope.Pass needs p > 0
+// and finite rewards) and must be the only goroutine folding as this worker.
 //
-// Per batch it takes the registry lock once (to grab the immutable sorted
-// entries); per (policy, batch) it folds the records in order into a copy
-// of the shard's accumulator and stores the copy back under the shard lock,
-// so a reader never waits on policy code and the floating-point summation
-// order is the record-by-record one. A policy that panics on a datapoint —
-// typically a context shape it cannot read, e.g. an LB policy fed
-// cache-eviction data — is skipped for that datapoint and counted in
-// EvalPanics; one bad pairing must not kill a continuously running daemon.
+// Per batch it takes the registry lock once and adds up the ope.Stream; per
+// (policy, batch) it folds the records in order in an ope.Pass into a copy
+// of the shard's accumulator, stored back under the shard lock, so a reader
+// never waits on policy code and every field is Accum.Fold's per record. A
+// policy that panics on a datapoint — typically a context shape it cannot
+// read, e.g. an LB policy fed cache-eviction data — is skipped for it and
+// counted in EvalPanics; one bad pairing must not kill a running daemon.
 func (g *Registry) FoldBatch(worker int, pts []core.Datapoint) {
 	if len(pts) == 0 {
 		return
@@ -143,31 +142,49 @@ func (g *Registry) FoldBatch(worker int, pts []core.Datapoint) {
 	if worker < 0 || worker >= g.numShards {
 		worker = 0
 	}
+	stream := g.addStream(ope.Stream{}, pts)
 	for _, e := range g.sortedEntries() {
 		sh := e.shards[worker]
 		acc := sh.acc // unlocked read: this worker is the shard's only writer
-		for k := 0; k < len(pts); {
-			k = g.foldRun(e.prober, &acc, pts, k)
+		var ps ope.Pass
+		st := stream
+		if k := g.foldRun(e.prober, &acc, &ps, pts, 0); k < len(pts) {
+			// Record k panicked: this policy's stream leaves it out.
+			st = g.addStream(ope.Stream{}, pts[:k])
+			for from := k + 1; k < len(pts); from = k + 1 {
+				k = g.foldRun(e.prober, &acc, &ps, pts, from)
+				st = g.addStream(st, pts[from:k])
+			}
 		}
+		acc.EndPass(&st, &ps)
 		sh.mu.Lock()
 		sh.acc = acc
 		sh.mu.Unlock()
 	}
 }
 
-// foldRun folds pts[from:] into acc under one recover frame and returns
+// addStream returns s plus what each of pts adds to every policy.
+func (g *Registry) addStream(s ope.Stream, pts []core.Datapoint) ope.Stream {
+	for i := range pts {
+		s.Add(pts[i].Propensity, pts[i].Reward, g.floor)
+	}
+	return s
+}
+
+// foldRun folds pts[from:] into the pass under one recover frame and returns
 // len(pts) — or, when the policy panics on record k, counts the panic and
-// returns k+1 so the caller resumes past exactly that record.
-func (g *Registry) foldRun(pol core.ActionProber, acc *ope.Accum, pts []core.Datapoint, from int) (next int) {
+// returns k, so the caller resumes past exactly that record.
+func (g *Registry) foldRun(pol core.ActionProber, acc *ope.Accum, ps *ope.Pass, pts []core.Datapoint, from int) (next int) {
 	defer func() {
 		if r := recover(); r != nil {
 			g.evalPanics.Add(1)
-			next++
 		}
 	}()
 	for next = from; next < len(pts); next++ {
 		d := &pts[next]
-		acc.Fold(pol.ActionProb(&d.Context, d.Action), d.Propensity, d.Reward, g.clip, g.floor)
+		if pi := pol.ActionProb(&d.Context, d.Action); !ps.Miss(pi, d.Reward) {
+			acc.FoldHit(pi, d.Propensity, d.Reward, g.clip, ps)
+		}
 	}
 	return next
 }
@@ -217,8 +234,10 @@ func (g *Registry) Estimates(delta float64) []ope.PolicyEstimate {
 	return out
 }
 
-// TotalN returns the datapoint count folded into the first policy (every
-// policy sees the same stream, so any entry serves); 0 with no policies.
+// TotalN returns the first policy's N by name (0 with none): the datapoints
+// folded since it was registered, less those it panicked on, plus any it
+// was restored with. Only if it never panicked and was registered before
+// ingest began is that the number of datapoints folded.
 func (g *Registry) TotalN() int64 {
 	entries := g.sortedEntries()
 	if len(entries) == 0 {

@@ -92,6 +92,30 @@ func newWideRegistry(tb testing.TB, workers int) *Registry {
 	return reg
 }
 
+// newRegistryOf registers the named policies on a fresh one-worker registry.
+func newRegistryOf(tb testing.TB, names []string, pols []core.Policy) *Registry {
+	tb.Helper()
+	reg, err := NewRegistry(1, 10)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, name := range names {
+		if err := reg.Register(name, pols[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return reg
+}
+
+// newNoMissRegistry is the wide shape with no candidate that ever misses:
+// uniform and the 31 weighted-random candidates, which put positive
+// probability on every upstream.
+func newNoMissRegistry(tb testing.TB) *Registry {
+	const consts = 2 + wideUpstreams // wideCandidates' leastloaded, uniform, const-0…7
+	names, pols := wideCandidates(consts + 31)
+	return newRegistryOf(tb, append(names[1:2:2], names[consts:]...), append(pols[1:2:2], pols[consts:]...))
+}
+
 // requireState fails unless the registry holds, bit for bit, the wanted
 // accumulator for every policy.
 func requireState(t *testing.T, what string, got *Registry, want map[string]ope.Accum) {
@@ -246,6 +270,38 @@ func TestFoldBatchSkipsExactlyThePanickingPair(t *testing.T) {
 	}
 }
 
+// TestTotalNIsTheFirstPolicysN: TotalN reads the first policy by name, so
+// it falls short of the records folded when that policy panicked on some,
+// or was registered after ingest began.
+func TestTotalNIsTheFirstPolicysN(t *testing.T) {
+	const n = 40
+	ds := wideDatapoints(n, 4)
+	for i := range ds { // tag each context with its Seq for panicOn
+		ds[i].Context.Features = append(append(core.Vector(nil), ds[i].Context.Features...), float64(ds[i].Seq))
+	}
+	reg, err := NewRegistry(1, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Register("a-panics", panicOn{3: true, 30: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Register("b-uniform", policy.UniformRandom{}); err != nil {
+		t.Fatal(err)
+	}
+	reg.FoldBatch(0, ds[:n/2])
+	if got := reg.TotalN(); got != n/2-1 {
+		t.Errorf("after a panic on 1 of %d records: TotalN = %d, want %d", n/2, got, n/2-1)
+	}
+	if err := reg.Register("0-late", policy.UniformRandom{}); err != nil {
+		t.Fatal(err)
+	}
+	reg.FoldBatch(0, ds[n/2:])
+	if got := reg.TotalN(); got != n/2 {
+		t.Errorf("first policy registered after %d of %d records: TotalN = %d, want %d", n/2, n, got, n/2)
+	}
+}
+
 // TestFoldBatchConcurrentWithReadersAndRegister is the batch path's -race
 // workout: two workers fold batches into their own shards while readers
 // pull estimates, diagnostics and full snapshots and a third goroutine
@@ -317,14 +373,19 @@ func TestFoldBatchConcurrentWithReadersAndRegister(t *testing.T) {
 }
 
 // TestFoldBatchDoesNotAllocate pins the wide shape — 32 candidates, every
-// evaluation path, 8-upstream contexts — at zero allocations per batch.
+// evaluation path, 8-upstream contexts — at zero allocations per batch, at
+// 256 records and at the 720 of BenchmarkRegistryFoldBatch/wide32, and the
+// same contexts under candidates that never miss (nomiss32).
 func TestFoldBatchDoesNotAllocate(t *testing.T) {
-	reg := newWideRegistry(t, 1)
-	ds := wideDatapoints(256, 8)
-	if allocs := testing.AllocsPerRun(20, func() { reg.FoldBatch(0, ds) }); allocs != 0 {
-		t.Errorf("FoldBatch allocates %v per 256-record batch, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(20, func() { reg.Fold(0, &ds[0]) }); allocs != 0 {
-		t.Errorf("Fold allocates %v per record, want 0", allocs)
+	ds := wideDatapoints(720, 8)
+	for name, reg := range map[string]*Registry{"wide32": newWideRegistry(t, 1), "nomiss32": newNoMissRegistry(t)} {
+		for _, n := range []int{256, len(ds)} {
+			if allocs := testing.AllocsPerRun(20, func() { reg.FoldBatch(0, ds[:n]) }); allocs != 0 {
+				t.Errorf("%s: FoldBatch allocates %v per %d-record batch, want 0", name, allocs, n)
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, func() { reg.Fold(0, &ds[0]) }); allocs != 0 {
+			t.Errorf("%s: Fold allocates %v per record, want 0", name, allocs)
+		}
 	}
 }

@@ -16,6 +16,16 @@ import (
 // normal and empirical-Bernstein intervals) is derived from these running
 // sums, so an Accum is also the unit of sharding and of checkpointing (all
 // fields are exported and JSON-serializable).
+//
+// The ranges use the builtin min/max, inline where math.Min/Max are calls;
+// unlike those, they answer (NaN, ±Inf) with NaN, which had poisoned every
+// sum already. A Pass skips the accumulate on a miss (pi = ±0, r finite)
+// and is still bit for bit Fold per datapoint. A miss adds ±0 to each sum,
+// which changes no sum folded from +0 (never −0: in round-to-nearest x + y
+// is −0 only when both are), nor MaxW; only its zero goes into the term
+// ranges. min and max order numbers totally (−0 < +0), so the Pass puts
+// the zeros in at the end — and before a NaN term, as min and max fold
+// operands' bits into a NaN (amd64 ORs them), where a zero counts once.
 type Accum struct {
 	// N counts folded datapoints; Matches those on which the candidate put
 	// positive probability.
@@ -57,47 +67,71 @@ type Accum struct {
 	FloorHits int64 `json:"floor_hits"`
 }
 
-// Fold adds one datapoint given the candidate's probability pi of the
-// logged action, the logged propensity p > 0, and the reward r. clip <= 0
-// disables clipping (the clipped estimator then coincides with plain IPS);
-// floor <= 0 disables propensity-floor accounting. A datapoint with
-// non-positive propensity is dropped: callers validate upstream, and
-// folding one would poison every running sum with ±Inf.
-//
-// The running ranges use the builtin min/max, which compile inline where
-// math.Min/Max are calls, with the same NaN propagation and −0 < +0 order.
-// They differ on one input, the pair (NaN, ±Inf): math.Max/Min return the
-// infinity, the builtins NaN. That is not preserved — the NaN has poisoned
-// every sum of the Accum already, and Datapoint.Validate keeps non-finite
-// rewards out. Merge follows the same rule.
+// Fold adds one datapoint, a Pass of one, given the candidate's probability
+// pi of the logged action, the logged propensity p > 0, and the reward r.
+// clip <= 0 disables clipping (clipped IPS is then plain IPS); floor <= 0
+// disables propensity-floor accounting. A datapoint with p <= 0 is dropped:
+// callers validate upstream, and it would poison every sum with ±Inf.
 func (a *Accum) Fold(pi, p, r, clip, floor float64) {
-	w, ok := core.ImportanceWeight(pi, p)
-	if !ok {
+	if !(p > 0) {
 		return
 	}
+	s, ps := Stream{}, Pass{}
+	s.Add(p, r, floor)
+	a.FoldHit(pi, p, r, clip, &ps)
+	a.EndPass(&s, &ps)
+}
+
+// Stream is what a batch adds to every candidate's Accum, whatever it picks.
+type Stream struct {
+	N, FloorHits int64
+	MinR, MaxR   float64
+}
+
+// Add adds a record with logged propensity p > 0 and reward r.
+func (s *Stream) Add(p, r, floor float64) {
 	if floor > 0 && p < floor {
-		a.FloorHits++
+		s.FloorHits++
 	}
+	widen(&s.MinR, &s.MaxR, r, r, s.N == 0)
+	s.N++
+}
+
+// Pass is one candidate's fold of one batch: Miss on each record in order,
+// FoldHit where it is false, then EndPass with the records' Stream. That is
+// Fold on each record (see Accum) for p > 0, an Accum that is zero or only
+// folded and merged since, and finite rewards unless the Accum was empty.
+type Pass struct {
+	hits     int64  // records FoldHit accumulated: the term ranges are open
+	neg, pos uint64 // sign bit set: a miss's term was −0, +0
+}
+
+// Miss reports whether the record is a miss, noting its term's sign if so.
+func (ps *Pass) Miss(pi, r float64) bool {
+	if z := pi * r; pi == 0 && z == 0 { // z: the term's sign (p > 0); NaN if r is infinite
+		ps.neg, ps.pos = ps.neg|math.Float64bits(z), ps.pos|^math.Float64bits(z)
+		return true
+	}
+	return false
+}
+
+// FoldHit is Fold on a record, less N, FloorHits and MinR/MaxR.
+func (a *Accum) FoldHit(pi, p, r, clip float64, ps *Pass) {
+	w, _ := core.ImportanceWeight(pi, p) // p > 0, as Pass requires
 	term := w * r
 	cw := w
 	if clip > 0 && cw > clip {
 		cw = clip
 		a.Clipped++
 	}
-	cterm := cw * r
-	if a.N == 0 {
-		a.MinTerm, a.MaxTerm = term, term
-		a.MinCTerm, a.MaxCTerm = cterm, cterm
-		a.MinR, a.MaxR = r, r
-	} else {
-		a.MinTerm = min(a.MinTerm, term)
-		a.MaxTerm = max(a.MaxTerm, term)
-		a.MinCTerm = min(a.MinCTerm, cterm)
-		a.MaxCTerm = max(a.MaxCTerm, cterm)
-		a.MinR = min(a.MinR, r)
-		a.MaxR = max(a.MaxR, r)
+	cterm := cw * r // NaN only if term is
+	open := a.N+ps.hits == 0
+	if term != term && (ps.neg|ps.pos)>>63 != 0 {
+		a.putZeros(ps, open) // the zeros meet the ranges before the NaN does
 	}
-	a.N++
+	widen(&a.MinTerm, &a.MaxTerm, term, term, open)
+	widen(&a.MinCTerm, &a.MaxCTerm, cterm, cterm, open)
+	ps.hits++
 	if pi > 0 {
 		a.Matches++
 	}
@@ -111,6 +145,34 @@ func (a *Accum) Fold(pi, p, r, clip, floor float64) {
 	a.SumCW += cw
 	a.SumCWR += cterm
 	a.SumCWRSq += cterm * cterm
+}
+
+// putZeros puts the zeros ps noted, lo ≤ hi, into the term ranges.
+func (a *Accum) putZeros(ps *Pass, open bool) {
+	lo, hi := math.Float64frombits(ps.neg&(1<<63)), math.Float64frombits(^ps.pos&(1<<63))
+	widen(&a.MinTerm, &a.MaxTerm, lo, hi, open)
+	widen(&a.MinCTerm, &a.MaxCTerm, lo, hi, open)
+}
+
+// EndPass closes ps, whose records s adds up: the zeros and the Stream.
+func (a *Accum) EndPass(s *Stream, ps *Pass) {
+	if s.N == 0 {
+		return
+	}
+	if (ps.neg|ps.pos)>>63 != 0 {
+		a.putZeros(ps, a.N+ps.hits == 0)
+	}
+	widen(&a.MinR, &a.MaxR, s.MinR, s.MaxR, a.N == 0)
+	a.N += s.N
+	a.FloorHits += s.FloorHits
+}
+
+// widen puts [lo, hi] into the range [*mn, *mx], or opens it with them.
+func widen(mn, mx *float64, lo, hi float64, open bool) {
+	if open {
+		*mn, *mx = lo, hi
+	}
+	*mn, *mx = min(*mn, lo), max(*mx, hi)
 }
 
 // Merge folds another accumulator into a (the parallel reduction of the

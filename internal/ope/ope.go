@@ -162,7 +162,7 @@ func (SNIPS) Estimate(policy core.Policy, data core.Dataset) (Estimate, error) {
 }
 
 // fold checks each propensity and folds the dataset, in order, into one
-// Accum clipping at clip — the single pass behind IPS, ClippedIPS and
+// Accum clipping at clip — the single Pass behind IPS, ClippedIPS and
 // SNIPS. It does not allocate: estimator calls sit in the inner loop of the
 // policy-class sweeps (Eq. 1 evaluates thousands of policies on one log).
 func fold(policy core.Policy, data core.Dataset, clip float64) (Accum, error) {
@@ -170,14 +170,19 @@ func fold(policy core.Policy, data core.Dataset, clip float64) (Accum, error) {
 	if len(data) == 0 {
 		return a, core.ErrNoData
 	}
+	s, ps := Stream{}, Pass{}
 	for i := range data {
 		d := &data[i]
 		if !(d.Propensity > 0) {
 			return a, fmt.Errorf("ope: datapoint %d has propensity %v; %w",
 				i, d.Propensity, errBadPropensity)
 		}
-		a.Fold(core.ActionProb(policy, &d.Context, d.Action), d.Propensity, d.Reward, clip, 0)
+		s.Add(d.Propensity, d.Reward, 0)
+		if pi := core.ActionProb(policy, &d.Context, d.Action); !ps.Miss(pi, d.Reward) {
+			a.FoldHit(pi, d.Propensity, d.Reward, clip, &ps)
+		}
 	}
+	a.EndPass(&s, &ps)
 	return a, nil
 }
 
