@@ -133,18 +133,25 @@ trace-demo:
 	$(GO) run ./cmd/harvest -quick -workers 2 -trace /tmp/harvest-fig3-trace.jsonl fig3
 	$(GO) run ./cmd/tracecat /tmp/harvest-fig3-trace.jsonl
 
-# Short fuzz pass over the wire-format parsers and the batch fold, FUZZTIME
-# per target. FuzzParseNginxLine, FuzzParseNumber, FuzzBinRecDecode,
-# FuzzRelayHead and FuzzFoldBatch are differential (against the regexp
-# parser, against strconv, against the previous binrec record decoder,
-# against net/http's request reader, and against the per-record
-# Accum.Fold), so CI runs this beyond the seeds.
+# Short fuzz pass over every fuzz target in the repository, FUZZTIME per
+# target: the wire-format parsers, the RESP server's command dispatch, the
+# cache-log scavenger, the substream seeder and the batch fold.
+# FuzzParseNginxLine, FuzzParseNumber, FuzzBinRecDecode, FuzzRelayHead and
+# FuzzFoldBatch are differential (against the regexp parser, against
+# strconv, against the previous binrec record decoder, against net/http's
+# request reader, and against the per-record Accum.Fold);
+# FuzzServerDispatch and FuzzScavengeCacheLogs read input from outside the
+# program. CI runs this beyond the seeds.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -fuzz=FuzzReadValue -fuzztime=$(FUZZTIME) ./internal/resp/
+	$(GO) test -fuzz=FuzzCommandRoundTrip -fuzztime=$(FUZZTIME) ./internal/resp/
+	$(GO) test -fuzz=FuzzServerDispatch -fuzztime=$(FUZZTIME) ./internal/resp/
 	$(GO) test -fuzz=FuzzParseNginxLine -fuzztime=$(FUZZTIME) ./internal/harvester/
 	$(GO) test -fuzz=FuzzParseNumber -fuzztime=$(FUZZTIME) ./internal/harvester/
 	$(GO) test -fuzz=FuzzCacheLogRoundTrip -fuzztime=$(FUZZTIME) ./internal/harvester/
+	$(GO) test -fuzz=FuzzScavengeCacheLogs -fuzztime=$(FUZZTIME) ./internal/harvester/
+	$(GO) test -fuzz=FuzzSubstream -fuzztime=$(FUZZTIME) ./internal/stats/
 	$(GO) test -fuzz=FuzzBinRecDecode -fuzztime=$(FUZZTIME) ./internal/harvester/binrec/
 	$(GO) test -fuzz=FuzzBinRecRoundTrip -fuzztime=$(FUZZTIME) ./internal/harvester/binrec/
 	$(GO) test -fuzz=FuzzRelayHead -fuzztime=$(FUZZTIME) ./internal/netlb/

@@ -32,9 +32,6 @@ type Candidate struct {
 	InsertedAt float64 // virtual time of (re)insertion
 }
 
-// NumCandidateFeatures is the dimension of Featurize's output.
-const NumCandidateFeatures = 4
-
 // Featurize encodes a candidate for the CB models: [size, frequency,
 // recency, age], lightly scaled. Both the online CB evictor and the offline
 // harvester use this same encoding so policies transfer.

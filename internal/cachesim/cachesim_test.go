@@ -189,27 +189,6 @@ func TestRandomEvictorUniform(t *testing.T) {
 	}
 }
 
-func TestEpsilonEvictor(t *testing.T) {
-	base := LRUEvictor{}
-	ev := EpsilonEvictor{Base: base, Epsilon: 0.4, R: stats.NewRand(8)}
-	cands := []Candidate{{LastAccess: 1}, {LastAccess: 9}}
-	d := ev.Distribution(cands, 10)
-	if d[0] != 0.6+0.2 || d[1] != 0.2 {
-		t.Errorf("distribution = %v", d)
-	}
-	if ev.Name() != "eps-lru" {
-		t.Errorf("name = %q", ev.Name())
-	}
-	counts := [2]int{}
-	for i := 0; i < 50000; i++ {
-		counts[ev.Choose(cands, 10)]++
-	}
-	frac := float64(counts[0]) / 50000
-	if frac < 0.77 || frac > 0.83 {
-		t.Errorf("base choice rate %v, want ≈0.8", frac)
-	}
-}
-
 func TestEvictionLogPropensities(t *testing.T) {
 	cfg := Config{MaxBytes: 100, SampleSize: 5, LogEvictions: true}
 	c := newCache(t, cfg, RandomEvictor{R: stats.NewRand(9)}, 10)
@@ -337,7 +316,7 @@ func TestBudgetInvariantProperty(t *testing.T) {
 func TestFeaturize(t *testing.T) {
 	c := Candidate{Size: 200, Frequency: 3, LastAccess: 90, InsertedAt: 50}
 	v := Featurize(c, 100)
-	if len(v) != NumCandidateFeatures {
+	if len(v) != 4 {
 		t.Fatalf("dim = %d", len(v))
 	}
 	if v[0] != 2 || v[1] != 3 || v[2] != 0.1 || v[3] != 0.5 {

@@ -115,35 +115,6 @@ func (e CBEvictor) Choose(cands []Candidate, now float64) int {
 	return best
 }
 
-// EpsilonEvictor mixes a base evictor with uniform random exploration so a
-// deterministic heuristic still produces harvestable data.
-type EpsilonEvictor struct {
-	Base    Evictor
-	Epsilon float64
-	R       *rand.Rand
-}
-
-// Name implements Evictor.
-func (e EpsilonEvictor) Name() string { return "eps-" + e.Base.Name() }
-
-// Choose implements Evictor.
-func (e EpsilonEvictor) Choose(cands []Candidate, now float64) int {
-	if e.R.Float64() < e.Epsilon {
-		return e.R.Intn(len(cands))
-	}
-	return e.Base.Choose(cands, now)
-}
-
-// Distribution implements StochasticEvictor.
-func (e EpsilonEvictor) Distribution(cands []Candidate, now float64) []float64 {
-	d := make([]float64, len(cands))
-	for i := range d {
-		d[i] = e.Epsilon / float64(len(cands))
-	}
-	d[e.Base.Choose(cands, now)] += 1 - e.Epsilon
-	return d
-}
-
 // ContextFromCandidates encodes a sampled candidate set as a CB context
 // with per-action features — the bridge between cache state and the
 // core/ope/learn stack. The same encoding is used when harvesting eviction

@@ -24,54 +24,6 @@ type Action int
 // Vector is a dense feature vector. The zero value is an empty vector.
 type Vector []float64
 
-// Dot returns the inner product of v and w. Missing trailing entries on
-// either side are treated as zero, so vectors of different lengths compose
-// safely (useful when features are appended over time).
-func (v Vector) Dot(w Vector) float64 {
-	n := len(v)
-	if len(w) < n {
-		n = len(w)
-	}
-	s := 0.0
-	for i := 0; i < n; i++ {
-		s += v[i] * w[i]
-	}
-	return s
-}
-
-// Clone returns a deep copy of v.
-func (v Vector) Clone() Vector {
-	if v == nil {
-		return nil
-	}
-	w := make(Vector, len(v))
-	copy(w, v)
-	return w
-}
-
-// Norm returns the Euclidean norm of v.
-func (v Vector) Norm() float64 {
-	return math.Sqrt(v.Dot(v))
-}
-
-// Scale multiplies every component in place and returns v for chaining.
-func (v Vector) Scale(c float64) Vector {
-	for i := range v {
-		v[i] *= c
-	}
-	return v
-}
-
-// Add accumulates w into v in place (entries of w beyond len(v) are ignored).
-func (v Vector) Add(w Vector) {
-	for i := range w {
-		if i >= len(v) {
-			break
-		}
-		v[i] += w[i]
-	}
-}
-
 // Context is the state observed before a decision: a shared feature vector,
 // optionally per-action feature vectors, and the number of eligible actions.
 type Context struct {

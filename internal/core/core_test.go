@@ -6,50 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestVectorDot(t *testing.T) {
-	cases := []struct {
-		v, w Vector
-		want float64
-	}{
-		{nil, nil, 0},
-		{Vector{1, 2}, Vector{3, 4}, 11},
-		{Vector{1, 2, 5}, Vector{3, 4}, 11}, // length mismatch: extra dims ignored
-		{Vector{1}, Vector{2, 100}, 2},
-	}
-	for _, c := range cases {
-		if got := c.v.Dot(c.w); got != c.want {
-			t.Errorf("%v·%v = %v, want %v", c.v, c.w, got, c.want)
-		}
-	}
-}
-
-func TestVectorCloneIndependent(t *testing.T) {
-	v := Vector{1, 2, 3}
-	w := v.Clone()
-	w[0] = 99
-	if v[0] != 1 {
-		t.Error("Clone should not alias")
-	}
-	if Vector(nil).Clone() != nil {
-		t.Error("Clone(nil) should be nil")
-	}
-}
-
-func TestVectorNormScaleAdd(t *testing.T) {
-	v := Vector{3, 4}
-	if v.Norm() != 5 {
-		t.Errorf("Norm = %v", v.Norm())
-	}
-	v.Scale(2)
-	if v[0] != 6 || v[1] != 8 {
-		t.Errorf("Scale: %v", v)
-	}
-	v.Add(Vector{1, 1, 100}) // trailing entry ignored
-	if v[0] != 7 || v[1] != 9 {
-		t.Errorf("Add: %v", v)
-	}
-}
-
 func TestContextValidate(t *testing.T) {
 	good := Context{Features: Vector{1}, NumActions: 3}
 	if err := good.Validate(); err != nil {
@@ -213,36 +169,6 @@ func TestSplitTrajectories(t *testing.T) {
 	if len(flat) != len(ds) {
 		t.Errorf("Flatten lost data: %d != %d", len(flat), len(ds))
 	}
-}
-
-// Property: Dot is symmetric and linear in its first argument's scale.
-func TestDotProperties(t *testing.T) {
-	f := func(a, b []float64, c float64) bool {
-		va, vb := sanitize(a), sanitize(b)
-		c = math.Mod(c, 100)
-		if math.IsNaN(c) {
-			c = 1
-		}
-		if math.Abs(va.Dot(vb)-vb.Dot(va)) > 1e-6 {
-			return false
-		}
-		scaled := va.Clone().Scale(c)
-		return math.Abs(scaled.Dot(vb)-c*va.Dot(vb)) < 1e-6*(1+math.Abs(c*va.Dot(vb)))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func sanitize(xs []float64) Vector {
-	v := make(Vector, 0, len(xs))
-	for _, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			continue
-		}
-		v = append(v, math.Mod(x, 1000))
-	}
-	return v
 }
 
 func TestImportanceWeight(t *testing.T) {

@@ -13,7 +13,6 @@ type ArrivalProcess struct {
 	handler func(i int)
 	count   int
 	limit   int
-	stopped bool
 }
 
 // NewPoissonArrivals schedules arrivals with exponential inter-arrival gaps
@@ -35,32 +34,12 @@ func NewPoissonArrivals(sim *Simulator, r *rand.Rand, rate float64, limit int, h
 	return p, p.schedule()
 }
 
-// NewUniformArrivals schedules arrivals with a fixed inter-arrival gap.
-func NewUniformArrivals(sim *Simulator, gap float64, limit int, handler func(i int)) (*ArrivalProcess, error) {
-	if gap <= 0 {
-		return nil, errors.New("des: arrival gap must be positive")
-	}
-	if handler == nil {
-		return nil, errors.New("des: nil arrival handler")
-	}
-	p := &ArrivalProcess{
-		sim:     sim,
-		next:    func() float64 { return gap },
-		handler: handler,
-		limit:   limit,
-	}
-	return p, p.schedule()
-}
-
 func (p *ArrivalProcess) schedule() error {
 	_, err := p.sim.After(p.next(), p.fire)
 	return err
 }
 
 func (p *ArrivalProcess) fire() {
-	if p.stopped {
-		return
-	}
 	i := p.count
 	p.count++
 	p.handler(i)
@@ -70,12 +49,6 @@ func (p *ArrivalProcess) fire() {
 	// Scheduling from inside an event can't fail: delay >= 0.
 	_ = mustEvent(p.sim.After(p.next(), p.fire))
 }
-
-// Stop halts the process; no further arrivals fire.
-func (p *ArrivalProcess) Stop() { p.stopped = true }
-
-// Count returns the number of arrivals generated so far.
-func (p *ArrivalProcess) Count() int { return p.count }
 
 func mustEvent(e *Event, err error) *Event {
 	if err != nil {

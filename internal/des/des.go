@@ -23,9 +23,6 @@ type Event struct {
 	idx  int
 }
 
-// Time returns the virtual time at which the event fires.
-func (e *Event) Time() float64 { return e.at }
-
 // Cancel prevents a pending event from firing. Canceling an event that has
 // already fired or was already canceled is a no-op.
 func (e *Event) Cancel() { e.dead = true }
@@ -66,7 +63,6 @@ type Simulator struct {
 	now    float64
 	seq    uint64
 	events eventHeap
-	steps  uint64
 }
 
 // ErrPast is returned when scheduling an event before the current time.
@@ -78,9 +74,6 @@ func (s *Simulator) Now() float64 { return s.now }
 // Pending returns the number of events still queued (including canceled
 // events that have not yet been popped).
 func (s *Simulator) Pending() int { return len(s.events) }
-
-// Steps returns the number of events executed so far.
-func (s *Simulator) Steps() uint64 { return s.steps }
 
 // At schedules fn to run at absolute virtual time t.
 func (s *Simulator) At(t float64, fn func()) (*Event, error) {
@@ -113,7 +106,6 @@ func (s *Simulator) Step() bool {
 			continue
 		}
 		s.now = e.at
-		s.steps++
 		e.fn()
 		return true
 	}

@@ -146,21 +146,6 @@ func TestRunAllBudget(t *testing.T) {
 	}
 }
 
-func TestStepsCounter(t *testing.T) {
-	var s Simulator
-	for i := 0; i < 7; i++ {
-		if _, err := s.At(float64(i), func() {}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.RunAll(100); err != nil {
-		t.Fatal(err)
-	}
-	if s.Steps() != 7 {
-		t.Errorf("Steps = %d, want 7", s.Steps())
-	}
-}
-
 func TestPoissonArrivalRate(t *testing.T) {
 	var s Simulator
 	r := stats.NewRand(1)
@@ -185,44 +170,8 @@ func TestPoissonArrivalLimit(t *testing.T) {
 	if err := s.RunAll(1000); err != nil {
 		t.Fatal(err)
 	}
-	if p.Count() != 25 {
-		t.Errorf("Count = %d, want 25", p.Count())
-	}
-}
-
-func TestUniformArrivals(t *testing.T) {
-	var s Simulator
-	var times []float64
-	if _, err := NewUniformArrivals(&s, 2.0, 4, func(int) { times = append(times, s.Now()) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunAll(100); err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 4, 6, 8}
-	if len(times) != 4 {
-		t.Fatalf("times = %v", times)
-	}
-	for i := range want {
-		if math.Abs(times[i]-want[i]) > 1e-12 {
-			t.Errorf("arrival %d at %v, want %v", i, times[i], want[i])
-		}
-	}
-}
-
-func TestArrivalStop(t *testing.T) {
-	var s Simulator
-	n := 0
-	p, err := NewUniformArrivals(&s, 1, 0, func(i int) { n++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.At(5.5, p.Stop); err != nil {
-		t.Fatal(err)
-	}
-	s.Run(100)
-	if n != 5 {
-		t.Errorf("arrivals after stop: n = %d, want 5", n)
+	if p.count != 25 {
+		t.Errorf("count = %d, want 25", p.count)
 	}
 }
 
@@ -233,12 +182,6 @@ func TestArrivalConstructorsValidate(t *testing.T) {
 		t.Error("rate=0 should fail")
 	}
 	if _, err := NewPoissonArrivals(&s, r, 1, 0, nil); err == nil {
-		t.Error("nil handler should fail")
-	}
-	if _, err := NewUniformArrivals(&s, 0, 0, func(int) {}); err == nil {
-		t.Error("gap=0 should fail")
-	}
-	if _, err := NewUniformArrivals(&s, 1, 0, nil); err == nil {
 		t.Error("nil handler should fail")
 	}
 }

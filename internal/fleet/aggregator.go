@@ -168,9 +168,6 @@ func New(cfg Config) (*Aggregator, error) {
 	return a, nil
 }
 
-// Metrics returns the aggregator's obs registry.
-func (a *Aggregator) Metrics() *obs.Registry { return a.obsReg }
-
 // Start resumes from the checkpoint (when one exists), launches one pull
 // loop per shard, the checkpoint timer, and the HTTP API, then returns. The
 // aggregator runs until Shutdown.

@@ -181,7 +181,7 @@ func TestHierarchicalCBBeatsRandomOnline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edge, clusters, err := TrainHierarchical(harvested, len(cfg.Clusters))
+	edge, clusters, err := TrainHierarchicalParallel(harvested, len(cfg.Clusters), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +210,10 @@ func TestHierarchicalCBBeatsRandomOnline(t *testing.T) {
 }
 
 func TestTrainHierarchicalValidation(t *testing.T) {
-	if _, _, err := TrainHierarchical(nil, 4); err == nil {
+	if _, _, err := TrainHierarchicalParallel(nil, 4, 1); err == nil {
 		t.Error("nil result should fail")
 	}
-	if _, _, err := TrainHierarchical(&Result{}, 4); err == nil {
+	if _, _, err := TrainHierarchicalParallel(&Result{}, 4, 1); err == nil {
 		t.Error("empty result should fail")
 	}
 }

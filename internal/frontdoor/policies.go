@@ -98,17 +98,13 @@ func RunWithPolicies(cfg Config, edge core.Policy, clusters []core.Policy, seed 
 	return &PolicyResult{MeanLatency: lat.Mean(), PerEndpoint: perEndpoint}, nil
 }
 
-// TrainHierarchical fits CB policies at both levels from a harvested run:
-// a shared linear latency model per level, played greedily (argmin). This
-// is the optimization step of the methodology applied hierarchically.
-func TrainHierarchical(res *Result, numEndpoints int) (edge core.Policy, clusters []core.Policy, err error) {
-	return TrainHierarchicalParallel(res, numEndpoints, 1)
-}
-
-// TrainHierarchicalParallel is TrainHierarchical with the per-endpoint
-// cluster-model fits running on the deterministic scheduler: each fit is a
-// pure function of its endpoint's data, so the trained policies are
-// identical for every worker count (1 = serial, <1 = runtime.NumCPU()).
+// TrainHierarchicalParallel fits CB policies at both levels from a
+// harvested run: a shared linear latency model per level, played greedily
+// (argmin). This is the optimization step of the methodology applied
+// hierarchically. The per-endpoint cluster-model fits run on the
+// deterministic scheduler: each fit is a pure function of its endpoint's
+// data, so the trained policies are identical for every worker count
+// (1 = serial, <1 = runtime.NumCPU()).
 func TrainHierarchicalParallel(res *Result, numEndpoints, workers int) (edge core.Policy, clusters []core.Policy, err error) {
 	if res == nil || len(res.EdgeData) == 0 {
 		return nil, nil, core.ErrNoData

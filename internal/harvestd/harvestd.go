@@ -244,10 +244,6 @@ func New(cfg Config, reg *Registry) (*Daemon, error) {
 // Registry returns the daemon's policy registry.
 func (d *Daemon) Registry() *Registry { return d.reg }
 
-// Metrics returns the daemon's obs registry (for composing extra
-// instruments onto the same /metrics page).
-func (d *Daemon) Metrics() *obs.Registry { return d.obsReg }
-
 // AddSource wires a source; call before Start.
 func (d *Daemon) AddSource(s Source) {
 	d.sources = append(d.sources, s)
@@ -448,7 +444,7 @@ func (d *Daemon) Ingest(dp core.Datapoint) error {
 	return d.push(ingestBatch{pts: []core.Datapoint{dp}})
 }
 
-// push is Ingest for a whole batch, decoded or raw, with Sink.EmitBatch's
+// push is Ingest for a whole batch, decoded or raw, with Sink.send's
 // ownership rule: the batch belongs to the daemon until its free runs.
 func (d *Daemon) push(bt ingestBatch) error {
 	d.stateMu.RLock()

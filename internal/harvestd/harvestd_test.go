@@ -210,7 +210,7 @@ func TestWorkerFoldsExactlyTheValidRecords(t *testing.T) {
 	allBad := []core.Datapoint{ds[0], ds[1]}
 	sink := d.sinkFor("test")
 	for _, pts := range [][]core.Datapoint{ds, allBad} {
-		if err := sink.EmitBatch(context.Background(), pts, nil); err != nil {
+		if err := sink.send(context.Background(), ingestBatch{pts: pts}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -135,19 +135,14 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	default:
 		lr := harvester.NewLineReader(r.Body)
-		for lr.Fill() {
-			for lr.Next() {
-				total.lines++
-				d.ctr.lines.Add(1)
-				if err := d.ingestJSONLLine(lr.Line()); err != nil {
-					total.rejected++
-					d.ctr.rejected.Add(1)
-					continue
-				}
-				total.ingested++
+		for err == nil && lr.Fill() {
+			for err == nil && lr.Next() {
+				err = d.ingestJSONLLine(lr.Line(), &total)
 			}
 		}
-		err = lr.Err()
+		if err == nil {
+			err = lr.Err()
+		}
 	}
 	// 503 says the daemon refused a batch; whatever else ends the pass early
 	// is the body's fault.
@@ -164,20 +159,33 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// ingestJSONLLine parses one JSONL datapoint and offers it to the queue.
-func (d *Daemon) ingestJSONLLine(line []byte) error {
+// ingestJSONLLine parses one JSONL datapoint and offers it to the queue,
+// booking the line in t and in the daemon's counters as JSONLSource books
+// it: a line that is not a datapoint is a parse error, one that fails
+// Validate is rejected. The only error is the daemon's refusal, which
+// moves no counter.
+func (d *Daemon) ingestJSONLLine(line []byte, t *tally) error {
 	var dp core.Datapoint
-	found := false
-	if err := core.ReadJSONLFunc(bytes.NewReader(line), func(x core.Datapoint) error {
-		dp, found = x, true
+	err := core.ReadJSONLFunc(bytes.NewReader(line), func(x core.Datapoint) error {
+		dp = x
 		return nil
-	}); err != nil {
-		return err
+	})
+	switch {
+	case err != nil:
+		t.parseErrors++
+		d.ctr.parseErrors.Add(1)
+	case dp.Validate() != nil:
+		t.rejected++
+		d.ctr.rejected.Add(1)
+	default:
+		if err := d.Ingest(dp); err != nil {
+			return err
+		}
+		t.ingested++
 	}
-	if !found || dp.Validate() != nil {
-		return fmt.Errorf("harvestd: invalid datapoint line")
-	}
-	return d.Ingest(dp)
+	t.lines++
+	d.ctr.lines.Add(1)
+	return nil
 }
 
 // handleMetrics serves the obs registry as Prometheus text. Static series

@@ -142,6 +142,11 @@ func (b *failingBody) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// ingestCounters reads the daemon's ingest counters as one tally.
+func ingestCounters(d *Daemon) tally {
+	return tally{lines: d.ctr.lines.Load(), ingested: d.ctr.ingested.Load(), rejected: d.ctr.rejected.Load(), parseErrors: d.ctr.parseErrors.Load()}
+}
+
 // TestServerIngestNginxEdges pins the push path where it differs from a
 // file source least visibly: Seq is the physical line number of the body
 // (blank lines count), a body that fails to read is the client's 400 even
@@ -176,16 +181,26 @@ func TestServerIngestNginxEdges(t *testing.T) {
 		t.Errorf("failed body read under a cancelled context = %d, want 400", rec.Code)
 	}
 
+	var jsonl strings.Builder
+	if err := testDataset(3, 54).WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
 	if err := d.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Post(srv.URL+"/ingest?format=nginx", "text/plain", strings.NewReader(lines[0]+"\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("ingest into a stopped daemon = %d, want 503", resp.StatusCode)
+	before := ingestCounters(d)
+	for _, push := range []struct{ format, body string }{{"nginx", lines[0] + "\n"}, {"jsonl", jsonl.String()}} {
+		resp, err = http.Post(srv.URL+"/ingest?format="+push.format, "text/plain", strings.NewReader(push.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("%s ingest into a stopped daemon = %d, want 503", push.format, resp.StatusCode)
+		}
+		if got := ingestCounters(d); got != before {
+			t.Errorf("%s ingest into a stopped daemon moved the counters: %+v, want %+v", push.format, got, before)
+		}
 	}
 }
 
@@ -262,7 +277,13 @@ func TestServerIngestJSONLAndRejects(t *testing.T) {
 	if err := ds.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	body := buf.String() + "this is not json\n"
+	bad := ds[0]
+	bad.Propensity = 0
+	var badLine strings.Builder
+	if err := (core.Dataset{bad}).WriteJSONL(&badLine); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.String() + "this is not json\n" + badLine.String()
 	resp, err := http.Post(srv.URL+"/ingest?format=jsonl", "text/plain", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -272,10 +293,13 @@ func TestServerIngestJSONLAndRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if summary["ingested"] != 50 || summary["rejected"] != 1 {
+	if summary["lines"] != 52 || summary["ingested"] != 50 || summary["parse_errors"] != 1 || summary["rejected"] != 1 {
 		t.Fatalf("summary = %v", summary)
 	}
 	waitFor(t, 10*time.Second, "folds", func() bool { return d.reg.TotalN() == 50 })
+	if got := ingestCounters(d); got != (tally{lines: 52, ingested: 50, rejected: 1, parseErrors: 1}) {
+		t.Errorf("counters = %+v, want the reply's", got)
+	}
 
 	resp, err = http.Post(srv.URL+"/ingest?format=martian", "text/plain", strings.NewReader("x"))
 	if err != nil {

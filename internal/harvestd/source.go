@@ -60,22 +60,11 @@ func (s *Sink) Emit(ctx context.Context, d core.Datapoint) error {
 	return s.send(ctx, ingestBatch{pts: []core.Datapoint{d}})
 }
 
-// EmitBatch offers a whole slice of datapoints to the worker queue in one
-// channel operation. Ownership of pts transfers to the daemon until free
-// runs (after the batch is folded); sources recycling decode buffers pass a
-// free that returns the batch to their pool, and must not touch pts before
-// it fires. free may be nil.
-func (s *Sink) EmitBatch(ctx context.Context, pts []core.Datapoint, free func()) error {
-	if len(pts) == 0 {
-		if free != nil {
-			free()
-		}
-		return nil
-	}
-	return s.send(ctx, ingestBatch{pts: pts, free: free})
-}
-
-// send enqueues a batch, decoded or raw, on behalf of the sink's source.
+// send enqueues a batch, decoded or raw, on behalf of the sink's source, in
+// one channel operation. Ownership of the batch transfers to the daemon
+// until its free runs (after the batch is folded): a source recycling its
+// buffers passes a free that returns them to its pool, and must not touch
+// them before it fires. free may be nil.
 func (s *Sink) send(ctx context.Context, bt ingestBatch) error {
 	bt.src = s.src
 	return s.d.enqueue(ctx, bt)

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -177,10 +178,10 @@ func (s sizedReader) Read(p []byte) (int, error) {
 func clonePoints(pts []core.Datapoint) []core.Datapoint {
 	out := make([]core.Datapoint, len(pts))
 	for i, p := range pts {
-		p.Context.Features = p.Context.Features.Clone()
+		p.Context.Features = slices.Clone(p.Context.Features)
 		rows := make([]core.Vector, len(p.Context.ActionFeatures))
 		for j, row := range p.Context.ActionFeatures {
-			rows[j] = row.Clone()
+			rows[j] = slices.Clone(row)
 		}
 		p.Context.ActionFeatures = rows
 		out[i] = p
@@ -323,7 +324,7 @@ func TestNginxSourceMatchesPerLineReference(t *testing.T) {
 				if got != wantTally {
 					t.Errorf("%s: tally %+v, want %+v", name, got, wantTally)
 				}
-				if c := (tally{lines: d.ctr.lines.Load(), ingested: d.ctr.ingested.Load(), rejected: d.ctr.rejected.Load(), parseErrors: d.ctr.parseErrors.Load()}); c != wantTally || d.ctr.folded.Load() != wantTally.ingested {
+				if c := ingestCounters(d); c != wantTally || d.ctr.folded.Load() != wantTally.ingested {
 					t.Errorf("%s: counters %+v, folded %d, want %+v all folded", name, c, d.ctr.folded.Load(), wantTally)
 				}
 				var flat []core.Datapoint
@@ -344,7 +345,7 @@ func TestNginxSourceMatchesPerLineReference(t *testing.T) {
 
 				ref := start(1)
 				for _, pts := range reads {
-					if err := ref.sinkFor("t").EmitBatch(ctx, pts, nil); err != nil {
+					if err := ref.sinkFor("t").send(ctx, ingestBatch{pts: pts}); err != nil {
 						t.Fatal(err)
 					}
 				}

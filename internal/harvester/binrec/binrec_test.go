@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -83,11 +84,11 @@ func decodeAll(t testing.TB, wire []byte) core.Dataset {
 func clonePoints(pts []core.Datapoint) core.Dataset {
 	out := make(core.Dataset, len(pts))
 	for i, d := range pts {
-		d.Context.Features = d.Context.Features.Clone()
+		d.Context.Features = slices.Clone(d.Context.Features)
 		if d.Context.ActionFeatures != nil {
 			rows := make([]core.Vector, len(d.Context.ActionFeatures))
 			for j, row := range d.Context.ActionFeatures {
-				rows[j] = row.Clone()
+				rows[j] = slices.Clone(row)
 			}
 			d.Context.ActionFeatures = rows
 		}

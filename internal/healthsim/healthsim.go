@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/learn"
-	"repro/internal/stats"
 )
 
 // NumWaitActions is the paper's action count: wait w ∈ {1, 2, ..., 9}
@@ -237,17 +236,3 @@ func (g *Generator) MaxPossibleDowntime() float64 {
 	return float64(NumWaitActions) +
 		g.cfg.RebootBase + g.cfg.RebootPerSKU*float64(g.cfg.NumSKUs-1) + 0.2*float64(g.cfg.NumOSes-1)
 }
-
-// OptimalExpectedDowntime estimates, by fresh Monte Carlo, the expected
-// downtime of the omniscient policy (best wait per episode) — a lower bound
-// no learner can beat.
-func OptimalExpectedDowntime(seed int64, cfg Config, n int) (float64, error) {
-	g, err := NewGenerator(randFrom(seed), cfg)
-	if err != nil {
-		return 0, err
-	}
-	ds := g.Generate(n)
-	return -ds.OptimalMeanReward(false), nil
-}
-
-func randFrom(seed int64) *rand.Rand { return stats.NewRand(seed) }

@@ -202,11 +202,10 @@ func TestNormalizedWithinMaxPossible(t *testing.T) {
 	}
 }
 
+// TestOptimalExpectedDowntime reads the omniscient policy's downtime the
+// way fig4 does: a plausible lower bound the max-wait default exceeds.
 func TestOptimalExpectedDowntime(t *testing.T) {
-	opt, err := OptimalExpectedDowntime(11, DefaultConfig(), 4000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := -newGen(t, 11).Generate(4000).OptimalMeanReward(false)
 	if opt <= 0 || opt > 15 {
 		t.Errorf("optimal downtime = %v, implausible", opt)
 	}

@@ -22,16 +22,3 @@ func FitCBPolicy(expl core.Dataset) (core.Policy, error) {
 	}
 	return model.GreedyPolicy(true), nil // latency is a cost: minimize
 }
-
-// FitCBModel exposes the fitted latency model itself (for doubly robust
-// estimation and the ablation benches).
-func FitCBModel(expl core.Dataset) (*learn.RewardModel, error) {
-	if len(expl) == 0 {
-		return nil, core.ErrNoData
-	}
-	model, err := learn.FitRewardModel(expl, learn.FitOptions{Lambda: 1e-4})
-	if err != nil {
-		return nil, fmt.Errorf("lbsim: fitting CB latency model: %w", err)
-	}
-	return model, nil
-}

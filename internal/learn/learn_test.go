@@ -285,11 +285,11 @@ func TestSGDConvergesToLinear(t *testing.T) {
 	if math.Abs(pred-1.0) > 0.05 {
 		t.Errorf("sgd predict = %v, want 1.0", pred)
 	}
-	if s.Steps() != 20000 {
-		t.Errorf("Steps = %d", s.Steps())
+	if s.step != 20000 {
+		t.Errorf("steps = %d", s.step)
 	}
-	if len(s.Weights()) != 3 {
-		t.Errorf("weights len = %d, want 3 (incl bias)", len(s.Weights()))
+	if len(s.w) != 3 {
+		t.Errorf("weights len = %d, want 3 (incl bias)", len(s.w))
 	}
 }
 

@@ -160,6 +160,3 @@ func (m *Multinomial) Probabilities(x core.Vector) []float64 {
 	m.softmax(row, out)
 	return out
 }
-
-// NumActions returns the number of classes.
-func (m *Multinomial) NumActions() int { return m.k }

@@ -74,8 +74,8 @@ func TestMultinomialProbabilitiesSumToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumActions() != 4 {
-		t.Errorf("NumActions = %d", m.NumActions())
+	if m.k != 4 {
+		t.Errorf("classes = %d", m.k)
 	}
 	for _, x := range []core.Vector{{0, 0}, {1, 1}, {-5, 3}} {
 		p := m.Probabilities(x)

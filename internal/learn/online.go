@@ -145,9 +145,6 @@ func (eg *EpochGreedy) Update(d core.Datapoint) error {
 	return nil
 }
 
-// Steps returns the number of updates folded in.
-func (eg *EpochGreedy) Steps() int { return eg.t }
-
 // GreedyPolicy returns the frozen exploit-only policy (no exploration) —
 // what you would deploy after training.
 func (eg *EpochGreedy) GreedyPolicy() core.Policy {

@@ -26,8 +26,8 @@ func TestEpochGreedyEpsilonDecays(t *testing.T) {
 	if eg.Epsilon() >= 0.2 {
 		t.Errorf("epsilon after 1000 steps = %v, want < 0.2", eg.Epsilon())
 	}
-	if eg.Steps() != 1000 {
-		t.Errorf("Steps = %d", eg.Steps())
+	if eg.t != 1000 {
+		t.Errorf("steps = %d", eg.t)
 	}
 }
 

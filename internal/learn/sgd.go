@@ -45,9 +45,3 @@ func (s *SGDRegressor) Update(x core.Vector, y, iw float64) {
 	}
 	s.w[dim] -= lr * g // bias
 }
-
-// Steps returns the number of updates applied.
-func (s *SGDRegressor) Steps() int { return s.step }
-
-// Weights returns the current weight vector (aliased, not copied).
-func (s *SGDRegressor) Weights() core.Vector { return s.w }

@@ -16,9 +16,8 @@ const histShards = 8
 
 // Histogram is a fixed-bucket latency/size histogram designed like the
 // rest of the repository's accumulators: lock-sharded on the write path,
-// snapshotted into a mergeable value type on the read path. The bucket
-// layout is immutable after construction — merge compatibility across
-// shards, processes, and checkpoints depends on it.
+// its shards merged into one snapshot on the read path. The bucket layout
+// is immutable after construction — the shards' merge depends on it.
 type Histogram struct {
 	buckets []float64 // ascending upper bounds; +Inf bucket is implicit
 	next    atomic.Uint64
@@ -79,7 +78,7 @@ func (h *Histogram) Observe(v float64) {
 	sh.mu.Unlock()
 }
 
-// HistSnapshot is a point-in-time, mergeable view of a histogram. Counts
+// HistSnapshot is a point-in-time view of a histogram. Counts
 // holds per-bucket (non-cumulative) counts with the +Inf overflow last;
 // exposition converts to cumulative "le" counts.
 type HistSnapshot struct {
@@ -106,24 +105,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		sh.mu.Unlock()
 	}
 	return s
-}
-
-// Merge folds another snapshot into s — the cross-process reduction, e.g.
-// combining per-worker histograms on read. Both snapshots must share the
-// bucket layout. Merging an empty snapshot is a no-op.
-func (s *HistSnapshot) Merge(o HistSnapshot) error {
-	if o.Count == 0 && o.Sum == 0 {
-		return nil
-	}
-	if !sameBuckets(s.Buckets, o.Buckets) {
-		return fmt.Errorf("obs: merging histograms with different bucket layouts")
-	}
-	for i, c := range o.Counts {
-		s.Counts[i] += c
-	}
-	s.Sum += o.Sum
-	s.Count += o.Count
-	return nil
 }
 
 // Quantile estimates the q-quantile (0 <= q <= 1) from the bucket counts

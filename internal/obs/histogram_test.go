@@ -107,74 +107,6 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeOrderInsensitive mirrors the harvester merge property
-// test: merging K per-shard snapshots must agree for every merge order —
-// integer counts exactly, float sums to tight tolerance.
-func TestHistogramMergeOrderInsensitive(t *testing.T) {
-	const shards = 7
-	buckets := []float64{0.25, 0.5, 0.75}
-	r := stats.NewRand(43)
-	snaps := make([]HistSnapshot, shards)
-	for i := range snaps {
-		h, err := NewHistogram(buckets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 50 + r.Intn(200)
-		for j := 0; j < n; j++ {
-			h.Observe(r.Float64())
-		}
-		snaps[i] = h.Snapshot()
-	}
-	mergeInOrder := func(order []int) HistSnapshot {
-		acc := snaps[order[0]]
-		// Deep-copy the counts so merges do not alias the source snapshot.
-		acc.Counts = append([]uint64(nil), acc.Counts...)
-		for _, i := range order[1:] {
-			if err := acc.Merge(snaps[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return acc
-	}
-	identity := make([]int, shards)
-	for i := range identity {
-		identity[i] = i
-	}
-	ref := mergeInOrder(identity)
-	if ref.Count == 0 {
-		t.Fatal("reference merged nothing")
-	}
-	shuffler := stats.NewRand(44)
-	for trial := 0; trial < 20; trial++ {
-		order := append([]int(nil), identity...)
-		shuffler.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		got := mergeInOrder(order)
-		if got.Count != ref.Count {
-			t.Fatalf("order %v: count %d vs %d", order, got.Count, ref.Count)
-		}
-		for i := range got.Counts {
-			if got.Counts[i] != ref.Counts[i] {
-				t.Fatalf("order %v: bucket %d: %d vs %d", order, i, got.Counts[i], ref.Counts[i])
-			}
-		}
-		if math.Abs(got.Sum-ref.Sum) > 1e-9*math.Max(math.Abs(ref.Sum), 1) {
-			t.Errorf("order %v: sum %v vs %v", order, got.Sum, ref.Sum)
-		}
-	}
-
-	mismatched, err := NewHistogram([]float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mismatched.Observe(1)
-	bad := mismatched.Snapshot()
-	acc := mergeInOrder(identity)
-	if err := acc.Merge(bad); err == nil {
-		t.Error("merge across bucket layouts accepted")
-	}
-}
-
 func TestHistogramExposition(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat_seconds", "latency", []float64{0.1, 1}, "backend", "0")
@@ -205,49 +137,6 @@ func TestHistogramExposition(t *testing.T) {
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("missing %q in:\n%s", want, got)
-		}
-	}
-}
-
-// TestHistogramQuantileMergeInvariance is the satellite property test:
-// quantiles computed on K merged per-shard snapshots must equal quantiles
-// of one histogram fed the concatenated observation stream. Quantile reads
-// only the integer bucket counts, so equality is exact — no tolerance.
-func TestHistogramQuantileMergeInvariance(t *testing.T) {
-	buckets := DefLatencyBuckets()
-	const shards = 5
-	r := stats.NewRand(97)
-	whole, err := NewHistogram(buckets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var merged HistSnapshot
-	for sh := 0; sh < shards; sh++ {
-		h, err := NewHistogram(buckets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 100 + r.Intn(400)
-		for i := 0; i < n; i++ {
-			// Mix of fast and tail latencies across several decades.
-			v := math.Exp(r.NormFloat64()*2 - 6)
-			h.Observe(v)
-			whole.Observe(v)
-		}
-		if sh == 0 {
-			merged = h.Snapshot()
-		} else if err := merged.Merge(h.Snapshot()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ws := whole.Snapshot()
-	if merged.Count != ws.Count {
-		t.Fatalf("merged count %d != whole count %d", merged.Count, ws.Count)
-	}
-	for _, q := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
-		mq, wq := merged.Quantile(q), ws.Quantile(q)
-		if mq != wq {
-			t.Errorf("q=%v: merged %v != concatenated %v", q, mq, wq)
 		}
 	}
 }

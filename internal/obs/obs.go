@@ -17,8 +17,8 @@
 //     so two renders of the same state are byte-identical — scrape diffs
 //     and regression tests stay trivial.
 //   - Mergeable state. Histograms are lock-sharded for write concurrency
-//     and snapshot into a mergeable value type, the same fold-per-writer,
-//     merge-on-read shape as the estimators' ope.Accum.
+//     and merge their shards into one snapshot on read, the same
+//     fold-per-writer, merge-on-read shape as the estimators' ope.Accum.
 //   - Injected clocks. Nothing here reads time.Now directly except the
 //     WallClock constructor (enforced by harvestlint's walltime rule), so
 //     simulations can drive the tracer from a des.Simulator virtual clock
@@ -90,16 +90,6 @@ type Gauge struct{ bits atomic.Uint64 }
 
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add increments the gauge by d (compare-and-swap loop).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
 
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

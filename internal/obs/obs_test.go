@@ -166,25 +166,6 @@ func TestRegisterGoRuntime(t *testing.T) {
 	}
 }
 
-func TestGaugeAddConcurrent(t *testing.T) {
-	var g Gauge
-	done := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for j := 0; j < 1000; j++ {
-				g.Add(1)
-			}
-		}()
-	}
-	for i := 0; i < 4; i++ {
-		<-done
-	}
-	if v := g.Value(); v != 4000 {
-		t.Errorf("gauge = %v, want 4000", v)
-	}
-}
-
 // TestRegistryConcurrentFirstLookup: goroutines racing to look up a series
 // nobody has registered yet (two /metrics scrapes publishing a new
 // per-policy gauge) must all get the same instrument. Run under -race: the

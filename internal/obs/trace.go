@@ -81,14 +81,6 @@ func (t *Tracer) Start(name string, parent *Span, attrs map[string]any) *Span {
 	return s
 }
 
-// ID returns the span's trace-unique ID (0 for a nil span).
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
 // SetAttr attaches one attribute, overwriting any same-keyed value.
 func (s *Span) SetAttr(key string, value any) {
 	if s == nil {

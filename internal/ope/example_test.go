@@ -40,9 +40,9 @@ func ExampleIPS() {
 	// estimated reward: 0.50 (true: 0.50)
 }
 
-// ExampleSelectBest evaluates several candidates simultaneously with
-// union-bound confidence intervals — the Eq. 1 capability.
-func ExampleSelectBest() {
+// ExampleSelectFromEstimates evaluates several candidates simultaneously
+// with union-bound confidence intervals — the Eq. 1 capability.
+func ExampleSelectFromEstimates() {
 	r := stats.NewRand(3)
 	var logged core.Dataset
 	means := []float64{0.2, 0.9, 0.5}
@@ -55,12 +55,22 @@ func ExampleSelectBest() {
 			Propensity: 1.0 / 3,
 		})
 	}
-	candidates := make([]core.Policy, 3)
-	for a := range candidates {
-		a := a
-		candidates[a] = core.PolicyFunc(func(*core.Context) core.Action { return core.Action(a) })
+	ests := make([]ope.Estimate, 3)
+	for a := range ests {
+		candidate := core.PolicyFunc(func(*core.Context) core.Action { return core.Action(a) })
+		est, err := (ope.IPS{}).Estimate(candidate, logged)
+		if err != nil {
+			fmt.Println("error:", err)
+			return
+		}
+		ests[a] = est
 	}
-	sel, err := ope.SelectBest(nil, candidates, logged, 0, 0.05, false)
+	rangeHi, err := ope.DeriveRangeHi(logged)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	sel, err := ope.SelectFromEstimates(ests, rangeHi, 0.05, false)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

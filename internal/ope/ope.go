@@ -12,7 +12,7 @@
 // which is unbiased whenever every action has positive logged propensity.
 // The package also provides the bias/variance alternatives the paper's §5
 // points at (clipped IPS, self-normalized IPS, the direct method, doubly
-// robust) and the trajectory-level importance sampling estimators needed
+// robust) and the trajectory-level importance sampling estimator needed
 // when decisions have long-term effects, plus the paper's Eq. 1 error bound
 // and its A/B-testing counterpart.
 //

@@ -334,7 +334,6 @@ func TestEstimatorNames(t *testing.T) {
 		{DirectMethod{}.Name(), "dm"},
 		{DoublyRobust{}.Name(), "dr"},
 		{TrajectoryIS{}.Name(), "traj-is"},
-		{PerDecisionIS{}.Name(), "pd-is"},
 	} {
 		if pair.got != pair.want {
 			t.Errorf("name = %q, want %q", pair.got, pair.want)

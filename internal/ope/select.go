@@ -13,8 +13,8 @@ type Scored struct {
 	Index    int
 	Estimate Estimate
 	// Interval holds with probability 1-delta simultaneously across ALL
-	// candidates passed to SelectBest (union bound: each interval is
-	// computed at delta/K — the log(K/δ) of the paper's Eq. 1).
+	// candidates passed to SelectFromEstimates (union bound: each interval
+	// is computed at delta/K — the log(K/δ) of the paper's Eq. 1).
 	Interval stats.Interval
 }
 
@@ -49,51 +49,16 @@ func DeriveRangeHi(data core.Dataset) (float64, error) {
 	return hi / eps, nil
 }
 
-// SelectBest evaluates every candidate policy on the same exploration data
-// — the core capability Fig. 1 quantifies: one log, K policies — and
-// returns per-policy estimates with simultaneous 1-delta confidence
-// intervals, picking the winner by lower confidence bound.
-//
-// rangeHi bounds the per-datapoint IPS terms (for rewards in [0,1] it is
-// 1/ε with ε the minimum logged propensity); pass 0 to derive it from the
-// dataset. minimize treats rewards as costs.
-func SelectBest(est Estimator, policies []core.Policy, data core.Dataset, rangeHi, delta float64, minimize bool) (*Selection, error) {
-	if len(policies) == 0 {
-		return nil, fmt.Errorf("ope: no candidate policies")
-	}
-	if len(data) == 0 {
-		return nil, core.ErrNoData
-	}
-	if est == nil {
-		est = IPS{}
-	}
-	if rangeHi <= 0 {
-		var err error
-		rangeHi, err = DeriveRangeHi(data)
-		if err != nil {
-			return nil, err
-		}
-	}
-	ests := make([]Estimate, len(policies))
-	for i, p := range policies {
-		if p == nil {
-			return nil, fmt.Errorf("ope: candidate %d is nil", i)
-		}
-		e, err := est.Estimate(p, data)
-		if err != nil {
-			return nil, fmt.Errorf("ope: candidate %d: %w", i, err)
-		}
-		ests[i] = e
-	}
-	return SelectFromEstimates(ests, rangeHi, delta, minimize)
-}
-
-// SelectFromEstimates performs the selection step of SelectBest on
-// already-computed per-candidate estimates (in candidate order): it attaches
-// simultaneous 1-delta confidence intervals via the union bound and picks
-// the winner by confidence bound. Callers that fan the Estimate calls out
-// across workers (cmd/evalpolicy does) reduce through this so the selection
-// itself stays serial and deterministic in candidate order.
+// SelectFromEstimates picks the best of K candidates evaluated on the same
+// exploration data — the capability Fig. 1 quantifies: one log, K
+// policies. It takes the per-candidate estimates in candidate order,
+// attaches simultaneous 1-delta confidence intervals via the union bound
+// and picks the winner by confidence bound (the lower bound, or the upper
+// one when minimize treats rewards as costs). rangeHi bounds the
+// per-datapoint IPS terms; DeriveRangeHi gives the dataset's default.
+// Callers that fan the Estimate calls out across workers (cmd/evalpolicy
+// does) reduce through this so the selection itself stays serial and
+// deterministic in candidate order.
 func SelectFromEstimates(ests []Estimate, rangeHi, delta float64, minimize bool) (*Selection, error) {
 	if len(ests) == 0 {
 		return nil, fmt.Errorf("ope: no candidate estimates")

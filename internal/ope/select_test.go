@@ -27,13 +27,32 @@ func selectWorld(seed int64, n int) core.Dataset {
 	return ds
 }
 
-func TestSelectBestPicksTruthfully(t *testing.T) {
-	ds := selectWorld(1, 30000)
-	pols := []core.Policy{always(0), always(1), always(2)}
-	sel, err := SelectBest(nil, pols, ds, 0, 0.05, false)
+// selectFrom is the evalpolicy pipeline on one log: an IPS estimate per
+// candidate, the dataset's derived range bound, then the selection.
+func selectFrom(t *testing.T, pols []core.Policy, ds core.Dataset, delta float64, minimize bool) *Selection {
+	t.Helper()
+	ests := make([]Estimate, len(pols))
+	for i, p := range pols {
+		e, err := (IPS{}).Estimate(p, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ests[i] = e
+	}
+	rangeHi, err := DeriveRangeHi(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sel, err := SelectFromEstimates(ests, rangeHi, delta, minimize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sel
+}
+
+func TestSelectFromEstimatesPicksTruthfully(t *testing.T) {
+	ds := selectWorld(1, 30000)
+	sel := selectFrom(t, []core.Policy{always(0), always(1), always(2)}, ds, 0.05, false)
 	if sel.Best.Index != 2 {
 		t.Errorf("best = %d, want 2", sel.Best.Index)
 	}
@@ -52,69 +71,72 @@ func TestSelectBestPicksTruthfully(t *testing.T) {
 	}
 }
 
-func TestSelectBestMinimize(t *testing.T) {
+func TestSelectFromEstimatesMinimize(t *testing.T) {
 	ds := selectWorld(2, 30000)
-	pols := []core.Policy{always(0), always(1), always(2)}
-	sel, err := SelectBest(nil, pols, ds, 0, 0.05, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sel := selectFrom(t, []core.Policy{always(0), always(1), always(2)}, ds, 0.05, true)
 	if sel.Best.Index != 0 {
 		t.Errorf("min-best = %d, want 0", sel.Best.Index)
 	}
+	if !sel.Separated {
+		t.Error("30k points should certify the minimizer")
+	}
 }
 
-func TestSelectBestNotSeparatedOnTinyData(t *testing.T) {
+func TestSelectFromEstimatesNotSeparatedOnTinyData(t *testing.T) {
 	ds := selectWorld(3, 60)
-	pols := []core.Policy{always(1), always(2)}
-	sel, err := SelectBest(nil, pols, ds, 0, 0.05, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sel := selectFrom(t, []core.Policy{always(1), always(2)}, ds, 0.05, false)
 	if sel.Separated {
 		t.Error("60 points should not certify a 0.3-gap winner at 95%")
 	}
 }
 
-func TestSelectBestUnionBoundWidensIntervals(t *testing.T) {
+func TestSelectFromEstimatesUnionBoundWidensIntervals(t *testing.T) {
 	ds := selectWorld(4, 10000)
-	two, err := SelectBest(nil, []core.Policy{always(0), always(2)}, ds, 0, 0.05, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	two := selectFrom(t, []core.Policy{always(0), always(2)}, ds, 0.05, false)
 	many := make([]core.Policy, 40)
 	for i := range many {
 		many[i] = always(core.Action(i % 3))
 	}
-	forty, err := SelectBest(nil, many, ds, 0, 0.05, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	forty := selectFrom(t, many, ds, 0.05, false)
 	if forty.Scores[0].Interval.Width() <= two.Scores[0].Interval.Width() {
 		t.Errorf("40-way intervals (%v) should be wider than 2-way (%v)",
 			forty.Scores[0].Interval.Width(), two.Scores[0].Interval.Width())
 	}
 }
 
-func TestSelectBestValidation(t *testing.T) {
-	ds := selectWorld(5, 100)
-	if _, err := SelectBest(nil, nil, ds, 0, 0.05, false); err == nil {
-		t.Error("no policies should fail")
+func TestSelectFromEstimatesValidation(t *testing.T) {
+	ests := []Estimate{{Value: 0.5, StdErr: 0.1, N: 10}}
+	if _, err := SelectFromEstimates(nil, 3, 0.05, false); err == nil {
+		t.Error("no estimates should fail")
 	}
-	if _, err := SelectBest(nil, []core.Policy{always(0)}, nil, 0, 0.05, false); !errors.Is(err, core.ErrNoData) {
+	for _, delta := range []float64{0, 1, 2, -0.1} {
+		if _, err := SelectFromEstimates(ests, 3, delta, false); err == nil {
+			t.Errorf("delta %v out of range should fail", delta)
+		}
+	}
+	if _, err := SelectFromEstimates(ests, 0, 0.05, false); err == nil {
+		t.Error("non-positive rangeHi should fail")
+	}
+	if _, err := DeriveRangeHi(nil); !errors.Is(err, core.ErrNoData) {
 		t.Error("no data should fail")
 	}
-	if _, err := SelectBest(nil, []core.Policy{always(0)}, ds, 0, 2, false); err == nil {
-		t.Error("delta out of range should fail")
-	}
-	if _, err := SelectBest(nil, []core.Policy{nil}, ds, 0, 0.05, false); err == nil {
-		t.Error("nil policy should fail")
+	bad := core.Dataset{{Context: core.Context{NumActions: 2}, Propensity: 0}}
+	if _, err := DeriveRangeHi(bad); err == nil {
+		t.Error("zero propensity should fail")
 	}
 }
 
-func TestSelectBestExplicitRange(t *testing.T) {
+func TestSelectFromEstimatesExplicitRange(t *testing.T) {
 	ds := selectWorld(6, 5000)
-	sel, err := SelectBest(IPS{}, []core.Policy{always(0), always(2)}, ds, 3, 0.05, false)
+	var ests []Estimate
+	for _, p := range []core.Policy{always(0), always(2)} {
+		e, err := (IPS{}).Estimate(p, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ests = append(ests, e)
+	}
+	sel, err := SelectFromEstimates(ests, 3, 0.05, false)
 	if err != nil {
 		t.Fatal(err)
 	}

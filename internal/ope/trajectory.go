@@ -84,76 +84,3 @@ func (t TrajectoryIS) EstimateTrajectories(policy core.Policy, trajs []core.Traj
 func (t TrajectoryIS) Estimate(policy core.Policy, data core.Dataset) (Estimate, error) {
 	return t.EstimateTrajectories(policy, core.SplitTrajectories(data))
 }
-
-// PerDecisionIS is the per-decision importance sampling refinement: the
-// reward at step t is weighted only by the ratios of steps up to t, not the
-// whole trajectory. Same expectation as TrajectoryIS, strictly lower
-// variance (Precup 2000).
-type PerDecisionIS struct {
-	Gamma float64
-	Clip  float64
-}
-
-// Name implements a diagnostic label.
-func (p PerDecisionIS) Name() string { return "pd-is" }
-
-// EstimateTrajectories computes the per-decision weighted estimate.
-func (p PerDecisionIS) EstimateTrajectories(policy core.Policy, trajs []core.Trajectory) (Estimate, error) {
-	if len(trajs) == 0 {
-		return Estimate{}, core.ErrNoData
-	}
-	gamma := p.Gamma
-	if gamma == 0 {
-		gamma = 1
-	}
-	terms := make([]float64, len(trajs))
-	sum := 0.0
-	matches := 0
-	maxW := 0.0
-	for i, tr := range trajs {
-		w := 1.0
-		g := 1.0
-		total := 0.0
-		matched := false
-		for j := range tr {
-			d := &tr[j]
-			if !(d.Propensity > 0) {
-				return Estimate{}, fmt.Errorf("ope: trajectory %d step %d has propensity %v; %w",
-					i, j, d.Propensity, errBadPropensity)
-			}
-			w *= core.ActionProb(policy, &d.Context, d.Action) / d.Propensity
-			if p.Clip > 0 && w > p.Clip {
-				w = p.Clip
-			}
-			if w > maxW {
-				maxW = w
-			}
-			if w > 0 {
-				matched = true
-			} else {
-				break // all later per-decision weights are zero too
-			}
-			total += g * w * d.Reward
-			g *= gamma
-		}
-		if matched {
-			matches++
-		}
-		terms[i] = total
-		sum += total
-	}
-	m := float64(len(trajs))
-	return Estimate{
-		Value:     sum / m,
-		StdErr:    math.Sqrt(stats.Variance(terms) / m),
-		N:         len(trajs),
-		Matches:   matches,
-		MaxWeight: maxW,
-	}, nil
-}
-
-// Estimate implements Estimator by grouping the flat dataset into
-// trajectories via core.SplitTrajectories.
-func (p PerDecisionIS) Estimate(policy core.Policy, data core.Dataset) (Estimate, error) {
-	return p.EstimateTrajectories(policy, core.SplitTrajectories(data))
-}

@@ -62,34 +62,6 @@ func TestTrajectoryISUnbiasedShortHorizon(t *testing.T) {
 	}
 }
 
-func TestPerDecisionISUnbiasedShortHorizon(t *testing.T) {
-	r := stats.NewRand(2)
-	trs := genTrajectories(r, 60000, 2, 2)
-	est, err := (PerDecisionIS{Gamma: 1}).EstimateTrajectories(always(0), trs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(est.Value-2) > 3*est.StdErr+0.02 {
-		t.Errorf("pd-is = %v, want 2 (se %v)", est.Value, est.StdErr)
-	}
-}
-
-func TestPerDecisionLowerVarianceThanTrajectory(t *testing.T) {
-	r := stats.NewRand(3)
-	trs := genTrajectories(r, 20000, 6, 2)
-	tis, err := (TrajectoryIS{Gamma: 1}).EstimateTrajectories(always(0), trs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pdis, err := (PerDecisionIS{Gamma: 1}).EstimateTrajectories(always(0), trs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pdis.StdErr >= tis.StdErr {
-		t.Errorf("pd-is se %v should beat traj-is se %v", pdis.StdErr, tis.StdErr)
-	}
-}
-
 func TestTrajectoryVarianceExplodesWithHorizon(t *testing.T) {
 	// This is the paper's §5 point: matching long sequences is rare, so
 	// the weights (and stderr) blow up with the horizon.
@@ -139,14 +111,8 @@ func TestTrajectoryEstimatorsValidate(t *testing.T) {
 	if _, err := (TrajectoryIS{}).EstimateTrajectories(always(0), nil); !errors.Is(err, core.ErrNoData) {
 		t.Error("empty should fail with ErrNoData")
 	}
-	if _, err := (PerDecisionIS{}).EstimateTrajectories(always(0), nil); !errors.Is(err, core.ErrNoData) {
-		t.Error("empty should fail with ErrNoData")
-	}
 	bad := []core.Trajectory{{{Context: core.Context{NumActions: 2}, Propensity: 0}}}
 	if _, err := (TrajectoryIS{}).EstimateTrajectories(always(0), bad); err == nil {
-		t.Error("zero propensity should fail")
-	}
-	if _, err := (PerDecisionIS{}).EstimateTrajectories(always(0), bad); err == nil {
 		t.Error("zero propensity should fail")
 	}
 }

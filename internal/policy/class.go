@@ -1,22 +1,6 @@
 package policy
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/core"
-)
-
-// Class is an enumerable set of candidate policies — the Π of §4 whose best
-// member the optimizer searches for. Size reports |Π| (which may be huge);
-// Enumerate visits members until the visitor returns false.
-type Class interface {
-	// Size returns the number of policies in the class.
-	Size() int
-	// Enumerate calls visit for each policy (with a stable index) until
-	// visit returns false or the class is exhausted.
-	Enumerate(visit func(idx int, p core.Policy) bool)
-}
+import "repro/internal/core"
 
 // StumpClass enumerates all decision stumps over a feature grid:
 // every (feature index, cut point, below-action, above-action) combination.
@@ -28,12 +12,13 @@ type StumpClass struct {
 	NumActions  int
 }
 
-// Size implements Class.
+// Size returns the number of stumps in the class.
 func (s StumpClass) Size() int {
 	return s.NumFeatures * len(s.Cuts) * s.NumActions * s.NumActions
 }
 
-// Enumerate implements Class.
+// Enumerate calls visit for each stump, with a stable index, until visit
+// returns false or the class is exhausted.
 func (s StumpClass) Enumerate(visit func(int, core.Policy) bool) {
 	idx := 0
 	for f := 0; f < s.NumFeatures; f++ {
@@ -49,117 +34,4 @@ func (s StumpClass) Enumerate(visit func(int, core.Policy) bool) {
 			}
 		}
 	}
-}
-
-// GridLinearClass enumerates linear policies whose single shared weight
-// vector (applied to per-action features) is drawn from a grid: each of Dim
-// coordinates ranges over Values. The class has len(Values)^Dim members.
-type GridLinearClass struct {
-	Dim      int
-	Values   []float64
-	Minimize bool
-}
-
-// Size implements Class.
-func (g GridLinearClass) Size() int {
-	n := 1
-	for i := 0; i < g.Dim; i++ {
-		n *= len(g.Values)
-	}
-	return n
-}
-
-// Enumerate implements Class.
-func (g GridLinearClass) Enumerate(visit func(int, core.Policy) bool) {
-	if g.Dim == 0 || len(g.Values) == 0 {
-		return
-	}
-	counters := make([]int, g.Dim)
-	idx := 0
-	for {
-		w := make(core.Vector, g.Dim)
-		for i, c := range counters {
-			w[i] = g.Values[c]
-		}
-		p := &Linear{Weights: []core.Vector{w}, Minimize: g.Minimize}
-		if !visit(idx, p) {
-			return
-		}
-		idx++
-		// Odometer increment.
-		i := 0
-		for ; i < g.Dim; i++ {
-			counters[i]++
-			if counters[i] < len(g.Values) {
-				break
-			}
-			counters[i] = 0
-		}
-		if i == g.Dim {
-			return
-		}
-	}
-}
-
-// ConstantClass is the K-member class of constant policies — the A/B
-// baseline's natural comparison set.
-type ConstantClass struct {
-	NumActions int
-}
-
-// Size implements Class.
-func (c ConstantClass) Size() int { return c.NumActions }
-
-// Enumerate implements Class.
-func (c ConstantClass) Enumerate(visit func(int, core.Policy) bool) {
-	for a := 0; a < c.NumActions; a++ {
-		if !visit(a, Constant{A: core.Action(a)}) {
-			return
-		}
-	}
-}
-
-// Evaluator scores a policy against data; ope estimators satisfy this via a
-// small adapter in the caller (kept abstract here to avoid an import cycle).
-type Evaluator func(p core.Policy) (float64, error)
-
-// SearchResult reports the best policy found in a class.
-type SearchResult struct {
-	Policy core.Policy
-	Index  int
-	Value  float64
-	// Evaluated counts the class members actually scored.
-	Evaluated int
-}
-
-// Search enumerates the class and returns the member with the highest score
-// (or lowest, if minimize). This is the brute-force counterpart of the
-// efficient oracle-based search the paper references [7]; our classes are
-// sized so exhaustive search is tractable while exercising the same
-// simultaneous-evaluation statistics.
-func Search(class Class, eval Evaluator, minimize bool) (SearchResult, error) {
-	best := SearchResult{Index: -1, Value: math.Inf(-1)}
-	if minimize {
-		best.Value = math.Inf(1)
-	}
-	var firstErr error
-	class.Enumerate(func(idx int, p core.Policy) bool {
-		v, err := eval(p)
-		if err != nil {
-			firstErr = fmt.Errorf("policy %d: %w", idx, err)
-			return false
-		}
-		best.Evaluated++
-		if (minimize && v < best.Value) || (!minimize && v > best.Value) {
-			best.Policy, best.Index, best.Value = p, idx, v
-		}
-		return true
-	})
-	if firstErr != nil {
-		return SearchResult{}, firstErr
-	}
-	if best.Index < 0 {
-		return SearchResult{}, fmt.Errorf("policy: empty class")
-	}
-	return best, nil
 }

@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -40,97 +39,5 @@ func TestStumpClassEarlyStop(t *testing.T) {
 	})
 	if seen != 5 {
 		t.Errorf("early stop visited %d, want 5", seen)
-	}
-}
-
-func TestGridLinearClass(t *testing.T) {
-	g := GridLinearClass{Dim: 3, Values: []float64{-1, 0, 1}}
-	if g.Size() != 27 {
-		t.Fatalf("Size = %d, want 27", g.Size())
-	}
-	seen := map[string]bool{}
-	g.Enumerate(func(idx int, p core.Policy) bool {
-		l := p.(*Linear)
-		key := ""
-		for _, v := range l.Weights[0] {
-			key += string(rune('0' + int(v+1)))
-		}
-		if seen[key] {
-			t.Fatalf("duplicate member %q", key)
-		}
-		seen[key] = true
-		return true
-	})
-	if len(seen) != 27 {
-		t.Errorf("enumerated %d distinct members, want 27", len(seen))
-	}
-}
-
-func TestGridLinearClassDegenerate(t *testing.T) {
-	g := GridLinearClass{Dim: 0, Values: []float64{1}}
-	count := 0
-	g.Enumerate(func(int, core.Policy) bool { count++; return true })
-	if count != 0 {
-		t.Errorf("Dim=0 should enumerate nothing, got %d", count)
-	}
-}
-
-func TestConstantClass(t *testing.T) {
-	c := ConstantClass{NumActions: 5}
-	if c.Size() != 5 {
-		t.Fatalf("Size = %d", c.Size())
-	}
-	var actions []core.Action
-	c.Enumerate(func(idx int, p core.Policy) bool {
-		actions = append(actions, p.(Constant).A)
-		return true
-	})
-	for i, a := range actions {
-		if int(a) != i {
-			t.Errorf("member %d has action %d", i, a)
-		}
-	}
-}
-
-func TestSearchFindsBest(t *testing.T) {
-	c := ConstantClass{NumActions: 10}
-	// Score each constant policy by -(a-7)²: best at a=7.
-	eval := func(p core.Policy) (float64, error) {
-		a := float64(p.(Constant).A)
-		return -(a - 7) * (a - 7), nil
-	}
-	res, err := Search(c, eval, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Policy.(Constant).A != 7 {
-		t.Errorf("best = %v, want 7", res.Policy)
-	}
-	if res.Evaluated != 10 {
-		t.Errorf("Evaluated = %d", res.Evaluated)
-	}
-	// Minimize finds the farthest.
-	res, err = Search(c, eval, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Policy.(Constant).A != 0 {
-		t.Errorf("worst = %v, want 0", res.Policy)
-	}
-}
-
-func TestSearchPropagatesError(t *testing.T) {
-	c := ConstantClass{NumActions: 3}
-	boom := errors.New("boom")
-	_, err := Search(c, func(core.Policy) (float64, error) { return 0, boom }, false)
-	if !errors.Is(err, boom) {
-		t.Errorf("err = %v, want boom", err)
-	}
-}
-
-func TestSearchEmptyClass(t *testing.T) {
-	c := ConstantClass{NumActions: 0}
-	if _, err := Search(c, func(core.Policy) (float64, error) { return 0, nil }, false); err == nil {
-		t.Error("empty class should error")
 	}
 }

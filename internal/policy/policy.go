@@ -1,14 +1,12 @@
 // Package policy provides the concrete policy types used across the paper's
-// scenarios: constants, uniform random, linear score policies, softmax,
-// ε-greedy wrappers, decision stumps, and enumerable policy classes that the
-// optimizer can search (the "tunable template" of §4 — decision trees,
-// linear vectors — discretized onto a grid so a class of ~10^6 candidates
-// can be enumerated or sampled).
+// scenarios: constants, uniform random, ε-greedy wrappers, decision stumps,
+// the dynamic blend a rollout retunes, and the enumerable stump class that
+// the optimizer searches (the "tunable template" of §4, discretized onto a
+// grid so a class of ~10^6 candidates can be enumerated).
 package policy
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/core"
@@ -77,113 +75,6 @@ func (u UniformRandom) ActionProb(ctx *core.Context, a core.Action) float64 {
 // String names the policy.
 func (u UniformRandom) String() string { return "uniform-random" }
 
-// Linear scores each action with a linear function of its features and
-// plays the argmax. With per-action features a single weight vector is
-// shared; with only shared context features a separate weight vector per
-// action is used (a standard one-vs-all linearization).
-type Linear struct {
-	// Weights holds one row per action. If it has a single row, that row
-	// is applied to each action's feature vector (requires per-action
-	// features).
-	Weights []core.Vector
-	// Minimize flips the argmax to an argmin (for latency-like scores).
-	Minimize bool
-}
-
-// Act implements core.Policy.
-func (l *Linear) Act(ctx *core.Context) core.Action {
-	best := core.Action(0)
-	bestScore := math.Inf(-1)
-	if l.Minimize {
-		bestScore = math.Inf(1)
-	}
-	for a := 0; a < ctx.NumActions; a++ {
-		s := l.Score(ctx, core.Action(a))
-		if l.Minimize {
-			if s < bestScore {
-				bestScore, best = s, core.Action(a)
-			}
-		} else if s > bestScore {
-			bestScore, best = s, core.Action(a)
-		}
-	}
-	return best
-}
-
-// Score returns the linear score of action a in ctx.
-func (l *Linear) Score(ctx *core.Context, a core.Action) float64 {
-	w := l.weightsFor(a)
-	return w.Dot(ctx.FeaturesFor(a))
-}
-
-func (l *Linear) weightsFor(a core.Action) core.Vector {
-	if len(l.Weights) == 1 {
-		return l.Weights[0]
-	}
-	if int(a) < len(l.Weights) {
-		return l.Weights[a]
-	}
-	return nil
-}
-
-// String names the policy.
-func (l *Linear) String() string { return fmt.Sprintf("linear-%dx", len(l.Weights)) }
-
-// Softmax plays actions with probability proportional to exp(score/T),
-// a smooth randomized wrapper over a Linear scorer. Temperature T → 0
-// recovers the argmax; large T approaches uniform.
-type Softmax struct {
-	Scorer      *Linear
-	Temperature float64
-	R           *rand.Rand
-}
-
-// Distribution implements core.StochasticPolicy.
-func (s *Softmax) Distribution(ctx *core.Context) []float64 {
-	t := s.Temperature
-	if t <= 0 {
-		t = 1
-	}
-	scores := make([]float64, ctx.NumActions)
-	maxS := math.Inf(-1)
-	for a := range scores {
-		v := s.Scorer.Score(ctx, core.Action(a))
-		if s.Scorer.Minimize {
-			v = -v
-		}
-		scores[a] = v / t
-		if scores[a] > maxS {
-			maxS = scores[a]
-		}
-	}
-	total := 0.0
-	for a := range scores {
-		scores[a] = math.Exp(scores[a] - maxS)
-		total += scores[a]
-	}
-	for a := range scores {
-		scores[a] /= total
-	}
-	return scores
-}
-
-// Act implements core.Policy by sampling from the softmax distribution.
-func (s *Softmax) Act(ctx *core.Context) core.Action {
-	dist := s.Distribution(ctx)
-	u := s.R.Float64()
-	cum := 0.0
-	for a, p := range dist {
-		cum += p
-		if u < cum {
-			return core.Action(a)
-		}
-	}
-	return core.Action(ctx.NumActions - 1)
-}
-
-// String names the policy.
-func (s *Softmax) String() string { return fmt.Sprintf("softmax-T%.3g", s.Temperature) }
-
 // EpsilonGreedy follows a base policy with probability 1-ε and explores
 // uniformly with probability ε. This is the standard way to keep every
 // action's propensity at least ε/K so harvested data stays usable (§4: a
@@ -223,12 +114,6 @@ func (e *EpsilonGreedy) ActionProb(ctx *core.Context, a core.Action) float64 {
 		p += 1 - e.Epsilon
 	}
 	return p
-}
-
-// MinPropensity returns the smallest probability this policy assigns to any
-// action: ε/K.
-func (e *EpsilonGreedy) MinPropensity(numActions int) float64 {
-	return e.Epsilon / float64(numActions)
 }
 
 // String names the policy.

@@ -54,105 +54,6 @@ func TestUniformRandom(t *testing.T) {
 	}
 }
 
-func TestLinearPerActionWeights(t *testing.T) {
-	// Separate weights per action on shared features.
-	l := &Linear{Weights: []core.Vector{{1, 0}, {0, 1}}}
-	if got := l.Act(&core.Context{Features: core.Vector{3, 1}, NumActions: 2}); got != 0 {
-		t.Errorf("Act = %d, want 0", got)
-	}
-	if got := l.Act(&core.Context{Features: core.Vector{1, 3}, NumActions: 2}); got != 1 {
-		t.Errorf("Act = %d, want 1", got)
-	}
-}
-
-func TestLinearSharedWeightsOnActionFeatures(t *testing.T) {
-	l := &Linear{Weights: []core.Vector{{1}}, Minimize: true}
-	ctx := &core.Context{
-		ActionFeatures: []core.Vector{{5}, {2}, {9}},
-		NumActions:     3,
-	}
-	if got := l.Act(ctx); got != 1 {
-		t.Errorf("argmin = %d, want 1", got)
-	}
-	l.Minimize = false
-	if got := l.Act(ctx); got != 2 {
-		t.Errorf("argmax = %d, want 2", got)
-	}
-}
-
-func TestLinearMissingWeightsScoreZero(t *testing.T) {
-	l := &Linear{Weights: []core.Vector{{1}, {1}}}
-	ctx := &core.Context{Features: core.Vector{-5}, NumActions: 3}
-	// Action 2 has no weights → score 0 beats the others' -5.
-	if got := l.Act(ctx); got != 2 {
-		t.Errorf("Act = %d, want 2", got)
-	}
-}
-
-func TestSoftmaxDistribution(t *testing.T) {
-	s := &Softmax{
-		Scorer:      &Linear{Weights: []core.Vector{{1}}},
-		Temperature: 1,
-		R:           stats.NewRand(2),
-	}
-	ctx := &core.Context{
-		ActionFeatures: []core.Vector{{0}, {1}},
-		NumActions:     2,
-	}
-	d := s.Distribution(ctx)
-	if math.Abs(d[0]+d[1]-1) > 1e-12 {
-		t.Errorf("distribution should sum to 1: %v", d)
-	}
-	want := math.Exp(1) / (1 + math.Exp(1))
-	if math.Abs(d[1]-want) > 1e-9 {
-		t.Errorf("p(1) = %v, want %v", d[1], want)
-	}
-	// Minimize flips preference.
-	s.Scorer.Minimize = true
-	d = s.Distribution(ctx)
-	if d[0] <= d[1] {
-		t.Errorf("minimize should prefer lower score: %v", d)
-	}
-}
-
-func TestSoftmaxTemperatureLimits(t *testing.T) {
-	scorer := &Linear{Weights: []core.Vector{{1}}}
-	ctx := &core.Context{ActionFeatures: []core.Vector{{0}, {10}}, NumActions: 2}
-	cold := &Softmax{Scorer: scorer, Temperature: 0.01, R: stats.NewRand(3)}
-	hot := &Softmax{Scorer: scorer, Temperature: 1000, R: stats.NewRand(3)}
-	if d := cold.Distribution(ctx); d[1] < 0.999 {
-		t.Errorf("cold softmax should be near-deterministic: %v", d)
-	}
-	if d := hot.Distribution(ctx); math.Abs(d[0]-0.5) > 0.01 {
-		t.Errorf("hot softmax should be near-uniform: %v", d)
-	}
-	// Temperature <= 0 defaults to 1 rather than dividing by zero.
-	def := &Softmax{Scorer: scorer, Temperature: 0, R: stats.NewRand(3)}
-	if d := def.Distribution(ctx); math.IsNaN(d[0]) {
-		t.Error("T=0 should not produce NaN")
-	}
-}
-
-func TestSoftmaxActSamplesDistribution(t *testing.T) {
-	s := &Softmax{
-		Scorer:      &Linear{Weights: []core.Vector{{1}}},
-		Temperature: 1,
-		R:           stats.NewRand(4),
-	}
-	ctx := &core.Context{ActionFeatures: []core.Vector{{0}, {1}}, NumActions: 2}
-	want := s.Distribution(ctx)
-	n := 100000
-	hits := 0
-	for i := 0; i < n; i++ {
-		if s.Act(ctx) == 1 {
-			hits++
-		}
-	}
-	if math.Abs(float64(hits)/float64(n)-want[1]) > 0.01 {
-		t.Errorf("empirical p(1) = %v, want %v", float64(hits)/float64(n), want[1])
-	}
-}
-
 func TestEpsilonGreedy(t *testing.T) {
 	e := &EpsilonGreedy{Base: Constant{A: 0}, Epsilon: 0.2, R: stats.NewRand(5)}
 	ctx := ctxWithActions(4)
@@ -164,9 +65,6 @@ func TestEpsilonGreedy(t *testing.T) {
 		if math.Abs(d[a]-0.05) > 1e-12 {
 			t.Errorf("p(%d) = %v, want 0.05", a, d[a])
 		}
-	}
-	if mp := e.MinPropensity(4); mp != 0.05 {
-		t.Errorf("MinPropensity = %v", mp)
 	}
 	counts := make([]int, 4)
 	for i := 0; i < 100000; i++ {
@@ -195,6 +93,17 @@ func TestStump(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Error("String empty")
+	}
+}
+
+func TestPolicyStrings(t *testing.T) {
+	for _, s := range []string{
+		UniformRandom{}.String(),
+		(&EpsilonGreedy{Epsilon: 0.1}).String(),
+	} {
+		if s == "" {
+			t.Error("empty String()")
+		}
 	}
 }
 

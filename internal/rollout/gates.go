@@ -139,14 +139,6 @@ type gateInputs struct {
 	Seq       *abtest.Sequential
 }
 
-// better orients a comparison: is a better than b under the objective?
-func better(obj Objective, a, b float64) bool {
-	if obj == Minimize {
-		return a < b
-	}
-	return a > b
-}
-
 // evaluate runs every guard and produces the decision, without side
 // effects. Check order is fixed — health guards first (they can only roll
 // back), then evidence guards — and the first failing rollback guard or

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // NewRand returns a seeded *rand.Rand. Every experiment in this repository
 // threads one of these explicitly so that results are reproducible.
@@ -48,17 +45,6 @@ func Substream(root, index int64) *rand.Rand {
 	return NewRand(SubstreamSeed(root, index))
 }
 
-// Bernoulli returns true with probability p.
-func Bernoulli(r *rand.Rand, p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return r.Float64() < p
-}
-
 // Categorical draws an index from the (not necessarily normalized)
 // non-negative weight vector w. It returns -1 if the total weight is zero
 // or w is empty.
@@ -90,52 +76,4 @@ func Categorical(r *rand.Rand, w []float64) int {
 		}
 	}
 	return -1
-}
-
-// Exponential draws from an exponential distribution with the given mean.
-func Exponential(r *rand.Rand, mean float64) float64 {
-	return r.ExpFloat64() * mean
-}
-
-// Zipf draws ranks in [0, n) with probability proportional to 1/(rank+1)^s.
-// It is used by workload generators for skewed key popularity.
-type Zipf struct {
-	cdf []float64
-	r   *rand.Rand
-}
-
-// NewZipf precomputes the CDF for n ranks with exponent s > 0.
-func NewZipf(r *rand.Rand, n int, s float64) *Zipf {
-	cdf := make([]float64, n)
-	total := 0.0
-	for i := 0; i < n; i++ {
-		total += 1 / pow(float64(i+1), s)
-		cdf[i] = total
-	}
-	for i := range cdf {
-		cdf[i] /= total
-	}
-	return &Zipf{cdf: cdf, r: r}
-}
-
-// Draw returns a rank in [0, n).
-func (z *Zipf) Draw() int {
-	u := z.r.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-func pow(x, y float64) float64 {
-	if y == 1 {
-		return x
-	}
-	return math.Pow(x, y)
 }

@@ -1,7 +1,7 @@
 // Package stats provides the statistical plumbing shared by the harvesting
 // pipeline and its experiments: running moments, quantiles, bootstrap
-// resampling, histograms, and the concentration bounds (Hoeffding,
-// empirical Bernstein) used for high-confidence off-policy evaluation.
+// resampling, and the concentration bounds (Hoeffding, empirical
+// Bernstein) used for high-confidence off-policy evaluation.
 //
 // All randomized routines take an explicit *rand.Rand so that every
 // experiment in this repository is reproducible from a seed.
@@ -158,28 +158,6 @@ func (w *Welford) Min() float64 { return w.min }
 // Max returns the largest observation (0 before any observation).
 func (w *Welford) Max() float64 { return w.max }
 
-// Merge folds another accumulator into w (parallel Welford merge).
-func (w *Welford) Merge(o *Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	w.mean += delta * float64(o.n) / float64(n)
-	w.m2 += o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-	w.n = n
-}
-
 // Interval is a symmetric or asymmetric confidence interval around a point
 // estimate.
 type Interval struct {
@@ -277,12 +255,6 @@ func zBisect(p float64) float64 {
 // normCDF is the standard normal cumulative distribution function.
 func normCDF(x float64) float64 { return 0.5 * math.Erfc(-x/math.Sqrt2) }
 
-// NormCDF exposes the standard normal CDF for two-sample tests.
-func NormCDF(x float64) float64 { return normCDF(x) }
-
-// ZQuantile exposes the standard normal quantile function.
-func ZQuantile(p float64) float64 { return zQuantile(p) }
-
 // TwoSampleZ computes the z statistic and two-sided p-value for the
 // difference in means of two samples using a normal approximation
 // (Welch-style unequal variances). It is the workhorse of the A/B framework.
@@ -302,61 +274,4 @@ func TwoSampleZ(a, b []float64) (z, p float64, err error) {
 	z = (ma - mb) / se
 	p = 2 * (1 - normCDF(math.Abs(z)))
 	return z, p, nil
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi). Values outside the range
-// are clamped into the first/last bin so no observation is lost.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	total  int64
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 || hi <= lo {
-		return nil, fmt.Errorf("stats: invalid histogram [%v,%v) bins=%d", lo, hi, bins)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Counts) {
-		idx = len(h.Counts) - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// QuantileApprox returns an approximate q-quantile from the binned counts.
-func (h *Histogram) QuantileApprox(q float64) (float64, error) {
-	if h.total == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile %v out of [0,1]", q)
-	}
-	target := int64(q * float64(h.total))
-	var cum int64
-	for i, c := range h.Counts {
-		cum += c
-		if cum > target {
-			return h.BinCenter(i), nil
-		}
-	}
-	return h.BinCenter(len(h.Counts) - 1), nil
 }

@@ -126,43 +126,6 @@ func TestWelfordMinMax(t *testing.T) {
 	}
 }
 
-func TestWelfordMerge(t *testing.T) {
-	r := NewRand(2)
-	var all, a, b Welford
-	for i := 0; i < 500; i++ {
-		x := r.Float64() * 10
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(&b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-	}
-	if !almostEqual(a.Mean(), all.Mean(), 1e-9) {
-		t.Errorf("merged mean %v != %v", a.Mean(), all.Mean())
-	}
-	if !almostEqual(a.Variance(), all.Variance(), 1e-9) {
-		t.Errorf("merged var %v != %v", a.Variance(), all.Variance())
-	}
-}
-
-func TestWelfordMergeEmpty(t *testing.T) {
-	var a, b Welford
-	a.Add(1)
-	a.Merge(&b) // merging empty is a no-op
-	if a.N() != 1 {
-		t.Errorf("N = %d, want 1", a.N())
-	}
-	b.Merge(&a) // merging into empty copies
-	if b.N() != 1 || b.Mean() != 1 {
-		t.Errorf("b = %+v", b)
-	}
-}
-
 func TestHoeffdingRadiusShrinks(t *testing.T) {
 	r1 := HoeffdingRadius(100, 0, 1, 0.05)
 	r2 := HoeffdingRadius(400, 0, 1, 0.05)
@@ -206,12 +169,12 @@ func TestZQuantile(t *testing.T) {
 		{0.025, -1.959964},
 	}
 	for _, c := range cases {
-		if got := ZQuantile(c.p); !almostEqual(got, c.want, 1e-4) {
-			t.Errorf("ZQuantile(%v) = %v, want %v", c.p, got, c.want)
+		if got := zQuantile(c.p); !almostEqual(got, c.want, 1e-4) {
+			t.Errorf("zQuantile(%v) = %v, want %v", c.p, got, c.want)
 		}
 	}
-	if !math.IsNaN(ZQuantile(0)) || !math.IsNaN(ZQuantile(1)) {
-		t.Error("ZQuantile should be NaN at 0 and 1")
+	if !math.IsNaN(zQuantile(0)) || !math.IsNaN(zQuantile(1)) {
+		t.Error("zQuantile should be NaN at 0 and 1")
 	}
 }
 
@@ -262,7 +225,7 @@ func TestZQuantileMemoConcurrent(t *testing.T) {
 func TestNormCDFSymmetry(t *testing.T) {
 	f := func(x float64) bool {
 		x = math.Mod(x, 10)
-		return almostEqual(NormCDF(x)+NormCDF(-x), 1, 1e-12)
+		return almostEqual(normCDF(x)+normCDF(-x), 1, 1e-12)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -301,49 +264,6 @@ func TestTwoSampleZNull(t *testing.T) {
 func TestTwoSampleZErrEmpty(t *testing.T) {
 	if _, _, err := TwoSampleZ([]float64{1}, []float64{1, 2}); err != ErrEmpty {
 		t.Errorf("err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i, c := range h.Counts {
-		if c != 1 {
-			t.Errorf("bin %d count = %d, want 1", i, c)
-		}
-	}
-	h.Add(-5) // clamps to first bin
-	h.Add(99) // clamps to last bin
-	if h.Counts[0] != 2 || h.Counts[9] != 2 {
-		t.Errorf("clamping failed: %v", h.Counts)
-	}
-	if h.Total() != 12 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	med, err := h.QuantileApprox(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if med < 3 || med > 7 {
-		t.Errorf("median approx = %v, out of plausible range", med)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(1, 0, 5); err == nil {
-		t.Error("hi<lo should error")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("bins=0 should error")
-	}
-	h, _ := NewHistogram(0, 1, 4)
-	if _, err := h.QuantileApprox(0.5); err != ErrEmpty {
-		t.Errorf("empty histogram quantile err = %v", err)
 	}
 }
 
