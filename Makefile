@@ -54,10 +54,11 @@ race:
 # RegistryFoldBatch/{1,64,720,wide32,policies={1,4,16,64}}, where one op is
 # one record and the policies rows (8 upstreams, 97-record batches) are the
 # fold's cost-per-candidate slope. IngestBin/{k3,wide32} records/s vs
-# IngestJSONL is the binary format's ≥5x claim; IngestScaling/{nginx,bin}/
-# workers={1,2} is the two batch paths at 64 Ki records an op — 16 times
-# IngestNginx's and IngestBin's, whose ops are a sixth per-Run warm-up — and
-# what the second worker buys them; BinRecDecode/{k2,k8} pins 0
+# IngestJSONL is the binary format's ≥5x claim; IngestScaling/{nginx,bin,
+# bin-wide32}/workers={1,2} is the two batch paths at 64 Ki records an op — 16
+# times IngestNginx's and IngestBin's, whose ops are a sixth per-Run warm-up —
+# and what the second worker buys them, binrec also on IngestBin's wide32
+# shape (the loop benchmark's wide-fold-read); BinRecDecode/{k2,k8} pins 0
 # allocs/op at both context widths, framing and CRC included, and
 # BinRecDecode/batch/{k2,k8,k2/tagged} is Batch.Decode alone over segments
 # read beforehand (tagged: four tags in turn, so the intern table is asked). ParseNginxLine/{compat,batch}/{k2,k8} is

@@ -39,6 +39,12 @@
 // being the only writer of shard i; readers take the shard lock and never
 // wait on policy code. A reader can therefore see policies up to one batch
 // apart (per worker), and counters up to one batch behind the registry.
+//
+// A source goroutine only reads, but it hands off: a worker's last act on a
+// raw batch puts its buffer back on the source's free list, waking the
+// reader parked there, and with a worker per P it then yields its core to
+// it, so the next batch is queued while the other workers fold, not once
+// every worker has run dry.
 package harvestd
 
 import (
@@ -348,6 +354,7 @@ func (d *Daemon) worker(id int) {
 		sp.End()
 	}()
 	var sc scratch
+	yield := d.cfg.Workers >= runtime.GOMAXPROCS(0)
 	for bt := range d.queue {
 		pts, maxSeq := bt.pts, bt.maxSeq
 		if bt.raw != nil {
@@ -393,9 +400,15 @@ func (d *Daemon) worker(id int) {
 			}
 		}
 		// And the batch goes home after them: a reader that has collected a
-		// batch's tally also sees it folded and counted.
+		// batch's tally also sees it folded and counted. A reader it wakes
+		// waits in this P's runnext until this worker blocks, on an emptied
+		// queue by then. With a worker per P no P is idle to steal it, so
+		// yield this one; with fewer, that would only move this worker.
 		if bt.free != nil {
 			bt.free()
+			if yield {
+				runtime.Gosched()
+			}
 		}
 	}
 }

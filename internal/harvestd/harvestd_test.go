@@ -1,6 +1,7 @@
 package harvestd
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -65,6 +66,10 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// TestDaemonIngestsConcurrentSources runs three sources into one 4-worker
+// pool. Two of them are pooled raw readers (access log, binrec packed into
+// 1 KiB segments), both woken by the workers' releases and, with no more
+// Ps than workers, yielded to; the third queues decoded records.
 func TestDaemonIngestsConcurrentSources(t *testing.T) {
 	logText := genNginxLog(500, 21)
 	jsonlDS := testDataset(400, 22)
@@ -72,6 +77,8 @@ func TestDaemonIngestsConcurrentSources(t *testing.T) {
 	if err := jsonlDS.WriteJSONL(&jsonlBuf); err != nil {
 		t.Fatal(err)
 	}
+	binDS := testDataset(300, 23)
+	binWire := encodeBin(t, binDS, 1024)
 
 	reg := newTestRegistry(t, 4)
 	d, err := New(Config{Workers: 4, QueueSize: 64, Clip: 10}, reg)
@@ -80,17 +87,18 @@ func TestDaemonIngestsConcurrentSources(t *testing.T) {
 	}
 	d.AddSource(&NginxSource{R: strings.NewReader(logText)})
 	d.AddSource(&JSONLSource{R: strings.NewReader(jsonlBuf.String())})
+	d.AddSource(&BinSource{R: bytes.NewReader(binWire)})
 	if err := d.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	defer d.Shutdown(context.Background())
 
 	// The nginx log harvests all 500 lines (all 2xx with propensities);
-	// the JSONL set contributes 400 more.
+	// the JSONL set contributes 400 more and the binrec one 300.
 	// (The folded counter, not TotalN: it moves after every policy has the
 	// batch, TotalN reads the first policy only.)
 	waitFor(t, 10*time.Second, "ingest to complete", func() bool {
-		return d.ctr.folded.Load() == 900
+		return d.ctr.folded.Load() == 1200
 	})
 	if errs := d.SourceErrors(); len(errs) != 0 {
 		t.Fatalf("source errors: %v", errs)
@@ -109,7 +117,7 @@ func TestDaemonIngestsConcurrentSources(t *testing.T) {
 	if skipped != 0 {
 		t.Fatalf("generator produced %d skippable lines", skipped)
 	}
-	all := append(append(core.Dataset{}, nginxDS...), jsonlDS...)
+	all := append(append(append(core.Dataset{}, nginxDS...), jsonlDS...), binDS...)
 	pol := lbsim.LeastLoaded{}
 	want := foldAll(t, all, pol, 10).Estimate("leastloaded", 0.05)
 	got, ok := reg.Estimate("leastloaded", 0.05)

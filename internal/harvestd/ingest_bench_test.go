@@ -7,7 +7,8 @@ package harvestd
 // paths (pooled raw buffers, one queue send per segment or read, decoded by
 // the workers), IngestJSONL the per-record one, which IngestBin is expected
 // to hold at least 5x over. IngestScaling is the batch paths again at 16
-// times the records per op, with one worker and with two.
+// times the records per op, with one worker and with two, binrec on both
+// shapes.
 
 import (
 	"bytes"
@@ -127,23 +128,30 @@ func BenchmarkIngestBin(b *testing.B) {
 }
 
 // BenchmarkIngestScaling is the two batch paths at 64 Ki records an op, with
-// one worker and with two: what the second core buys. At IngestNginx's and
+// one worker and with two: what the second core buys — on the narrow shape,
+// and for binrec also on IngestBin's wide32 one (bin-wide32), the shape of
+// the loop benchmark's wide-fold-read. At IngestNginx's and
 // IngestBin's 4096 records a Run is over in a millisecond or four, and its
 // warm-up — the free list and its buffers, their first touch, the garbage of
 // the op before — is a sixth of the samples; here it is noise.
 func BenchmarkIngestScaling(b *testing.B) {
 	const records = 64 * 1024
+	nginx := func(r io.Reader) Source { return &NginxSource{R: r} }
+	bin := func(r io.Reader) Source { return &BinSource{R: r} }
+	wide := func(b *testing.B, workers int) *Daemon { return benchDaemonOn(b, newWideRegistry(b, workers)) }
 	for _, f := range []struct {
-		name string
-		wire []byte
-		src  func(io.Reader) Source
+		name   string
+		wire   []byte
+		src    func(io.Reader) Source
+		daemon func(*testing.B, int) *Daemon
 	}{
-		{"nginx", []byte(genNginxLog(records, 1)), func(r io.Reader) Source { return &NginxSource{R: r} }},
-		{"bin", encodeBin(b, benchDatapoints(records), 0), func(r io.Reader) Source { return &BinSource{R: r} }},
+		{"nginx", []byte(genNginxLog(records, 1)), nginx, benchDaemon},
+		{"bin", encodeBin(b, benchDatapoints(records), 0), bin, benchDaemon},
+		{"bin-wide32", encodeBin(b, wideDatapoints(records, 1), 0), bin, wide},
 	} {
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/workers=%d", f.name, workers), func(b *testing.B) {
-				benchIngest(b, benchDaemon(b, workers), f.wire, records, f.src)
+				benchIngest(b, f.daemon(b, workers), f.wire, records, f.src)
 			})
 		}
 	}

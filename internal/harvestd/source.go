@@ -432,8 +432,8 @@ func (s *BinSource) Name() string {
 }
 
 // freeListDepth bounds the in-flight batches of one binary or access-log
-// pass: deep enough to keep every worker decoding while the reader reads,
-// small enough that a stalled worker pins only a few buffers.
+// pass, so that a stalled worker pins only a few buffers. Sixteen kept the
+// workers busy less than the yield after a release does (Daemon.worker).
 const freeListDepth = 4
 
 // pooled is one recycled raw batch of a pass — a textChunk or a binSegment —
@@ -442,7 +442,8 @@ const freeListDepth = 4
 // Ownership: from send until release the batch is the daemon's and its bytes
 // do not change — the worker parses them in place (NginxBatch.Append views a
 // line through unsafe.String), writes only the tally, and releases last.
-// From release to the next send it is the reader's, tally and bytes.
+// From release, which wakes the reader if it waits in reclaim, to the next
+// send it is the reader's, tally and bytes.
 type pooled[B any] struct {
 	batch   B
 	tally   tally
@@ -450,7 +451,8 @@ type pooled[B any] struct {
 }
 
 // newFreeList returns a free list holding depth zero-value batches; each
-// batch's release puts it back.
+// batch's release puts it back, readying a reader that waits in reclaim
+// into the releasing worker's own run-queue slot (see Daemon.worker).
 func newFreeList[B any](depth int) chan *pooled[B] {
 	free := make(chan *pooled[B], depth)
 	batches := make([]pooled[B], depth)
