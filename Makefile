@@ -53,9 +53,9 @@ race:
 # BENCH_harvestd.json for CI trend tracking. RegistryFold also selects
 # RegistryFoldBatch/{1,64,720,wide32,policies={1,4,16,64}}, where one op is
 # one record and the policies rows (8 upstreams, 97-record batches) are the
-# fold's cost-per-candidate slope. IngestBin/{k3,wide32} records/s vs
-# IngestJSONL is the binary format's ≥5x claim; IngestScaling/{nginx,bin,
-# bin-wide32}/workers={1,2} is the two batch paths at 64 Ki records an op — 16
+# fold's cost-per-candidate slope. IngestBin/{k3,wide32} is the binary path's
+# records/s; IngestScaling/{nginx,bin,bin-wide32}/workers={1,2} is the two
+# batch paths at 64 Ki records an op — 16
 # times IngestNginx's and IngestBin's, whose ops are a sixth per-Run warm-up —
 # and what the second worker buys them, binrec also on IngestBin's wide32
 # shape (the loop benchmark's wide-fold-read); BinRecDecode/{k2,k8} pins 0
@@ -75,7 +75,7 @@ race:
 # ns/op, B/op and allocs/op).
 # bench-all is the full sweep.
 bench:
-	$(GO) test -run NONE -bench 'AccumFold|AccumMerge|RegistryFold|RegistryEstimates|DaemonEvidence|AggregatorEvidence|StepHTTP|SnapshotEncode|SnapshotDecode|BinRecEncode|BinRecDecode|ParseNginxLine|IngestNginx|IngestJSONL|IngestBin|IngestScaling|GateEval|StateTransition|ProxyRequest' \
+	$(GO) test -run NONE -bench 'AccumFold|AccumMerge|RegistryFold|RegistryEstimates|DaemonEvidence|AggregatorEvidence|StepHTTP|SnapshotEncode|SnapshotDecode|BinRecEncode|BinRecDecode|ParseNginxLine|IngestNginx|IngestBin|IngestScaling|GateEval|StateTransition|ProxyRequest' \
 		-benchmem ./internal/ope ./internal/harvestd ./internal/fleet ./internal/harvester ./internal/harvester/binrec ./internal/rollout ./internal/netlb | $(GO) run ./cmd/benchjson -o BENCH_harvestd.json
 	@cat BENCH_harvestd.json
 
@@ -136,13 +136,12 @@ trace-demo:
 
 # Short fuzz pass over every fuzz target in the repository, FUZZTIME per
 # target: the wire-format parsers, the RESP server's command dispatch, the
-# cache-log scavenger, the substream seeder and the batch fold.
+# substream seeder and the batch fold.
 # FuzzParseNginxLine, FuzzParseNumber, FuzzBinRecDecode, FuzzRelayHead and
 # FuzzFoldBatch are differential (against the regexp parser, against
 # strconv, against the previous binrec record decoder, against net/http's
 # request reader, and against the per-record Accum.Fold);
-# FuzzServerDispatch and FuzzScavengeCacheLogs read input from outside the
-# program. CI runs this beyond the seeds.
+# FuzzServerDispatch reads input from outside the program. CI runs this beyond the seeds.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -fuzz=FuzzReadValue -fuzztime=$(FUZZTIME) ./internal/resp/
@@ -150,8 +149,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzServerDispatch -fuzztime=$(FUZZTIME) ./internal/resp/
 	$(GO) test -fuzz=FuzzParseNginxLine -fuzztime=$(FUZZTIME) ./internal/harvester/
 	$(GO) test -fuzz=FuzzParseNumber -fuzztime=$(FUZZTIME) ./internal/harvester/
-	$(GO) test -fuzz=FuzzCacheLogRoundTrip -fuzztime=$(FUZZTIME) ./internal/harvester/
-	$(GO) test -fuzz=FuzzScavengeCacheLogs -fuzztime=$(FUZZTIME) ./internal/harvester/
 	$(GO) test -fuzz=FuzzSubstream -fuzztime=$(FUZZTIME) ./internal/stats/
 	$(GO) test -fuzz=FuzzBinRecDecode -fuzztime=$(FUZZTIME) ./internal/harvester/binrec/
 	$(GO) test -fuzz=FuzzBinRecRoundTrip -fuzztime=$(FUZZTIME) ./internal/harvester/binrec/

@@ -1,15 +1,14 @@
 // Command harvestd runs the continuous harvesting daemon: it tails
-// exploration logs (netlb access logs, cache decision logs, core JSONL
-// datasets) into a registry of candidate policies and serves live
+// exploration logs (netlb access logs, or the binrec records recconv packs
+// from them or from a JSONL dataset) into a registry of candidate policies and serves live
 // counterfactual estimates over HTTP — the paper's "harvest continuously"
 // pitch as a long-running service.
 //
 // Usage:
 //
-//	harvestd [-addr HOST:PORT] [-nginx PATH,...] [-jsonl PATH,...]
-//	         [-bin PATH,...] [-cachelog PATH,...] [-follow] [-strict]
-//	         [-types N] [-horizon F]
-//	         [-policies SPEC] [-workers N] [-queue N] [-clip F] [-delta F]
+//	harvestd [-addr HOST:PORT] [-nginx PATH,...] [-bin PATH,...]
+//	         [-follow] [-strict] [-types N]
+//	         [-policies SPEC] [-workers N] [-clip F] [-delta F]
 //	         [-floor F] [-shard-id NAME] [-checkpoint PATH] [-checkpoint-interval D]
 //	         [-debug-addr HOST:PORT] [-trace PATH]
 //
@@ -52,17 +51,13 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	fs := flag.NewFlagSet("harvestd", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8347", "HTTP API listen address")
 	nginx := fs.String("nginx", "", "comma-separated nginx-style access logs to harvest")
-	jsonl := fs.String("jsonl", "", "comma-separated core JSONL datasets to harvest")
 	bin := fs.String("bin", "", "comma-separated binrec binary record files to harvest (see recconv)")
-	cachelog := fs.String("cachelog", "", "comma-separated cache decision logs to harvest")
-	follow := fs.Bool("follow", false, "keep tailing nginx/jsonl sources as they grow")
+	follow := fs.Bool("follow", false, "keep tailing nginx and bin sources as they grow")
 	strict := fs.Bool("strict", false, "abort a nginx source on the first malformed line")
 	types := fs.Int("types", 1, "request types in nginx logs (typed routing contexts)")
-	horizon := fs.Float64("horizon", 2000, "cache harvest look-ahead horizon")
 	policies := fs.String("policies", "uniform,leastloaded,constant:0",
 		"candidate policies: uniform | leastloaded | constant:K")
 	workers := fs.Int("workers", 0, "ingestion workers (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", 4096, "ingestion queue capacity")
 	clip := fs.Float64("clip", 10, "importance-weight cap for clipped IPS (<=0 disables)")
 	delta := fs.Float64("delta", 0.05, "default interval failure probability")
 	floor := fs.Float64("floor", harvestd.DefaultPropensityFloor,
@@ -105,7 +100,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 
 	d, err := harvestd.New(harvestd.Config{
 		Workers:            nWorkers,
-		QueueSize:          *queue,
 		Clip:               *clip,
 		Delta:              *delta,
 		Addr:               *addr,
@@ -133,14 +127,8 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 			Path: p, Follow: *follow, NumTypes: *types, Strict: *strict,
 		})
 	}
-	for _, p := range splitPaths(*jsonl) {
-		d.AddSource(&harvestd.JSONLSource{Path: p, Follow: *follow})
-	}
 	for _, p := range splitPaths(*bin) {
 		d.AddSource(&harvestd.BinSource{Path: p, Follow: *follow})
-	}
-	for _, p := range splitPaths(*cachelog) {
-		d.AddSource(&harvestd.CacheLogSource{Path: p, Horizon: *horizon})
 	}
 
 	doing := "evaluating " + strings.Join(reg.Names(), ", ")

@@ -21,8 +21,8 @@ import (
 	"repro/internal/stats"
 )
 
-// writeTestLogs materializes one nginx access log and one JSONL dataset.
-func writeTestLogs(t *testing.T, dir string) (nginxPath, jsonlPath string, total int64) {
+// writeTestLogs materializes one nginx access log and one binrec record file.
+func writeTestLogs(t *testing.T, dir string) (nginxPath, binPath string, total int64) {
 	t.Helper()
 	r := stats.NewRand(7)
 	var nb strings.Builder
@@ -40,8 +40,8 @@ func writeTestLogs(t *testing.T, dir string) (nginxPath, jsonlPath string, total
 		t.Fatal(err)
 	}
 
-	const nJSONL = 300
-	ds := make(core.Dataset, nJSONL)
+	const nBin = 300
+	ds := make(core.Dataset, nBin)
 	for i := range ds {
 		conns := []int{r.Intn(8), r.Intn(8)}
 		a := core.Action(r.Intn(2))
@@ -52,15 +52,37 @@ func writeTestLogs(t *testing.T, dir string) (nginxPath, jsonlPath string, total
 			Propensity: 0.5,
 		}
 	}
-	var jb strings.Builder
-	if err := ds.WriteJSONL(&jb); err != nil {
+	binPath = filepath.Join(dir, "dataset.bin")
+	writeBinFile(t, binPath, ds, 0)
+	return nginxPath, binPath, nNginx + nBin
+}
+
+// writeBinFile writes ds to path as one binrec stream; segBytes > 0 lowers
+// the segment-seal threshold so the file spans several segments.
+func writeBinFile(t *testing.T, path string, ds core.Dataset, segBytes int) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	jsonlPath = filepath.Join(dir, "dataset.jsonl")
-	if err := os.WriteFile(jsonlPath, []byte(jb.String()), 0o644); err != nil {
+	enc, err := binrec.NewEncoder(f)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return nginxPath, jsonlPath, nNginx + nJSONL
+	if segBytes > 0 {
+		enc.SegmentBytes = segBytes
+	}
+	for i := range ds {
+		if err := enc.Write(&ds[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // startRun launches run() as main would, returning the API base URL and a
@@ -111,13 +133,13 @@ func fetchEstimates(t *testing.T, base string, wantN int64) []ope.PolicyEstimate
 }
 
 // TestRunResumeAfterRestart is the binary's lifecycle acceptance test: a
-// daemon ingests an nginx log and a JSONL dataset concurrently, terminates
+// daemon ingests an nginx log and a binrec file concurrently, terminates
 // on signal (context cancellation — exactly what signal.NotifyContext
 // delivers on SIGTERM) writing a checkpoint, and a restarted daemon reports
 // identical estimator state (n, means, intervals) from that checkpoint.
 func TestRunResumeAfterRestart(t *testing.T) {
 	dir := t.TempDir()
-	nginxPath, jsonlPath, total := writeTestLogs(t, dir)
+	nginxPath, binPath, total := writeTestLogs(t, dir)
 	ckpt := filepath.Join(dir, "state.json")
 	common := []string{
 		"-addr", "127.0.0.1:0",
@@ -128,7 +150,7 @@ func TestRunResumeAfterRestart(t *testing.T) {
 
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	url1, errc1 := startRun(t, ctx1, append([]string{
-		"-nginx", nginxPath, "-jsonl", jsonlPath,
+		"-nginx", nginxPath, "-bin", binPath,
 	}, common...))
 	before := fetchEstimates(t, url1, total)
 	cancel1() // SIGTERM
@@ -303,26 +325,7 @@ func TestRunBinSource(t *testing.T) {
 		}
 	}
 	binPath := filepath.Join(dir, "records.bin")
-	f, err := os.Create(binPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := binrec.NewEncoder(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc.SegmentBytes = 1024
-	for i := range ds {
-		if err := enc.Write(&ds[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeBinFile(t, binPath, ds, 1024)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -106,16 +106,7 @@ func TestIntegrationCachingPipeline(t *testing.T) {
 	if _, err := cachesim.Replay(c, w, stats.Split(root), 25000); err != nil {
 		t.Fatal(err)
 	}
-	// Round-trip the logs through the text format before harvesting.
-	var logFile strings.Builder
-	if err := harvester.WriteCacheLogs(&logFile, c.AccessLog(), c.EvictionLog()); err != nil {
-		t.Fatal(err)
-	}
-	accesses, evictions, err := harvester.ScavengeCacheLogs(strings.NewReader(logFile.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := harvester.HarvestEvictions(evictions, accesses, 2000)
+	ds, err := harvester.HarvestEvictions(c.EvictionLog(), c.AccessLog(), 2000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // MaxRecordBytes bounds one input record across every ingest parser in the
-// repository: a JSONL line, an access-log line, a cache-log line, or a
-// binary record segment. Before this constant the limits disagreed silently
+// repository: a JSONL line, an access-log line, or a binary record
+// segment. Before this constant the limits disagreed silently
 // (8 MiB for text logs, 16 MiB for JSONL), so the same oversized record
 // could be a hard error on one path and fine on another; every scanner now
 // shares this bound and an over-limit record is an explicit error everywhere.

@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harvestd"
+	"repro/internal/harvester/binrec"
 	"repro/internal/lbsim"
 	"repro/internal/ope"
 	"repro/internal/policy"
@@ -50,14 +51,23 @@ func dyadicDataset(n int, seed int64) core.Dataset {
 	return ds
 }
 
-// writeJSONLFile persists one source's datapoints.
-func writeJSONLFile(t *testing.T, path string, ds core.Dataset) {
+// writeBinFile persists one source's datapoints as binrec records.
+func writeBinFile(t *testing.T, path string, ds core.Dataset) {
 	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.WriteJSONL(f); err != nil {
+	enc, err := binrec.NewEncoder(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ds {
+		if err := enc.Write(&ds[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -83,7 +93,7 @@ func e2eRegistry(t *testing.T) *harvestd.Registry {
 	return reg
 }
 
-// startHarvestd boots one daemon over the given JSONL sources and waits for
+// startHarvestd boots one daemon over the given binrec sources and waits for
 // it to fold them all.
 func startHarvestd(t *testing.T, shardID, ckpt string, files []string, wantN int64) *harvestd.Daemon {
 	t.Helper()
@@ -96,7 +106,7 @@ func startHarvestd(t *testing.T, shardID, ckpt string, files []string, wantN int
 		t.Fatal(err)
 	}
 	for _, f := range files {
-		d.AddSource(&harvestd.JSONLSource{Path: f})
+		d.AddSource(&harvestd.BinSource{Path: f})
 	}
 	if err := d.Start(context.Background()); err != nil {
 		t.Fatal(err)
@@ -188,9 +198,9 @@ func TestE2EFleetKillShardDegradeAndRecover(t *testing.T) {
 	fileOf := map[string]string{}
 	parts := map[string][]string{}
 	for i := 0; i < 12; i++ {
-		name := fmt.Sprintf("source-%02d.jsonl", i)
+		name := fmt.Sprintf("source-%02d.bin", i)
 		path := filepath.Join(dir, name)
-		writeJSONLFile(t, path, dyadicDataset(perSource, int64(100+i)))
+		writeBinFile(t, path, dyadicDataset(perSource, int64(100+i)))
 		sources = append(sources, name)
 		fileOf[name] = path
 		s := shardNames[i%len(shardNames)]

@@ -1,8 +1,8 @@
 package harvestd
 
 // BinSource tests plus regression tests for the ingestion-path bug sweep:
-// cache-log metrics double-accounting, cache-log ctx deafness, the per-poll
-// timer allocation in tailReader, and strict+follow shutdown classification.
+// the per-poll timer allocation in tailReader and strict+follow shutdown
+// classification.
 
 import (
 	"bytes"
@@ -16,10 +16,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cachesim"
 	"repro/internal/core"
-	"repro/internal/harvester"
 	"repro/internal/harvester/binrec"
+	"repro/internal/lbsim"
+	"repro/internal/policy"
 )
 
 // encodeBin is ds as one binrec stream; segBytes > 0 lowers the segment-seal
@@ -152,69 +152,44 @@ func TestBinSourceIngest(t *testing.T) {
 	}
 }
 
-// TestBinSourceMatchesJSONL: the same dataset ingested through the binary
-// path and the JSONL path must produce identical estimates — the codec is a
-// transport, not a transform.
+// TestBinSourceMatchesJSONL: a JSONL dataset reaches harvestd packed as
+// binrec (recconv -from jsonl -to bin), and the daemon must then hold every
+// policy's accumulator exactly as folding the JSONL records directly does —
+// the codec is a transport, not a transform. One worker: fold order is then
+// source order, so the state must agree bit for bit (float summation is not
+// associative across shards).
 func TestBinSourceMatchesJSONL(t *testing.T) {
-	ds := benchDatapoints(200)
-	for i := range ds {
-		ds[i].Seq = int64(i)
+	src := benchDatapoints(200)
+	for i := range src {
+		src[i].Seq = int64(i)
 	}
-
-	var bin bytes.Buffer
-	enc, err := binrec.NewEncoder(&bin)
+	var jsonl bytes.Buffer
+	if err := core.Dataset(src).WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := core.ReadJSONL(&jsonl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc.SegmentBytes = 512
-	for i := range ds {
-		if err := enc.Write(&ds[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.Flush(); err != nil {
+	reg := newTestRegistry(t, 1)
+	d, err := New(Config{Workers: 1, Clip: 10}, reg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var jsonl bytes.Buffer
-	jw := core.NewJSONLWriter(&jsonl)
-	for i := range ds {
-		if err := jw.Write(&ds[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := jw.Flush(); err != nil {
+	d.AddSource(&BinSource{R: bytes.NewReader(encodeBin(t, ds, 512))})
+	if err := d.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-
-	// One worker per daemon: fold order is then source order on both paths,
-	// so the estimates must agree bit-for-bit (float summation is not
-	// associative across shards).
-	start := func(src Source) (*Daemon, *Registry) {
-		t.Helper()
-		reg := newTestRegistry(t, 1)
-		d, err := New(Config{Workers: 1, Clip: 10}, reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.AddSource(src)
-		if err := d.Start(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		return d, reg
-	}
-	dBin, regBin := start(&BinSource{R: bytes.NewReader(bin.Bytes())})
-	dJSON, regJSON := start(&JSONLSource{R: bytes.NewReader(jsonl.Bytes())})
-	defer dBin.Shutdown(context.Background())
-	defer dJSON.Shutdown(context.Background())
-	waitFor(t, 10*time.Second, "both folded", func() bool {
-		return regBin.TotalN() == 200 && regJSON.TotalN() == 200
-	})
-	for _, name := range regBin.Names() {
-		eb, _ := regBin.Estimate(name, 0.05)
-		ej, _ := regJSON.Estimate(name, 0.05)
-		if eb.IPS.Value != ej.IPS.Value || eb.SNIPS.Value != ej.SNIPS.Value {
-			t.Errorf("%s: bin %v/%v vs jsonl %v/%v", name,
-				eb.IPS.Value, eb.SNIPS.Value, ej.IPS.Value, ej.SNIPS.Value)
+	defer d.Shutdown(context.Background())
+	waitFor(t, 10*time.Second, "records folded", func() bool { return d.ctr.folded.Load() == 200 })
+	state := reg.exportState(nil)
+	for name, pol := range map[string]core.Policy{
+		"always-0":    policy.Constant{A: 0},
+		"always-1":    policy.Constant{A: 1},
+		"leastloaded": lbsim.LeastLoaded{},
+	} {
+		if got, want := state[name], *foldAll(t, ds, pol, 10); got != want {
+			t.Errorf("%s: bin path state\n got %+v\nwant %+v", name, got, want)
 		}
 	}
 }
@@ -378,86 +353,6 @@ func TestBinSourceUndecodableSegment(t *testing.T) {
 	}
 }
 
-// TestCacheLogSourceCounters pins the metrics fix: every scavenged line
-// (accesses and eviction decisions) is counted under lines exactly once,
-// and reconstructed datapoints are counted under harvested — previously
-// eviction datapoints were double-booked as input lines while the eviction
-// lines themselves went uncounted.
-func TestCacheLogSourceCounters(t *testing.T) {
-	accesses := []cachesim.AccessRecord{
-		{Time: 1, Key: "a", Size: 10, Hit: false},
-		{Time: 2, Key: "b", Size: 10, Hit: false},
-		{Time: 5, Key: "a", Size: 10, Hit: true},
-	}
-	evictions := []cachesim.EvictionRecord{{
-		Time:       3,
-		Chosen:     0,
-		Propensity: 0.5,
-		Candidates: []cachesim.Candidate{
-			{Key: "a", Size: 10, LastAccess: 1, Frequency: 1, InsertedAt: 1},
-			{Key: "b", Size: 10, LastAccess: 2, Frequency: 1, InsertedAt: 2},
-		},
-	}}
-	var buf strings.Builder
-	if err := harvester.WriteCacheLogs(&buf, accesses, evictions); err != nil {
-		t.Fatal(err)
-	}
-	d, reg := startSourceDaemon(t, &CacheLogSource{R: strings.NewReader(buf.String()), Horizon: 100})
-	defer d.Shutdown(context.Background())
-	waitFor(t, 10*time.Second, "eviction harvested", func() bool { return reg.TotalN() == 1 })
-
-	if got, want := d.ctr.lines.Load(), int64(len(accesses)+len(evictions)); got != want {
-		t.Errorf("lines = %d, want %d (each scavenged line once)", got, want)
-	}
-	if got := d.ctr.harvested.Load(); got != 1 {
-		t.Errorf("harvested = %d, want 1", got)
-	}
-	if got := d.ctr.ingested.Load(); got != 1 {
-		t.Errorf("ingested = %d, want 1", got)
-	}
-}
-
-// endlessAccessLog emits valid cache-log access lines forever, cancelling
-// ctx after the first read so a ctx-deaf scavenge would spin unbounded.
-type endlessAccessLog struct {
-	cancel context.CancelFunc
-	n      int
-}
-
-func (e *endlessAccessLog) Read(p []byte) (int, error) {
-	if e.cancel != nil {
-		e.cancel()
-		e.cancel = nil
-	}
-	e.n++
-	line := fmt.Sprintf("A %d %q 10 0\n", e.n, "k")
-	return copy(p, line), nil
-}
-
-// TestCacheLogSourceCancellation pins the ctx fix: Run on an unbounded
-// input must return promptly (and cleanly) once ctx is cancelled —
-// previously the source ignored ctx entirely and read to EOF.
-func TestCacheLogSourceCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	reg := newTestRegistry(t, 2)
-	d, err := New(Config{Workers: 2, Clip: 10}, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := &CacheLogSource{R: &endlessAccessLog{cancel: cancel}, Horizon: 100}
-	done := make(chan error, 1)
-	go func() { done <- src.Run(ctx, &Sink{d: d}) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("cancelled run must not report a source failure: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("CacheLogSource.Run ignored ctx cancellation")
-	}
-}
-
 // eofThenData returns io.EOF eofs times before each byte of data, forcing a
 // deterministic number of tail polls without goroutines.
 type eofThenData struct{ eofs int }
@@ -522,20 +417,6 @@ func TestNginxSourceStrictFollowShutdown(t *testing.T) {
 func TestNginxSourceOverLimitLine(t *testing.T) {
 	huge := strings.Repeat("x", 16*1024*1024+1) + "\n"
 	d, _ := startSourceDaemon(t, &NginxSource{R: strings.NewReader(huge)})
-	defer d.Shutdown(context.Background())
-	waitFor(t, 10*time.Second, "over-limit failure", func() bool {
-		return len(d.SourceErrors()) == 1
-	})
-	if err := d.SourceErrors()[0]; !strings.Contains(err.Error(), "token too long") {
-		t.Errorf("error %q should be the scanner limit", err)
-	}
-}
-
-// TestJSONLSourceOverLimitLine: same guard on the JSONL path, which reads
-// through core.ReadJSONLFunc's shared limit.
-func TestJSONLSourceOverLimitLine(t *testing.T) {
-	huge := strings.Repeat("x", 16*1024*1024+1) + "\n"
-	d, _ := startSourceDaemon(t, &JSONLSource{R: strings.NewReader(huge)})
 	defer d.Shutdown(context.Background())
 	waitFor(t, 10*time.Second, "over-limit failure", func() bool {
 		return len(d.SourceErrors()) == 1

@@ -17,21 +17,17 @@ import (
 )
 
 // runDaemonOverDataset starts a daemon with the given checkpoint path, feeds
-// it a JSONL source, waits until TotalN reaches expectTotal (restored
+// it a binrec source, waits until TotalN reaches expectTotal (restored
 // baseline plus the fresh datapoints), and shuts it down cleanly.
 func runDaemonOverDataset(t *testing.T, path string, n int, seed int64, expectTotal int64) []ope.PolicyEstimate {
 	t.Helper()
-	ds := testDataset(n, seed)
-	var buf strings.Builder
-	if err := ds.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
+	wire := encodeBin(t, testDataset(n, seed), 0)
 	reg := newTestRegistry(t, 2)
 	d, err := New(Config{Workers: 2, Clip: 10, CheckpointPath: path}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.AddSource(&JSONLSource{R: strings.NewReader(buf.String())})
+	d.AddSource(&BinSource{R: bytes.NewReader(wire)})
 	if err := d.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}

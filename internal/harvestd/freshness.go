@@ -23,22 +23,21 @@ const FreshnessVersion = 1
 type SourceFreshness struct {
 	Source string `json:"source"`
 	// Ingested / Folded count datapoints on their way to the fold and
-	// datapoints folded into estimators. A JSONL, cache-log or Ingest record
-	// is ingested when it is enqueued; a binrec segment or access-log read is
-	// enqueued raw, and its datapoints are ingested when a worker decodes
-	// them, a moment before it folds them. Behind is what is queued and not
-	// yet folded: Ingested minus Folded minus the records a worker rejected
-	// (binrec records are enqueued unvalidated), plus, for each raw batch not
-	// decoded yet, its segment header's record count or its physical lines —
-	// so a full queue shows here while Ingested stands still.
+	// datapoints folded into estimators. Every batch is enqueued raw, and
+	// its datapoints are ingested when a worker decodes them, a moment
+	// before it folds them. Behind is what is queued and not yet folded:
+	// Ingested minus Folded minus the records a worker rejected (records are
+	// enqueued unvalidated), plus, for each batch not decoded yet, its
+	// segment header's record count, its physical lines, or Ingest's one
+	// record — so a full queue shows here while Ingested stands still.
 	Ingested int64 `json:"ingested"`
 	Folded   int64 `json:"folded"`
 	Behind   int64 `json:"behind"`
 	// MaxSeqIngested / MaxSeqFolded are the high-water record sequence
 	// numbers ingested and folded (-1 before any sequenced record); a record
-	// the worker rejects advances MaxSeqFolded like a folded one. For the
-	// raw formats MaxSeqIngested moves when a worker decodes the batch, not
-	// when the reader enqueues it.
+	// the worker rejects advances MaxSeqFolded like a folded one.
+	// MaxSeqIngested moves when a worker decodes the batch, not when the
+	// reader enqueues it.
 	MaxSeqIngested int64 `json:"max_seq_ingested"`
 	MaxSeqFolded   int64 `json:"max_seq_folded"`
 	// LastIngestUnixMilli / LastFoldUnixMilli are the injected clock's time
@@ -48,11 +47,10 @@ type SourceFreshness struct {
 	// Lag* summarize the ingest→fold latency histogram: one sample per
 	// folded batch, enqueue → folded (every record in a batch shares its
 	// enqueue timestamp), a batch being one binrec segment, the lines of one
-	// access-log read, or one JSONL, cache-log or Ingest record. For a
-	// segment or a read the sample contains the decode, which the folding
-	// worker does. LagCount therefore counts segments and reads, not records,
-	// and a quantile weighs a 400-line catch-up read like a one-line
-	// follow-mode read.
+	// access-log read, or one Ingest record. The sample contains the decode,
+	// which the folding worker does. LagCount therefore counts batches, not
+	// records, and a quantile weighs a 400-line catch-up read like a
+	// one-line follow-mode read.
 	LagP50Seconds float64 `json:"lag_p50_seconds"`
 	LagP99Seconds float64 `json:"lag_p99_seconds"`
 	LagCount      uint64  `json:"lag_count"`
@@ -82,12 +80,12 @@ type FreshnessReport struct {
 const helpIngestFoldLag = "enqueue-to-folded latency, one sample per folded batch, not per record (a binrec segment or the lines of one access-log read, whose decode by the folding worker it includes, or one pushed record)"
 
 // sourceStats is the per-source watermark accumulator behind /freshness.
-// Writers are the enqueue paths (before the batch is handed to the queue,
-// while the producer still owns the slice) and the fold workers; all
-// fields are atomics, so neither path takes a lock.
+// Writers are enqueue (queued, before the batch is handed to the queue) and
+// the fold workers (the rest); all fields are atomics, so neither path
+// takes a lock.
 type sourceStats struct {
 	name           string
-	queued         atomic.Int64 // enqueued raw, not decoded yet: header records or physical lines
+	queued         atomic.Int64 // enqueued, not decoded yet: header records, physical lines or Ingest records
 	ingested       atomic.Int64
 	folded         atomic.Int64
 	rejected       atomic.Int64 // failed Validate in the worker: left the queue unfolded
@@ -117,8 +115,8 @@ func atomicMax(a *atomic.Int64, v int64) {
 	}
 }
 
-// noteIngested records a batch entering the queue. maxSeq was computed by
-// the caller before the enqueue, while it still owned the points.
+// noteIngested records the points a worker decoded from a batch, their
+// high-water Seq and the batch's enqueue time.
 func (s *sourceStats) noteIngested(n int, maxSeq int64, at time.Time) {
 	s.ingested.Add(int64(n))
 	atomicMax(&s.maxSeqIngested, maxSeq)
@@ -137,9 +135,9 @@ func (s *sourceStats) noteFolded(folded, rejected int, maxSeq int64, at time.Tim
 	s.lag.Observe(lagSeconds)
 }
 
-// maxBatchSeq is the enqueue-side scan for the high-water Seq of a batch.
-// It runs before the channel send — after it, ownership of pts transfers
-// to the fold workers and the producer must not touch the slice.
+// maxBatchSeq is the high-water Seq of a decoded batch, valid records or
+// not: the fold watermark passes a record the worker rejects just as it
+// passes one it folds.
 func maxBatchSeq(pts []core.Datapoint) int64 {
 	maxSeq := int64(-1)
 	for i := range pts {

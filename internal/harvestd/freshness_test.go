@@ -159,7 +159,7 @@ func TestFreshnessDrainsWorkerRejectedRecords(t *testing.T) {
 	pts := testDataset(2, 51)
 	pts[0].Seq, pts[1].Seq = 1, 2
 	pts[1].Propensity = 0 // the bad record carries the batch's highest Seq
-	if err := d.sinkFor("bin:test").send(context.Background(), ingestBatch{pts: pts}); err != nil {
+	if err := sendDecoded(context.Background(), d.sinkFor("bin:test"), pts); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "the batch to be accounted", func() bool {

@@ -1,8 +1,9 @@
 // Package harvestd is the continuous harvesting daemon: the paper's
 // footnote that "off-policy evaluation may incrementally update; it just
 // does not intervene in a live (online) system" turned into a long-running
-// service. It tails exploration-log sources (netlb access logs, cache
-// decision logs, core JSONL datasets) through concurrent ingestion workers
+// service. It tails the exploration logs a system already writes — netlb
+// access logs, or the binrec records recconv packs from them (a JSONL
+// dataset reaches it that way too) — through concurrent ingestion workers
 // feeding a bounded queue, maintains a registry of candidate policies with
 // sharded per-policy incremental estimators (IPS, clipped IPS, SNIPS, with
 // normal and empirical-Bernstein intervals), serves live estimates over a
@@ -15,24 +16,24 @@
 //
 // Data flow:
 //
-//	sources ──emit──▶ bounded queue ──▶ workers ──decode, fold──▶ policy shards
+//	sources ──send──▶ bounded queue ──▶ workers ──decode, fold──▶ policy shards
 //	                                                                  │merge
 //	snapshot(names): counters, then each named policy's Accum ◀───────┘
 //	  ├──▶ HTTP /snapshot /estimates /evidence /diagnostics /metrics
 //	  └──▶ checkpoint (timer + shutdown): {version 2, saved_at, snapshot}
 //
-// The queue carries batches and the fold keeps them whole. The two bulk
-// formats travel raw — decode where you fold: a binrec source reads, frames
-// and CRC-checks one segment, an access-log source (or POST /ingest) takes
-// the complete lines of one read, and either queues those bytes as they
-// are; the worker that dequeues them parses them into its own scratch batch
-// (one harvester.NginxBatch and one binrec.Batch per worker, alive as long
-// as it is), so parsing runs on as many cores as folding and a source
-// goroutine only reads. JSONL, cache-log and Ingest records arrive decoded,
-// one per batch. Either way the worker then validates the batch and hands
-// each run of valid records to Registry.FoldBatch, the only fold loop. Per
-// batch it pays one registry RLock and one round of counter and watermark
-// bumps; per (policy, batch) one recover frame and one shard-lock
+// The queue carries batches and the fold keeps them whole, and every batch
+// travels raw — decode where you fold: a binrec source reads, frames and
+// CRC-checks one segment, an access-log source (or POST /ingest) takes the
+// complete lines of one read, and either queues those bytes as they are;
+// the worker that dequeues them parses them into its own scratch batch (one
+// harvester.NginxBatch and one binrec.Batch per worker, alive as long as it
+// is), so parsing runs on as many cores as folding and a source goroutine
+// only reads. Ingest, the in-process feed, queues its record as a raw batch
+// of one whose decode is the identity. The worker then validates the batch
+// and hands each run of valid records to Registry.FoldBatch, the only fold
+// loop. Per batch it pays one registry RLock and one round of counter and
+// watermark bumps; per (policy, batch) one recover frame and one shard-lock
 // acquisition, folding the records in order into a copy of its own shard's
 // accumulator and storing the copy back — so the summation order is the
 // record-by-record one. That unlocked read-modify-write relies on worker i
@@ -69,9 +70,9 @@ type Config struct {
 	// Workers is the number of concurrent ingestion workers (and estimator
 	// shards). Default: GOMAXPROCS.
 	Workers int
-	// QueueSize bounds the ingestion queue, measured in batches (the binary
-	// source emits whole segments, the access-log source the lines of one
-	// read, the others one datapoint). Backpressure, default 4096.
+	// QueueSize bounds the ingestion queue, measured in batches (a binrec
+	// segment, the lines of one access-log read, or one Ingest record).
+	// Backpressure, default 4096.
 	QueueSize int
 	// Clip caps importance weights for the clipped-IPS estimator. Default
 	// 10; <= 0 disables clipping.
@@ -128,42 +129,37 @@ type counters struct {
 	lines       atomic.Int64 // raw input lines/records seen
 	parseErrors atomic.Int64 // unparseable lines
 	rejected    atomic.Int64 // parsed but unusable (non-2xx, no propensity, ...)
-	harvested   atomic.Int64 // datapoints reconstructed from derived records (cache-eviction joins)
-	ingested    atomic.Int64 // datapoints on their way to the fold: enqueued decoded, or decoded by a worker
+	ingested    atomic.Int64 // datapoints on their way to the fold: decoded by a worker
 	folded      atomic.Int64 // datapoints folded into estimators
 	checkpoints atomic.Int64 // successful checkpoint writes
 }
 
-// ingestBatch is the worker queue's unit: a batch of datapoints, decoded
-// (pts) or still in wire form (raw), plus an optional release hook. Batching
-// is what lets the bulk ingest paths hand a whole segment or read to a
-// worker in one channel operation instead of one send per record — at
-// millions of records/sec the per-send synchronization would otherwise
-// dominate. free (when non-nil) is the worker's last act on the batch, after
-// the fold and every counter: it returns pooled buffers to the producing
-// source, which must not touch pts or the raw bytes until then. src, at and
-// maxSeq feed the /freshness watermarks: which source enqueued the batch,
-// when, and the batch's high-water Seq (valid or not — the fold watermark
-// passes a record the worker rejects just as it passes one it folds). A raw
-// batch also carries home, where the worker leaves what the bytes held for
-// the reader to collect after free, and queued, what it counts for in
-// behind until a worker has counted it: the segment header's record count,
-// or the physical lines of the read.
+// ingestBatch is the worker queue's unit: a batch of datapoints in wire
+// form (raw), plus an optional release hook. Batching is what lets the
+// ingest paths hand a whole segment or read to a worker in one channel
+// operation instead of one send per record — at millions of records/sec the
+// per-send synchronization would otherwise dominate. free (when non-nil) is
+// the worker's last act on the batch, after the fold and every counter: it
+// returns pooled buffers to the producing source, which must not touch the
+// raw bytes until then. home is where the worker leaves what the bytes held,
+// for the reader to collect after free, and queued what the batch counts
+// for in behind until a worker has counted it: the segment header's record
+// count, the physical lines of the read, or Ingest's one record. src and at
+// feed the /freshness watermarks: which source enqueued the batch, and when.
 type ingestBatch struct {
-	pts    []core.Datapoint
 	raw    rawBatch
 	home   *tally
 	queued int64
 	free   func()
 	src    *sourceStats
 	at     time.Time
-	maxSeq int64
 }
 
 // rawBatch is a batch in wire form — the complete lines of one access-log
-// read or one CRC-checked binrec segment. decode parses it into the calling
-// worker's scratch and returns the points, valid until that worker's next
-// decode; what else it saw goes into t.
+// read, one CRC-checked binrec segment, or one record handed to Ingest.
+// decode parses it into the calling worker's scratch and returns the
+// points, valid until that worker's next decode; what else it saw goes
+// into t.
 type rawBatch interface {
 	decode(s *scratch, t *tally) []core.Datapoint
 }
@@ -338,13 +334,13 @@ func (d *Daemon) shardID() string {
 }
 
 // worker drains the queue, folding each batch into its own shard of every
-// registered policy: it decodes a raw batch into its own scratch and books
-// what a decoding source would have booked before the enqueue, with the
-// enqueue's timestamp; then it validates the batch, hands each maximal run
-// of valid records to Registry.FoldBatch, and bumps the counters and the
-// source's watermark once per batch (so they may trail the registry by one
-// batch). One span covers the worker's whole life (fold stage of the
-// pipeline); per-datapoint spans would dwarf the work traced.
+// registered policy: it decodes the batch into its own scratch and books
+// what the bytes held, with the enqueue's timestamp; then it validates the
+// batch, hands each maximal run of valid records to Registry.FoldBatch, and
+// bumps the counters and the source's watermark once per batch (so they may
+// trail the registry by one batch). One span covers the worker's whole life
+// (fold stage of the pipeline); per-datapoint spans would dwarf the work
+// traced.
 func (d *Daemon) worker(id int) {
 	defer d.workerWG.Done()
 	sp := d.cfg.Tracer.Start("fold/worker", d.root, map[string]any{"id": id})
@@ -356,21 +352,19 @@ func (d *Daemon) worker(id int) {
 	var sc scratch
 	yield := d.cfg.Workers >= runtime.GOMAXPROCS(0)
 	for bt := range d.queue {
-		pts, maxSeq := bt.pts, bt.maxSeq
-		if bt.raw != nil {
-			t := bt.home
-			pts = bt.raw.decode(&sc, t)
-			t.ingested, maxSeq = int64(len(pts)), maxBatchSeq(pts)
-			d.ctr.lines.Add(t.lines)
-			d.ctr.rejected.Add(t.rejected)
-			d.ctr.parseErrors.Add(t.parseErrors)
-			d.ctr.ingested.Add(t.ingested)
-			if bt.src != nil {
-				if len(pts) > 0 {
-					bt.src.noteIngested(len(pts), maxSeq, bt.at)
-				}
-				bt.src.queued.Add(-bt.queued)
+		t := bt.home
+		pts := bt.raw.decode(&sc, t)
+		t.ingested = int64(len(pts))
+		maxSeq := maxBatchSeq(pts)
+		d.ctr.lines.Add(t.lines)
+		d.ctr.rejected.Add(t.rejected)
+		d.ctr.parseErrors.Add(t.parseErrors)
+		d.ctr.ingested.Add(t.ingested)
+		if bt.src != nil {
+			if len(pts) > 0 {
+				bt.src.noteIngested(len(pts), maxSeq, bt.at)
 			}
+			bt.src.queued.Add(-bt.queued)
 		}
 		nFolded, start := 0, 0 // start: first record of the current valid run
 		for i := range pts {
@@ -395,9 +389,7 @@ func (d *Daemon) worker(id int) {
 		d.ctr.folded.Add(int64(nFolded))
 		if nRejected > 0 {
 			d.ctr.rejected.Add(int64(nRejected))
-			if bt.home != nil {
-				bt.home.rejected += int64(nRejected)
-			}
+			t.rejected += int64(nRejected)
 		}
 		// And the batch goes home after them: a reader that has collected a
 		// batch's tally also sees it folded and counted. A reader it wakes
@@ -414,28 +406,19 @@ func (d *Daemon) worker(id int) {
 }
 
 // enqueue is the single entry to the worker queue: it stamps the batch with
-// the injected clock, books it with its source — a decoded batch as
-// ingested, with the high-water Seq scanned while the producer still owns
-// the points; a raw one as queued, until a worker has counted it — and
-// blocks for backpressure. On ctx cancellation the batch is released unsent.
+// the injected clock, books it with its source as queued, until a worker has
+// counted it, and blocks for backpressure. On ctx cancellation the batch is
+// released unsent.
 func (d *Daemon) enqueue(ctx context.Context, bt ingestBatch) error {
 	bt.at = d.cfg.Clock.Now()
-	if bt.raw == nil {
-		bt.maxSeq = maxBatchSeq(bt.pts)
-	} else if bt.src != nil {
+	if bt.src != nil {
 		bt.src.queued.Add(bt.queued) // before the send: the worker takes it off
 	}
 	select {
 	case d.queue <- bt:
-		if bt.raw == nil {
-			d.ctr.ingested.Add(int64(len(bt.pts)))
-			if bt.src != nil {
-				bt.src.noteIngested(len(bt.pts), bt.maxSeq, bt.at)
-			}
-		}
 		return nil
 	case <-ctx.Done():
-		if bt.raw != nil && bt.src != nil {
+		if bt.src != nil {
 			bt.src.queued.Add(-bt.queued)
 		}
 		if bt.free != nil {
@@ -450,15 +433,31 @@ func (d *Daemon) enqueue(ctx context.Context, bt ingestBatch) error {
 // lag histogram.
 const pushSourceName = "push"
 
-// Ingest offers one datapoint directly to the pipeline (in-process wiring
-// and the /ingest endpoint's JSONL lines use this). It blocks for
-// backpressure and fails once shutdown has begun.
+// Ingest offers one datapoint directly to the pipeline: the in-process feed
+// through which a test drives a live daemon. The record is queued as a raw
+// batch of one and booked like any other: a line, then ingested and folded,
+// or rejected. It blocks for backpressure and fails once shutdown has begun.
 func (d *Daemon) Ingest(dp core.Datapoint) error {
-	return d.push(ingestBatch{pts: []core.Datapoint{dp}})
+	b := &decoded{pts: []core.Datapoint{dp}}
+	return d.push(ingestBatch{raw: b, home: &b.home, queued: 1})
 }
 
-// push is Ingest for a whole batch, decoded or raw, with Sink.send's
-// ownership rule: the batch belongs to the daemon until its free runs.
+// decoded is a batch handed over already decoded, Ingest's record, with the
+// tally nobody collects.
+type decoded struct {
+	pts  []core.Datapoint
+	home tally
+}
+
+// decode implements rawBatch: a record is a line, and its own point.
+func (b *decoded) decode(_ *scratch, t *tally) []core.Datapoint {
+	t.lines = int64(len(b.pts))
+	return b.pts
+}
+
+// push queues a batch from outside a configured Source — a read of POST
+// /ingest, or Ingest's record — with Sink.send's ownership rule: the batch
+// belongs to the daemon until its free runs.
 func (d *Daemon) push(bt ingestBatch) error {
 	d.stateMu.RLock()
 	defer d.stateMu.RUnlock()

@@ -53,6 +53,13 @@ func newTestRegistry(t *testing.T, workers int) *Registry {
 	return reg
 }
 
+// sendDecoded queues pts through sink as one batch, already decoded: the
+// way to put exactly these records in one batch.
+func sendDecoded(ctx context.Context, sink *Sink, pts []core.Datapoint) error {
+	b := &decoded{pts: pts}
+	return sink.send(ctx, ingestBatch{raw: b, home: &b.home, queued: int64(len(pts))})
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
@@ -66,17 +73,14 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestDaemonIngestsConcurrentSources runs three sources into one 4-worker
-// pool. Two of them are pooled raw readers (access log, binrec packed into
-// 1 KiB segments), both woken by the workers' releases and, with no more
-// Ps than workers, yielded to; the third queues decoded records.
+// TestDaemonIngestsConcurrentSources runs two sources and the in-process
+// feed into one 4-worker pool. The sources are pooled raw readers (access
+// log, binrec packed into 1 KiB segments), both woken by the workers'
+// releases and, with no more Ps than workers, yielded to; Ingest queues
+// one record a batch alongside them.
 func TestDaemonIngestsConcurrentSources(t *testing.T) {
 	logText := genNginxLog(500, 21)
-	jsonlDS := testDataset(400, 22)
-	var jsonlBuf strings.Builder
-	if err := jsonlDS.WriteJSONL(&jsonlBuf); err != nil {
-		t.Fatal(err)
-	}
+	pushDS := testDataset(400, 22)
 	binDS := testDataset(300, 23)
 	binWire := encodeBin(t, binDS, 1024)
 
@@ -86,15 +90,19 @@ func TestDaemonIngestsConcurrentSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.AddSource(&NginxSource{R: strings.NewReader(logText)})
-	d.AddSource(&JSONLSource{R: strings.NewReader(jsonlBuf.String())})
 	d.AddSource(&BinSource{R: bytes.NewReader(binWire)})
 	if err := d.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	defer d.Shutdown(context.Background())
+	for i := range pushDS {
+		if err := d.Ingest(pushDS[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// The nginx log harvests all 500 lines (all 2xx with propensities);
-	// the JSONL set contributes 400 more and the binrec one 300.
+	// Ingest contributes 400 more and the binrec set 300.
 	// (The folded counter, not TotalN: it moves after every policy has the
 	// batch, TotalN reads the first policy only.)
 	waitFor(t, 10*time.Second, "ingest to complete", func() bool {
@@ -117,7 +125,7 @@ func TestDaemonIngestsConcurrentSources(t *testing.T) {
 	if skipped != 0 {
 		t.Fatalf("generator produced %d skippable lines", skipped)
 	}
-	all := append(append(append(core.Dataset{}, nginxDS...), jsonlDS...), binDS...)
+	all := append(append(append(core.Dataset{}, nginxDS...), pushDS...), binDS...)
 	pol := lbsim.LeastLoaded{}
 	want := foldAll(t, all, pol, 10).Estimate("leastloaded", 0.05)
 	got, ok := reg.Estimate("leastloaded", 0.05)
@@ -161,6 +169,9 @@ func TestDaemonShutdownDrainsInFlight(t *testing.T) {
 	}
 }
 
+// TestDaemonRejectsInvalidDatapoints: an Ingest-fed daemon books each
+// record as a line, so lines = folded + rejected holds there as on every
+// other path, and an invalid record never reaches the estimators.
 func TestDaemonRejectsInvalidDatapoints(t *testing.T) {
 	reg := newTestRegistry(t, 1)
 	d, err := New(Config{Workers: 1}, reg)
@@ -177,14 +188,22 @@ func TestDaemonRejectsInvalidDatapoints(t *testing.T) {
 		Reward:     1,
 		Propensity: 1.5,
 	}
-	if err := d.Ingest(bad); err != nil {
-		t.Fatal(err)
+	good := testDataset(4, 32)
+	pts := []core.Datapoint{good[0], good[1], bad, good[2], good[3]}
+	for i := range pts {
+		if err := d.Ingest(pts[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	waitFor(t, 5*time.Second, "rejection", func() bool {
-		return d.ctr.rejected.Load() == 1
+	k := int64(len(pts))
+	waitFor(t, 5*time.Second, "every record booked", func() bool {
+		return d.ctr.folded.Load()+d.ctr.rejected.Load() == k
 	})
-	if reg.TotalN() != 0 {
-		t.Error("invalid datapoint must not reach the estimators")
+	if got := ingestCounters(d); got != (tally{lines: k, ingested: k, rejected: 1}) {
+		t.Errorf("counters %+v, want %d lines, all ingested, one rejected", got, k)
+	}
+	if got := d.ctr.folded.Load(); got != k-1 || reg.TotalN() != k-1 {
+		t.Errorf("folded %d, registry holds %d, want %d: the invalid datapoint must not reach the estimators", got, reg.TotalN(), k-1)
 	}
 }
 
@@ -218,7 +237,7 @@ func TestWorkerFoldsExactlyTheValidRecords(t *testing.T) {
 	allBad := []core.Datapoint{ds[0], ds[1]}
 	sink := d.sinkFor("test")
 	for _, pts := range [][]core.Datapoint{ds, allBad} {
-		if err := sink.send(context.Background(), ingestBatch{pts: pts}); err != nil {
+		if err := sendDecoded(context.Background(), sink, pts); err != nil {
 			t.Fatal(err)
 		}
 	}

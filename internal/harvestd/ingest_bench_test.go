@@ -5,10 +5,8 @@ package harvestd
 // estimator fold, waiting until the last record lands. `make bench` emits
 // them into BENCH_harvestd.json: IngestBin and IngestNginx are the two batch
 // paths (pooled raw buffers, one queue send per segment or read, decoded by
-// the workers), IngestJSONL the per-record one, which IngestBin is expected
-// to hold at least 5x over. IngestScaling is the batch paths again at 16
-// times the records per op, with one worker and with two, binrec on both
-// shapes.
+// the workers). IngestScaling is the batch paths again at 16 times the
+// records per op, with one worker and with two, binrec on both shapes.
 
 import (
 	"bytes"
@@ -87,23 +85,6 @@ func BenchmarkIngestNginx(b *testing.B) {
 	wire := []byte(genNginxLog(ingestBenchRecords, 1))
 	benchIngest(b, benchDaemon(b, 2), wire, ingestBenchRecords, func(r io.Reader) Source {
 		return &NginxSource{R: r}
-	})
-}
-
-func BenchmarkIngestJSONL(b *testing.B) {
-	ds := benchDatapoints(ingestBenchRecords)
-	var buf bytes.Buffer
-	w := core.NewJSONLWriter(&buf)
-	for i := range ds {
-		if err := w.Write(&ds[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	benchIngest(b, benchDaemon(b, 2), buf.Bytes(), ingestBenchRecords, func(r io.Reader) Source {
-		return &JSONLSource{R: r}
 	})
 }
 

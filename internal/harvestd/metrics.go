@@ -35,7 +35,6 @@ func (d *Daemon) initMetrics() {
 	r.CounterFunc("harvestd_lines_total", "raw input lines or records seen", d.ctr.lines.Load)
 	r.CounterFunc("harvestd_parse_errors_total", "unparseable input lines", d.ctr.parseErrors.Load)
 	r.CounterFunc("harvestd_rejected_total", "parsed lines carrying no usable datapoint", d.ctr.rejected.Load)
-	r.CounterFunc("harvestd_harvested_total", "datapoints reconstructed from derived records (cache eviction joins)", d.ctr.harvested.Load)
 	r.CounterFunc("harvestd_ingested_total", "datapoints enqueued for folding", d.ctr.ingested.Load)
 	r.CounterFunc("harvestd_folded_total", "datapoints folded into estimators", d.ctr.folded.Load)
 	r.CounterFunc("harvestd_checkpoints_total", "successful checkpoint writes", d.ctr.checkpoints.Load)

@@ -7,9 +7,7 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/daemon"
-	"repro/internal/harvester"
 	"repro/internal/ope"
 )
 
@@ -36,10 +34,10 @@ import (
 //	                 quantiles over batches — one sample per binrec segment
 //	                 or access-log read, not per record (see
 //	                 FreshnessReport) — for harvestagg and fleetwatch
-//	POST /ingest     push raw log data (?format=nginx|jsonl|bin), for smoke
-//	                 tests and push-based producers; bin takes the binrec
-//	                 binary stream; the reply's counts are exact and, for
-//	                 nginx and bin, given once every record is folded
+//	POST /ingest     push raw log data (?format=nginx|bin), for smoke tests
+//	                 and push-based producers; bin takes the binrec binary
+//	                 stream; the reply's counts are exact and given once
+//	                 every record is folded
 func (d *Daemon) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", d.handleHealthz)
@@ -98,10 +96,10 @@ func (d *Daemon) handleEvidence(w http.ResponseWriter, r *http.Request) {
 
 // handleIngest accepts log data in the body and pushes it through the
 // regular ingestion pipeline. Malformed lines are counted, not fatal — a
-// live endpoint must not die because one producer hiccupped. nginx and bin
-// bodies go through the sources' read loops, tolerant and untyped, feeding
-// the guarded push entry instead of a source's sink: the body is queued raw,
-// the workers parse it, and the reply is the sum of what they found in each
+// live endpoint must not die because one producer hiccupped. A body goes
+// through a source's read loop, tolerant and untyped, feeding the guarded
+// push entry instead of a source's sink: the body is queued raw, the
+// workers parse it, and the reply is the sum of what they found in each
 // batch, given once the last batch is home — so a 200 also says folded, and
 // its counts are the ones /metrics moved by.
 func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -113,7 +111,7 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if format == "" {
 		format = "nginx"
 	}
-	if format != "nginx" && format != "jsonl" && format != "bin" {
+	if format != "nginx" && format != "bin" {
 		http.Error(w, fmt.Sprintf("unknown format %q", format), http.StatusBadRequest)
 		return
 	}
@@ -125,23 +123,12 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 		sp.SetAttr("ingested", total.ingested)
 	}()
 	var err error
-	switch ctx := r.Context(); format {
-	case "nginx":
+	if ctx := r.Context(); format == "nginx" {
 		total, err = readNginx(ctx, r.Body, 1, false, d.push)
-	case "bin":
+	} else {
 		total, err = readBin(ctx, r.Body, d.push)
 		if err != nil && err != ctx.Err() && !errors.Is(err, errRefused) {
 			d.ctr.parseErrors.Add(1) // machine-written: the body ends at its first fault, counted once
-		}
-	default:
-		lr := harvester.NewLineReader(r.Body)
-		for err == nil && lr.Fill() {
-			for err == nil && lr.Next() {
-				err = d.ingestJSONLLine(lr.Line(), &total)
-			}
-		}
-		if err == nil {
-			err = lr.Err()
 		}
 	}
 	// 503 says the daemon refused a batch; whatever else ends the pass early
@@ -157,35 +144,6 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	}
-}
-
-// ingestJSONLLine parses one JSONL datapoint and offers it to the queue,
-// booking the line in t and in the daemon's counters as JSONLSource books
-// it: a line that is not a datapoint is a parse error, one that fails
-// Validate is rejected. The only error is the daemon's refusal, which
-// moves no counter.
-func (d *Daemon) ingestJSONLLine(line []byte, t *tally) error {
-	var dp core.Datapoint
-	err := core.ReadJSONLFunc(bytes.NewReader(line), func(x core.Datapoint) error {
-		dp = x
-		return nil
-	})
-	switch {
-	case err != nil:
-		t.parseErrors++
-		d.ctr.parseErrors.Add(1)
-	case dp.Validate() != nil:
-		t.rejected++
-		d.ctr.rejected.Add(1)
-	default:
-		if err := d.Ingest(dp); err != nil {
-			return err
-		}
-		t.ingested++
-	}
-	t.lines++
-	d.ctr.lines.Add(1)
-	return nil
 }
 
 // handleMetrics serves the obs registry as Prometheus text. Static series

@@ -15,9 +15,10 @@ import (
 
 // A Source feeds exploration datapoints into the daemon's ingestion
 // pipeline. Run reads until the input is exhausted (or, when following a
-// growing file, until ctx is cancelled), reporting lines, parse failures,
-// and rejections through the sink. Run returning a non-nil error marks the
-// source failed; the daemon keeps serving the other sources.
+// growing file, until ctx is cancelled), queueing what it reads through the
+// sink in wire form; the workers that decode it book its lines, parse
+// failures and rejections. Run returning a non-nil error marks the source
+// failed; the daemon keeps serving the other sources.
 type Source interface {
 	// Name identifies the source in metrics and logs.
 	Name() string
@@ -25,8 +26,8 @@ type Source interface {
 	Run(ctx context.Context, sink *Sink) error
 }
 
-// Sink is the ingestion funnel handed to sources: it counts the stream's
-// vital signs and offers datapoints to the worker queue with backpressure.
+// Sink is the ingestion funnel handed to sources: it offers raw batches to
+// the worker queue with backpressure.
 // Each sink is bound to one source's freshness stats (see sinkFor), so the
 // /freshness watermarks attribute every batch to the source that fed it.
 type Sink struct {
@@ -34,37 +35,15 @@ type Sink struct {
 	src *sourceStats
 }
 
-// Line records one raw input line (or record) seen.
-func (s *Sink) Line() { s.d.ctr.lines.Add(1) }
-
-// Lines records n raw input lines (or records) seen at once — the batch
-// counterpart of Line for sources that ingest whole segments.
-func (s *Sink) Lines(n int) { s.d.ctr.lines.Add(int64(n)) }
-
-// ParseError records a line that could not be parsed.
+// ParseError records input that could not be parsed before it was queued:
+// a torn binrec tail at shutdown.
 func (s *Sink) ParseError() { s.d.ctr.parseErrors.Add(1) }
 
-// Rejected records a well-formed line that carried no usable datapoint
-// (failed request, missing propensity, out-of-range type, ...).
-func (s *Sink) Rejected() { s.d.ctr.rejected.Add(1) }
-
-// Harvested records n datapoints reconstructed from derived records — the
-// cache source's look-ahead join produces one datapoint per eviction, which
-// is not the same thing as an input line; keeping the counters separate is
-// what keeps harvestd_lines_total meaning "raw input lines seen".
-func (s *Sink) Harvested(n int) { s.d.ctr.harvested.Add(int64(n)) }
-
-// Emit offers one datapoint to the bounded worker queue, blocking for
-// backpressure; it fails only when ctx is cancelled first.
-func (s *Sink) Emit(ctx context.Context, d core.Datapoint) error {
-	return s.send(ctx, ingestBatch{pts: []core.Datapoint{d}})
-}
-
-// send enqueues a batch, decoded or raw, on behalf of the sink's source, in
-// one channel operation. Ownership of the batch transfers to the daemon
-// until its free runs (after the batch is folded): a source recycling its
-// buffers passes a free that returns them to its pool, and must not touch
-// them before it fires. free may be nil.
+// send enqueues a raw batch on behalf of the sink's source, in one channel
+// operation. Ownership of the batch transfers to the daemon until its free
+// runs (after the batch is folded): a source recycling its buffers passes a
+// free that returns them to its pool, and must not touch them before it
+// fires. free may be nil.
 func (s *Sink) send(ctx context.Context, bt ingestBatch) error {
 	bt.src = s.src
 	return s.d.enqueue(ctx, bt)
@@ -259,144 +238,6 @@ func readNginx(ctx context.Context, r io.Reader, numTypes int, strict bool, send
 	return total, err
 }
 
-// JSONLSource streams a core JSONL exploration dataset. Datasets are
-// machine-written, so malformed lines abort (they signal corruption, not
-// noise) — except for a partial trailing line racing shutdown in follow
-// mode, which is counted as a parse error instead.
-//
-// This is deliberately the slow path: one encoding/json decode, a handful
-// of allocations and one queue send per record. The access log has its
-// batch path (NginxSource); a JSONL dataset that needs one is packed with
-// recconv and read as binrec (BinSource).
-type JSONLSource struct {
-	Path string
-	R    io.Reader
-	// Follow keeps reading as the file grows.
-	Follow bool
-	// Poll is the follow-mode poll interval (default 50ms).
-	Poll time.Duration
-}
-
-// Name implements Source.
-func (s *JSONLSource) Name() string {
-	if s.Path != "" {
-		return "jsonl:" + s.Path
-	}
-	return "jsonl:<reader>"
-}
-
-// Run implements Source.
-func (s *JSONLSource) Run(ctx context.Context, sink *Sink) error {
-	r, closer, err := openSource(s.Path, s.R)
-	if err != nil {
-		return fmt.Errorf("harvestd: %s: %w", s.Name(), err)
-	}
-	defer func() { _ = closer() }() // read-only source; close error unactionable
-	if s.Follow {
-		r = follow(ctx, r, s.Poll, false)
-	}
-	err = core.ReadJSONLFunc(r, func(d core.Datapoint) error {
-		sink.Line()
-		if d.Validate() != nil {
-			sink.Rejected()
-			return nil
-		}
-		return sink.Emit(ctx, d)
-	})
-	switch {
-	case err == nil:
-		return nil
-	case ctx.Err() != nil:
-		// Shutdown mid-line: a truncated tail is expected, not corruption.
-		sink.ParseError()
-		return nil
-	default:
-		return fmt.Errorf("harvestd: %s: %w", s.Name(), err)
-	}
-}
-
-// CacheLogSource harvests a cache decision log (harvester/cachelog format).
-// Reward reconstruction needs the paper's look-ahead join over the access
-// log, so this source reads the file fully before emitting — it suits
-// periodic batch ingestion of rotated logs rather than live tailing.
-type CacheLogSource struct {
-	Path string
-	R    io.Reader
-	// Horizon caps time-to-next-access when the evicted item never returns.
-	Horizon float64
-}
-
-// Name implements Source.
-func (s *CacheLogSource) Name() string {
-	if s.Path != "" {
-		return "cachelog:" + s.Path
-	}
-	return "cachelog:<reader>"
-}
-
-// ctxReader aborts a blocking read pipeline when ctx is cancelled. It checks
-// between Reads rather than interrupting one — fine for file and in-memory
-// inputs, where individual Reads return promptly.
-type ctxReader struct {
-	ctx context.Context
-	r   io.Reader
-}
-
-func (c *ctxReader) Read(p []byte) (int, error) {
-	if err := c.ctx.Err(); err != nil {
-		return 0, err
-	}
-	return c.r.Read(p)
-}
-
-// Run implements Source.
-func (s *CacheLogSource) Run(ctx context.Context, sink *Sink) error {
-	r, closer, err := openSource(s.Path, s.R)
-	if err != nil {
-		return fmt.Errorf("harvestd: %s: %w", s.Name(), err)
-	}
-	defer func() { _ = closer() }() // read-only source; close error unactionable
-	accesses, evictions, err := harvester.ScavengeCacheLogs(&ctxReader{ctx: ctx, r: r})
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil // shutdown mid-scan, not a source failure
-		}
-		return fmt.Errorf("harvestd: %s: %w", s.Name(), err)
-	}
-	// Every scavenged line — accesses and eviction decisions alike — is one
-	// raw input line. Harvested datapoints are counted separately below;
-	// counting them under lines too would double-book each eviction.
-	sink.Lines(len(accesses) + len(evictions))
-	if ctx.Err() != nil {
-		return nil
-	}
-	horizon := s.Horizon
-	if horizon <= 0 {
-		horizon = 2000
-	}
-	ds, err := harvester.HarvestEvictions(evictions, accesses, horizon)
-	if err != nil {
-		if err == core.ErrNoData {
-			return nil
-		}
-		return fmt.Errorf("harvestd: %s: %w", s.Name(), err)
-	}
-	sink.Harvested(len(ds))
-	for i := range ds {
-		if ctx.Err() != nil {
-			return nil
-		}
-		if ds[i].Validate() != nil {
-			sink.Rejected()
-			continue
-		}
-		if err := sink.Emit(ctx, ds[i]); err != nil {
-			return nil
-		}
-	}
-	return nil
-}
-
 // BinSource streams a binrec binary harvest-record file — the bulk-transport
 // ingest path. The source goroutine frames, reads and CRC-checks segments
 // (readBin) and queues them raw; segment buffers cycle through a small free
@@ -406,8 +247,7 @@ func (s *CacheLogSource) Run(ctx context.Context, sink *Sink) error {
 // Binary files are machine-written, so corruption aborts the source, and in
 // order: a segment that fails its framing or CRC is never queued, nor
 // anything after it — except a torn trailing segment racing shutdown in
-// follow mode, which is counted as a parse error, mirroring JSONLSource's
-// truncated-tail handling. A segment that passes its CRC and fails to decode
+// follow mode, which is counted as a parse error. A segment that passes its CRC and fails to decode
 // (an encoder bug, not corruption) fails the source when its verdict comes
 // home, and later segments may be folded by then. With one worker at most
 // freeListDepth-1 of them are, because batches come home in the order they

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cachesim"
 	"repro/internal/core"
 	"repro/internal/harvester"
 	"repro/internal/obs"
@@ -102,63 +101,6 @@ func TestSourceMissingFile(t *testing.T) {
 	waitFor(t, 5*time.Second, "open failure", func() bool {
 		return len(d.SourceErrors()) == 1
 	})
-}
-
-// TestCacheLogSource round-trips a hand-built decision log through the
-// WriteCacheLogs format and harvests one datapoint per eviction.
-func TestCacheLogSource(t *testing.T) {
-	accesses := []cachesim.AccessRecord{
-		{Time: 1, Key: "a", Size: 10, Hit: false},
-		{Time: 2, Key: "b", Size: 10, Hit: false},
-		{Time: 5, Key: "a", Size: 10, Hit: true}, // "a" comes back: small gap
-	}
-	evictions := []cachesim.EvictionRecord{
-		{
-			Time:       3,
-			Chosen:     0,
-			Propensity: 0.5,
-			Candidates: []cachesim.Candidate{
-				{Key: "a", Size: 10, LastAccess: 1, Frequency: 1, InsertedAt: 1},
-				{Key: "b", Size: 10, LastAccess: 2, Frequency: 1, InsertedAt: 2},
-			},
-		},
-		{
-			Time:       4,
-			Chosen:     1,
-			Propensity: 0.5,
-			Candidates: []cachesim.Candidate{
-				{Key: "a", Size: 10, LastAccess: 1, Frequency: 1, InsertedAt: 1},
-				{Key: "b", Size: 10, LastAccess: 2, Frequency: 1, InsertedAt: 2},
-			},
-		},
-	}
-	var buf strings.Builder
-	if err := harvester.WriteCacheLogs(&buf, accesses, evictions); err != nil {
-		t.Fatal(err)
-	}
-
-	d, reg := startSourceDaemon(t, &CacheLogSource{R: strings.NewReader(buf.String()), Horizon: 100})
-	defer d.Shutdown(context.Background())
-	waitFor(t, 10*time.Second, "evictions harvested", func() bool {
-		return reg.TotalN() == int64(len(evictions))
-	})
-	if errs := d.SourceErrors(); len(errs) != 0 {
-		t.Fatalf("source errors: %v", errs)
-	}
-
-	// Eviction contexts carry per-candidate ActionFeatures only; the LB
-	// policy in the registry panics on them and must be skipped (counted),
-	// not crash the daemon.
-	waitFor(t, 5*time.Second, "panics counted", func() bool {
-		return reg.EvalPanics() == int64(len(evictions))
-	})
-	ll, ok := reg.Estimate("leastloaded", 0.05)
-	if !ok || ll.N != 0 {
-		t.Errorf("leastloaded folded %d eviction datapoints, want 0", ll.N)
-	}
-	if c0, _ := reg.Estimate("always-0", 0.05); c0.N != int64(len(evictions)) {
-		t.Errorf("always-0 n = %d, want %d", c0.N, len(evictions))
-	}
 }
 
 // sizedReader returns at most n bytes per Read.
@@ -345,7 +287,7 @@ func TestNginxSourceMatchesPerLineReference(t *testing.T) {
 
 				ref := start(1)
 				for _, pts := range reads {
-					if err := ref.sinkFor("t").send(ctx, ingestBatch{pts: pts}); err != nil {
+					if err := sendDecoded(ctx, ref.sinkFor("t"), pts); err != nil {
 						t.Fatal(err)
 					}
 				}

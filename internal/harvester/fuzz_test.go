@@ -1,14 +1,11 @@
 package harvester
 
 import (
-	"bytes"
 	"math"
 	"strconv"
 	"strings"
 	"testing"
 	"unicode"
-
-	"repro/internal/cachesim"
 )
 
 // FuzzParseNginxLine is differential: the hand-written scanner (compat API
@@ -138,56 +135,4 @@ func checkNumber(t *testing.T, s string) {
 			t.Fatalf("readCount(%q, list=%v) = %d, %d, %v; strconv.Atoi(%q) = %d, %v", s, list, n, end, err, part, want, werr)
 		}
 	}
-}
-
-// FuzzCacheLogRoundTrip checks arbitrary keys and numeric fields survive
-// the cache-log wire format.
-func FuzzCacheLogRoundTrip(f *testing.F) {
-	f.Add("key", int64(10), 2.5, 3, 0.5)
-	f.Add("key with space", int64(1), 0.0, 1, 1.0)
-	f.Add(`colon:quote"back\slash`, int64(7), 1.25, 2, 0.25)
-	f.Add("", int64(5), 1.0, 1, 0.5)
-	f.Fuzz(func(t *testing.T, key string, size int64, last float64, freq int, prop float64) {
-		if key == "" || size <= 0 || freq < 0 || !(prop > 0) || prop > 1 ||
-			last != last || last < 0 || last > 1e12 {
-			return // outside the producer's contract
-		}
-		evictions := []cachesim.EvictionRecord{{
-			Time: last,
-			Candidates: []cachesim.Candidate{{
-				Key: key, Size: size, LastAccess: last, Frequency: freq, InsertedAt: last,
-			}},
-			Chosen:     0,
-			Propensity: prop,
-		}}
-		accesses := []cachesim.AccessRecord{{Time: last, Key: key, Size: size, Hit: true}}
-		var buf bytes.Buffer
-		if err := WriteCacheLogs(&buf, accesses, evictions); err != nil {
-			t.Fatalf("write failed: %v", err)
-		}
-		gotA, gotE, err := ScavengeCacheLogs(&buf)
-		if err != nil {
-			t.Fatalf("round trip rejected its own output %q: %v", buf.String(), err)
-		}
-		if len(gotA) != 1 || len(gotE) != 1 {
-			t.Fatalf("lost records: %d/%d", len(gotA), len(gotE))
-		}
-		if gotA[0].Key != key || gotE[0].Candidates[0].Key != key {
-			t.Fatalf("key corrupted: %q vs %q", gotA[0].Key, key)
-		}
-		if gotE[0].Candidates[0].Size != size || gotE[0].Candidates[0].Frequency != freq {
-			t.Fatalf("numeric fields corrupted: %+v", gotE[0].Candidates[0])
-		}
-	})
-}
-
-// FuzzScavengeCacheLogs checks the parser never panics on arbitrary text.
-func FuzzScavengeCacheLogs(f *testing.F) {
-	f.Add("A 1 \"k\" 10 1\nE 2 0 0.5 \"k\":10:1:2:0\n")
-	f.Add("E 1 0")
-	f.Add("A")
-	f.Add(strings.Repeat("A 1 \"k\" 10 1\n", 50))
-	f.Fuzz(func(t *testing.T, input string) {
-		_, _, _ = ScavengeCacheLogs(strings.NewReader(input))
-	})
 }

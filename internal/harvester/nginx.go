@@ -1,8 +1,9 @@
 // Package harvester implements the paper's three-step methodology (§3):
 //
 //  1. Scavenge logs from an existing (live) system and extract ⟨x, a, r⟩
-//     for each request — parsers for Nginx-style access logs (the netlb
-//     proxy's format) and cache eviction logs live here.
+//     for each request — the parser for Nginx-style access logs (the
+//     netlb proxy's format) lives here; a cache's eviction and access logs
+//     are joined in memory (HarvestEvictions).
 //  2. Infer the probability p of each decision — either known from code
 //     inspection (the log carries it), estimated empirically from action
 //     frequencies, or learned by a regression on ⟨x, a⟩ (multinomial
