@@ -63,8 +63,11 @@ race:
 # BinRecDecode/batch/{k2,k8,k2/tagged} is Batch.Decode alone over segments
 # read beforehand (tagged: four tags in turn, so the intern table is asked). ParseNginxLine/{compat,batch}/{k2,k8} is
 # one access-log line → one datapoint, on the one-off API and on the batch
-# path IngestNginx runs (0 allocs/op there); ParseNginxLine/batch/malformed
-# is that path on a log where every line fails. The read path is
+# path IngestNginx runs (0 allocs/op there); ParseNginxLine/batch/k2/typed
+# is that path with a type= field folded into typed contexts (3 types),
+# batch/k2/foreign with fields the proxy never writes (nginx's request_time=
+# and upstream_*) ahead of its own, and batch/malformed a log where every
+# line fails. The read path is
 # RegistryEstimates/{k3,wide32} (every policy rendered), AggregatorEvidence/
 # {k3,wide32} (two policies read off the shard set) and StepHTTP/{k2of3,
 # k2of32} (one rolloutd step against a live harvestd over loopback).

@@ -54,7 +54,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	bin := fs.String("bin", "", "comma-separated binrec binary record files to harvest (see recconv)")
 	follow := fs.Bool("follow", false, "keep tailing nginx and bin sources as they grow")
 	strict := fs.Bool("strict", false, "abort a nginx source on the first malformed line")
-	types := fs.Int("types", 1, "request types in nginx logs (typed routing contexts)")
+	types := fs.Int("types", 1, "request types in access logs, from -nginx and POST /ingest (typed routing contexts)")
 	policies := fs.String("policies", "uniform,leastloaded,constant:0",
 		"candidate policies: uniform | leastloaded | constant:K")
 	workers := fs.Int("workers", 0, "ingestion workers (0 = GOMAXPROCS)")
@@ -102,6 +102,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		Workers:            nWorkers,
 		Clip:               *clip,
 		Delta:              *delta,
+		NumTypes:           *types,
 		Addr:               *addr,
 		CheckpointPath:     *checkpoint,
 		CheckpointInterval: *ckptEvery,
@@ -124,7 +125,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	}
 	for _, p := range splitPaths(*nginx) {
 		d.AddSource(&harvestd.NginxSource{
-			Path: p, Follow: *follow, NumTypes: *types, Strict: *strict,
+			Path: p, Follow: *follow, Strict: *strict,
 		})
 	}
 	for _, p := range splitPaths(*bin) {

@@ -79,6 +79,10 @@ type Config struct {
 	Clip float64
 	// Delta is the default interval failure probability. Default 0.05.
 	Delta float64
+	// NumTypes > 1 harvests typed routing contexts (netlb's type= field)
+	// from access logs, on every path one arrives by: NginxSource and
+	// POST /ingest?format=nginx.
+	NumTypes int
 	// Addr is the HTTP listen address. Empty disables the API (tests can
 	// still drive the daemon in-process); "127.0.0.1:0" picks a free port.
 	Addr string

@@ -97,11 +97,11 @@ func (d *Daemon) handleEvidence(w http.ResponseWriter, r *http.Request) {
 // handleIngest accepts log data in the body and pushes it through the
 // regular ingestion pipeline. Malformed lines are counted, not fatal — a
 // live endpoint must not die because one producer hiccupped. A body goes
-// through a source's read loop, tolerant and untyped, feeding the guarded
-// push entry instead of a source's sink: the body is queued raw, the
-// workers parse it, and the reply is the sum of what they found in each
-// batch, given once the last batch is home — so a 200 also says folded, and
-// its counts are the ones /metrics moved by.
+// through a source's read loop, tolerant and typed by Config.NumTypes as
+// the sources are, feeding the guarded push entry instead of a source's
+// sink: the body is queued raw, the workers parse it, and the reply is the
+// sum of what they found in each batch, given once the last batch is home —
+// so a 200 also says folded, and its counts are the ones /metrics moved by.
 func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -124,7 +124,7 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}()
 	var err error
 	if ctx := r.Context(); format == "nginx" {
-		total, err = readNginx(ctx, r.Body, 1, false, d.push)
+		total, err = readNginx(ctx, r.Body, d.cfg.NumTypes, false, d.push)
 	} else {
 		total, err = readBin(ctx, r.Body, d.push)
 		if err != nil && err != ctx.Err() && !errors.Is(err, errRefused) {

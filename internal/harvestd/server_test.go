@@ -147,6 +147,48 @@ func ingestCounters(d *Daemon) tally {
 	return tally{lines: d.ctr.lines.Load(), ingested: d.ctr.ingested.Load(), rejected: d.ctr.rejected.Load(), parseErrors: d.ctr.parseErrors.Load()}
 }
 
+// TestServerIngestTypedLikeSource: Config.NumTypes types a log pushed to
+// POST /ingest?format=nginx as it types the same log read by an
+// NginxSource. Of the three lines, typed 1, untyped and typed out of range,
+// both paths fold the first and reject the other two, and /estimates reads
+// the same.
+func TestServerIngestTypedLikeSource(t *testing.T) {
+	const line = `127.0.0.1:1 - - [06/Jul/2026:10:30:00 +0000] "GET /r HTTP/1.1" 200 42 "-" "t" rt=0.004 upstream=0 conns=1|2 prop=0.500000`
+	logText := line + " type=1\n" + line + "\n" + line + " type=5\n"
+	cfg := Config{Workers: 2, NumTypes: 3}
+
+	src, err := New(cfg, newTestRegistry(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.AddSource(&NginxSource{R: strings.NewReader(logText)})
+	if err := src.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = src.Shutdown(context.Background()) })
+	waitFor(t, 10*time.Second, "the source's lines", func() bool { return src.ctr.lines.Load() == 3 })
+
+	pushed, srv := startTestDaemon(t, cfg)
+	resp, err := http.Post(srv.URL+"/ingest?format=nginx", "text/plain", strings.NewReader(logText))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("push: %s", resp.Status)
+	}
+
+	want := tally{lines: 3, ingested: 1, rejected: 2}
+	for name, d := range map[string]*Daemon{"source": src, "push": pushed} {
+		if got := ingestCounters(d); got != want || d.ctr.folded.Load() != 1 {
+			t.Errorf("%s: counters %+v, folded %d; want %+v, 1 folded", name, got, d.ctr.folded.Load(), want)
+		}
+	}
+	if got, want := asJSON(t, pushed.Estimates()), asJSON(t, src.Estimates()); got != want {
+		t.Errorf("/estimates of the pushed log differ from the source's:\n got  %s\n want %s", got, want)
+	}
+}
+
 // TestServerIngestNginxEdges pins the push path where it differs from a
 // file source least visibly: Seq is the physical line number of the body
 // (blank lines count), a body that fails to read is the client's 400 even

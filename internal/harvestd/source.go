@@ -115,8 +115,9 @@ func openSource(path string, r io.Reader) (io.Reader, func() error, error) {
 // ⟨x, a, r, p⟩ datapoint per successful request, exactly as
 // harvester.NginxToTypedDataset does in batch: context from the logged
 // per-upstream connection counts, action = the upstream, reward = request
-// time, propensity from the log. The log is what a live system already
-// writes, so this is the deployed input and a fast path: see readNginx.
+// time, propensity from the log, typed by Config.NumTypes. The log is what a
+// live system already writes, so this is the deployed input and a fast path:
+// see readNginx.
 type NginxSource struct {
 	// Path is the log file; R overrides it with an in-process reader.
 	Path string
@@ -125,8 +126,6 @@ type NginxSource struct {
 	// the file then ends in short of a newline may be half a line and is left
 	// for the next start.
 	Follow bool
-	// NumTypes > 1 harvests typed routing contexts (netlb's type= field).
-	NumTypes int
 	// Strict aborts on the first malformed line instead of counting it —
 	// the right mode for batch backfills where silent loss would bias the
 	// estimate; live tails default to tolerant.
@@ -153,7 +152,7 @@ func (s *NginxSource) Run(ctx context.Context, sink *Sink) error {
 	if s.Follow {
 		r = follow(ctx, r, s.Poll, true)
 	}
-	_, err = readNginx(ctx, r, s.NumTypes, s.Strict, func(bt ingestBatch) error { return sink.send(ctx, bt) })
+	_, err = readNginx(ctx, r, sink.d.cfg.NumTypes, s.Strict, func(bt ingestBatch) error { return sink.send(ctx, bt) })
 	if err == nil || err == ctx.Err() {
 		return nil // a cancelled read, emit or wait is shutdown, not a source failure
 	}
@@ -163,7 +162,7 @@ func (s *NginxSource) Run(ctx context.Context, sink *Sink) error {
 // textChunk is an access-log read in wire form: its complete lines, and
 // what a worker needs to parse them as the reader would have.
 type textChunk struct {
-	text     []byte // see pooled for who may touch it when
+	text     []byte // at the front of the buffer read into; see pooled for who may touch it when
 	after    int    // physical line number the chunk starts after
 	numTypes int
 	strict   bool
@@ -198,10 +197,12 @@ func (c *textChunk) decode(s *scratch, t *tally) []core.Datapoint {
 }
 
 // readNginx is the access-log read loop, shared by NginxSource.Run and
-// POST /ingest, and all it does is read. One read is one batch: the
-// complete lines of a read are copied into a pooled chunk and sent raw, so
-// a catch-up read of 64 KiB is some 400 lines per queue send, a follow-mode
-// read is the few lines the poll found, and no line waits for a later read.
+// POST /ingest, and all it does is read. One read is one batch: the buffer
+// a read landed in becomes a pooled chunk, its complete lines sent raw, and
+// the buffer the chunk held before, which its worker released, is where the
+// next read lands (LineReader.Swap), so no line is copied. A catch-up read
+// of 64 KiB is some 400 lines per queue send, a follow-mode read is the few
+// lines the poll found, and no line waits for a later read.
 // The worker that takes the chunk parses and folds it and sends it home
 // through the free list with its tally; the tallies' sum is returned, and
 // with a nil error it is complete and every line of it folded.
@@ -226,7 +227,7 @@ func readNginx(ctx context.Context, r io.Reader, numTypes int, strict bool, send
 		}
 		c := &p.batch
 		c.after, c.numTypes, c.strict, c.ctx = lr.LineNo(), numTypes, strict, ctx
-		c.text = append(c.text[:0], lr.Take()...)
+		c.text = lr.Swap(c.text)
 		if err := send(ingestBatch{raw: c, home: &p.tally, queued: int64(lr.LineNo() - c.after), free: p.release}); err != nil {
 			return total, err
 		}

@@ -1,7 +1,9 @@
 package harvester
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -28,9 +30,11 @@ func benchNginxLines(n, k int) [][]byte {
 // BenchmarkParseNginxLine measures one access-log line → one datapoint, on
 // the compat API (ParseNginxLine + EntryToTypedDatapoint, what one-off
 // callers and the loop benchmark's parse probe use) and on the batch path
-// harvestd ingests through, at 2 and 8 upstreams. batch/malformed is the
-// hostile log: every line fails, a third each with junk before the remote,
-// rt=oops appended, and the line cut in half.
+// harvestd ingests through, at 2 and 8 upstreams; batch/k2/typed adds a
+// type= field and folds typed contexts, batch/k2/foreign puts fields the
+// proxy never writes ahead of its own. batch/malformed is the hostile log:
+// every line fails, a third each with junk before the remote, rt=oops
+// appended, and the line cut in half.
 func BenchmarkParseNginxLine(b *testing.B) {
 	b.Run("batch/malformed", func(b *testing.B) {
 		lines := benchNginxLines(4096, 2)
@@ -72,18 +76,34 @@ func BenchmarkParseNginxLine(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("batch/k%d", k), func(b *testing.B) {
-			var batch NginxBatch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i&511 == 0 {
-					batch.Reset()
-				}
-				if ok, err := batch.Append(lines[i&4095], 1, int64(i)); !ok || err != nil {
-					b.Fatal(ok, err)
-				}
-			}
-		})
+		b.Run(fmt.Sprintf("batch/k%d", k), func(b *testing.B) { benchBatch(b, lines, 1) })
+	}
+	// The proxy's lines with a type= field, folded into typed contexts; and
+	// with fields the proxy never writes ahead of its own (nginx's
+	// request_time= and upstream_*), which the key scan skips.
+	lines := benchNginxLines(4096, 2)
+	typed, foreign := make([][]byte, len(lines)), make([][]byte, len(lines))
+	for i, l := range lines {
+		typed[i] = fmt.Appendf(slices.Clip(l), " type=%d", i%3)
+		ua := bytes.Index(l, []byte(`" rt=`)) + 1
+		foreign[i] = slices.Concat(l[:ua], []byte(" request_time=0.004 upstream_addr=127.0.0.1:8081 upstream_status=200"), l[ua:])
+	}
+	b.Run("batch/k2/typed", func(b *testing.B) { benchBatch(b, typed, 3) })
+	b.Run("batch/k2/foreign", func(b *testing.B) { benchBatch(b, foreign, 1) })
+}
+
+// benchBatch appends lines to one batch in turn, 512 to a batch; every line
+// must yield a datapoint.
+func benchBatch(b *testing.B, lines [][]byte, numTypes int) {
+	var batch NginxBatch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i&511 == 0 {
+			batch.Reset()
+		}
+		if ok, err := batch.Append(lines[i&4095], numTypes, int64(i)); !ok || err != nil {
+			b.Fatal(ok, err)
+		}
 	}
 }

@@ -79,6 +79,18 @@ func FuzzParseNginxLine(f *testing.F) {
 		head + ` upstream=5 conns=1|2 prop=1`,
 		head + ` upstream=0 conns=1|2 prop=1 type=7`,
 		head + ` upstream=0 conns=` + strings.Repeat("1|", 40) + `1 prop=0.024390243902439025 rt=0.00000000000000000000000000000000000001`,
+		// A newline in the extras makes the line unrecognized, also when a
+		// value before it is bad; the extras walk meets it between fields.
+		`x - - [31/Feb/2026:10:30:00 +0000] "GET / HTTP/1.1" 200 0 "-" "-" rt=1` + "\nprop=1",
+		`x - - [06/Jul/2026:10:30:00 +0000] "GET / HTTP/1.1" 200 99999999999999999999 "-" "-" prop=1` + "\n",
+		head + " rt=bad upstream=0 conns=1\vprop=1\n",
+		head + " conns=1|x upstream=0 \n",
+		head + " prop=1\nupstream=0",
+		head + " rt=1 upstream=0 conns=1 prop=1\n",
+		// Keys that start like the proxy's and are not: skipped whole.
+		head + " rtt=1 props=0.5 conns2=1|2 upstreams=0 typeX=1 upstream=0 conns=1|2 prop=1",
+		head + " request_time=1 upstream_addr=a:1 conn=1 proptype=2 upstream=0 conns=1 prop=1 rt=",
+		head + " r u c p t rt upstream= conns prop=",
 		" " + head,
 		head + "\r",
 		"\xff\xfe - - [06/Jul/2026:10:30:00 +0000] \"G\xc3 / H\" 200 0 \"\x80\" \"\xf0\x28\" prop=1\xc2",

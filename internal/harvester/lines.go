@@ -46,7 +46,7 @@ func (l *Lines) LineNo() int { return l.no }
 
 // LineReader is the one read loop of the text ingest paths. It reads its
 // input a chunk at a time and hands out each chunk's complete lines, one by
-// one through the embedded Lines or all at once through Take:
+// one through the embedded Lines, or all at once through Take or Swap:
 //
 //	lr := NewLineReader(r)
 //	for lr.Fill() {            // one Read
@@ -56,6 +56,9 @@ func (l *Lines) LineNo() int { return l.no }
 //		// batch consumers flush here: one read, one batch
 //	}
 //	err := lr.Err()
+//
+// Swap gives the buffer away instead of lending it, so a consumer on another
+// goroutine parses the lines where they were read.
 //
 // A line is handed out once its newline has been read — never earlier, so
 // a writer caught mid-line is not misparsed, and never later: no line waits
@@ -68,7 +71,7 @@ type LineReader struct {
 	Lines // over the complete lines of the current Fill, valid until the next
 
 	r    io.Reader
-	buf  []byte // allocated by the first Fill
+	buf  []byte // allocated by a Fill that finds none
 	full int    // end of the complete lines in buf
 	end  int    // end of the data in buf
 	err  error  // sticky; io.EOF once the input is exhausted
@@ -133,6 +136,25 @@ func (lr *LineReader) Take() []byte {
 	if n := len(chunk); n > 0 && chunk[n-1] != '\n' {
 		lr.no++
 	}
+	return chunk
+}
+
+// Swap is Take handing over the buffer too: the chunk, and the array under
+// it to its capacity, are the caller's to keep. The next Fill reads into
+// spare — a buffer an earlier Swap returned and its holder released, or nil
+// — into which Swap moves the unfinished last line, the only bytes it
+// copies; a spare too small for a full read is replaced by a new buffer.
+func (lr *LineReader) Swap(spare []byte) []byte {
+	chunk := lr.Take()
+	tail := lr.buf[lr.full:lr.end]
+	if need := max(core.ScanBufferSize, 2*len(tail)); cap(spare) < need {
+		spare = nil // Fill makes one, unless the tail needs it now
+		if len(tail) > 0 {
+			spare = make([]byte, need)
+		}
+	}
+	lr.buf, lr.full = spare[:cap(spare)], 0
+	lr.end = copy(lr.buf, tail)
 	return chunk
 }
 

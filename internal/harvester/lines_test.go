@@ -3,6 +3,7 @@ package harvester
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -85,42 +86,77 @@ func TestLineReaderMatchesScannerLoop(t *testing.T) {
 	}
 }
 
-// TestLineReaderTakeMatchesNext: handing a Fill over whole with Take and
+// TestLineReaderTakeMatchesNext: handing a Fill over whole — with Take, to
+// a consumer that copies it, or with Swap, to one that keeps each buffer it
+// is handed and walks it only when it hands it back three Fills later — and
 // walking it elsewhere with LinesOf yields the lines and physical line
 // numbers Next would have — blank lines, CRLF and the unterminated last line
-// included — and leaves LineNo where Next would have left it.
+// included — and leaves LineNo where Next would have left it, also when a
+// line longer than a read buffer is cut by a handover.
 func TestLineReaderTakeMatchesNext(t *testing.T) {
-	input := "a\n\n \t\nb\r\n\r\nc d \n\n\ne\nf\n\n\ng"
-	for _, size := range []int{1, 3, 7, 1 << 16} {
-		want, _, err := readAll(t, sizedReader{strings.NewReader(input), size})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []numbered
-		lr := NewLineReader(sizedReader{strings.NewReader(input), size})
-		for lr.Fill() {
-			after := lr.LineNo()
-			chunk := append([]byte(nil), lr.Take()...) // a consumer on another goroutine owns a copy
-			if lr.Next() {
-				t.Fatalf("%d-byte reads: Next after Take handed out %q", size, lr.Line())
+	inputs := map[string]string{
+		"short": "a\n\n \t\nb\r\n\r\nc d \n\n\ne\nf\n\n\ng",
+		"long":  "a\n" + strings.Repeat("x", core.ScanBufferSize+100) + "\n\nb\n" + strings.Repeat("y", 2*core.ScanBufferSize) + "\nc",
+	}
+	type handed struct {
+		after int
+		chunk []byte
+	}
+	for name, input := range inputs {
+		physical := strings.Count(input, "\n") + 1 // both end unterminated
+		for _, size := range []int{1, 3, 7, 1 << 16} {
+			want, _, err := readAll(t, sizedReader{strings.NewReader(input), size})
+			if err != nil {
+				t.Fatal(err)
 			}
-			lines := LinesOf(chunk, after)
-			for lines.Next() {
-				got = append(got, numbered{lines.LineNo(), string(lines.Line())})
+			for _, swap := range []bool{false, true} {
+				what := fmt.Sprintf("%s input, %d-byte reads, swap %v", name, size, swap)
+				var got []numbered
+				walk := func(h handed) {
+					lines := LinesOf(h.chunk, h.after)
+					for lines.Next() {
+						got = append(got, numbered{lines.LineNo(), string(lines.Line())})
+					}
+				}
+				var held []handed
+				lr := NewLineReader(sizedReader{strings.NewReader(input), size})
+				for lr.Fill() {
+					h := handed{after: lr.LineNo()}
+					if swap {
+						var spare []byte
+						if len(held) == 3 {
+							walk(held[0])
+							spare, held = held[0].chunk, held[1:]
+						}
+						h.chunk = lr.Swap(spare)
+					} else {
+						h.chunk = append([]byte(nil), lr.Take()...) // a consumer on another goroutine owns a copy
+					}
+					if lr.Next() {
+						t.Fatalf("%s: Next after the handover handed out %q", what, lr.Line())
+					}
+					held = append(held, h)
+					// The reader counts blank lines the walker skips at the chunk's end.
+					lines := LinesOf(h.chunk, h.after)
+					for lines.Next() {
+					}
+					if lines.LineNo() > lr.LineNo() {
+						t.Fatalf("%s: walker at line %d, reader at %d", what, lines.LineNo(), lr.LineNo())
+					}
+				}
+				for _, h := range held {
+					walk(h)
+				}
+				if err := lr.Err(); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s:\n got  %s\n want %s", what, truncate(fmt.Sprint(got), 300), truncate(fmt.Sprint(want), 300))
+				}
+				if lr.LineNo() != physical {
+					t.Errorf("%s: LineNo after the last handover = %d, want %d", what, lr.LineNo(), physical)
+				}
 			}
-			// The reader counts blank lines the walker skipped at the chunk's end.
-			if lines.LineNo() > lr.LineNo() {
-				t.Fatalf("%d-byte reads: walker at line %d, reader at %d", size, lines.LineNo(), lr.LineNo())
-			}
-		}
-		if err := lr.Err(); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%d-byte reads:\n got  %v\n want %v", size, got, want)
-		}
-		if lr.LineNo() != 13 {
-			t.Errorf("%d-byte reads: LineNo after the last Take = %d, want 13", size, lr.LineNo())
 		}
 	}
 }

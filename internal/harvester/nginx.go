@@ -20,6 +20,7 @@ package harvester
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -88,17 +89,15 @@ func (m *timeMemo) parse(ts string) (time.Time, error) {
 const (
 	clsBlank uint8 = 1 << iota // the five bytes a regexp's \s matches: they end a head token
 	clsSpace                   // what strings.Fields splits the extras on: blank and \v
-	clsStop                    // where the scan of an extras key stops: whitespace and '='
 )
 
 var byteClass = func() (t [256]uint8) {
 	for _, c := range " \t\n\f\r" {
-		t[c] = clsBlank | clsSpace | clsStop
+		t[c] = clsBlank | clsSpace
 	}
-	t['\v'] = clsSpace | clsStop
-	t['='] = clsStop
+	t['\v'] = clsSpace
 	for c := utf8.RuneSelf; c < len(t); c++ {
-		t[c] = clsSpace | clsStop
+		t[c] = clsSpace
 	}
 	return t
 }()
@@ -110,26 +109,28 @@ var byteClass = func() (t [256]uint8) {
 //
 // where remote and the three request tokens are runs of non-blank bytes
 // separated by single spaces, status is exactly three digits, bytes is one
-// or more, time holds no ']' and ref and ua no '"'; extras are
-// whitespace-separated key=value fields, of which rt, upstream, conns,
-// prop and type are read (the last of a repeated key wins) and the rest,
-// like fields without '=', ignored. The head is matched against its whole
-// shape before its values are validated, so a line wrong in both ways is
-// "unrecognized". The numbers the proxy writes — digits[.digits] for rt and
+// or more, time holds no ']' and ref and ua no '"'; extras hold no newline
+// and are whitespace-separated key=value fields, of which rt, upstream,
+// conns, prop and type are read (the last of a repeated key wins) and the
+// rest, like fields without '=', ignored. The head is matched against its
+// whole shape before its values are validated, so a line wrong in both ways
+// is "unrecognized". The numbers the proxy writes — digits[.digits] for rt and
 // prop, short digit runs for the counts — are read in place; any other
 // shape goes to strconv whole, so accept, value and error text stay its.
 func parseNginx(line string, e *AccessEntry, memo *timeMemo) error {
 	// The extras may omit these; a line that parses sets every other field.
 	e.RequestTime, e.Upstream, e.Conns, e.Propensity, e.Type = 0, -1, e.Conns[:0], 0, -1
 
+	// Separators and keys are compared as constants, a load or two, where
+	// strings.HasPrefix would call memequal.
 	p := nonBlankRun(line, 0)
-	if p == 0 || !strings.HasPrefix(line[p:], " - - [") {
+	if p == 0 || len(line)-p < 6 || line[p:p+6] != " - - [" {
 		return errUnrecognized(line)
 	}
 	e.Remote = line[:p]
 	p += len(" - - [")
 	n := strings.IndexByte(line[p:], ']')
-	if n <= 0 || !strings.HasPrefix(line[p+n:], `] "`) {
+	if n <= 0 || len(line)-p-n < 3 || line[p+n:p+n+3] != `] "` {
 		return errUnrecognized(line)
 	}
 	ts := line[p : p+n]
@@ -162,14 +163,14 @@ func parseNginx(line string, e *AccessEntry, memo *timeMemo) error {
 	e.Status = int(line[p]-'0')*100 + int(line[p+1]-'0')*10 + int(line[p+2]-'0')
 	p += 4
 	bytes, q := digitRun(line, p, 0)
-	if q == p || !strings.HasPrefix(line[q:], ` "`) {
+	if q == p || len(line)-q < 2 || line[q:q+2] != ` "` {
 		return errUnrecognized(line)
 	}
 	bytesField := line[p:q]
 	p = q + len(` "`)
 
 	n = strings.IndexByte(line[p:], '"') // referrer, unused
-	if n < 0 || !strings.HasPrefix(line[p+n:], `" "`) {
+	if n < 0 || len(line)-p-n < 3 || line[p+n:p+n+3] != `" "` {
 		return errUnrecognized(line)
 	}
 	p += n + len(`" "`)
@@ -179,22 +180,25 @@ func parseNginx(line string, e *AccessEntry, memo *timeMemo) error {
 	}
 	e.UserAgent = line[p : p+n]
 	p += n + 1
-	if strings.IndexByte(line[p:], '\n') >= 0 {
-		return errUnrecognized(line)
-	}
+	extras := p
 
 	var err error
 	if e.Time, err = memo.parse(ts); err != nil {
-		return fmt.Errorf("harvester: bad timestamp %q: %w", ts, err)
+		return shapeFirst(line, extras, fmt.Errorf("harvester: bad timestamp %q: %w", ts, err))
 	}
 	if e.Bytes = int64(bytes); len(bytesField) > maxCountDigits {
 		if e.Bytes, err = strconv.ParseInt(bytesField, 10, 64); err != nil {
-			return fmt.Errorf("harvester: bad bytes %q", bytesField)
+			return shapeFirst(line, extras, fmt.Errorf("harvester: bad bytes %q", bytesField))
 		}
 	}
 	for {
+		// Every blank byte of the extras passes here, so this is where a
+		// newline, which the head's shape does not allow after the user
+		// agent, makes the line unrecognized.
 		for p < len(line) && byteClass[line[p]]&clsSpace != 0 {
-			if line[p] < utf8.RuneSelf {
+			if c := line[p]; c == '\n' {
+				return errUnrecognized(line)
+			} else if c < utf8.RuneSelf {
 				p++
 			} else if w := spaceWidth(line, p); w > 0 {
 				p += w
@@ -202,45 +206,57 @@ func parseNginx(line string, e *AccessEntry, memo *timeMemo) error {
 				break
 			}
 		}
-		key := p
-		for p < len(line) && (byteClass[line[p]]&clsStop == 0 || line[p] >= utf8.RuneSelf && spaceWidth(line, p) == 0) {
-			p++
-		}
-		switch {
-		case p == len(line):
+		if p == len(line) {
 			return nil
-		case line[p] != '=':
-			continue // a field without one
 		}
-		val := p + 1
-		switch line[key:p] {
-		case "rt":
-			e.RequestTime, p, err = readDecimal(line, val)
-		case "upstream":
-			e.Upstream, p, err = readCount(line, val, false)
-		case "conns":
-			if e.Conns = e.Conns[:0]; cap(e.Conns) == 0 { // a fresh entry: size it once
-				e.Conns = make([]int, 0, 1+strings.Count(line[val:fieldEnd(line, val)], "|"))
-			}
-			for p = val; ; p++ {
-				var c int
-				c, p, err = readCount(line, p, true)
-				e.Conns = append(e.Conns, c)
-				if err != nil || p == len(line) || line[p] != '|' {
-					break
-				}
-			}
-		case "prop":
-			e.Propensity, p, err = readDecimal(line, val)
-		case "type":
-			e.Type, p, err = readCount(line, val, false)
-		default:
-			p = fieldEnd(line, val)
+		// The keys the proxy writes are matched where they start.
+		key := p
+		switch rest := line[p:]; {
+		case len(rest) >= 3 && rest[:3] == "rt=":
+			e.RequestTime, p, err = readDecimal(line, key+3)
+		case len(rest) >= 9 && rest[:9] == "upstream=":
+			e.Upstream, p, err = readCount(line, key+9, false)
+		case len(rest) >= 6 && rest[:6] == "conns=":
+			p, err = e.readConns(line, key+6)
+		case len(rest) >= 5 && rest[:5] == "prop=":
+			e.Propensity, p, err = readDecimal(line, key+5)
+		case len(rest) >= 5 && rest[:5] == "type=":
+			e.Type, p, err = readCount(line, key+5, false)
+		default: // a field the proxy does not write: skipped whole
+			p = fieldEnd(line, p)
+			continue
 		}
 		if err != nil {
-			return fmt.Errorf("harvester: bad %s %q", line[key:val-1], line[val:fieldEnd(line, p)])
+			val := key + strings.IndexByte(line[key:], '=') + 1
+			return shapeFirst(line, p, fmt.Errorf("harvester: bad %s %q", line[key:val-1], line[val:fieldEnd(line, p)]))
 		}
 	}
+}
+
+// readConns reads the '|'-separated counts of a conns= value at s[i:] into
+// e.Conns, reusing its capacity, and returns the index it ends at.
+func (e *AccessEntry) readConns(s string, i int) (end int, err error) {
+	if e.Conns = e.Conns[:0]; cap(e.Conns) == 0 { // a fresh entry: size it once
+		e.Conns = make([]int, 0, 1+strings.Count(s[i:fieldEnd(s, i)], "|"))
+	}
+	for end = i; ; end++ {
+		var c int
+		c, end, err = readCount(s, end, true)
+		e.Conns = append(e.Conns, c)
+		if err != nil || end == len(s) || s[end] != '|' {
+			return end, err
+		}
+	}
+}
+
+// shapeFirst returns err, the verdict on a value of line, unless line[from:]
+// holds a newline: a line of the wrong shape is unrecognized whatever its
+// values.
+func shapeFirst(line string, from int, err error) error {
+	if strings.IndexByte(line[from:], '\n') >= 0 {
+		return errUnrecognized(line)
+	}
+	return err
 }
 
 // maxCountDigits is the longest digit run read in place as a count: nine
@@ -459,13 +475,16 @@ func (b *NginxBatch) Append(line []byte, numTypes int, seq int64) (ok bool, err 
 	if !ok {
 		return false, err
 	}
-	b.Points = append(b.Points, core.Datapoint{
-		Context:    lbsim.BuildContextIn(&b.arena, e.Conns, reqType, numTypes),
-		Action:     core.Action(e.Upstream),
-		Reward:     e.RequestTime,
-		Propensity: e.Propensity,
-		Seq:        seq,
-	})
+	// Written in place: appending a composite literal builds the ~100-byte
+	// point on the stack and copies it.
+	n := len(b.Points)
+	if n == cap(b.Points) {
+		b.Points = slices.Grow(b.Points, 1)
+	}
+	b.Points = b.Points[:n+1]
+	d := &b.Points[n]
+	d.Context = lbsim.BuildContextIn(&b.arena, e.Conns, reqType, numTypes)
+	d.Action, d.Reward, d.Propensity, d.Seq, d.Tag = core.Action(e.Upstream), e.RequestTime, e.Propensity, seq, ""
 	return true, nil
 }
 

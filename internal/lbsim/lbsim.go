@@ -186,31 +186,30 @@ func contextFloats(k, numTypes int) int {
 	return n
 }
 
-// fillContext lays a context out over one zeroed float block (shared
-// vector first, then the per-action vectors, each capped at its own length
-// so an append cannot run into its neighbour) and one row-header block.
+// fillContext lays a context out over one zeroed float block, on one path
+// for typed and untyped contexts: an untyped one is a typed one with no type
+// blocks. The shared vector comes first, then the per-action vectors, each
+// capped at its own length so an append cannot run into its neighbour.
 func fillContext(floats []float64, rows []core.Vector, conns []int, reqType, numTypes int) core.Context {
 	k := len(conns)
-	typed := numTypes > 1
-	sharedLen := k
-	if typed {
-		sharedLen += numTypes
+	if numTypes <= 1 {
+		numTypes = 0
 	}
-	shared := floats[:sharedLen:sharedLen]
-	floats = floats[sharedLen:]
-	dim := FeatureDim(k, numTypes)
+	n := k + numTypes
+	shared := floats[:n:n]
+	if numTypes > 0 {
+		shared[k+reqType] = 1
+	}
+	dim := 1 + k + k*numTypes
 	for s, c := range conns {
-		shared[s] = float64(c)
-		v := floats[s*dim : (s+1)*dim : (s+1)*dim]
-		v[0] = float64(c)
+		v := floats[n : n+dim : n+dim]
+		n += dim
+		shared[s], v[0] = float64(c), float64(c)
 		v[1+s] = 1
-		if typed {
+		if numTypes > 0 {
 			v[1+k+s*numTypes+reqType] = 1
 		}
 		rows[s] = v
-	}
-	if typed {
-		shared[k+reqType] = 1
 	}
 	return core.Context{Features: shared, ActionFeatures: rows, NumActions: k}
 }
