@@ -115,6 +115,7 @@ type shardState struct {
 	pulls      atomic.Int64
 	pullErrors atomic.Int64
 	restarts   atomic.Int64 // snapshot Seq regressions observed
+	refused    atomic.Int64 // snapshots refused for another clip or floor
 }
 
 // Aggregator federates the shards: it pulls snapshots, merges estimator
@@ -128,6 +129,7 @@ type Aggregator struct {
 	start  time.Time
 
 	checkpoints atomic.Int64
+	installMu   sync.Mutex // one install at a time: install reads the other shards' settings
 
 	stateMu sync.Mutex
 	running bool
@@ -266,15 +268,40 @@ func (a *Aggregator) pullShard(ctx context.Context, st *shardState) error {
 		a.cfg.Logf("harvestagg: freshness %s: %v", st.shard.Name, freshErr)
 	}
 	snap, err := fetchSnapshot(pctx, a.cfg.Client, st.shard.URL)
+	if err == nil {
+		err = a.install(st, snap, fresh)
+	}
 	if err != nil {
 		st.pullErrors.Add(1)
 		st.mu.Lock()
 		st.failures++
 		st.lastErr = err.Error()
 		st.mu.Unlock()
-		return err
+	}
+	return err
+}
+
+// install makes a snapshot and its watermark report the shard's state, unless
+// another shard's was folded under another clip or floor (harvestd's
+// checkpoint rule): then the shard drops its state, so it is not live.
+func (a *Aggregator) install(st *shardState, snap *harvestd.StateSnapshot, fresh *harvestd.FreshnessReport) error {
+	a.installMu.Lock()
+	defer a.installMu.Unlock()
+	for _, o := range a.shards {
+		o.mu.Lock()
+		other := o.snap
+		o.mu.Unlock()
+		if o != st && other != nil && (other.Clip != snap.Clip || other.Floor != snap.Floor) {
+			st.refused.Add(1)
+			st.mu.Lock()
+			st.snap = nil
+			st.mu.Unlock()
+			return fmt.Errorf("fleet: snapshot folded under clip %g and floor %g, not shard %q's clip %g and floor %g",
+				snap.Clip, snap.Floor, o.shard.Name, other.Clip, other.Floor)
+		}
 	}
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	if st.snap != nil && snap.Seq < st.snap.Seq {
 		st.restarts.Add(1)
 	}
@@ -286,7 +313,6 @@ func (a *Aggregator) pullShard(ctx context.Context, st *shardState) error {
 		st.fresh = fresh
 		st.freshAt = st.lastSuccess
 	}
-	st.mu.Unlock()
 	return nil
 }
 

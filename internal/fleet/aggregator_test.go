@@ -184,6 +184,51 @@ func TestAggregatorPullAndMergedView(t *testing.T) {
 	}
 }
 
+// TestAggregatorRefusesShardUnderAnotherClip: a shard whose snapshot was
+// folded under another clip than an installed shard's is refused at pull,
+// not merged. It is counted, not live, and /shards says why, and the view
+// holds the first shard's rows alone.
+func TestAggregatorRefusesShardUnderAnotherClip(t *testing.T) {
+	s1 := newSnapServer(t, testSnap("shard-a", 1, 10, 200))
+	wide := testSnap("shard-b", 1, 20, 300)
+	wide.Clip = 50
+	s2 := newSnapServer(t, wide)
+	a, err := New(Config{
+		Shards: []Shard{
+			{Name: "shard-a", URL: s1.srv.URL},
+			{Name: "shard-b", URL: s2.srv.URL},
+		},
+		Clock: &obs.FixedClock{T: time.Unix(1700000000, 0)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.PullAll(context.Background()); err == nil || !strings.Contains(err.Error(), "clip 50") {
+		t.Fatalf("pull of a shard under clip 50 next to one under clip 3: error = %v", err)
+	}
+	v := a.View()
+	if v.LiveShards != 1 || v.Clip != 3 || v.Counters.Folded != 200 {
+		t.Fatalf("view: live=%d clip=%g n=%d, want live=1 clip=3 n=200", v.LiveShards, v.Clip, v.Counters.Folded)
+	}
+	for _, pol := range []string{"uniform", "leastloaded"} {
+		if got, want := v.Policies[pol], testSnap("shard-a", 1, 10, 200).Policies[pol]; got != want {
+			t.Errorf("policy %s: the view is not shard-a's rows alone:\n got  %+v\n want %+v", pol, got, want)
+		}
+	}
+	if b := v.Shards[1]; b.Name != "shard-b" || b.Live || !strings.Contains(b.LastError, "clip 50") {
+		t.Errorf("shard-b's /shards row: %+v, want not live with the clip named", b)
+	}
+	var metrics bytes.Buffer
+	if err := a.obsReg.WritePrometheus(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{`harvestagg_shard_refused_total{shard="shard-a"} 0`, `harvestagg_shard_refused_total{shard="shard-b"} 1`} {
+		if !strings.Contains(metrics.String(), line+"\n") {
+			t.Errorf("metrics lack %q", line)
+		}
+	}
+}
+
 func TestAggregatorStalenessDropAndRecover(t *testing.T) {
 	s1 := newSnapServer(t, testSnap("shard-a", 1, 10, 200))
 	s2 := newSnapServer(t, testSnap("shard-b", 1, 20, 300))

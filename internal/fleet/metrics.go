@@ -42,6 +42,7 @@ func (a *Aggregator) initMetrics() {
 		r.CounterFunc("harvestagg_shard_pulls_total", "snapshot pulls attempted", st.pulls.Load, labels...)
 		r.CounterFunc("harvestagg_shard_pull_errors_total", "snapshot pulls failed", st.pullErrors.Load, labels...)
 		r.CounterFunc("harvestagg_shard_restarts_total", "snapshot sequence regressions (shard restarts)", st.restarts.Load, labels...)
+		r.CounterFunc("harvestagg_shard_refused_total", "snapshots refused: folded under another clip or floor than an installed shard's", st.refused.Load, labels...)
 	}
 	obs.RegisterGoRuntime(r)
 	a.obsReg = r

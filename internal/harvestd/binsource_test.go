@@ -12,6 +12,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -149,6 +150,61 @@ func TestBinSourceIngest(t *testing.T) {
 	}
 	if c0, _ := reg.Estimate("always-0", 0.05); c0.N != 100 {
 		t.Errorf("always-0 n = %d, want 100", c0.N)
+	}
+}
+
+// TestBinSourceBatchOwnership, the binrec twin of
+// TestNginxSourceBatchOwnership: a segment is not refilled before its
+// release runs, however far the reader runs ahead. The consumer holds
+// freeListDepth segments at a time, all the reader has, so the reader waits
+// on the free list; only then does it decode each segment and check its
+// records, vectors included — views of the segment's payload where binrec
+// decodes in place — against the ones encoded, before it frees it.
+func TestBinSourceBatchOwnership(t *testing.T) {
+	ds := testDataset(3000, 89)
+	for i := range ds {
+		ds[i].Seq = int64(i)
+	}
+	wire := encodeBin(t, ds, 2048)
+	segs := 0
+	for dec, seg := binrec.NewDecoder(bytes.NewReader(wire)), new(binrec.Segment); dec.ReadSegment(seg) == nil; {
+		segs++
+	}
+	if segs < 10*freeListDepth {
+		t.Fatalf("%d segments: too few to recycle the free list", segs)
+	}
+	out := make(chan ingestBatch)
+	total := make(chan int)
+	go func() {
+		n := 0
+		var pending []ingestBatch
+		var sc scratch
+		for seen := 1; seen <= segs; seen++ {
+			if pending = append(pending, <-out); len(pending) < freeListDepth && seen < segs {
+				continue
+			}
+			for _, bt := range pending {
+				for _, p := range bt.raw.decode(&sc, bt.home) {
+					if n < len(ds) && !reflect.DeepEqual(p, ds[n]) && !t.Failed() {
+						t.Errorf("record %d decoded as %+v, want %+v", n, p, ds[n])
+					}
+					n++
+				}
+				bt.free()
+			}
+			pending = pending[:0]
+		}
+		total <- n
+	}()
+	got, err := readBin(context.Background(), sizedReader{bytes.NewReader(wire), 1000}, func(bt ingestBatch) error {
+		out <- bt
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := <-total; n != len(ds) || got.lines != int64(len(ds)) {
+		t.Errorf("consumer saw %d points, the reader collected %d lines; want %d", n, got.lines, len(ds))
 	}
 }
 

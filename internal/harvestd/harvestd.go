@@ -162,8 +162,8 @@ type ingestBatch struct {
 // rawBatch is a batch in wire form — the complete lines of one access-log
 // read, one CRC-checked binrec segment, or one record handed to Ingest.
 // decode parses it into the calling worker's scratch and returns the
-// points, valid until that worker's next decode; what else it saw goes
-// into t.
+// points, valid until that worker's next decode or the batch's free (they
+// may view its bytes); what else it saw goes into t.
 type rawBatch interface {
 	decode(s *scratch, t *tally) []core.Datapoint
 }

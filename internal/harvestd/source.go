@@ -282,7 +282,8 @@ const freeListDepth = 4
 // goes onto the queue with it: made once per batch, not once per send.
 // Ownership: from send until release the batch is the daemon's and its bytes
 // do not change — the worker parses them in place (NginxBatch.Append views a
-// line through unsafe.String), writes only the tally, and releases last.
+// line through unsafe.String, binrec.Batch.Decode views a vector through
+// unsafe.Slice), writes only the tally, and releases last, after the fold.
 // From release, which wakes the reader if it waits in reclaim, to the next
 // send it is the reader's, tally and bytes.
 type pooled[B any] struct {
@@ -360,7 +361,7 @@ func (s *BinSource) Run(ctx context.Context, sink *Sink) error {
 type binSegment binrec.Segment
 
 // decode implements rawBatch: a record is a line, and a segment that fails
-// to decode yields none, its error being the verdict.
+// to decode yields none, its error being the verdict. Its points view c.
 func (c *binSegment) decode(s *scratch, t *tally) []core.Datapoint {
 	if t.err = s.bin.Decode((*binrec.Segment)(c)); t.err != nil {
 		return nil

@@ -31,10 +31,10 @@
 // Batch.Decode turns a Segment into records, on any goroutine — so one
 // reader keeps a stream's segments coming, in order and verified, while
 // several workers decode them. Decoder.Next is the two in sequence. After
-// warm-up neither allocates per record: feature vectors are carved from the
-// batch's reused arena and tag strings are interned. The price is an
-// aliasing rule: every slice in a Batch is valid only until the next
-// Decode/Next/Reset on that Batch.
+// warm-up neither allocates per record: feature vectors are views of the
+// segment's payload (see viewFloats) and tag strings are interned. The
+// price is an aliasing rule: every slice in a Batch is valid only until the
+// next Decode/Next/Reset on that Batch and until its Segment is refilled.
 package binrec
 
 import (
@@ -45,6 +45,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"runtime"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -193,16 +195,15 @@ func (e *Encoder) Flush() error {
 }
 
 // A Batch is the caller-owned buffer set one decoded segment lands in.
-// Points (and every Vector hanging off them) alias the batch's arena:
-// they are valid until the next Decode, Next or Reset call with this batch,
-// so fold them (or copy them out) before reusing it. The zero value is
-// ready to use; reusing one batch across calls is what makes the decode
-// path allocation-free.
+// Points (and every Vector hanging off them) alias the batch's arena and the
+// segment: they are valid until the next Decode, Next or Reset with this
+// batch and until the segment is refilled. The zero value is ready to use;
+// reusing one batch across calls is what makes the decode path alloc-free.
 type Batch struct {
 	// Points holds the decoded records of one segment.
 	Points []core.Datapoint
 
-	arena core.Arena        // backing store for the vectors and row headers
+	arena core.Arena        // row headers, and the vectors where they are copied
 	tags  map[string]string // tag interning: one allocation per unique tag
 }
 
@@ -216,9 +217,9 @@ func (b *Batch) Reset() {
 }
 
 // A Segment is one segment in wire form, as Decoder.ReadSegment left it in
-// caller-owned storage: CRC-checked, not yet decoded. Batch.Decode copies
-// everything out, so it can be refilled once Decode returns. The zero value
-// is ready to use; reusing one keeps its payload buffer.
+// caller-owned storage: CRC-checked, not yet decoded. Batch.Decode's vectors
+// may view its payload, so refill it only once they are done with. The zero
+// value is ready to use; reusing one keeps its payload buffer.
 type Segment struct {
 	// Records is the record count the segment's header claims.
 	Records int
@@ -259,7 +260,8 @@ func (d *Decoder) Reset(r io.Reader) {
 }
 
 // Next decodes the next segment into b (after resetting it): ReadSegment
-// into the decoder's own Segment, then b.Decode, with the errors of either.
+// into the decoder's own Segment, then b.Decode, with the errors of either;
+// so b's points are valid only until this decoder's next Next.
 func (d *Decoder) Next(b *Batch) error {
 	if err := d.ReadSegment(&d.seg); err != nil {
 		b.Reset()
@@ -334,7 +336,11 @@ func (d *Decoder) ReadSegment(s *Segment) error {
 
 // Decode turns s into records in b (after resetting it). s has passed its
 // CRC, so a failure here is an encoder's fault, not line noise.
-func (b *Batch) Decode(s *Segment) error {
+func (b *Batch) Decode(s *Segment) error { return b.decode(s, viewFloats) }
+
+// decode is Decode with the vector path given: views of the payload, or
+// copies into the arena (which the tests run on hosts that view, too).
+func (b *Batch) decode(s *Segment, view bool) error {
 	b.Reset()
 	// Size the batch from the header instead of by doubling: the payload
 	// cannot hold more records than payloadLen / minRecordBytes or more
@@ -345,11 +351,13 @@ func (b *Batch) Decode(s *Segment) error {
 	if want := int(min(count, payloadLen/minRecordBytes)); want >= cap(b.Points) {
 		b.Points = make([]core.Datapoint, 0, (want+64)&^63)
 	}
-	b.arena.Grow(int(payloadLen/8), 0)
+	if !view {
+		b.arena.Grow(int(payloadLen/8), 0)
+	}
 	pts, rest := b.Points[:cap(b.Points)], s.payload
 	for i := uint64(0); i < count; i++ {
 		var err error
-		if rest, err = b.decodeRecord(&pts[i], rest, count-i); err != nil {
+		if rest, err = b.decodeRecord(&pts[i], rest, count-i, view); err != nil {
 			b.Points = pts[:i]
 			return fmt.Errorf("binrec: segment %d record %d (offset %d): %w", s.index, i, s.end, err)
 		}
@@ -389,9 +397,9 @@ func (d *Decoder) readHeader() error {
 //
 // It is one straight pass. Each varint's one-byte case is tested where it is
 // read (a helper around binary.Uvarint is over the inline budget), an error
-// is built only on the branch that fails, and the record's floats and row
-// headers are carved from the arena once each.
-func (b *Batch) decodeRecord(d *core.Datapoint, rest []byte, left uint64) ([]byte, error) {
+// is built only on the branch that fails, and the record's row headers (and
+// on the copy path its floats) are carved from the arena once each.
+func (b *Batch) decodeRecord(d *core.Datapoint, rest []byte, left uint64, view bool) ([]byte, error) {
 	var v uint64
 	var n int
 	if len(rest) > 0 && rest[0] < 0x80 {
@@ -448,9 +456,11 @@ func (b *Batch) decodeRecord(d *core.Datapoint, rest []byte, left uint64) ([]byt
 
 	// The vectors: the shared features, the row count, then that many
 	// action-feature rows. No record holds more floats than its bytes over
-	// eight, so one carve of that many serves them all; Decode grew the
-	// arena by the whole payload's worth.
-	fl := b.arena.Floats(len(rec) / 8)
+	// eight, so for copies one carve of that many serves them all.
+	var fl []float64
+	if !view {
+		fl = b.arena.Floats(len(rec) / 8)
+	}
 	var af []core.Vector
 	dst := &d.Context.Features
 	for j := 0; ; j++ { // j == 0: the features; j > 0: row j-1
@@ -465,23 +475,13 @@ func (b *Batch) decodeRecord(d *core.Datapoint, rest []byte, left uint64) ([]byt
 		}
 		*dst = nil
 		if v > 0 {
-			vec, src := fl[:v:v], rec[:v*8]
-			*dst, fl, rec = vec, fl[v:], rec[v*8:]
-			// The source is bounded once and both loops carry their bounds
-			// in the condition, so the copy compiles without a per-element
-			// slice-and-check; four floats a trip because on short vectors
-			// the trips are the cost.
-			for len(vec) >= 4 && len(src) >= 32 {
-				vec[0] = math.Float64frombits(binary.LittleEndian.Uint64(src[0:8]))
-				vec[1] = math.Float64frombits(binary.LittleEndian.Uint64(src[8:16]))
-				vec[2] = math.Float64frombits(binary.LittleEndian.Uint64(src[16:24]))
-				vec[3] = math.Float64frombits(binary.LittleEndian.Uint64(src[24:32]))
-				vec, src = vec[4:], src[32:]
+			if view {
+				*dst = unsafe.Slice((*float64)(unsafe.Pointer(&rec[0])), v)
+			} else {
+				*dst, fl = fl[:v:v], fl[v:]
+				copyFloats(*dst, rec[:v*8])
 			}
-			for i := 0; i < len(vec) && len(src) >= 8; i++ {
-				vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
-				src = src[8:]
-			}
+			rec = rec[v*8:]
 		}
 		if j == 0 {
 			if len(rec) > 0 && rec[0] < 0x80 {
@@ -514,6 +514,28 @@ func (b *Batch) decodeRecord(d *core.Datapoint, rest []byte, left uint64) ([]byt
 		return nil, fmt.Errorf("%d trailing bytes in record", len(rec))
 	}
 	return rest, nil
+}
+
+// viewFloats: the wire's floats are little-endian IEEE-754, so on a
+// little-endian host whose float loads take any alignment a view of the
+// payload holds the bits a copy would. Elsewhere copyFloats decodes them.
+const viewFloats = runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64" || runtime.GOARCH == "386"
+
+// copyFloats decodes len(vec) floats from src into vec. Both loops carry
+// their bounds in the condition, so there is no per-element check; four
+// floats a trip because on short vectors the trips are the cost.
+func copyFloats(vec core.Vector, src []byte) {
+	for len(vec) >= 4 && len(src) >= 32 {
+		vec[0] = math.Float64frombits(binary.LittleEndian.Uint64(src[0:8]))
+		vec[1] = math.Float64frombits(binary.LittleEndian.Uint64(src[8:16]))
+		vec[2] = math.Float64frombits(binary.LittleEndian.Uint64(src[16:24]))
+		vec[3] = math.Float64frombits(binary.LittleEndian.Uint64(src[24:32]))
+		vec, src = vec[4:], src[32:]
+	}
+	for i := 0; i < len(vec) && len(src) >= 8; i++ {
+		vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
+		src = src[8:]
+	}
 }
 
 // vectorName names vector j of a record in an error: the features, or an

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -310,7 +311,7 @@ func TestCorruptStream(t *testing.T) {
 // allocation that size.
 func TestOversizeRejected(t *testing.T) {
 	enc := NewAppendEncoder(io.Discard)
-	enc.SegmentBytes = 1 << 62 // never auto-seal: force one giant segment
+	enc.SegmentBytes = math.MaxInt // never auto-seal: force one giant segment
 	huge := core.Datapoint{
 		Context:    core.Context{Features: make(core.Vector, MaxSegmentBytes/8+2), NumActions: 2},
 		Propensity: 0.5,
@@ -390,6 +391,87 @@ func TestRoundTripVectorShapes(t *testing.T) {
 		wire := encodeAll(t, ds, segBytes)
 		if got := decodeAll(t, wire); !reflect.DeepEqual(ds, got) {
 			t.Fatalf("segment bytes %d: decoded dataset diverged\n got %+v\nwant %+v", segBytes, got, ds)
+		}
+	}
+}
+
+// TestViewsEqualCopies: the vectors Decode yields (views of the payload
+// where viewFloats holds) carry the bits the copy path decodes, for every
+// float class and at every length around copyFloats' four-float stride,
+// tagged or not; and a vector is capped at its length, so an append to one
+// moves it instead of writing over the record behind it.
+func TestViewsEqualCopies(t *testing.T) {
+	floats := []float64{
+		math.Float64frombits(0x7ff8_0000_0000_0001), // quiet NaN with a payload
+		math.Float64frombits(0x7ff0_0000_0000_0001), // signalling NaN
+		math.Float64frombits(0xfff4_0000_0000_0000), // negative signalling NaN
+		math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.Float64frombits(0x000f_ffff_ffff_ffff), // subnormals
+		1.5, -math.MaxFloat64,
+	}
+	vec := func(n, from int) core.Vector {
+		if n == 0 {
+			return nil // what an empty vector decodes to
+		}
+		v := make(core.Vector, n)
+		for i := range v {
+			v[i] = floats[(from+i)%len(floats)]
+		}
+		return v
+	}
+	var ds core.Dataset
+	for i, n := range []int{0, 1, 3, 4, 5, 80} {
+		for _, tag := range []string{"", "trajectory"} {
+			ds = append(ds, core.Datapoint{
+				Context: core.Context{
+					Features:       vec(n, i),
+					ActionFeatures: []core.Vector{vec(n, i+1), nil, vec(n, i+2)},
+					NumActions:     3,
+				},
+				Action: 2, Reward: floats[i], Propensity: 0.5, Seq: int64(len(ds)), Tag: tag,
+			})
+		}
+	}
+	for _, segBytes := range []int{0, 700} { // one segment, and several
+		dec := NewDecoder(bytes.NewReader(encodeAll(t, ds, segBytes)))
+		var got core.Dataset
+		for {
+			var seg Segment
+			if err := dec.ReadSegment(&seg); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			var views, copies, again Batch
+			if err := views.decode(&seg, viewFloats); err != nil {
+				t.Fatal(err)
+			}
+			if err := copies.decode(&seg, false); err != nil {
+				t.Fatal(err)
+			}
+			v, c := encodePoints(t, views.Points), encodePoints(t, copies.Points) // NaNs compare bit for bit
+			if !bytes.Equal(v, c) {
+				t.Fatalf("segment bytes %d: views and copies of one segment differ", segBytes)
+			}
+			for _, b := range []*Batch{&views, &copies} {
+				for i := range b.Points {
+					_ = append(b.Points[i].Context.Features, 42)
+					for _, row := range b.Points[i].Context.ActionFeatures {
+						_ = append(row, 42)
+					}
+				}
+			}
+			if err := again.decode(&seg, false); err != nil {
+				t.Fatal(err)
+			}
+			a := encodePoints(t, again.Points)
+			if !bytes.Equal(a, c) || !bytes.Equal(encodePoints(t, views.Points), v) || !bytes.Equal(encodePoints(t, copies.Points), c) {
+				t.Fatalf("segment bytes %d: an append to a vector wrote over the records behind it", segBytes)
+			}
+			got = append(got, clonePoints(views.Points)...)
+		}
+		if !bytes.Equal(encodePoints(t, got), encodePoints(t, ds)) {
+			t.Fatalf("segment bytes %d: decoded records differ from the ones encoded", segBytes)
 		}
 	}
 }
